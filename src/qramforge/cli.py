@@ -23,6 +23,7 @@ qramforge error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -267,67 +268,38 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "use --assignments to sample instead"
             )
         args.assignments = combos
-    reports = []
-    if args.circuit is not None:
-        doc = parse_document(Path(args.circuit).read_text())
-        reports.append(
-            check_proposition(
-                instance,
-                circuit=doc.circuit,
-                circuit_unitaries=doc.unitaries,
-                assignments=args.assignments,
-                seed=args.seed,
-                fidelity_tolerance=args.fidelity_tolerance,
-                residual_tolerance=args.residual_tolerance,
-            )
+    if args.circuit is None:
+        options, document = _options_from(args), {}
+    elif args.check != "proposition":
+        raise InvalidParameterError(
+            f"--circuit verifies a document with --check proposition only, not {args.check}"
         )
     else:
-        options = _options_from(args)
-        checks = (
-            ("proposition", "linearity", "variant_agreement")
-            if args.check == "all"
-            else (args.check,)
-        )
-        for check in checks:
-            if check == "proposition":
-                reports.append(
-                    check_proposition(
-                        instance,
-                        options,
-                        assignments=args.assignments,
-                        seed=args.seed,
-                        fidelity_tolerance=args.fidelity_tolerance,
-                        residual_tolerance=args.residual_tolerance,
-                    )
-                )
-            elif check == "linearity":
-                reports.append(
-                    check_linearity(
-                        instance,
-                        options,
-                        num_cases=args.assignments,
-                        seed=args.seed,
-                        fidelity_tolerance=args.fidelity_tolerance,
-                        residual_tolerance=args.residual_tolerance,
-                    )
-                )
-            else:
-                reports.append(
-                    check_variant_agreement(
-                        instance,
-                        assignments=args.assignments,
-                        seed=args.seed,
-                        fidelity_tolerance=args.fidelity_tolerance,
-                        residual_tolerance=args.residual_tolerance,
-                    )
-                )
+        doc = parse_document(Path(args.circuit).read_text())
+        options, document = None, {"circuit": doc.circuit, "circuit_unitaries": doc.unitaries}
+    common = {
+        "seed": args.seed,
+        "fidelity_tolerance": args.fidelity_tolerance,
+        "residual_tolerance": args.residual_tolerance,
+    }
+    checks = {
+        "proposition": lambda: check_proposition(
+            instance, options, assignments=args.assignments, **document, **common
+        ),
+        "linearity": lambda: check_linearity(
+            instance, options, num_cases=args.assignments, **common
+        ),
+        "variant_agreement": lambda: check_variant_agreement(
+            instance, assignments=args.assignments, **common
+        ),
+    }
+    names = list(checks) if args.check == "all" else [args.check]
+    reports = [checks[name]() for name in names]
     for report in reports:
         print(report.format_table())
     if args.report:
-        import json as _json
-
         payload = [r.to_dict() for r in reports]
-        Path(args.report).write_text(_json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
+        Path(args.report).write_text(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
     return 0 if all(r.passed for r in reports) else 1
 
 

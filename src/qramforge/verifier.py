@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -451,6 +451,12 @@ def _case_label(instance: InstanceSpec, address: int, result: int, mem: tuple[in
     return label
 
 
+def _random_assignment(instance: InstanceSpec, rng: np.random.Generator) -> tuple[int, tuple[int, ...]]:
+    """A seeded (result, mem) draw: the result first, then each leaf's memory."""
+    result = int(rng.integers(0, 1 << instance.m))
+    return result, tuple(int(rng.integers(0, 1 << width)) for width in instance.k)
+
+
 def _generate_cases(
     instance: InstanceSpec, assignments: int, seed: int
 ) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -472,11 +478,66 @@ def _generate_cases(
                     rest >>= width
                 assigned.append((result, tuple(mem)))
         while len(assigned) < assignments:
-            result = int(rng.integers(0, 1 << instance.m))
-            mem = tuple(int(rng.integers(0, 1 << width)) for width in instance.k)
-            assigned.append((result, mem))
+            assigned.append(_random_assignment(instance, rng))
         cases.extend((address, result, mem) for result, mem in assigned)
     return cases
+
+
+def _basis(circuit: Circuit, address: int, result: int, mem: tuple[int, ...]) -> SparseState:
+    return basis_state(circuit.layout, address, result, dict(zip(circuit.layout.leaves, mem)))
+
+
+def _simulate(
+    circuit: Circuit, initial: SparseState, unitaries: Mapping[str, UnitarySpec]
+) -> tuple[DataState, float]:
+    """Run ``initial`` through ``circuit``; return its data part and residual."""
+    return extract_data_state(run_circuit(initial, circuit, unitaries), circuit.layout)
+
+
+def _verify(
+    instance: InstanceSpec,
+    check: str,
+    options: dict,
+    cases: Iterable[tuple[str, Circuit, SparseState, tuple[DataState, float], tuple[int, ...]]],
+    unitaries: Mapping[str, UnitarySpec],
+    fidelity_tolerance: float,
+    residual_tolerance: float,
+    start: float,
+) -> VerificationReport:
+    """The case-running and judging core shared by every checker.
+
+    Each case ``(label, circuit, initial, (expected, expected_residual), mem)``
+    runs ``initial`` through ``circuit`` and judges the data registers against
+    ``expected``; the residual is the larger of the run's and the reference's
+    (0.0 for the oracle). ``start`` is the checker's entry time.
+    """
+    results = []
+    for label, circuit, initial, (expected, expected_residual), mem in cases:
+        actual, residual = _simulate(circuit, initial, unitaries)
+        residual = max(expected_residual, residual)
+        fidelity = _data_fidelity(expected, actual)
+        invariant = _mem_invariant(actual, mem)
+        passed = (
+            fidelity >= 1.0 - fidelity_tolerance
+            and residual <= residual_tolerance
+            and invariant
+        )
+        results.append(CaseResult(label, fidelity, residual, invariant, passed))
+    if not results:
+        raise InvalidParameterError(f"the {check} check of {instance.describe()} has no cases")
+    return VerificationReport(
+        instance=instance.describe(),
+        check=check,
+        options=options,
+        fidelity_tolerance=fidelity_tolerance,
+        residual_tolerance=residual_tolerance,
+        cases=results,
+        wall_seconds=time.perf_counter() - start,
+    )
+
+
+def _variant_options(options: SynthesisOptions, circuit: Circuit) -> dict:
+    return {"variant": options.variant, "fanout_block": circuit.metadata.get("fanout_block")}
 
 
 def check_proposition(
@@ -507,14 +568,10 @@ def check_proposition(
     """
     options = options or SynthesisOptions()
     start = time.perf_counter()
-    layout = instance.layout()
+    sizes = (instance.n, instance.m, tuple(instance.k))
     if circuit is None:
-        circuit = synth_access(layout, instance.unitaries, options)
-    elif (circuit.layout.n, circuit.layout.m, circuit.layout.k) != (
-        layout.n,
-        layout.m,
-        layout.k,
-    ):
+        circuit = synth_access(instance.layout(), instance.unitaries, options)
+    elif (circuit.layout.n, circuit.layout.m, circuit.layout.k) != sizes:
         raise InvalidParameterError(
             f"circuit layout {circuit.layout!r} does not match the instance sizes"
         )
@@ -524,34 +581,15 @@ def check_proposition(
         if cases is not None
         else _generate_cases(instance, assignments, seed)
     )
-    results = []
-    for address, result, mem in case_list:
-        initial = basis_state(circuit.layout, address, result, dict(zip(circuit.layout.leaves, mem)))
-        final = run_circuit(initial, circuit, sim_unitaries)
-        actual, residual = extract_data_state(final, circuit.layout)
-        expected = oracle_effect(instance, address, result, mem)
-        fidelity = _data_fidelity(expected, actual)
-        invariant = _mem_invariant(actual, mem)
-        passed = (
-            fidelity >= 1.0 - fidelity_tolerance
-            and residual <= residual_tolerance
-            and invariant
-        )
-        results.append(
-            CaseResult(_case_label(instance, address, result, mem), fidelity, residual, invariant, passed)
-        )
-    return VerificationReport(
-        instance=instance.describe(),
-        check="proposition",
-        options={
-            "variant": options.variant,
-            "fanout_block": circuit.metadata.get("fanout_block"),
-        },
-        fidelity_tolerance=fidelity_tolerance,
-        residual_tolerance=residual_tolerance,
-        cases=results,
-        wall_seconds=time.perf_counter() - start,
-    )
+
+    def trials():
+        for address, result, mem in case_list:
+            label = _case_label(instance, address, result, mem)
+            expected = oracle_effect(instance, address, result, mem), 0.0
+            yield label, circuit, _basis(circuit, address, result, mem), expected, mem
+
+    return _verify(instance, "proposition", _variant_options(options, circuit), trials(),
+                   sim_unitaries, fidelity_tolerance, residual_tolerance, start)
 
 
 def check_linearity(
@@ -567,65 +605,33 @@ def check_linearity(
     amplitudes, plus one uniform superposition over every address."""
     options = options or SynthesisOptions()
     start = time.perf_counter()
-    layout = instance.layout()
-    circuit = synth_access(layout, instance.unitaries, options)
+    circuit = synth_access(instance.layout(), instance.unitaries, options)
     rng = np.random.default_rng(seed)
     num_addresses = 1 << instance.n
 
-    trials: list[tuple[str, list[tuple[complex, int]], int, tuple[int, ...]]] = []
+    # Every instance has n >= 1, so there are always two distinct addresses.
+    superpositions: list[tuple[str, list[tuple[complex, int]], int, tuple[int, ...]]] = []
     for _ in range(num_cases):
-        if num_addresses >= 2:
-            pair = rng.choice(num_addresses, size=2, replace=False)
-        else:
-            pair = [0, 0]
+        pair = rng.choice(num_addresses, size=2, replace=False)
         raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        if num_addresses < 2:
-            raw = raw[:1]
-            pair = pair[:1]
         amps = raw / np.linalg.norm(raw)
-        result = int(rng.integers(0, 1 << instance.m))
-        mem = tuple(int(rng.integers(0, 1 << width)) for width in instance.k)
+        result, mem = _random_assignment(instance, rng)
         terms = [(complex(a), int(y)) for a, y in zip(amps, pair)]
         label = "+".join(f"y={label_of(y, instance.n)}" for _, y in terms)
-        trials.append((f"two-term {label}", terms, result, mem))
+        superpositions.append((f"two-term {label}", terms, result, mem))
     uniform_amp = complex(1 / np.sqrt(num_addresses))
     uniform_terms = [(uniform_amp, y) for y in range(num_addresses)]
-    result = int(rng.integers(0, 1 << instance.m))
-    mem = tuple(int(rng.integers(0, 1 << width)) for width in instance.k)
-    trials.append(("uniform over addresses", uniform_terms, result, mem))
+    result, mem = _random_assignment(instance, rng)
+    superpositions.append(("uniform over addresses", uniform_terms, result, mem))
 
-    results = []
-    for label, terms, result, mem in trials:
-        mem_by_leaf = dict(zip(circuit.layout.leaves, mem))
-        initial = superpose(
-            [
-                (amp, basis_state(circuit.layout, y, result, mem_by_leaf))
-                for amp, y in terms
-            ]
-        )
-        final = run_circuit(initial, circuit, instance.unitaries)
-        actual, residual = extract_data_state(final, circuit.layout)
-        expected = oracle_superposition(instance, terms, result, mem)
-        fidelity = _data_fidelity(expected, actual)
-        invariant = _mem_invariant(actual, mem)
-        passed = (
-            fidelity >= 1.0 - fidelity_tolerance
-            and residual <= residual_tolerance
-            and invariant
-        )
-        results.append(CaseResult(label, fidelity, residual, invariant, passed))
-    return VerificationReport(
-        instance=instance.describe(),
-        check="linearity",
-        options={
-            "variant": options.variant,
-            "fanout_block": circuit.metadata.get("fanout_block"),
-        },
-        fidelity_tolerance=fidelity_tolerance,
-        residual_tolerance=residual_tolerance,
-        cases=results,
-        wall_seconds=time.perf_counter() - start,
-    )
+    def trials():
+        for label, terms, result, mem in superpositions:
+            initial = superpose([(amp, _basis(circuit, y, result, mem)) for amp, y in terms])
+            expected = oracle_superposition(instance, terms, result, mem), 0.0
+            yield label, circuit, initial, expected, mem
+
+    return _verify(instance, "linearity", _variant_options(options, circuit), trials(),
+                   instance.unitaries, fidelity_tolerance, residual_tolerance, start)
 
 
 def check_variant_agreement(
@@ -645,43 +651,20 @@ def check_variant_agreement(
     if block_sizes is None:
         block_sizes = sorted({SynthesisOptions().resolved_block(instance.m), 1, instance.m})
     case_list = _generate_cases(instance, assignments, seed)
-    results = []
-    for s in block_sizes:
-        fanout = synth_access(
-            layout,
-            instance.unitaries,
-            SynthesisOptions(variant="fanout", fanout_block=s),
-        )
-        for address, result, mem in case_list:
-            mem_by_leaf = dict(zip(layout.leaves, mem))
-            seq_final = run_circuit(
-                basis_state(sequential.layout, address, result, mem_by_leaf),
-                sequential,
+    references = [
+        _simulate(sequential, _basis(sequential, *case), instance.unitaries) for case in case_list
+    ]
+
+    def trials():
+        for s in block_sizes:
+            fanout = synth_access(
+                layout,
                 instance.unitaries,
+                SynthesisOptions(variant="fanout", fanout_block=s),
             )
-            fan_final = run_circuit(
-                basis_state(fanout.layout, address, result, mem_by_leaf),
-                fanout,
-                instance.unitaries,
-            )
-            seq_data, seq_residual = extract_data_state(seq_final, sequential.layout)
-            fan_data, fan_residual = extract_data_state(fan_final, fanout.layout)
-            fidelity = _data_fidelity(seq_data, fan_data)
-            residual = max(seq_residual, fan_residual)
-            invariant = _mem_invariant(fan_data, mem)
-            passed = (
-                fidelity >= 1.0 - fidelity_tolerance
-                and residual <= residual_tolerance
-                and invariant
-            )
-            label = f"s={s} " + _case_label(instance, address, result, mem)
-            results.append(CaseResult(label, fidelity, residual, invariant, passed))
-    return VerificationReport(
-        instance=instance.describe(),
-        check="variant_agreement",
-        options={"block_sizes": list(block_sizes)},
-        fidelity_tolerance=fidelity_tolerance,
-        residual_tolerance=residual_tolerance,
-        cases=results,
-        wall_seconds=time.perf_counter() - start,
-    )
+            for (address, result, mem), reference in zip(case_list, references):
+                label = f"s={s} " + _case_label(instance, address, result, mem)
+                yield label, fanout, _basis(fanout, address, result, mem), reference, mem
+
+    return _verify(instance, "variant_agreement", {"block_sizes": list(block_sizes)}, trials(),
+                   instance.unitaries, fidelity_tolerance, residual_tolerance, start)

@@ -390,6 +390,34 @@ def test_verify_document_mismatch_exits_1(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_with_no_cases_exits_2(capsys):
+    # 4096 (result, mem) assignments per address are above the exhaustive
+    # cut-off, so --assignments 0 samples none
+    code = main(
+        [
+            "verify", "--family", "random", "--n", "1", "--m", "4", "--k", "4",
+            "--assignments", "0",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "no cases" in err
+
+
+@pytest.mark.parametrize("check", ["linearity", "variant_agreement", "all"])
+def test_verify_document_rejects_other_checks(lookup_doc, capsys, check):
+    code = main(
+        [
+            "verify", "--family", "table_lookup", "--n", "1", "--m", "1", "--table", "1,0",
+            "--circuit", str(lookup_doc), "--check", check,
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "--check proposition" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_rejects_wrong_size_document(lookup_doc, capsys):
     code = main(
         ["verify", "--family", "qram", "--n", "2", "--m", "1", "--circuit", str(lookup_doc)]

@@ -2,6 +2,7 @@
 route for the rotation family, and negative controls that must fail."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from qramforge import (
 )
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "verifier_reports.json"
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +276,27 @@ def test_check_variant_agreement():
     assert report.cases[0].label.startswith("s=1 ")
 
 
+def test_check_variant_agreement_runs_each_case_once_on_the_sequential_circuit(monkeypatch):
+    """One sequential run per case serves every block size: 1 + |S| runs per
+    case, not 2 |S|."""
+    import qramforge.verifier as verifier
+
+    runs = []
+    original = verifier.run_circuit
+
+    def counting_run_circuit(state, circuit, unitaries):
+        runs.append(circuit.metadata.get("variant"))
+        return original(state, circuit, unitaries)
+
+    monkeypatch.setattr(verifier, "run_circuit", counting_run_circuit)
+    report = check_variant_agreement(build_qram_instance(2, 2), assignments=2, seed=4)
+    assert report.passed
+    cases_per_block = 8  # 4 addresses x 2 assignments
+    assert len(report.cases) == 2 * cases_per_block
+    assert runs.count("fanout") == 2 * cases_per_block
+    assert runs.count("sequential") == cases_per_block
+
+
 def test_check_proposition_fanout_variant():
     report = check_proposition(
         build_qram_instance(2, 2),
@@ -282,3 +306,53 @@ def test_check_proposition_fanout_variant():
     assert report.passed
     assert report.options["variant"] == "fanout"
     assert report.options["fanout_block"] == 1
+
+
+def test_empty_case_lists_are_rejected():
+    inst = build_qram_instance(1, 1)
+    with pytest.raises(InvalidParameterError, match="no cases"):
+        check_proposition(inst, cases=[])
+    with pytest.raises(InvalidParameterError, match="no cases"):
+        check_variant_agreement(inst, block_sizes=[])
+
+
+# ---------------------------------------------------------------------------
+# pinned reports
+# ---------------------------------------------------------------------------
+
+
+def checker_reports() -> dict:
+    """Every checker's report, minus its wall time, on three small instances.
+
+    The result is pinned in ``tests/data/verifier_reports.json``: case order,
+    labels, the seeded draws and the exact fidelity and residual floats. To
+    regenerate it after a deliberate change of the reports, run from the
+    repository root::
+
+        PYTHONPATH=src:tests python -c "import test_verifier; test_verifier.write_golden_reports()"
+    """
+    instances = [
+        build_random_instance(2, 1, 1, seed=3),
+        build_table_lookup_instance(2, 2, seed=5),
+        build_rotation_instance(1, 2),
+    ]
+    reports = {}
+    for inst in instances:
+        runs = [
+            check_proposition(inst, assignments=6, seed=11),
+            check_linearity(inst, num_cases=4, seed=11),
+            check_variant_agreement(inst, assignments=6, seed=11),
+        ]
+        for report in runs:
+            data = report.to_dict()
+            del data["wall_seconds"]
+            reports.setdefault(report.instance, {})[report.check] = data
+    return reports
+
+
+def write_golden_reports() -> None:
+    GOLDEN_REPORTS.write_text(json.dumps(checker_reports(), indent=1) + "\n")
+
+
+def test_checker_reports_match_golden_file():
+    assert checker_reports() == json.loads(GOLDEN_REPORTS.read_text())
