@@ -37,6 +37,7 @@ from .sim import (
     UnitarySpec,
     apply_gate,
     basis_state,
+    run_batch,
     run_circuit,
     superpose,
 )
@@ -129,6 +130,7 @@ __all__ = [
     "parse_document",
     "parse_json",
     "parse_state",
+    "run_batch",
     "run_circuit",
     "serialize_state",
     "superpose",

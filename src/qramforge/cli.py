@@ -105,8 +105,8 @@ def _add_variant_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--variant",
         choices=("sequential", "fanout"),
-        default="sequential",
-        help="hand-down style",
+        default=None,
+        help="hand-down style (default sequential)",
     )
     sub.add_argument(
         "--fanout-block",
@@ -125,7 +125,7 @@ def _add_variant_arguments(sub: argparse.ArgumentParser) -> None:
 
 def _options_from(args: argparse.Namespace) -> SynthesisOptions:
     return SynthesisOptions(
-        variant=args.variant,
+        variant=args.variant or "sequential",
         fanout_block=args.fanout_block,
         include_preparation=not args.no_preparation,
     )
@@ -259,20 +259,32 @@ _EXHAUSTIVE_LIMIT = 4096
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     instance = _instance_from(args)
+    # The basis-case checks take --assignments per address; linearity takes it
+    # as its number of sampled superpositions, which --exhaustive cannot set.
+    assignments = args.assignments
     if args.exhaustive:
-        combos = 1 << (instance.m + sum(instance.k))
-        if combos > _EXHAUSTIVE_LIMIT:
+        if args.check == "linearity":
             raise InvalidParameterError(
-                f"exhaustive verification needs {combos} (result, mem) assignments "
+                "--exhaustive enumerates basis cases; --check linearity samples "
+                "--assignments superpositions instead"
+            )
+        assignments = 1 << (instance.m + sum(instance.k))
+        if assignments > _EXHAUSTIVE_LIMIT:
+            raise InvalidParameterError(
+                f"exhaustive verification needs {assignments} (result, mem) assignments "
                 f"per address, above the supported {_EXHAUSTIVE_LIMIT}; "
                 "use --assignments to sample instead"
             )
-        args.assignments = combos
     if args.circuit is None:
         options, document = _options_from(args), {}
     elif args.check != "proposition":
         raise InvalidParameterError(
             f"--circuit verifies a document with --check proposition only, not {args.check}"
+        )
+    elif args.variant is not None or args.fanout_block is not None or args.no_preparation:
+        raise InvalidParameterError(
+            "--variant, --fanout-block and --no-preparation choose how to synthesize; "
+            "a --circuit document is checked as it was built"
         )
     else:
         doc = parse_document(Path(args.circuit).read_text())
@@ -284,13 +296,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
     checks = {
         "proposition": lambda: check_proposition(
-            instance, options, assignments=args.assignments, **document, **common
+            instance, options, assignments=assignments, **document, **common
         ),
         "linearity": lambda: check_linearity(
             instance, options, num_cases=args.assignments, **common
         ),
         "variant_agreement": lambda: check_variant_agreement(
-            instance, assignments=args.assignments, **common
+            instance, assignments=assignments, **common
         ),
     }
     names = list(checks) if args.check == "all" else [args.check]

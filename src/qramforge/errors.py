@@ -17,7 +17,7 @@ class InvalidParameterError(QramForgeError):
 
 
 class ResourceLimitError(QramForgeError):
-    """The requested layout would exceed the configured qubit budget."""
+    """The requested layout or simulation would exceed its qubit or memory budget."""
 
     def __init__(self, message: str, *, requested: int | None = None, limit: int | None = None):
         super().__init__(message)

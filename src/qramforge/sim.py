@@ -1,28 +1,38 @@
-"""Sparse statevector simulation.
+"""Sparse statevector simulation, batched over many input states.
 
 A state is a dictionary from basis keys to complex amplitudes, where bit
 ``q`` of a key is the value of physical qubit ``q`` (see the numbering
-contract in :mod:`qramforge.tree`).  The access circuit is almost entirely
-classical routing — X, CNOT, Toffoli, and Fredkin merely permute basis keys —
-so the support never grows under those gates and simulation cost tracks the
-number of amplitudes, not the number of qubits.  Opaque blocks are the one
-genuinely quantum step: amplitudes with the control bit set are grouped by
-their non-target bits and each group is multiplied by the block's dense
-matrix.
+contract in :mod:`qramforge.tree`).  :class:`SparseState` is the input and
+output type; inside, one engine runs any number of states through a circuit
+together.  Every basis term of every state is one row of packed bit-planes
+(``ceil(qubits / 64)`` uint64 words) with an amplitude and the index of the
+state it came from.
+
+The access circuit is almost entirely classical routing — X, CNOT, Toffoli,
+and Fredkin merely permute basis keys — so the rows never multiply under
+those gates and each moment of them is a few numpy mask operations over all
+rows at once.  Opaque blocks are the one genuinely quantum step: rows with
+the control bit set are grouped by (state, non-target bits) and each group's
+amplitudes are multiplied by the block's dense matrix.
 
 Amplitudes with magnitude at most :data:`PRUNE_TOL` are dropped when a dense
-block produces them; exact zeros from routing never arise.
+block produces them; exact zeros from routing never arise.  States are packed
+in consecutive batches sized so that the rows they can grow into fit
+:data:`BATCH_BUDGET_BYTES`.  The packed rows, an opaque block's group vectors
+and the rows an opaque moment produces are each checked against that budget
+before they are allocated.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     ConfigurationError,
     InvalidParameterError,
+    ResourceLimitError,
     ShapeError,
     SimulationError,
     StructuralError,
@@ -38,6 +48,15 @@ NORM_TOL = 1e-10
 
 #: Allowed deviation of ``U^dagger U`` from the identity.
 UNITARITY_TOL = 1e-10
+
+#: Largest array a simulation may allocate, in bytes: the packed basis terms
+#: (terms x words), an opaque block's group vectors (groups x 2^(m+k)) and
+#: the rows an opaque moment produces.  Batches of states are sized to fit it.
+BATCH_BUDGET_BYTES = 1 << 28
+
+#: Size of one (gates x terms) temporary of a routing moment, in bytes; the
+#: moment runs over slices of terms small enough to keep within it.
+_CHUNK_BYTES = 1 << 15
 
 
 class UnitarySpec:
@@ -201,16 +220,15 @@ def basis_state(
     key |= _scatter(_register_value(result, layout.m, "result"), layout.result_qubits)
     if mem is not None:
         if isinstance(mem, Mapping):
-            items = mem.items()
+            items = [(leaf, layout.mem(leaf), value) for leaf, value in mem.items()]
         else:
             mem = list(mem)
             if len(mem) != len(layout.leaves):
                 raise InvalidParameterError(
                     f"expected one memory value per leaf ({len(layout.leaves)}), got {len(mem)}"
                 )
-            items = zip(layout.leaves, mem)
-        for leaf, value in items:
-            span = layout.mem(leaf)
+            items = zip(layout.leaves, layout.mem_spans, mem)
+        for leaf, span, value in items:
             key |= _scatter(_register_value(value, len(span), f"mem[{leaf}]"), span)
     return SparseState(layout.total_qubits, {key: 1.0 + 0j})
 
@@ -239,9 +257,17 @@ def superpose(terms: Iterable[tuple[complex, SparseState]]) -> SparseState:
     return out.prune()
 
 
-def _apply_opaque(
-    state: SparseState, gate: Gate, unitaries: Mapping[str, UnitarySpec] | None
-) -> SparseState:
+def _check_budget(nbytes: int, what: str) -> None:
+    if nbytes > BATCH_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"{what} would take {nbytes} bytes, over the simulator's budget of "
+            f"{BATCH_BUDGET_BYTES}",
+            requested=nbytes,
+            limit=BATCH_BUDGET_BYTES,
+        )
+
+
+def _unitary_for(gate: Gate, unitaries: Mapping[str, UnitarySpec] | None) -> UnitarySpec:
     if unitaries is None or gate.leaf not in unitaries:
         raise ConfigurationError(
             f"no unitary available for opaque block at leaf {gate.leaf!r}"
@@ -253,71 +279,289 @@ def _apply_opaque(
             f"gate has {len(gate.targets)} target(s)",
             leaf=gate.leaf,
         )
-    matrix = spec.matrix.conj().T if gate.dagger else spec.matrix
-    dim = spec.dim
-    control = 1 << gate.controls[0]
-    targets = gate.targets
-    new_amps: dict[int, complex] = {}
-    groups: dict[int, np.ndarray] = {}
-    for key, amp in state.amps.items():
-        if not key & control:
-            new_amps[key] = amp
-            continue
-        index = 0
-        rest = key
-        for j, q in enumerate(targets):
-            if (key >> q) & 1:
-                index |= 1 << j
-                rest &= ~(1 << q)
-        groups.setdefault(rest, np.zeros(dim, dtype=complex))[index] = amp
-    for rest, vec in groups.items():
-        out = matrix @ vec
-        for index in range(dim):
-            amp = out[index]
-            if abs(amp) > PRUNE_TOL:
-                new_amps[rest | _scatter(index, targets)] = complex(amp)
-    result = SparseState(state.num_qubits)
-    result.amps = new_amps
-    return result
+    return spec
 
 
-def apply_gate(
-    state: SparseState, gate: Gate, unitaries: Mapping[str, UnitarySpec] | None = None
-) -> SparseState:
-    """Apply one gate, returning a new state (the input is untouched)."""
-    kind = gate.kind
-    if kind is GateKind.OPAQUE:
-        return _apply_opaque(state, gate, unitaries)
-    amps = state.amps
-    new_amps: dict[int, complex] = {}
-    if kind is GateKind.X:
-        target = 1 << gate.targets[0]
-        for key, amp in amps.items():
-            new_amps[key ^ target] = amp
-    elif kind is GateKind.CNOT:
-        control = 1 << gate.controls[0]
-        target = 1 << gate.targets[0]
-        for key, amp in amps.items():
-            new_amps[key ^ target if key & control else key] = amp
-    elif kind is GateKind.TOFFOLI:
-        control_a = 1 << gate.controls[0]
-        control_b = 1 << gate.controls[1]
-        target = 1 << gate.targets[0]
-        for key, amp in amps.items():
-            new_amps[key ^ target if key & control_a and key & control_b else key] = amp
-    elif kind is GateKind.FREDKIN:
-        control = 1 << gate.controls[0]
-        qubit_a, qubit_b = gate.targets
-        mask = (1 << qubit_a) | (1 << qubit_b)
-        for key, amp in amps.items():
-            if key & control and ((key >> qubit_a) ^ (key >> qubit_b)) & 1:
-                key ^= mask
-            new_amps[key] = amp
-    else:  # pragma: no cover - the GateKind enum is closed
-        raise StructuralError(f"cannot simulate gate kind {kind!r}")
-    result = SparseState(state.num_qubits)
-    result.amps = new_amps
-    return result
+_ONE = np.uint64(1)
+
+
+class _Rows:
+    """The basis terms of a batch of states, packed as bit-planes.
+
+    Row ``i`` is one term: ``words[w, i]`` holds its qubits ``64 w`` to
+    ``64 w + 63``, ``amps[i]`` its amplitude and ``case[i]`` the index of the
+    input state it belongs to.  Two constant words follow the key words, all
+    ones and then all zeros, so that every routing gate is one rule: flip the
+    target where ``c1 & c2 & (p ^ q)``, with unused operands pointing at the
+    constant bits.  Rows of one case keep the order in which a one-state
+    simulation would list its terms.
+    """
+
+    __slots__ = ("num_qubits", "num_cases", "num_words", "words", "amps", "case")
+
+    def __init__(self, keys: list[int], amps: list[complex], counts: list[int], num_qubits: int):
+        self.num_qubits = num_qubits
+        self.num_cases = len(counts)
+        self.num_words = width = -(-num_qubits // 64)
+        _check_budget(len(keys) * (width + 2) * 8, f"{len(keys)} packed basis terms")
+        raw = b"".join(key.to_bytes(8 * width, "little") for key in keys)
+        self.words = np.empty((width + 2, len(keys)), dtype=np.uint64)
+        self.words[:width] = np.frombuffer(raw, dtype="<u8").reshape(len(keys), width).T
+        self.words[width] = np.iinfo(np.uint64).max
+        self.words[width + 1] = 0
+        self.amps = np.array(amps, dtype=complex)
+        self.case = np.repeat(np.arange(len(counts)), counts)
+
+    def norms(self) -> np.ndarray:
+        weights = np.abs(self.amps) ** 2
+        return np.sqrt(np.bincount(self.case, weights=weights, minlength=self.num_cases))
+
+    def apply(self, gates: Iterable[Gate], unitaries: Mapping[str, UnitarySpec] | None) -> None:
+        """Apply gates on pairwise-disjoint qubits (one moment)."""
+        one, zero = 64 * self.num_words, 64 * self.num_words + 64
+        flips: list[tuple[int, ...]] = []
+        opaque: list[Gate] = []
+        for gate in gates:
+            kind = gate.kind
+            if kind is GateKind.X:
+                flips.append((gate.targets[0], one, one, one, zero))
+            elif kind is GateKind.CNOT:
+                flips.append((gate.targets[0], gate.controls[0], one, one, zero))
+            elif kind is GateKind.TOFFOLI:
+                flips.append((gate.targets[0], *gate.controls, one, zero))
+            elif kind is GateKind.FREDKIN:
+                a, b = gate.targets
+                control = gate.controls[0]
+                flips += [(a, control, one, a, b), (b, control, one, a, b)]
+            else:
+                opaque.append(gate)
+        if flips:
+            self._route(np.array(flips, dtype=np.intp))
+        # Routing never reorders rows and the gates of a moment commute, so
+        # the opaque blocks may follow the routing gates.
+        if opaque:
+            self._blocks(opaque, unitaries)
+
+    def _route(self, entries: np.ndarray) -> None:
+        """Apply flip rules ``(target, c1, c2, p, q)``, given as qubit indices.
+
+        Every rule reads its bits before any rule writes, as a moment of
+        gates on disjoint qubits needs (a Fredkin gate reads its targets).
+        The rules run over slices of rows sized so that one (rules x rows)
+        temporary stays within :data:`_CHUNK_BYTES`.
+        """
+        entries = entries[np.argsort(entries[:, 0] >> 6, kind="stable")]
+        index = entries >> 6
+        shift = (entries & 63).astype(np.uint64)[:, :, None]
+        target_words, starts = np.unique(index[:, 0], return_index=True)
+        words = self.words
+        step = max(1, _CHUNK_BYTES // (8 * len(entries)))
+        for lo in range(0, words.shape[1], step):
+            part = words[:, lo : lo + step]
+            flip, c2, p, q = (part[index[:, k]] >> shift[:, k] for k in (1, 2, 3, 4))
+            p ^= q
+            flip &= c2
+            flip &= p
+            flip &= _ONE
+            flip <<= shift[:, 0]
+            part[target_words] ^= np.bitwise_xor.reduceat(flip, starts, axis=0)
+
+    def _owners(self, gates: Sequence[Gate]) -> np.ndarray | None:
+        """For each row, the index of the gate whose control bit it has set
+        (-1 for none), or None when some row has the controls of two."""
+        words = self.words
+        owner = np.full(words.shape[1], -1)
+        for i, gate in enumerate(gates):
+            control = gate.controls[0]
+            on = np.flatnonzero((words[control >> 6] >> np.uint64(control & 63)) & _ONE)
+            if (owner[on] >= 0).any():
+                return None
+            owner[on] = i
+        return owner
+
+    def _blocks(self, gates: Sequence[Gate], unitaries: Mapping[str, UnitarySpec] | None) -> None:
+        """Apply the opaque blocks of one moment.
+
+        Rows that switch on no block keep their order and come first; then
+        come the results of each block in moment order.  That is the order
+        of applying the blocks one after another, which is what happens when
+        a row switches on several of them.
+        """
+        specs = [_unitary_for(gate, unitaries) for gate in gates]
+        owner = self._owners(gates)
+        if owner is None:
+            for gate, spec in zip(gates, specs):
+                self._blocks_on([gate], [spec], self._owners([gate]))
+        else:
+            self._blocks_on(gates, specs, owner)
+
+    def _blocks_on(
+        self, gates: Sequence[Gate], specs: Sequence[UnitarySpec], owner: np.ndarray
+    ) -> None:
+        """Replace the rows by the result of blocks that no row switches on
+        twice.  The blocks' amplitudes are computed first; the new rows are
+        checked against the budget before any of them is built."""
+        order = np.argsort(owner, kind="stable")
+        bounds = np.searchsorted(owner[order], np.arange(-1, len(gates) + 1)).tolist()
+        untouched = order[: bounds[1]]
+        results = [
+            (gate, *self._block(gate, spec, order[lo:hi]))
+            for gate, spec, lo, hi in zip(gates, specs, bounds[1:], bounds[2:])
+            if lo < hi
+        ]
+        if not results:
+            return
+        size = untouched.size + sum(amps.size for _, _, _, _, amps, _ in results)
+        _check_budget(size * len(self.words) * 8, f"{size} basis terms")
+        words = np.empty((len(self.words), size), dtype=np.uint64)
+        amps = np.empty(size, dtype=complex)
+        case = np.empty(size, dtype=self.case.dtype)
+        stop = untouched.size
+        words[:, :stop] = self.words[:, untouched]
+        amps[:stop] = self.amps[untouched]
+        case[:stop] = self.case[untouched]
+        for gate, rest, group, target_index, block_amps, group_case in results:
+            start, stop = stop, stop + block_amps.size
+            rows = words[:, start:stop]
+            rows[...] = rest[:, group]
+            for j, q in enumerate(gate.targets):
+                bits = (target_index >> j).astype(np.uint64) & _ONE
+                rows[q >> 6] |= bits << np.uint64(q & 63)
+            amps[start:stop] = block_amps
+            case[start:stop] = group_case[group]
+        self.words, self.amps, self.case = words, amps, case
+
+    def _block(
+        self, gate: Gate, spec: UnitarySpec, on: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One opaque block's result for its hit rows ``on`` (in order).
+
+        The rows are grouped on (case, non-target bits); each group's
+        amplitudes fill a vector over the target index that is multiplied by
+        the block's matrix.  The results come in order of first appearance
+        of their group, then by target index, with amplitudes of magnitude at
+        most :data:`PRUNE_TOL` dropped.  Returned: each group's words with
+        the target bits cleared and its case, and each result's group,
+        target index and amplitude.  No result row is built here.
+        """
+        words = self.words
+        dim = spec.dim
+        index = np.zeros(on.size, dtype=np.intp)
+        keep_bits = np.full(len(words), np.iinfo(np.uint64).max, dtype=np.uint64)
+        for j, q in enumerate(gate.targets):
+            word, bit = q >> 6, np.uint64(q & 63)
+            index |= ((words[word, on] >> bit) & _ONE).astype(np.intp) << j
+            keep_bits[word] &= ~(_ONE << bit)
+        rest = words[:, on] & keep_bits[:, None]
+
+        key = np.empty((on.size, self.num_words + 1), dtype=np.uint64)
+        key[:, 0] = self.case[on]
+        key[:, 1:] = rest[: self.num_words].T
+        raw, width = key.tobytes(), 8 * key.shape[1]
+        groups: dict[bytes, int] = {}
+        group = np.empty(on.size, dtype=np.intp)
+        leaders = []  # each group's first hit row
+        for i in range(on.size):
+            g = group[i] = groups.setdefault(raw[i * width : (i + 1) * width], len(groups))
+            if g == len(leaders):
+                leaders.append(i)
+
+        _check_budget(
+            len(leaders) * dim * 16, f"the {len(leaders)} groups of opaque block {gate.leaf!r}"
+        )
+        vectors = np.zeros((len(leaders), dim), dtype=complex)
+        vectors[group, index] = self.amps[on]
+        matrix = spec.matrix.conj().T if gate.dagger else spec.matrix
+        out = np.empty_like(vectors)
+        for g, vector in enumerate(vectors):
+            out[g] = matrix @ vector
+        kept, target_index = np.nonzero(np.abs(out) > PRUNE_TOL)
+        return rest[:, leaders], kept, target_index, out[kept, target_index], self.case[on[leaders]]
+
+    def states(self) -> Iterator[SparseState]:
+        """The rows as one :class:`SparseState` per case, in case order."""
+        order = np.argsort(self.case, kind="stable")
+        bounds = np.searchsorted(self.case[order], np.arange(self.num_cases + 1)).tolist()
+        width = 8 * self.num_words
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            rows = order[lo:hi]
+            raw = self.words[: self.num_words, rows].T.astype("<u8").tobytes()
+            state = SparseState(self.num_qubits)
+            state.amps = {
+                int.from_bytes(raw[i * width : (i + 1) * width], "little"): amp
+                for i, amp in enumerate(self.amps[rows].tolist())
+            }
+            yield state
+
+
+def _batch_terms(circuit: Circuit) -> int:
+    """How many input terms one batch may hold: the budget over the packed
+    size of the rows a term can grow into.  An opaque moment multiplies a
+    term at most by its largest block dimension when no term switches on
+    two of its blocks, as in every access circuit."""
+    growth = 1
+    for moment in circuit.moments:
+        growth *= max(
+            (1 << len(gate.targets) for gate in moment if gate.kind is GateKind.OPAQUE),
+            default=1,
+        )
+    row_bytes = 8 * (-(-circuit.layout.total_qubits // 64) + 2)
+    return BATCH_BUDGET_BYTES // (growth * row_bytes)
+
+
+def _batches(states: Iterable[SparseState], circuit: Circuit) -> Iterator[_Rows]:
+    """Pack ``states`` as they are read into consecutive batches of at most
+    :func:`_batch_terms` terms; a batch holds at least one state."""
+    num_qubits = circuit.layout.total_qubits
+    limit = None
+    keys: list[int] = []
+    amps: list[complex] = []
+    counts: list[int] = []
+    for state in states:
+        if state.num_qubits != num_qubits:
+            raise StructuralError(
+                f"state has {state.num_qubits} qubits, circuit expects {num_qubits}"
+            )
+        if counts:
+            if limit is None:
+                limit = _batch_terms(circuit)
+            if len(keys) + len(state.amps) > limit:
+                rows = _Rows(keys, amps, counts, num_qubits)
+                keys, amps, counts = [], [], []
+                yield rows
+                del rows  # free the finished batch before packing the next
+        keys.extend(state.amps)
+        amps.extend(state.amps.values())
+        counts.append(len(state.amps))
+    if counts:
+        rows = _Rows(keys, amps, counts, num_qubits)
+        del keys, amps
+        yield rows
+
+
+def run_batch(
+    states: Iterable[SparseState],
+    circuit: Circuit,
+    unitaries: Mapping[str, UnitarySpec] | None = None,
+) -> Iterator[SparseState]:
+    """Run every state of ``states`` through ``circuit`` and yield the final
+    states in input order.
+
+    Each final state equals what :func:`run_circuit` returns for that state
+    alone, term order included.  The states are packed as they are read, in
+    consecutive batches sized so that the rows they can grow into fit
+    :data:`BATCH_BUDGET_BYTES`; each batch runs when its first final state
+    is requested.
+    """
+    for rows in _batches(states, circuit):
+        before = rows.norms()
+        for moment in circuit.moments:
+            rows.apply(moment, unitaries)
+        drift = np.abs(rows.norms() - before)
+        if drift.size and drift.max() > NORM_TOL:
+            raise SimulationError(f"state norm drifted by {drift.max():.3e} during simulation")
+        yield from rows.states()
+        del rows
 
 
 def run_circuit(
@@ -331,17 +575,19 @@ def run_circuit(
     is checked against the initial one (drift beyond :data:`NORM_TOL` raises
     :class:`~qramforge.errors.SimulationError`).
     """
-    if state.num_qubits != circuit.layout.total_qubits:
+    (final,) = run_batch([state], circuit, unitaries)
+    return final
+
+
+def apply_gate(
+    state: SparseState, gate: Gate, unitaries: Mapping[str, UnitarySpec] | None = None
+) -> SparseState:
+    """Apply one gate, returning a new state (the input is untouched)."""
+    if max(gate.qubits) >= state.num_qubits:
         raise StructuralError(
-            f"state has {state.num_qubits} qubits, circuit expects "
-            f"{circuit.layout.total_qubits}"
+            f"gate on qubit {max(gate.qubits)} does not fit a {state.num_qubits}-qubit state"
         )
-    norm_before = state.norm()
-    current = state
-    for moment in circuit.moments:
-        for gate in moment:
-            current = apply_gate(current, gate, unitaries)
-    drift = abs(current.norm() - norm_before)
-    if drift > NORM_TOL:
-        raise SimulationError(f"state norm drifted by {drift:.3e} during simulation")
-    return current
+    rows = _Rows(list(state.amps), list(state.amps.values()), [len(state)], state.num_qubits)
+    rows.apply([gate], unitaries)
+    (out,) = rows.states()
+    return out

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidParameterError, ResourceLimitError
 
@@ -351,12 +352,21 @@ class RegisterMap:
     def leaves(self) -> tuple[str, ...]:
         return self.levels[self.n]
 
+    @cached_property
+    def mem_spans(self) -> tuple[tuple[int, ...], ...]:
+        """Every leaf's ``mem`` register, in ascending leaf order."""
+        return tuple(self._span("mem", leaf, width) for leaf, width in zip(self.leaves, self.k))
+
     @property
     def data_qubits(self) -> tuple[int, ...]:
         """Address, result, and memory qubits, in physical order."""
-        spans = [self.address_qubits, self.result_qubits]
-        spans.extend(self.mem(leaf) for leaf in self.leaves)
+        spans = [self.address_qubits, self.result_qubits, *self.mem_spans]
         return tuple(q for span in spans for q in span)
+
+    @cached_property
+    def data_mask(self) -> int:
+        """The basis-key bits of :attr:`data_qubits`."""
+        return sum(1 << q for q in self.data_qubits)
 
     @property
     def ancilla_qubits(self) -> tuple[int, ...]:

@@ -21,14 +21,18 @@ from __future__ import annotations
 
 import json
 import time
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError
 from .ir import Circuit
-from .sim import SparseState, UnitarySpec, basis_state, run_circuit, superpose
+from .sim import SparseState, UnitarySpec, basis_state, run_batch, superpose
+
+# bench/selftest.py reads qramforge.verifier.run_circuit to check that the
+# benchmark tracer uninstalls cleanly; the checkers themselves use run_batch.
+from .sim import run_circuit  # noqa: F401
 from .synth import SynthesisOptions, synth_access
 from .tree import RegisterMap, _normalize_k, _validate_sizes, allocate_registers, label_of
 
@@ -291,14 +295,6 @@ def oracle_superposition(
 # ---------------------------------------------------------------------------
 
 
-def _gather(key: int, span: Sequence[int]) -> int:
-    value = 0
-    for j, q in enumerate(span):
-        if (key >> q) & 1:
-            value |= 1 << j
-    return value
-
-
 def extract_data_state(state: SparseState, layout: RegisterMap) -> tuple[DataState, float]:
     """Split a full sparse state into its data-register part and the
     probability weight stranded on non-zero ancillas.
@@ -306,11 +302,13 @@ def extract_data_state(state: SparseState, layout: RegisterMap) -> tuple[DataSta
     Returns ``(data, residual)`` where ``data`` maps ``(y, r, mem)`` to the
     amplitude of the component with *all* ancillas at 0.
     """
-    data_mask = 0
-    for q in layout.data_qubits:
-        data_mask |= 1 << q
-    ancilla_mask = ((1 << layout.total_qubits) - 1) ^ data_mask
-    mem_spans = [layout.mem(z) for z in layout.leaves]
+    ancilla_mask = ((1 << layout.total_qubits) - 1) ^ layout.data_mask
+    # A register holds consecutive physical qubits, so its value is a shift
+    # and a mask of the key.
+    (a_shift, a_mask), (r_shift, r_mask), *mem_fields = [
+        (span[0] if span else 0, (1 << len(span)) - 1)
+        for span in (layout.address_qubits, layout.result_qubits, *layout.mem_spans)
+    ]
     data: DataState = {}
     residual = 0.0
     for key, amp in state.amps.items():
@@ -318,9 +316,9 @@ def extract_data_state(state: SparseState, layout: RegisterMap) -> tuple[DataSta
             residual += abs(amp) ** 2
             continue
         entry = (
-            _gather(key, layout.address_qubits),
-            _gather(key, layout.result_qubits),
-            tuple(_gather(key, span) for span in mem_spans),
+            (key >> a_shift) & a_mask,
+            (key >> r_shift) & r_mask,
+            tuple([(key >> shift) & mask for shift, mask in mem_fields]),
         )
         data[entry] = amp
     return data, residual
@@ -484,21 +482,23 @@ def _generate_cases(
 
 
 def _basis(circuit: Circuit, address: int, result: int, mem: tuple[int, ...]) -> SparseState:
-    return basis_state(circuit.layout, address, result, dict(zip(circuit.layout.leaves, mem)))
+    return basis_state(circuit.layout, address, result, mem)
 
 
 def _simulate(
-    circuit: Circuit, initial: SparseState, unitaries: Mapping[str, UnitarySpec]
-) -> tuple[DataState, float]:
-    """Run ``initial`` through ``circuit``; return its data part and residual."""
-    return extract_data_state(run_circuit(initial, circuit, unitaries), circuit.layout)
+    circuit: Circuit, initials: Iterable[SparseState], unitaries: Mapping[str, UnitarySpec]
+) -> Iterator[tuple[DataState, float]]:
+    """Run the initial states through ``circuit`` as one batch; yield each
+    one's data part and residual, in order."""
+    for final in run_batch(initials, circuit, unitaries):
+        yield extract_data_state(final, circuit.layout)
 
 
 def _verify(
     instance: InstanceSpec,
     check: str,
     options: dict,
-    cases: Iterable[tuple[str, Circuit, SparseState, tuple[DataState, float], tuple[int, ...]]],
+    runs: Iterable[tuple[Circuit, Iterable[SparseState], Iterable[tuple]]],
     unitaries: Mapping[str, UnitarySpec],
     fidelity_tolerance: float,
     residual_tolerance: float,
@@ -506,23 +506,28 @@ def _verify(
 ) -> VerificationReport:
     """The case-running and judging core shared by every checker.
 
-    Each case ``(label, circuit, initial, (expected, expected_residual), mem)``
-    runs ``initial`` through ``circuit`` and judges the data registers against
-    ``expected``; the residual is the larger of the run's and the reference's
-    (0.0 for the oracle). ``start`` is the checker's entry time.
+    Each run ``(circuit, initials, expectations)`` sends its initial states
+    through ``circuit`` as one batch.  Its cases are judged in order, each as
+    soon as its output is extracted, against the matching
+    ``(label, (expected, expected_residual), mem)`` of ``expectations``; the
+    residual is the larger of the run's and the reference's (0.0 for the
+    oracle). ``start`` is the checker's entry time.
     """
     results = []
-    for label, circuit, initial, (expected, expected_residual), mem in cases:
-        actual, residual = _simulate(circuit, initial, unitaries)
-        residual = max(expected_residual, residual)
-        fidelity = _data_fidelity(expected, actual)
-        invariant = _mem_invariant(actual, mem)
-        passed = (
-            fidelity >= 1.0 - fidelity_tolerance
-            and residual <= residual_tolerance
-            and invariant
-        )
-        results.append(CaseResult(label, fidelity, residual, invariant, passed))
+    for circuit, initials, expectations in runs:
+        outputs = _simulate(circuit, initials, unitaries)
+        for (label, (expected, expected_residual), mem), (actual, residual) in zip(
+            expectations, outputs
+        ):
+            residual = max(expected_residual, residual)
+            fidelity = _data_fidelity(expected, actual)
+            invariant = _mem_invariant(actual, mem)
+            passed = (
+                fidelity >= 1.0 - fidelity_tolerance
+                and residual <= residual_tolerance
+                and invariant
+            )
+            results.append(CaseResult(label, fidelity, residual, invariant, passed))
     if not results:
         raise InvalidParameterError(f"the {check} check of {instance.describe()} has no cases")
     return VerificationReport(
@@ -536,8 +541,8 @@ def _verify(
     )
 
 
-def _variant_options(options: SynthesisOptions, circuit: Circuit) -> dict:
-    return {"variant": options.variant, "fanout_block": circuit.metadata.get("fanout_block")}
+def _variant_options(circuit: Circuit) -> dict:
+    return {key: circuit.metadata.get(key) for key in ("variant", "fanout_block")}
 
 
 def check_proposition(
@@ -581,14 +586,13 @@ def check_proposition(
         if cases is not None
         else _generate_cases(instance, assignments, seed)
     )
-
-    def trials():
-        for address, result, mem in case_list:
-            label = _case_label(instance, address, result, mem)
-            expected = oracle_effect(instance, address, result, mem), 0.0
-            yield label, circuit, _basis(circuit, address, result, mem), expected, mem
-
-    return _verify(instance, "proposition", _variant_options(options, circuit), trials(),
+    initials = (_basis(circuit, *case) for case in case_list)
+    expectations = (
+        (_case_label(instance, *case), (oracle_effect(instance, *case), 0.0), case[2])
+        for case in case_list
+    )
+    return _verify(instance, "proposition", _variant_options(circuit),
+                   [(circuit, initials, expectations)],
                    sim_unitaries, fidelity_tolerance, residual_tolerance, start)
 
 
@@ -623,14 +627,16 @@ def check_linearity(
     uniform_terms = [(uniform_amp, y) for y in range(num_addresses)]
     result, mem = _random_assignment(instance, rng)
     superpositions.append(("uniform over addresses", uniform_terms, result, mem))
-
-    def trials():
-        for label, terms, result, mem in superpositions:
-            initial = superpose([(amp, _basis(circuit, y, result, mem)) for amp, y in terms])
-            expected = oracle_superposition(instance, terms, result, mem), 0.0
-            yield label, circuit, initial, expected, mem
-
-    return _verify(instance, "linearity", _variant_options(options, circuit), trials(),
+    initials = (
+        superpose([(amp, _basis(circuit, y, result, mem)) for amp, y in terms])
+        for _, terms, result, mem in superpositions
+    )
+    expectations = (
+        (label, (oracle_superposition(instance, terms, result, mem), 0.0), mem)
+        for label, terms, result, mem in superpositions
+    )
+    return _verify(instance, "linearity", _variant_options(circuit),
+                   [(circuit, initials, expectations)],
                    instance.unitaries, fidelity_tolerance, residual_tolerance, start)
 
 
@@ -651,20 +657,22 @@ def check_variant_agreement(
     if block_sizes is None:
         block_sizes = sorted({SynthesisOptions().resolved_block(instance.m), 1, instance.m})
     case_list = _generate_cases(instance, assignments, seed)
-    references = [
-        _simulate(sequential, _basis(sequential, *case), instance.unitaries) for case in case_list
-    ]
+    initials = (_basis(sequential, *case) for case in case_list)
+    references = list(_simulate(sequential, initials, instance.unitaries))
 
-    def trials():
+    def runs():
         for s in block_sizes:
             fanout = synth_access(
                 layout,
                 instance.unitaries,
                 SynthesisOptions(variant="fanout", fanout_block=s),
             )
-            for (address, result, mem), reference in zip(case_list, references):
-                label = f"s={s} " + _case_label(instance, address, result, mem)
-                yield label, fanout, _basis(fanout, address, result, mem), reference, mem
+            initials = (_basis(fanout, *case) for case in case_list)
+            expectations = (
+                (f"s={s} " + _case_label(instance, *case), reference, case[2])
+                for case, reference in zip(case_list, references)
+            )
+            yield fanout, initials, expectations
 
-    return _verify(instance, "variant_agreement", {"block_sizes": list(block_sizes)}, trials(),
+    return _verify(instance, "variant_agreement", {"block_sizes": list(block_sizes)}, runs(),
                    instance.unitaries, fidelity_tolerance, residual_tolerance, start)

@@ -1,9 +1,12 @@
-"""Shared test utilities: an independent dense simulator and a QASM grammar.
+"""Shared test utilities: two reference simulators and a QASM grammar.
 
 The dense simulator is deliberately written from scratch against the
 documented conventions (little-endian keys, targets-then-controls semantics)
 without touching the package's sparse engine, so that agreement between the
-two is evidence rather than tautology.
+two is evidence rather than tautology.  The sparse simulator is the
+package's earlier per-gate dictionary loop; it scales to layouts far too wide
+for a dense vector and pins the exact term order and amplitudes the batched
+engine must reproduce.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import numpy as np
 import pyparsing as pp
 
 from qramforge import Circuit, Gate, GateKind, SparseState
+from qramforge.sim import PRUNE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +86,86 @@ def dense_run_circuit(vec: np.ndarray, circuit: Circuit, unitaries=None) -> np.n
         for gate in moment:
             vec = dense_apply_gate(vec, gate, circuit.layout.total_qubits, unitaries)
     return vec
+
+
+# ---------------------------------------------------------------------------
+# sparse reference simulator: the package's former per-gate dictionary loop
+# ---------------------------------------------------------------------------
+
+
+def _sparse_apply_opaque(amps: dict, gate: Gate, unitaries) -> dict:
+    spec = unitaries[gate.leaf]
+    matrix = spec.matrix.conj().T if gate.dagger else spec.matrix
+    dim = spec.dim
+    control = 1 << gate.controls[0]
+    targets = gate.targets
+    new_amps: dict[int, complex] = {}
+    groups: dict[int, np.ndarray] = {}
+    for key, amp in amps.items():
+        if not key & control:
+            new_amps[key] = amp
+            continue
+        index = 0
+        rest = key
+        for j, q in enumerate(targets):
+            if (key >> q) & 1:
+                index |= 1 << j
+                rest &= ~(1 << q)
+        groups.setdefault(rest, np.zeros(dim, dtype=complex))[index] = amp
+    for rest, vec in groups.items():
+        out = matrix @ vec
+        for index in range(dim):
+            amp = out[index]
+            if abs(amp) > PRUNE_TOL:
+                scattered = rest
+                for j, q in enumerate(targets):
+                    if (index >> j) & 1:
+                        scattered |= 1 << q
+                new_amps[scattered] = complex(amp)
+    return new_amps
+
+
+def sparse_apply_gate(state: SparseState, gate: Gate, unitaries=None) -> SparseState:
+    """Apply one gate with a dictionary rebuild, keeping the insertion order
+    the package's simulator has always produced: routing gates keep the term
+    order, and an opaque block puts its untouched terms first, then each
+    (non-target bits) group in order of first appearance, by target index."""
+    amps = state.amps
+    kind = gate.kind
+    if kind is GateKind.OPAQUE:
+        new_amps = _sparse_apply_opaque(amps, gate, unitaries)
+    elif kind is GateKind.X:
+        target = 1 << gate.targets[0]
+        new_amps = {key ^ target: amp for key, amp in amps.items()}
+    elif kind is GateKind.CNOT:
+        control, target = 1 << gate.controls[0], 1 << gate.targets[0]
+        new_amps = {key ^ target if key & control else key: amp for key, amp in amps.items()}
+    elif kind is GateKind.TOFFOLI:
+        control_a, control_b = 1 << gate.controls[0], 1 << gate.controls[1]
+        target = 1 << gate.targets[0]
+        new_amps = {
+            key ^ target if key & control_a and key & control_b else key: amp
+            for key, amp in amps.items()
+        }
+    else:
+        control = 1 << gate.controls[0]
+        qubit_a, qubit_b = gate.targets
+        mask = (1 << qubit_a) | (1 << qubit_b)
+        new_amps = {}
+        for key, amp in amps.items():
+            if key & control and ((key >> qubit_a) ^ (key >> qubit_b)) & 1:
+                key ^= mask
+            new_amps[key] = amp
+    out = SparseState(state.num_qubits)
+    out.amps = new_amps
+    return out
+
+
+def sparse_run_circuit(state: SparseState, circuit: Circuit, unitaries=None) -> SparseState:
+    for moment in circuit.moments:
+        for gate in moment:
+            state = sparse_apply_gate(state, gate, unitaries)
+    return state
 
 
 # ---------------------------------------------------------------------------

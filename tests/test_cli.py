@@ -424,3 +424,57 @@ def test_verify_rejects_wrong_size_document(lookup_doc, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--variant", "sequential"], ["--s", "1"], ["--fanout-block", "2"], ["--no-preparation"]]
+)
+def test_verify_document_rejects_synthesis_flags(lookup_doc, capsys, flags):
+    code = main(
+        [
+            "verify", "--family", "table_lookup", "--n", "1", "--m", "1", "--table", "1,0",
+            "--circuit", str(lookup_doc), *flags,
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "--circuit" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_document_reports_its_own_variant(tmp_path, capsys):
+    path, report = tmp_path / "fan.json", tmp_path / "report.json"
+    sizes = ["--family", "qram", "--n", "1", "--m", "4"]
+    assert main(["synth", *sizes, "--variant", "fanout", "--s", "2", "--out", str(path)]) == 0
+    code = main(
+        ["verify", *sizes, "--circuit", str(path), "--assignments", "2", "--report", str(report)]
+    )
+    assert code == 0
+    capsys.readouterr()
+    assert json.loads(report.read_text())["options"] == {"variant": "fanout", "fanout_block": 2}
+
+
+def test_verify_exhaustive_rejects_linearity(capsys):
+    code = main(
+        ["verify", "--family", "qram", "--n", "2", "--m", "1", "--exhaustive", "--check", "linearity"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "--check linearity" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_exhaustive_leaves_linearity_its_assignments(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code = main(
+        [
+            "verify", "--family", "qram", "--n", "2", "--m", "1", "--check", "all",
+            "--exhaustive", "--assignments", "3", "--report", str(report),
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+    counts = {r["check"]: r["num_cases"] for r in json.loads(report.read_text())}
+    # 4 addresses x 32 (result, mem) assignments, for the agreement check on
+    # its one block size (m = 1); three sampled superpositions plus the uniform one
+    assert counts == {"proposition": 128, "linearity": 4, "variant_agreement": 128}

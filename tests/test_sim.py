@@ -1,27 +1,40 @@
-"""Simulator tests, anchored to an independent dense reference implementation."""
+"""Simulator tests, anchored to an independent dense reference implementation
+and to the former per-gate dictionary simulator (``tests/helpers.py``)."""
 
 import numpy as np
 import pytest
 
+import qramforge.sim as sim
 from qramforge import (
     Circuit,
     ConfigurationError,
     Gate,
     InvalidParameterError,
+    Moment,
+    ResourceLimitError,
     ShapeError,
     SimulationError,
     SparseState,
     StructuralError,
+    SynthesisOptions,
     UnitarySpec,
     allocate_registers,
     apply_gate,
     basis_state,
     build_random_instance,
+    build_table_lookup_instance,
+    run_batch,
     run_circuit,
     superpose,
     synth_access,
 )
-from helpers import dense_apply_gate, dense_from_sparse, dense_run_circuit
+from qramforge.cli import main
+from helpers import (
+    dense_apply_gate,
+    dense_from_sparse,
+    dense_run_circuit,
+    sparse_run_circuit,
+)
 
 LAYOUT = allocate_registers(2, 1, 1)  # 21 qubits
 
@@ -230,3 +243,249 @@ def test_run_circuit_detects_norm_drift():
         circuit.append(Gate.controlled_opaque(control, (target,), "0"))
     with pytest.raises(SimulationError):
         run_circuit(basis_state(layout, 0, 0), circuit, {"0": stretched})
+
+
+def test_batch_budget_guard(monkeypatch, capsys):
+    """Packed terms and opaque group vectors are sized against the budget
+    before they are allocated; past it the run raises ResourceLimitError
+    and the command line exits 2."""
+    layout = allocate_registers(2, 1, 1)  # 21 qubits: one key word per term
+    unitaries = {"0": UnitarySpec("0", np.eye(4))}
+    block = Circuit(layout)
+    block.append(Gate.controlled_opaque(0, (1, 2), "0"))
+    state = SparseState(layout.total_qubits, {1: 1.0})
+    # one term packs into 3 words (24 bytes); its group vector is 4 x 16 bytes
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 16)
+    with pytest.raises(ResourceLimitError, match="basis terms"):
+        run_circuit(state, block, unitaries)
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 32)
+    with pytest.raises(ResourceLimitError, match="groups of opaque block") as info:
+        run_circuit(state, block, unitaries)
+    assert (info.value.requested, info.value.limit) == (64, 32)
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 64)
+    assert run_circuit(state, block, unitaries).amps == {1: 1.0 + 0j}
+
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 16)
+    assert main(["verify", "--family", "qram", "--n", "1", "--m", "1"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+def test_opaque_rows_are_checked_before_any_is_built(monkeypatch):
+    """The rows an opaque moment produces are checked as a whole against the
+    budget, and none of them is allocated when they do not fit."""
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    layout = allocate_registers(8, 4, 4)  # 3834 qubits: 60 key words per term
+    words = -(-layout.total_qubits // 64) + 2
+    unitaries = {
+        "0": UnitarySpec("0", _random_unitary(rng, 16)),
+        "1": UnitarySpec("1", _random_unitary(rng, 16)),
+    }
+    moment = Circuit(layout)
+    moment.moments.append(
+        Moment(
+            [
+                Gate.controlled_opaque(0, (1, 2, 3, 4), "0"),
+                Gate.controlled_opaque(5, (6, 7, 8, 9), "1"),
+            ]
+        )
+    )
+    # sixteen one-term cases, half switching on each block; a dense matrix
+    # turns every term into 16, so the moment yields 256 rows
+    states = [SparseState(layout.total_qubits, {1 << (5 * (i % 2)) | 1 << 20 + i: 1.0})
+              for i in range(16)]
+    needed = 16 * 16 * words * 8
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", needed - 1)
+    monkeypatch.setattr(sim, "_batch_terms", lambda circuit: 16)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        with pytest.raises(ResourceLimitError, match="256 basis terms") as info:
+            list(run_batch(states, moment, unitaries))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.requested == needed
+    assert peak < needed // 2
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", needed)
+    for state, out in zip(states, run_batch(states, moment, unitaries)):
+        assert list(out.amps.items()) == list(
+            sparse_run_circuit(state, moment, unitaries).amps.items()
+        )
+
+
+def test_batches_split_to_fit_the_budget(monkeypatch):
+    """States whose rows would not fit one batch run in consecutive batches
+    with the same results; a lone state never waits for a batch to fill."""
+    instance = build_random_instance(2, 2, 1, seed=8)
+    circuit = synth_access(instance.layout(), instance.unitaries)
+    layout = circuit.layout
+    states = [
+        basis_state(layout, y, r, [m] * len(layout.leaves))
+        for y in range(1 << layout.n) for r in range(1 << layout.m) for m in (0, 1)
+    ]
+    default = [list(s.amps.items()) for s in run_batch(states, circuit, instance.unitaries)]
+    sizes = []
+    original = sim._batches
+
+    def counting_batches(states, circuit):
+        for rows in original(states, circuit):
+            sizes.append(rows.num_cases)
+            yield rows
+
+    monkeypatch.setattr(sim, "_batches", counting_batches)
+    # a term grows into at most 8 rows of 3 words through the Run moment
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 5 * 8 * 3 * 8)
+    split = [list(s.amps.items()) for s in run_batch(states, circuit, instance.unitaries)]
+    assert split == default
+    assert sizes == [5] * 6 + [2]
+
+
+def _random_moment_stream(rng, num_qubits, num_moments):
+    """Moments of random gates of every kind on disjoint qubits, with opaque
+    blocks for leaf "0" (two targets) and leaf "1" (one target)."""
+    moments = []
+    for _ in range(num_moments):
+        free = [int(q) for q in rng.permutation(num_qubits)]
+        gates = []
+        while free:
+            kind = int(rng.integers(0, 6))
+            need = (1, 2, 3, 3, 3, 2)[kind]
+            if need > len(free):
+                break
+            qubits, free = free[:need], free[need:]
+            dagger = bool(rng.integers(0, 2))
+            gates.append(
+                [
+                    lambda: Gate.x(qubits[0]),
+                    lambda: Gate.cnot(qubits[0], qubits[1]),
+                    lambda: Gate.toffoli(*qubits),
+                    lambda: Gate.fredkin(*qubits),
+                    lambda: Gate.controlled_opaque(qubits[0], qubits[1:], "0", dagger=dagger),
+                    lambda: Gate.controlled_opaque(qubits[0], qubits[1:], "1", dagger=dagger),
+                ][kind]()
+            )
+        moments.append(Moment(gates))
+    return moments
+
+
+def _random_states(rng, num_qubits, count):
+    """Sparse states with one to six terms and norms between 0.5 and 2, plus
+    one empty state."""
+    states = [SparseState(num_qubits)]
+    for _ in range(count):
+        keys = rng.choice(1 << num_qubits, size=int(rng.integers(1, 7)), replace=False)
+        scale = rng.uniform(0.5, 2.0)
+        amps = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+        amps *= scale / np.linalg.norm(amps)
+        states.append(SparseState(num_qubits, dict(zip(keys.tolist(), amps.tolist()))))
+    return states
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_batch_agrees_with_both_references(seed):
+    """A batch of cases through a random circuit of all five gate kinds: each
+    case matches the dense reference amplitude for amplitude, and the sparse
+    reference exactly, term order included."""
+    rng = np.random.default_rng(seed)
+    layout = allocate_registers(1, 1, 1)  # 9 qubits
+    unitaries = {
+        "0": UnitarySpec("0", _random_unitary(rng, 4)),
+        "1": UnitarySpec("1", _random_unitary(rng, 2)),
+    }
+    circuit = Circuit(layout)
+    circuit.moments.extend(_random_moment_stream(rng, layout.total_qubits, 14))
+    kinds = {g.kind for g in circuit.all_gates()}
+    assert len(kinds) == 5 and any(g.dagger for g in circuit.all_gates())
+    states = _random_states(rng, layout.total_qubits, 8)
+    outputs = list(run_batch(states, circuit, unitaries))
+    assert len(outputs) == len(states)
+    for state, out in zip(states, outputs):
+        reference = sparse_run_circuit(state, circuit, unitaries)
+        assert list(out.amps.items()) == list(reference.amps.items())
+        dense = dense_run_circuit(dense_from_sparse(state), circuit, unitaries)
+        assert np.max(np.abs(dense_from_sparse(out) - dense)) < 1e-12
+        assert out.norm() == pytest.approx(state.norm(), abs=1e-10)
+
+
+def test_batch_rows_hitting_several_blocks_in_one_moment():
+    """A term whose controls switch on two opaque blocks of one moment goes
+    through both, in the reference's order."""
+    rng = np.random.default_rng(4)
+    layout = allocate_registers(1, 1, 1)
+    unitaries = {
+        "0": UnitarySpec("0", _random_unitary(rng, 4)),
+        "1": UnitarySpec("1", _random_unitary(rng, 2)),
+    }
+    circuit = Circuit(layout)
+    circuit.moments.append(
+        Moment(
+            [
+                Gate.controlled_opaque(0, (1, 2), "0"),
+                Gate.controlled_opaque(3, (4,), "1", dagger=True),
+                Gate.cnot(5, 6),
+            ]
+        )
+    )
+    both_on = (1 << 0) | (1 << 3) | (1 << 5)
+    states = [
+        SparseState(9, {both_on: 0.6, both_on | (1 << 4): 0.8j, 1 << 3: 1.0}),
+        SparseState(9, {both_on | (1 << 1): 1.0}),
+    ]
+    for state, out in zip(states, run_batch(states, circuit, unitaries)):
+        reference = sparse_run_circuit(state, circuit, unitaries)
+        assert list(out.amps.items()) == list(reference.amps.items())
+        assert len(out) > len(state)
+
+
+@pytest.mark.parametrize(
+    "instance, options",
+    [
+        (build_table_lookup_instance(4, 6, seed=2), SynthesisOptions()),  # 232 qubits
+        (build_random_instance(2, 2, 1, seed=6), SynthesisOptions(variant="fanout", fanout_block=1)),
+    ],
+    ids=["table_lookup-n4-m6", "random-fanout"],
+)
+def test_batch_matches_sparse_reference_on_wide_circuits(instance, options):
+    """Circuits too wide for a dense vector: every case's final state equals
+    the sparse reference's, term order included."""
+    circuit = synth_access(instance.layout(), instance.unitaries, options)
+    layout = circuit.layout
+    rng = np.random.default_rng(9)
+    states = []
+    for _ in range(24):
+        address, result = int(rng.integers(0, 1 << layout.n)), int(rng.integers(0, 1 << layout.m))
+        mem = [int(rng.integers(0, 1 << width)) for width in layout.k]
+        other = int(rng.integers(0, 1 << layout.n))
+        states.append(basis_state(layout, address, result, mem))
+        states.append(
+            superpose(
+                [
+                    (0.6, basis_state(layout, address, result, mem)),
+                    (0.8j, basis_state(layout, other ^ 1, result, mem)),
+                ]
+            )
+        )
+    for state, out in zip(states, run_batch(states, circuit, instance.unitaries)):
+        reference = sparse_run_circuit(state, circuit, instance.unitaries)
+        assert list(out.amps.items()) == list(reference.amps.items())
+
+
+def test_batch_does_not_depend_on_the_routing_chunk_size(monkeypatch):
+    """Routing moments run over slices of rows; slices of a single row give
+    the same states as the default size."""
+    instance = build_random_instance(2, 2, 1, seed=8)
+    circuit = synth_access(instance.layout(), instance.unitaries)
+    layout = circuit.layout
+    states = [
+        basis_state(layout, y, r, [m] * len(layout.leaves))
+        for y in range(1 << layout.n) for r in range(1 << layout.m) for m in (0, 1)
+    ]
+    default = [list(s.amps.items()) for s in run_batch(states, circuit, instance.unitaries)]
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 8)
+    sliced = [list(s.amps.items()) for s in run_batch(states, circuit, instance.unitaries)]
+    assert sliced == default
+    assert default == [
+        list(sparse_run_circuit(s, circuit, instance.unitaries).amps.items()) for s in states
+    ]

@@ -278,23 +278,27 @@ def test_check_variant_agreement():
 
 def test_check_variant_agreement_runs_each_case_once_on_the_sequential_circuit(monkeypatch):
     """One sequential run per case serves every block size: 1 + |S| runs per
-    case, not 2 |S|."""
+    case, not 2 |S|, and each circuit's cases go through it as one batch."""
     import qramforge.verifier as verifier
 
-    runs = []
-    original = verifier.run_circuit
+    batches = []
+    original = verifier.run_batch
 
-    def counting_run_circuit(state, circuit, unitaries):
-        runs.append(circuit.metadata.get("variant"))
-        return original(state, circuit, unitaries)
+    def counting_run_batch(states, circuit, unitaries):
+        states = list(states)
+        batches.append((circuit.metadata.get("variant"), len(states)))
+        return original(states, circuit, unitaries)
 
-    monkeypatch.setattr(verifier, "run_circuit", counting_run_circuit)
+    monkeypatch.setattr(verifier, "run_batch", counting_run_batch)
     report = check_variant_agreement(build_qram_instance(2, 2), assignments=2, seed=4)
     assert report.passed
     cases_per_block = 8  # 4 addresses x 2 assignments
     assert len(report.cases) == 2 * cases_per_block
-    assert runs.count("fanout") == 2 * cases_per_block
-    assert runs.count("sequential") == cases_per_block
+    assert batches == [
+        ("sequential", cases_per_block),
+        ("fanout", cases_per_block),
+        ("fanout", cases_per_block),
+    ]
 
 
 def test_check_proposition_fanout_variant():
@@ -356,3 +360,22 @@ def write_golden_reports() -> None:
 
 def test_checker_reports_match_golden_file():
     assert checker_reports() == json.loads(GOLDEN_REPORTS.read_text())
+
+
+def test_checker_reports_do_not_depend_on_the_batch_budget(monkeypatch):
+    """Under a budget that splits each checker circuit's cases into several
+    batches, every report still equals the pinned one."""
+    import qramforge.sim as sim
+
+    sizes = []
+    original = sim._batches
+
+    def counting_batches(states, circuit):
+        for rows in original(states, circuit):
+            sizes.append(rows.num_cases)
+            yield rows
+
+    monkeypatch.setattr(sim, "_batches", counting_batches)
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 512)
+    assert checker_reports() == json.loads(GOLDEN_REPORTS.read_text())
+    assert max(sizes) <= 5 < sum(sizes)
