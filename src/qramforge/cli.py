@@ -233,7 +233,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     doc = parse_document(Path(args.circuit).read_text())
     circuit = doc.circuit
     layout = circuit.layout
-    needs_matrices = any(g.kind.value == "cu" for g in circuit.all_gates())
+    needs_matrices = "cu" in circuit.gate_counts()
     unitaries = _rebuild_unitaries(doc) if needs_matrices else doc.unitaries
     address = _parse_register_value(args.address, layout.n, "--address")
     result = _parse_register_value(args.result, layout.m, "--result")

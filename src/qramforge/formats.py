@@ -17,20 +17,23 @@ kept as comments.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError
-from .ir import Circuit, Gate, GateKind
+from .errors import InvalidParameterError, SchemaError
+from .ir import KINDS, NUM_CONTROLS, NUM_QUBITS, OPAQUE, Circuit, GateColumns, check_declared_depth
 from .sim import SparseState, UnitarySpec
-from .tree import RegisterMap
+from .tree import REGISTER_KINDS, RegisterMap, label_of
 
 FORMAT_VERSION = "qramforge-circuit/1"
 STATE_FORMAT_VERSION = "qramforge-state/1"
 
 _PARAMETER_KEYS = ("phase", "variant", "include_preparation", "instance")
+
+_KIND_NAMES = tuple(kind.value for kind in KINDS)
+_KIND_CODES = {name: code for code, name in enumerate(_KIND_NAMES)}
 
 
 # ---------------------------------------------------------------------------
@@ -41,13 +44,14 @@ _PARAMETER_KEYS = ("phase", "variant", "include_preparation", "instance")
 def _register_table(layout: RegisterMap) -> list[dict]:
     """Allocated registers as ``{kind, node, start, size}`` rows, in physical
     order (aliases do not appear; they own no qubits)."""
-    rows: list[dict] = []
-    for index, qid in enumerate(layout.qubit_at):
-        if qid.index == 0:
-            rows.append({"kind": qid.kind, "node": qid.node, "start": index, "size": 1})
-        else:
-            rows[-1]["size"] += 1
-    return rows
+    rows = layout.rows
+    return [
+        {"kind": REGISTER_KINDS[kind], "node": label_of(value, depth), "start": start, "size": size}
+        for kind, depth, value, start, size in zip(
+            rows.kind.tolist(), rows.depth.tolist(), rows.value.tolist(),
+            rows.start.tolist(), rows.size.tolist(),
+        )
+    ]
 
 
 def _metrics(circuit: Circuit) -> dict:
@@ -61,17 +65,33 @@ def _metrics(circuit: Circuit) -> dict:
     }
 
 
-def _gate_record(gate: Gate) -> dict:
-    record: dict = {
-        "kind": gate.kind.value,
-        "controls": list(gate.controls),
-        "targets": list(gate.targets),
-    }
-    if gate.kind is GateKind.OPAQUE:
-        record["leaf"] = gate.leaf
-        record["dagger"] = gate.dagger
-        record["declared_depth"] = gate.declared_depth
-    return record
+def _gate_rows(columns: GateColumns) -> Iterator[tuple[int, int, list[int], list[int], tuple | None]]:
+    """``(moment, kind code, controls, targets, opaque)`` of every gate in
+    row order, ``opaque`` being ``(leaf, dagger, declared depth)`` for opaque
+    blocks and None otherwise."""
+    tptr, targets, depth = columns.tptr.tolist(), columns.targets.tolist(), columns.depth.tolist()
+    leaf = columns.leaf.tolist()
+    for moment, code, ops, dagger, b in zip(
+        columns.moment.tolist(), columns.kind.tolist(), columns.ops.tolist(),
+        columns.dagger.tolist(), columns.block.tolist(),
+    ):
+        if code == OPAQUE:
+            opaque = (columns.leaf_names[leaf[b]], dagger, depth[b])
+            yield moment, code, ops[:1], targets[tptr[b] : tptr[b + 1]], opaque
+        else:
+            controls = NUM_CONTROLS[code]
+            qubits = ops[: NUM_QUBITS[code]]
+            yield moment, code, qubits[:controls], qubits[controls:], None
+
+
+def _moment_records(columns: GateColumns) -> list[list[dict]]:
+    moments: list[list[dict]] = [[] for _ in range(columns.num_moments)]
+    for moment, code, controls, targets, opaque in _gate_rows(columns):
+        record = {"kind": _KIND_NAMES[code], "controls": controls, "targets": targets}
+        if opaque is not None:
+            record["leaf"], record["dagger"], record["declared_depth"] = opaque
+        moments[moment].append(record)
+    return moments
 
 
 def _matrix_record(spec: UnitarySpec) -> dict:
@@ -108,7 +128,7 @@ def emit_json(
         "parameters": parameters,
         "registers": _register_table(layout),
         "metrics": _metrics(circuit),
-        "moments": [[_gate_record(g) for g in moment] for moment in circuit.moments],
+        "moments": _moment_records(circuit.columns),
     }
     if unitaries is not None:
         document["matrices"] = {
@@ -134,12 +154,14 @@ def _expect_int(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
-def _parse_gate(record, path: str) -> Gate:
+def _parse_gate(record, path: str) -> tuple[int, list[int], list[int], tuple | None]:
+    """``(kind code, controls, targets, opaque)`` of a gate record, checked
+    for everything but the values of its qubits (see :func:`_parse_moments`);
+    ``opaque`` is ``(leaf, dagger, declared depth)`` for an opaque block."""
     _expect(isinstance(record, dict), path, "expected a gate object")
-    try:
-        kind = GateKind(record.get("kind"))
-    except ValueError:
-        raise SchemaError(f"{path}.kind: unknown gate kind {record.get('kind')!r}") from None
+    code = _KIND_CODES.get(record.get("kind")) if isinstance(record.get("kind"), str) else None
+    if code is None:
+        raise SchemaError(f"{path}.kind: unknown gate kind {record.get('kind')!r}")
     for field in ("controls", "targets"):
         _expect(
             isinstance(record.get(field), list)
@@ -148,22 +170,176 @@ def _parse_gate(record, path: str) -> Gate:
             "expected a list of integers",
         )
     allowed = {"kind", "controls", "targets"}
-    kwargs = {}
-    if kind is GateKind.OPAQUE:
+    opaque = None
+    if code == OPAQUE:
         allowed |= {"leaf", "dagger", "declared_depth"}
         _expect(isinstance(record.get("leaf"), str), f"{path}.leaf", "expected a node label string")
         _expect(isinstance(record.get("dagger", False), bool), f"{path}.dagger", "expected a boolean")
-        kwargs = {
-            "leaf": record["leaf"],
-            "dagger": record.get("dagger", False),
-            "declared_depth": _expect_int(record.get("declared_depth", 1), f"{path}.declared_depth", 1),
-        }
+        depth = _expect_int(record.get("declared_depth", 1), f"{path}.declared_depth", 1)
+        opaque = (record["leaf"], record.get("dagger", False), depth)
     unknown = set(record) - allowed
     _expect(not unknown, path, f"unknown field(s) {sorted(unknown)}")
+    controls, targets = record["controls"], record["targets"]
+    if code == OPAQUE:
+        _expect(
+            len(controls) == 1 and targets,
+            path,
+            "an opaque block takes one control and at least one target",
+        )
+        try:
+            check_declared_depth(opaque[2])
+        except InvalidParameterError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
+    else:
+        expected = (NUM_CONTROLS[code], NUM_QUBITS[code] - NUM_CONTROLS[code])
+        _expect(
+            (len(controls), len(targets)) == expected,
+            path,
+            f"{_KIND_NAMES[code]} takes {expected[0]} control(s) and {expected[1]} target(s), "
+            f"got {len(controls)} and {len(targets)}",
+        )
+    return code, controls, targets, opaque
+
+
+def _int64(values: list[int]) -> np.ndarray:
+    """``values`` as int64, each integer beyond 2**62 in magnitude replaced
+    by a stand-in of the same sign that equals the stand-ins of the same
+    integer only."""
     try:
-        return Gate(kind, tuple(record["controls"]), tuple(record["targets"]), **kwargs)
-    except Exception as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        huge = sorted({q for q in values if not -(1 << 62) < q < 1 << 62})
+        stand_in = {q: (1 << 62) + r if q > 0 else -(1 << 62) - r for r, q in enumerate(huge)}
+        return np.array([stand_in.get(q, q) for q in values], dtype=np.int64)
+
+
+def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
+    """The ``moments`` section as columns.
+
+    Each record is checked on its own first.  The values of the qubits are
+    then checked over arrays of all of them: every qubit non-negative and
+    distinct within its gate, and, once every gate has passed, disjoint
+    within its moment and inside the layout.  Errors come in the order of
+    checking one gate and one moment after another.
+    """
+    _expect(isinstance(moments, list), "moments", "expected a list")
+    kind, moment, sizes, qubits, paths = [], [], [], [], []
+    dagger, block, names, leaf, depth, tptr, targets = [], [], {}, [], [], [0], []
+    failure = None
+    for i, gates in enumerate(moments):
+        if not isinstance(gates, list):
+            failure = SchemaError(f"moments[{i}]: expected a list of gates")
+            break
+        for j, record in enumerate(gates):
+            path = f"moments[{i}][{j}]"
+            try:
+                code, gate_controls, gate_targets, opaque = _parse_gate(record, path)
+            except SchemaError as exc:
+                failure = exc
+                break
+            kind.append(code)
+            moment.append(i)
+            paths.append(path)
+            gate_qubits = gate_controls + gate_targets
+            sizes.append(len(gate_qubits))
+            qubits += gate_qubits
+            if opaque is None:
+                dagger.append(False)
+                block.append(-1)
+            else:
+                dagger.append(opaque[1])
+                block.append(len(depth))
+                leaf.append(names.setdefault(opaque[0], len(names)))
+                depth.append(opaque[2])
+                targets += gate_targets
+                tptr.append(len(targets))
+        if failure is not None:
+            break
+
+    # one gate's qubits: non-negative, then distinct
+    sizes = np.array(sizes, dtype=np.int64)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    flat = _int64(qubits)
+    negative = owner[flat < 0]
+    order = np.lexsort((flat, owner))
+    repeated = owner[order][1:][(np.diff(owner[order]) == 0) & (np.diff(flat[order]) == 0)]
+    bad = np.concatenate([negative, repeated])
+    if bad.size:
+        g = int(bad.min())
+        gate_qubits = qubits[int(sizes[:g].sum()) : int(sizes[: g + 1].sum())]
+        first_negative = next((q for q in gate_qubits if q < 0), None)
+        if first_negative is not None:
+            message = f"qubit indices are non-negative integers, got {first_negative!r}"
+        else:
+            message = f"gate qubits must be distinct, got {tuple(gate_qubits)}"
+        raise SchemaError(f"{paths[g]}: {message}")
+    if failure is not None:
+        raise failure
+
+    # one moment's gates: disjoint; then every qubit inside the layout
+    moment = np.array(moment, dtype=np.int64)
+    where = moment[owner]
+    order = np.lexsort((owner, flat, where))
+    same = (np.diff(where[order]) == 0) & (np.diff(flat[order]) == 0)
+    clash_owner, clash_qubit = owner[order][1:][same], flat[order][1:][same]
+    if clash_owner.size:
+        g = int(clash_owner.min())
+        overlap = sorted(set(clash_qubit[clash_owner == g].tolist()))
+        raise SchemaError(f"moments: qubit(s) {overlap} already used in this moment")
+    outside = np.flatnonzero(flat >= layout.total_qubits)
+    if outside.size:
+        first = outside[where[outside] == where[outside].min()][0]
+        raise SchemaError(
+            f"moments: qubit {qubits[first]} is outside the layout ({layout.total_qubits} qubits)"
+        )
+
+    ops = np.full((len(sizes), 3), -1, dtype=np.int32)
+    column = np.arange(len(flat)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    kind = np.array(kind, dtype=np.int8)
+    keep = (kind[owner] != OPAQUE) | (column == 0)  # an opaque block keeps its control
+    ops[owner[keep], column[keep]] = flat[keep]
+    return GateColumns(
+        kind, ops, moment.astype(np.int32), np.array(dagger, dtype=bool),
+        np.array(block, dtype=np.int32), len(moments),
+        np.array(leaf, dtype=np.int32), np.array(depth, dtype=np.int64),
+        np.array(tptr, dtype=np.int64), np.array(targets, dtype=np.int32), tuple(names),
+    )
+
+
+def _is_pair(pair) -> bool:
+    return (
+        isinstance(pair, list)
+        and len(pair) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+    )
+
+
+def _parse_matrix(rows, dim: int, path: str) -> np.ndarray:
+    """A ``matrices.<leaf>.matrix`` record as a complex array, after checking
+    that it holds ``dim`` rows of ``dim`` finite ``[re, im]`` number pairs."""
+    path = f"{path}.matrix"
+    _expect(isinstance(rows, list), path, f"expected a list of {dim} rows")
+    _expect(len(rows) == dim, path, f"expected {dim} rows (2**(m + k) for this leaf), got {len(rows)}")
+    for r, row in enumerate(rows):
+        _expect(
+            isinstance(row, list) and len(row) == dim,
+            f"{path}[{r}]",
+            f"expected a list of {dim} [re, im] pairs",
+        )
+    try:
+        values = np.array(rows)
+    except ValueError:  # pairs of different lengths
+        values = None
+    if values is None or values.shape != (dim, dim, 2) or values.dtype.kind not in "fiu":
+        for r, row in enumerate(rows):
+            for c, pair in enumerate(row):
+                _expect(_is_pair(pair), f"{path}[{r}][{c}]", "expected a [re, im] pair of numbers")
+    try:
+        values = np.ascontiguousarray(values, dtype=float)
+    except OverflowError:  # integers beyond the float range
+        values = np.full(1, np.inf)
+    _expect(bool(np.isfinite(values).all()), path, "expected finite numbers")
+    return values.view(complex)[..., 0]
 
 
 @dataclass
@@ -215,15 +391,7 @@ def parse_document(text: str) -> CircuitDocument:
     for i, (actual, expected) in enumerate(zip(actual_rows, expected_rows)):
         _expect(actual == expected, f"registers[{i}]", f"expected {expected}, got {actual}")
 
-    _expect(isinstance(raw["moments"], list), "moments", "expected a list")
-    moments: list[list[Gate]] = []
-    for i, gates in enumerate(raw["moments"]):
-        _expect(isinstance(gates, list), f"moments[{i}]", "expected a list of gates")
-        moments.append([_parse_gate(g, f"moments[{i}][{j}]") for j, g in enumerate(gates)])
-    try:
-        circuit = Circuit._from_moments(layout, moments)
-    except Exception as exc:
-        raise SchemaError(f"moments: {exc}") from exc
+    circuit = Circuit.of_columns(layout, _parse_moments(raw["moments"], layout))
     for key in _PARAMETER_KEYS:
         if key in params:
             circuit.metadata[key] = params[key]
@@ -245,14 +413,12 @@ def parse_document(text: str) -> CircuitDocument:
         unitaries = {}
         for leaf, record in raw["matrices"].items():
             path = f"matrices.{leaf}"
-            _expect(leaf in layout.leaves, path, "not a leaf of this layout")
+            _expect(
+                len(leaf) == layout.n and set(leaf) <= {"0", "1"}, path, "not a leaf of this layout"
+            )
             _expect(isinstance(record, dict), path, "expected an object")
-            rows = record.get("matrix")
-            _expect(isinstance(rows, list) and rows, f"{path}.matrix", "expected a non-empty list")
+            matrix = _parse_matrix(record.get("matrix"), 1 << (layout.m + layout.k[int(leaf, 2)]), path)
             try:
-                matrix = np.array(
-                    [[complex(pair[0], pair[1]) for pair in row] for row in rows]
-                )
                 unitaries[leaf] = UnitarySpec(
                     leaf,
                     matrix,
@@ -290,54 +456,43 @@ def emit_qasm(circuit: Circuit) -> str:
     """Serialize a circuit as OpenQASM 2.0 text."""
     layout = circuit.layout
     rows = _register_table(layout)
-    names: list[tuple[str, int]] = []
+    refs: list[str] = []
     for row in rows:
         name = _qasm_register_name(row["kind"], row["node"])
-        names.extend((name, offset) for offset in range(row["size"]))
+        refs.extend(f"{name}[{offset}]" for offset in range(row["size"]))
 
-    def ref(q: int) -> str:
-        name, offset = names[q]
-        return f"{name}[{offset}]"
-
-    counts = circuit.gate_counts()
-    opaque_variants: list[tuple[str, bool]] = []
-    seen = set()
-    for gate in circuit.all_gates():
-        if gate.kind is GateKind.OPAQUE and (gate.leaf, gate.dagger) not in seen:
-            seen.add((gate.leaf, gate.dagger))
-            opaque_variants.append((gate.leaf, gate.dagger))
-
+    columns = circuit.columns
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     for row in rows:
         lines.append(f"qreg {_qasm_register_name(row['kind'], row['node'])}[{row['size']}];")
-    if counts.get(GateKind.FREDKIN.value):
+    if circuit.gate_counts().get("cswap"):
         lines.append("gate fredkin a,b,c { cx c,b; ccx a,b,c; cx c,b; }")
-    for leaf, dagger in sorted(opaque_variants):
+    blocks = np.flatnonzero(columns.kind == OPAQUE)
+    opaque = {
+        (columns.leaf_names[columns.leaf[b]], dagger)
+        for b, dagger in zip(columns.block[blocks].tolist(), columns.dagger[blocks].tolist())
+    }
+    for leaf, dagger in sorted(opaque):
         arity = 1 + len(layout.res(leaf)) + len(layout.mem(leaf))
         formals = ",".join(["ctl"] + [f"q{i}" for i in range(arity - 1)])
         lines.append(f"opaque {_opaque_name(leaf, dagger)} {formals};")
-    for index, moment in enumerate(circuit.moments):
+    current = -1
+    for moment, code, controls, targets, block in _gate_rows(columns):
+        while current < moment:
+            current += 1
+            lines.append(f"// moment {current}")
+        name = _QASM_NAMES[code] if block is None else _opaque_name(block[0], block[1])
+        lines.append(f"{name} {','.join(refs[q] for q in controls + targets)};")
+    for index in range(current + 1, columns.num_moments):
         lines.append(f"// moment {index}")
-        for gate in moment:
-            lines.append(_qasm_gate_line(gate, ref))
     return "\n".join(lines) + "\n"
+
+
+_QASM_NAMES = ("x", "cx", "ccx", "fredkin")
 
 
 def _opaque_name(leaf: str, dagger: bool) -> str:
     return f"cu_{leaf}_dg" if dagger else f"cu_{leaf}"
-
-
-def _qasm_gate_line(gate: Gate, ref) -> str:
-    args = ",".join(ref(q) for q in gate.qubits)
-    if gate.kind is GateKind.X:
-        return f"x {args};"
-    if gate.kind is GateKind.CNOT:
-        return f"cx {args};"
-    if gate.kind is GateKind.TOFFOLI:
-        return f"ccx {args};"
-    if gate.kind is GateKind.FREDKIN:
-        return f"fredkin {args};"
-    return f"{_opaque_name(gate.leaf, gate.dagger)} {args};"
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,11 @@ depth is the sum over moments of the largest declared depth in the moment
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import InvalidParameterError, StructuralError
 from .tree import RegisterMap
@@ -33,12 +35,24 @@ class GateKind(str, Enum):
     OPAQUE = "cu"
 
 
+#: Largest declared depth of an opaque block (depths are stored as int64).
+MAX_DECLARED_DEPTH = 1 << 62
+
 _ARITY = {
     GateKind.X: (0, 1),
     GateKind.CNOT: (1, 1),
     GateKind.TOFFOLI: (2, 1),
     GateKind.FREDKIN: (1, 2),
 }
+
+
+def check_declared_depth(value) -> int:
+    """``value`` if it is a valid declared depth of an opaque block."""
+    if not isinstance(value, int) or not 1 <= value <= MAX_DECLARED_DEPTH:
+        raise InvalidParameterError(
+            f"declared depth must be a positive integer up to 2**62, got {value!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,10 +76,7 @@ class Gate:
                 raise StructuralError("an opaque block takes one control and at least one target")
             if self.leaf is None:
                 raise StructuralError("an opaque block must name the leaf it applies")
-            if not isinstance(self.declared_depth, int) or self.declared_depth < 1:
-                raise InvalidParameterError(
-                    f"declared depth must be a positive integer, got {self.declared_depth!r}"
-                )
+            check_declared_depth(self.declared_depth)
         else:
             expected = _ARITY[self.kind]
             if (len(self.controls), len(self.targets)) != expected:
@@ -83,6 +94,14 @@ class Gate:
                 raise InvalidParameterError(f"qubit indices are non-negative integers, got {q!r}")
         if len(set(qubits)) != len(qubits):
             raise StructuralError(f"gate qubits must be distinct, got {qubits}")
+
+    @classmethod
+    def _unchecked(cls, kind, controls, targets, leaf=None, dagger=False, declared_depth=1) -> "Gate":
+        """A gate read back from columns that were validated when built."""
+        gate = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (kind, controls, targets, leaf, dagger, declared_depth)):
+            object.__setattr__(gate, name, value)
+        return gate
 
     # -- constructors -------------------------------------------------------
 
@@ -152,6 +171,14 @@ class Moment:
         for gate in gates:
             self.add(gate)
 
+    @classmethod
+    def _view(cls, gates: list[Gate]) -> "Moment":
+        """A moment of gates already known to be disjoint."""
+        moment = cls.__new__(cls)
+        moment.gates = gates
+        moment._used = {q for gate in gates for q in gate.qubits}
+        return moment
+
     def add(self, gate: Gate) -> None:
         overlap = self._used.intersection(gate.qubits)
         if overlap:
@@ -185,44 +212,319 @@ class Moment:
         return f"Moment({len(self.gates)} gates)"
 
 
-class Circuit:
-    """A moment list bound to a :class:`~qramforge.tree.RegisterMap`.
+#: Gate kinds in the order of their codes in :attr:`GateColumns.kind`.
+KINDS = (GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.FREDKIN, GateKind.OPAQUE)
+X, CNOT, TOFFOLI, FREDKIN, OPAQUE = range(len(KINDS))
+KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+#: Number of controls of each kind code, and of qubits of each elementary kind.
+NUM_CONTROLS = (0, 1, 2, 1, 1)
+NUM_QUBITS = (1, 2, 3, 3)
 
-    ``metadata`` is a free-form dict (phase names, synthesis options, ...)
-    that never participates in equality.
+
+class GateColumns:
+    """The gates of a circuit as numpy columns, one row per gate.
+
+    Rows are sorted by moment, and the rows of one moment come in the
+    moment's gate order.  ``ops`` holds a gate's qubits, controls first,
+    padded with -1.  An opaque block keeps only its control in ``ops``; its
+    targets, leaf and declared depth sit in a side table that ``block``
+    points into (-1 for elementary gates): block ``b`` acts on
+    ``targets[tptr[b]:tptr[b + 1]]`` for leaf ``leaf_names[leaf[b]]``.
+    Derived tables share arrays with their sources, so nothing writes into
+    them after construction.
+    """
+
+    __slots__ = (
+        "kind", "ops", "moment", "dagger", "block", "num_moments",
+        "leaf", "depth", "tptr", "targets", "leaf_names",
+    )
+
+    def __init__(self, kind, ops, moment, dagger, block, num_moments,
+                 leaf, depth, tptr, targets, leaf_names):
+        self.kind, self.ops, self.moment, self.dagger, self.block = kind, ops, moment, dagger, block
+        self.num_moments = num_moments
+        self.leaf, self.depth, self.tptr, self.targets = leaf, depth, tptr, targets
+        self.leaf_names = leaf_names
+
+    @classmethod
+    def build(cls, kind, ops, moment, num_moments: int) -> "GateColumns":
+        """Columns of elementary gates given in moment order."""
+        count = len(kind)
+        return cls(
+            np.asarray(kind, dtype=np.int8), np.asarray(ops, dtype=np.int32).reshape(count, 3),
+            np.asarray(moment, dtype=np.int32), np.zeros(count, dtype=bool),
+            np.full(count, -1, dtype=np.int32), num_moments,
+            np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int64),
+            np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32), (),
+        )
+
+    @classmethod
+    def of_gates(cls, placed: Iterable[tuple[int, Gate]], num_moments: int) -> "GateColumns":
+        """Columns of ``(moment index, gate)`` pairs; gates keep their order
+        within a moment."""
+        kind, ops, moment, dagger, block = [], [], [], [], []
+        names: dict[str, int] = {}
+        leaf, depth, tptr, targets = [], [], [0], []
+        for index, gate in placed:
+            code = KIND_CODE[gate.kind]
+            kind.append(code)
+            moment.append(index)
+            if code == OPAQUE:
+                ops.append((gate.controls[0], -1, -1))
+                dagger.append(gate.dagger)
+                block.append(len(depth))
+                leaf.append(names.setdefault(gate.leaf, len(names)))
+                depth.append(gate.declared_depth)
+                targets.extend(gate.targets)
+                tptr.append(len(targets))
+            else:
+                qubits = gate.qubits
+                ops.append(qubits + (-1,) * (3 - len(qubits)))
+                dagger.append(False)
+                block.append(-1)
+        columns = cls(
+            np.array(kind, dtype=np.int8), np.array(ops, dtype=np.int32).reshape(len(kind), 3),
+            np.array(moment, dtype=np.int32), np.array(dagger, dtype=bool),
+            np.array(block, dtype=np.int32), num_moments,
+            np.array(leaf, dtype=np.int32), np.array(depth, dtype=np.int64),
+            np.array(tptr, dtype=np.int64), np.array(targets, dtype=np.int32), tuple(names),
+        )
+        return columns.take(np.argsort(columns.moment, kind="stable"))
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def take(self, rows: np.ndarray, moment: np.ndarray | None = None, flip: bool = False):
+        """The given rows, in the given order, sharing the block table; with
+        new moment indices and dagger flags flipped when asked."""
+        return GateColumns(
+            self.kind[rows], self.ops[rows],
+            self.moment[rows] if moment is None else moment,
+            self.dagger[rows] ^ flip, self.block[rows], self.num_moments,
+            self.leaf, self.depth, self.tptr, self.targets, self.leaf_names,
+        )
+
+    @staticmethod
+    def concat(parts: Sequence["GateColumns"], moment_offsets: Sequence[int] | None = None) -> "GateColumns":
+        """The parts one after another, by default each part's moments after
+        the last moment of the parts before it."""
+        if moment_offsets is None:
+            moment_offsets = np.cumsum([0] + [part.num_moments for part in parts[:-1]]).tolist()
+        block_offsets = np.cumsum([0] + [len(part.depth) for part in parts])
+        target_offsets = np.cumsum([0] + [len(part.targets) for part in parts])
+        named = [part.leaf_names for part in parts if part.leaf_names]
+        if len({id(names) for names in named}) <= 1:
+            leaf_names = named[0] if named else ()
+            leaf = np.concatenate([part.leaf for part in parts])
+        else:
+            codes: dict[str, int] = {}
+            leaf = np.concatenate([
+                np.array([codes.setdefault(name, len(codes)) for name in part.leaf_names],
+                         dtype=np.int32)[part.leaf]
+                for part in parts
+            ])
+            leaf_names = tuple(codes)
+        return GateColumns(
+            np.concatenate([part.kind for part in parts]),
+            np.concatenate([part.ops for part in parts]),
+            np.concatenate([part.moment + offset for part, offset in zip(parts, moment_offsets)]).astype(np.int32),
+            np.concatenate([part.dagger for part in parts]),
+            np.concatenate([
+                np.where(part.block >= 0, part.block + offset, -1)
+                for part, offset in zip(parts, block_offsets)
+            ]).astype(np.int32),
+            max(offset + part.num_moments for part, offset in zip(parts, moment_offsets)),
+            leaf.astype(np.int32),
+            np.concatenate([part.depth for part in parts]),
+            np.concatenate([[0]] + [part.tptr[1:] + offset for part, offset in zip(parts, target_offsets)]).astype(np.int64),
+            np.concatenate([part.targets for part in parts]).astype(np.int32),
+            leaf_names,
+        )
+
+    def reversed(self) -> "GateColumns":
+        """The adjoint's columns: moment ``i`` becomes moment ``M - 1 - i``,
+        each keeping its gate order, and opaque blocks flip their dagger flag
+        (elementary gates are self-inverse)."""
+        mirrored = self.num_moments - 1 - self.moment
+        order = np.argsort(mirrored, kind="stable")
+        return self.take(order, mirrored[order], self.kind[order] == OPAQUE)
+
+    # -- per-gate data ------------------------------------------------------
+
+    def block_targets(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The targets of the opaque ``rows``, flattened, and each target's
+        position in ``rows``."""
+        blocks = self.block[rows]
+        lengths = self.tptr[blocks + 1] - self.tptr[blocks]
+        owner = np.repeat(np.arange(len(rows)), lengths)
+        first = np.cumsum(lengths) - lengths
+        index = np.arange(int(lengths.sum())) - first[owner] + self.tptr[blocks][owner]
+        return self.targets[index], owner
+
+    def operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every qubit a gate acts on, as parallel (row, qubit) arrays: the
+        ``ops`` entries first, then the opaque targets."""
+        rows, column = np.nonzero(self.ops >= 0)
+        opaque = np.flatnonzero(self.kind == OPAQUE)
+        targets, owner = self.block_targets(opaque)
+        return (np.concatenate([rows, opaque[owner]]),
+                np.concatenate([self.ops[rows, column], targets]))
+
+    def moment_bounds(self) -> list[int]:
+        """Row ``bounds[i]`` is the first row of moment ``i``."""
+        return np.searchsorted(self.moment, np.arange(self.num_moments + 1)).tolist()
+
+    def gates(self) -> Iterator[Gate]:
+        """A :class:`Gate` view of every row, in row order."""
+        blocks = self.block.tolist()
+        tptr = self.tptr.tolist()
+        for code, ops, dagger, b in zip(self.kind.tolist(), self.ops.tolist(),
+                                        self.dagger.tolist(), blocks):
+            if code == OPAQUE:
+                yield Gate._unchecked(
+                    GateKind.OPAQUE, (ops[0],), tuple(self.targets[tptr[b]:tptr[b + 1]].tolist()),
+                    self.leaf_names[self.leaf[b]], dagger, int(self.depth[b]),
+                )
+            else:
+                controls = NUM_CONTROLS[code]
+                qubits = [q for q in ops if q >= 0]
+                yield Gate._unchecked(KINDS[code], tuple(qubits[:controls]), tuple(qubits[controls:]))
+
+    def _blocks_in_order(self) -> list[tuple[str, int, tuple[int, ...]]]:
+        rows = np.flatnonzero(self.kind == OPAQUE)
+        tptr = self.tptr.tolist()
+        return [
+            (self.leaf_names[self.leaf[b]], int(self.depth[b]), tuple(self.targets[tptr[b]:tptr[b + 1]].tolist()))
+            for b in self.block[rows].tolist()
+        ]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GateColumns):
+            return NotImplemented
+        return (
+            self.num_moments == other.num_moments
+            and all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in ("kind", "ops", "moment", "dagger"))
+            and self._blocks_in_order() == other._blocks_in_order()
+        )
+
+    # -- metrics --------------------------------------------------------------
+
+    def depth_total(self) -> int:
+        per_moment = np.ones(self.num_moments, dtype=np.int64)
+        rows = np.flatnonzero(self.kind == OPAQUE)
+        np.maximum.at(per_moment, self.moment[rows], self.depth[self.block[rows]])
+        return sum(per_moment.tolist())
+
+    def width(self) -> int:
+        if not len(self.moment):
+            return 0
+        return int(np.bincount(self.moment).max())
+
+    def gate_counts(self) -> dict[str, int]:
+        """Gates by kind, the kinds in order of first appearance."""
+        codes, first, counts = np.unique(self.kind, return_index=True, return_counts=True)
+        return {
+            KINDS[code].value: count
+            for _, code, count in sorted(zip(first.tolist(), codes.tolist(), counts.tolist()))
+        }
+
+
+_EMPTY = GateColumns.build([], [], [], 0)
+
+
+class Circuit:
+    """A moment-structured circuit bound to a
+    :class:`~qramforge.tree.RegisterMap`, stored as :class:`GateColumns`.
+
+    ``moments`` and the :class:`Gate` objects in them are views, built on
+    demand; :attr:`columns` is the circuit.  ``metadata`` is a free-form
+    dict (phase names, synthesis options, ...) that never participates in
+    equality.
     """
 
     def __init__(self, layout: RegisterMap):
         self.layout = layout
-        self.moments: list[Moment] = []
         self.metadata: dict = {}
-        self._frontier: dict[int, int] = {}
+        self._columns = _EMPTY
+        self._pending: list[tuple[int, Gate]] = []  # appended, not yet in the columns
+        self._num_moments = 0
         self._floor = 0
+        self._frontier: list[int] | None = None  # last moment of each qubit
+        self._views: tuple[Moment, ...] | None = None
+
+    @classmethod
+    def of_columns(cls, layout: RegisterMap, columns: GateColumns, floor: int | None = None) -> "Circuit":
+        """A circuit over already validated columns.  Gates appended later
+        go no earlier than ``floor`` (default: after every moment)."""
+        circuit = cls(layout)
+        circuit._columns = columns
+        circuit._num_moments = columns.num_moments
+        circuit._floor = columns.num_moments if floor is None else floor
+        return circuit
+
+    @classmethod
+    def from_moments(cls, layout: RegisterMap, moments: Iterable[Iterable[Gate]]) -> "Circuit":
+        """A circuit with exactly these moments, checked to be disjoint and
+        inside the layout.  Gates appended later go after all of them."""
+        placed = []
+        count = 0
+        for index, gates in enumerate(moments):
+            placed.extend((index, gate) for gate in Moment(gates))
+            count = index + 1
+        columns = GateColumns.of_gates(placed, count)
+        _, qubits = columns.operands()
+        outside = qubits[qubits >= layout.total_qubits]
+        if outside.size:
+            raise StructuralError(
+                f"qubit {int(outside[0])} is outside the layout ({layout.total_qubits} qubits)"
+            )
+        return cls.of_columns(layout, columns)
+
+    @property
+    def columns(self) -> GateColumns:
+        """The gate columns, appended gates included."""
+        if self._pending:
+            added = GateColumns.of_gates(self._pending, self._num_moments)
+            merged = GateColumns.concat([self._columns, added], [0, 0])
+            self._columns = merged.take(np.argsort(merged.moment, kind="stable"))
+            self._pending = []
+        return self._columns
 
     # -- construction --------------------------------------------------------
 
     def append(self, gate: Gate, policy: str = "asap") -> "Circuit":
-        for q in gate.qubits:
+        qubits = gate.qubits
+        for q in qubits:
             if q >= self.layout.total_qubits:
                 raise StructuralError(
                     f"qubit {q} is outside the layout ({self.layout.total_qubits} qubits)"
                 )
+        frontier = self._frontier_list()
         if policy == "asap":
             index = self._floor
-            for q in gate.qubits:
-                earliest = self._frontier.get(q, -1) + 1
-                if earliest > index:
-                    index = earliest
+            for q in qubits:
+                if frontier[q] >= index:
+                    index = frontier[q] + 1
         elif policy == "new_moment":
-            index = len(self.moments)
+            index = self._num_moments
         else:
             raise InvalidParameterError(f"unknown placement policy {policy!r}")
-        while len(self.moments) <= index:
-            self.moments.append(Moment())
-        self.moments[index].add(gate)
-        for q in gate.qubits:
-            self._frontier[q] = index
+        self._pending.append((index, gate))
+        for q in qubits:
+            frontier[q] = index
+        self._num_moments = max(self._num_moments, index + 1)
+        self._views = None
         return self
+
+    def _frontier_list(self) -> list[int]:
+        if self._frontier is None:
+            frontier = np.full(self.layout.total_qubits, -1, dtype=np.int64)
+            columns = self.columns
+            rows, qubits = columns.operands()
+            np.maximum.at(frontier, qubits, columns.moment[rows])
+            self._frontier = frontier.tolist()
+        return self._frontier
 
     def extend(self, gates: Iterable[Gate], policy: str = "asap") -> "Circuit":
         for gate in gates:
@@ -231,37 +533,36 @@ class Circuit:
 
     def barrier(self) -> "Circuit":
         """Fence: every gate appended later lands strictly after existing moments."""
-        self._floor = len(self.moments)
+        self._floor = self._num_moments
         return self
 
-    @classmethod
-    def _from_moments(cls, layout: RegisterMap, moments: Iterable[Iterable[Gate]]) -> "Circuit":
-        circuit = cls(layout)
-        for gates in moments:
-            circuit.moments.append(Moment(gates))
-        for index, moment in enumerate(circuit.moments):
-            for q in moment.used_qubits:
-                if q >= layout.total_qubits:
-                    raise StructuralError(
-                        f"qubit {q} is outside the layout ({layout.total_qubits} qubits)"
-                    )
-                circuit._frontier[q] = index
-        circuit._floor = len(circuit.moments)
-        return circuit
+    # -- views ------------------------------------------------------------------
+
+    @property
+    def moments(self) -> tuple[Moment, ...]:
+        """The moments as :class:`Moment` views (changing them changes
+        nothing in the circuit; see :meth:`from_moments`)."""
+        if self._views is None:
+            columns = self.columns
+            groups: list[list[Gate]] = [[] for _ in range(self._num_moments)]
+            for index, gate in zip(columns.moment.tolist(), columns.gates()):
+                groups[index].append(gate)
+            self._views = tuple(Moment._view(gates) for gates in groups)
+        return self._views
+
+    def all_gates(self) -> Iterator[Gate]:
+        return self.columns.gates()
 
     # -- derived circuits ------------------------------------------------------
 
     def adjoint(self) -> "Circuit":
         """The exact inverse: moments reversed, each gate replaced by its adjoint."""
-        out = Circuit._from_moments(
-            self.layout,
-            ([g.adjoint() for g in moment] for moment in reversed(self.moments)),
-        )
+        out = Circuit.of_columns(self.layout, self.columns.reversed())
         out.metadata = dict(self.metadata)
         return out
 
     def copy(self) -> "Circuit":
-        out = Circuit._from_moments(self.layout, (list(m) for m in self.moments))
+        out = Circuit.of_columns(self.layout, self.columns)
         out.metadata = dict(self.metadata)
         return out
 
@@ -269,38 +570,30 @@ class Circuit:
 
     @property
     def num_gates(self) -> int:
-        return sum(len(m) for m in self.moments)
+        return len(self.columns)
 
     @property
     def num_moments(self) -> int:
-        return len(self.moments)
+        return self._num_moments
 
     @property
     def depth(self) -> int:
-        return sum(m.declared_depth for m in self.moments)
+        return self.columns.depth_total()
 
     @property
     def width(self) -> int:
         """Largest number of gates executing in any one moment."""
-        return max((len(m) for m in self.moments), default=0)
+        return self.columns.width()
 
     def gate_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for moment in self.moments:
-            for gate in moment:
-                counts[gate.kind.value] = counts.get(gate.kind.value, 0) + 1
-        return counts
-
-    def all_gates(self) -> Iterator[Gate]:
-        for moment in self.moments:
-            yield from moment
+        return self.columns.gate_counts()
 
     # -- identity -----------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Circuit):
             return NotImplemented
-        return self.layout == other.layout and self.moments == other.moments
+        return self.layout == other.layout and self.columns == other.columns
 
     def __repr__(self) -> str:
         return (
@@ -320,5 +613,4 @@ def concat(first: Circuit, second: Circuit, *rest: Circuit) -> Circuit:
     for part in parts[1:]:
         if part.layout != first.layout:
             raise StructuralError("cannot concatenate circuits over different layouts")
-    out = Circuit._from_moments(first.layout, (list(m) for part in parts for m in part.moments))
-    return out
+    return Circuit.of_columns(first.layout, GateColumns.concat([part.columns for part in parts]))

@@ -26,6 +26,7 @@ before they are allocated.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .errors import (
     SimulationError,
     StructuralError,
 )
-from .ir import Circuit, Gate, GateKind
+from .ir import CNOT, FREDKIN, OPAQUE, TOFFOLI, X, Circuit, Gate, GateColumns
 from .tree import RegisterMap, _check_label
 
 #: Magnitude below which amplitudes produced by a dense block are discarded.
@@ -71,6 +72,9 @@ class UnitarySpec:
 
     def __init__(self, leaf: str, matrix, declared_depth: int = 1):
         _check_label(leaf)
+        shape = getattr(matrix, "shape", None)
+        rows = shape[0] if shape else len(matrix) if isinstance(matrix, Sequence) else 0
+        _check_budget(16 * rows * rows, f"the {rows}-row matrix for leaf {leaf!r}")
         matrix = np.array(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ShapeError(
@@ -267,19 +271,74 @@ def _check_budget(nbytes: int, what: str) -> None:
         )
 
 
-def _unitary_for(gate: Gate, unitaries: Mapping[str, UnitarySpec] | None) -> UnitarySpec:
-    if unitaries is None or gate.leaf not in unitaries:
+class _Block(NamedTuple):
+    """One opaque block of a moment, read from the circuit's columns."""
+
+    control: int
+    targets: tuple[int, ...]
+    leaf: str
+    dagger: bool
+
+
+def _unitary_for(block: _Block, unitaries: Mapping[str, UnitarySpec] | None) -> UnitarySpec:
+    if unitaries is None or block.leaf not in unitaries:
         raise ConfigurationError(
-            f"no unitary available for opaque block at leaf {gate.leaf!r}"
+            f"no unitary available for opaque block at leaf {block.leaf!r}"
         )
-    spec = unitaries[gate.leaf]
-    if spec.num_qubits != len(gate.targets):
+    spec = unitaries[block.leaf]
+    if spec.num_qubits != len(block.targets):
         raise ShapeError(
-            f"unitary for leaf {gate.leaf!r} acts on {spec.num_qubits} qubit(s), "
-            f"gate has {len(gate.targets)} target(s)",
-            leaf=gate.leaf,
+            f"unitary for leaf {block.leaf!r} acts on {spec.num_qubits} qubit(s), "
+            f"gate has {len(block.targets)} target(s)",
+            leaf=block.leaf,
         )
     return spec
+
+
+class _Moments:
+    """A circuit's columns as the simulator reads them, moment by moment:
+    each moment's routing gates as flip rules ``(target, c1, c2, p, q)``
+    (see :class:`_Rows`) and its opaque blocks."""
+
+    def __init__(self, columns: GateColumns, num_qubits: int):
+        words = -(-num_qubits // 64)
+        one, zero = 64 * words, 64 * words + 64
+        kind, ops = columns.kind, columns.ops.astype(np.intp)
+        a, b, c = ops[:, 0], ops[:, 1], ops[:, 2]
+        rules = np.full((len(kind), 5), one, dtype=np.intp)
+        rules[:, 4] = zero
+        # X: flip a; CNOT: flip b on a; Toffoli: flip c on a & b; Fredkin:
+        # flip b (and, in the second rule, c) on a & (b ^ c)
+        rules[:, 0] = np.select([kind == X, kind == CNOT, kind == TOFFOLI], [a, b, c], b)
+        controlled = kind != X
+        rules[controlled, 1] = a[controlled]
+        rules[kind == TOFFOLI, 2] = b[kind == TOFFOLI]
+        fredkin = np.flatnonzero(kind == FREDKIN)
+        rules[fredkin, 3], rules[fredkin, 4] = b[fredkin], c[fredkin]
+        second = rules[fredkin].copy()
+        second[:, 0] = c[fredkin]
+        routing = np.flatnonzero(kind != OPAQUE)
+        owner = np.concatenate([routing, fredkin])
+        order = np.argsort(owner, kind="stable")
+        self.rules = np.concatenate([rules[routing], second])[order]
+        moment = columns.moment[owner[order]]
+        self.bounds = np.searchsorted(moment, np.arange(columns.num_moments + 1)).tolist()
+        self.blocks: list[list[_Block]] = [[] for _ in range(columns.num_moments)]
+        opaque = np.flatnonzero(kind == OPAQUE)
+        targets, position = columns.block_targets(opaque)
+        split = np.split(targets, np.flatnonzero(np.diff(position)) + 1) if len(targets) else []
+        for row, block_targets in zip(opaque.tolist(), split):
+            block = int(columns.block[row])
+            self.blocks[int(columns.moment[row])].append(_Block(
+                int(ops[row, 0]), tuple(block_targets.tolist()),
+                columns.leaf_names[columns.leaf[block]], bool(columns.dagger[row]),
+            ))
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def moment(self, index: int) -> tuple[np.ndarray, list[_Block]]:
+        return self.rules[self.bounds[index] : self.bounds[index + 1]], self.blocks[index]
 
 
 _ONE = np.uint64(1)
@@ -316,31 +375,17 @@ class _Rows:
         weights = np.abs(self.amps) ** 2
         return np.sqrt(np.bincount(self.case, weights=weights, minlength=self.num_cases))
 
-    def apply(self, gates: Iterable[Gate], unitaries: Mapping[str, UnitarySpec] | None) -> None:
-        """Apply gates on pairwise-disjoint qubits (one moment)."""
-        one, zero = 64 * self.num_words, 64 * self.num_words + 64
-        flips: list[tuple[int, ...]] = []
-        opaque: list[Gate] = []
-        for gate in gates:
-            kind = gate.kind
-            if kind is GateKind.X:
-                flips.append((gate.targets[0], one, one, one, zero))
-            elif kind is GateKind.CNOT:
-                flips.append((gate.targets[0], gate.controls[0], one, one, zero))
-            elif kind is GateKind.TOFFOLI:
-                flips.append((gate.targets[0], *gate.controls, one, zero))
-            elif kind is GateKind.FREDKIN:
-                a, b = gate.targets
-                control = gate.controls[0]
-                flips += [(a, control, one, a, b), (b, control, one, a, b)]
-            else:
-                opaque.append(gate)
-        if flips:
-            self._route(np.array(flips, dtype=np.intp))
+    def apply(
+        self, rules: np.ndarray, blocks: list[_Block], unitaries: Mapping[str, UnitarySpec] | None
+    ) -> None:
+        """Apply one moment: its routing gates as flip rules, then its opaque
+        blocks."""
+        if len(rules):
+            self._route(rules)
         # Routing never reorders rows and the gates of a moment commute, so
         # the opaque blocks may follow the routing gates.
-        if opaque:
-            self._blocks(opaque, unitaries)
+        if blocks:
+            self._blocks(blocks, unitaries)
 
     def _route(self, entries: np.ndarray) -> None:
         """Apply flip rules ``(target, c1, c2, p, q)``, given as qubit indices.
@@ -366,20 +411,20 @@ class _Rows:
             flip <<= shift[:, 0]
             part[target_words] ^= np.bitwise_xor.reduceat(flip, starts, axis=0)
 
-    def _owners(self, gates: Sequence[Gate]) -> np.ndarray | None:
-        """For each row, the index of the gate whose control bit it has set
+    def _owners(self, blocks: Sequence[_Block]) -> np.ndarray | None:
+        """For each row, the index of the block whose control bit it has set
         (-1 for none), or None when some row has the controls of two."""
         words = self.words
         owner = np.full(words.shape[1], -1)
-        for i, gate in enumerate(gates):
-            control = gate.controls[0]
+        for i, block in enumerate(blocks):
+            control = block.control
             on = np.flatnonzero((words[control >> 6] >> np.uint64(control & 63)) & _ONE)
             if (owner[on] >= 0).any():
                 return None
             owner[on] = i
         return owner
 
-    def _blocks(self, gates: Sequence[Gate], unitaries: Mapping[str, UnitarySpec] | None) -> None:
+    def _blocks(self, gates: Sequence[_Block], unitaries: Mapping[str, UnitarySpec] | None) -> None:
         """Apply the opaque blocks of one moment.
 
         Rows that switch on no block keep their order and come first; then
@@ -396,7 +441,7 @@ class _Rows:
             self._blocks_on(gates, specs, owner)
 
     def _blocks_on(
-        self, gates: Sequence[Gate], specs: Sequence[UnitarySpec], owner: np.ndarray
+        self, gates: Sequence[_Block], specs: Sequence[UnitarySpec], owner: np.ndarray
     ) -> None:
         """Replace the rows by the result of blocks that no row switches on
         twice.  The blocks' amplitudes are computed first; the new rows are
@@ -432,7 +477,7 @@ class _Rows:
         self.words, self.amps, self.case = words, amps, case
 
     def _block(
-        self, gate: Gate, spec: UnitarySpec, on: np.ndarray
+        self, gate: _Block, spec: UnitarySpec, on: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One opaque block's result for its hit rows ``on`` (in order).
 
@@ -499,12 +544,14 @@ def _batch_terms(circuit: Circuit) -> int:
     size of the rows a term can grow into.  An opaque moment multiplies a
     term at most by its largest block dimension when no term switches on
     two of its blocks, as in every access circuit."""
+    columns = circuit.columns
+    opaque = np.flatnonzero(columns.kind == OPAQUE)
+    blocks = columns.block[opaque]
+    widest = np.zeros(columns.num_moments, dtype=np.int64)
+    np.maximum.at(widest, columns.moment[opaque], columns.tptr[blocks + 1] - columns.tptr[blocks])
     growth = 1
-    for moment in circuit.moments:
-        growth *= max(
-            (1 << len(gate.targets) for gate in moment if gate.kind is GateKind.OPAQUE),
-            default=1,
-        )
+    for width in widest[widest > 0].tolist():
+        growth *= 1 << width
     row_bytes = 8 * (-(-circuit.layout.total_qubits // 64) + 2)
     return BATCH_BUDGET_BYTES // (growth * row_bytes)
 
@@ -553,10 +600,13 @@ def run_batch(
     :data:`BATCH_BUDGET_BYTES`; each batch runs when its first final state
     is requested.
     """
+    moments = None
     for rows in _batches(states, circuit):
+        if moments is None:
+            moments = _Moments(circuit.columns, circuit.layout.total_qubits)
         before = rows.norms()
-        for moment in circuit.moments:
-            rows.apply(moment, unitaries)
+        for index in range(len(moments)):
+            rows.apply(*moments.moment(index), unitaries)
         drift = np.abs(rows.norms() - before)
         if drift.size and drift.max() > NORM_TOL:
             raise SimulationError(f"state norm drifted by {drift.max():.3e} during simulation")
@@ -588,6 +638,7 @@ def apply_gate(
             f"gate on qubit {max(gate.qubits)} does not fit a {state.num_qubits}-qubit state"
         )
     rows = _Rows(list(state.amps), list(state.amps.values()), [len(state)], state.num_qubits)
-    rows.apply([gate], unitaries)
+    moments = _Moments(GateColumns.of_gates([(0, gate)], 1), state.num_qubits)
+    rows.apply(*moments.moment(0), unitaries)
     (out,) = rows.states()
     return out

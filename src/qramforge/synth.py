@@ -47,11 +47,13 @@ is a single moment.  Up is the exact adjoint of Down, emitted gate for gate.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigurationError, InvalidParameterError, ShapeError
-from .ir import Circuit, Gate, concat
+from .ir import CNOT, FREDKIN, OPAQUE, TOFFOLI, X, Circuit, GateColumns, check_declared_depth, concat
 from .sim import UnitarySpec
 from .tree import ROOT, RegisterMap
 
@@ -98,64 +100,109 @@ class SynthesisOptions:
         return s
 
 
-def _routing_level(layout: RegisterMap, k: int) -> Iterator[Gate]:
-    """Steps 1-3 for level ``k``: address copies and life-flag Toffolis."""
+class _Placer:
+    """ASAP placement of gates emitted one tree level at a time.
+
+    Appending gates one by one puts each in the earliest moment after the
+    last moment of every qubit it uses, and no earlier than the floor.  Every
+    node of a level emits the same sequence of gate *slots*, and the nodes of
+    one level touch disjoint qubits, so one slot is placed for all of a
+    level's nodes at once with one update of the per-qubit frontier, and each
+    gate gets the moment that appending it would give it.  A group's gates
+    are kept node by node, slot by slot (the order of appending them); a
+    stable sort on the moment then gives every moment its gates in that
+    order.
+    """
+
+    def __init__(self, layout: RegisterMap, floor: int = 0):
+        self.frontier = np.full(layout.total_qubits, -1, dtype=np.int32)
+        self.floor = floor
+        self.kind: list[np.ndarray] = []
+        self.ops: list[np.ndarray] = []
+        self.moment: list[np.ndarray] = []
+
+    def slot(self, kind: int, *qubits: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+        """Place one gate per entry of the operand arrays (controls first),
+        which share one shape ``(nodes, per node)`` and hold disjoint qubits."""
+        qubits = np.broadcast_arrays(*qubits)
+        moment = np.full(qubits[0].shape, self.floor, dtype=np.int32)
+        for q in qubits:
+            np.maximum(moment, self.frontier[q] + 1, out=moment)
+        for q in qubits:
+            self.frontier[q] = moment
+        pad = [np.full_like(qubits[0], -1)] * (3 - len(qubits))
+        return kind, np.stack([*qubits, *pad], axis=-1), moment
+
+    def emit(self, slots: list[tuple[int, np.ndarray, np.ndarray]]) -> None:
+        """Keep a group's slots, each shaped ``(nodes, per node)``, in the
+        order node by node, then slot by slot."""
+        self.kind.append(np.concatenate(
+            [np.full(moment.shape, kind, dtype=np.int8) for kind, _, moment in slots], axis=1
+        ).ravel())
+        self.ops.append(np.concatenate([ops for _, ops, _ in slots], axis=1).reshape(-1, 3))
+        self.moment.append(np.concatenate([moment for _, _, moment in slots], axis=1).ravel())
+
+    def columns(self) -> GateColumns:
+        moment = np.concatenate(self.moment)
+        order = np.argsort(moment, kind="stable")
+        return GateColumns.build(
+            np.concatenate(self.kind)[order], np.concatenate(self.ops)[order], moment[order],
+            int(moment.max()) + 1 if moment.size else 0,
+        )
+
+
+def _column(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.int32)[:, None]
+
+
+def _routing(placer: _Placer, layout: RegisterMap, k: int) -> None:
+    """Steps 1-3 for every node of level ``k``: address copies and
+    life-flag Toffolis."""
     n = layout.n
-    for x in layout.levels[k]:
-        adr_x = layout.adr(x)
-        selector = adr_x[n - k - 1]
-        if k < n - 1:
-            adr_right = layout.adr(x + "1")
-            for j in range(n - k - 1):
-                yield Gate.cnot(adr_x[j], adr_right[j])
-        yield Gate.toffoli(selector, layout.life(x), layout.life(x + "1"))
-        yield Gate.x(selector)
-        yield Gate.toffoli(selector, layout.life(x), layout.life(x + "0"))
-        yield Gate.x(selector)
+    level, below = layout.level(k), layout.level(k + 1)
+    value = np.arange(1 << k)
+    adr = _column(level.adr)
+    selector, life = adr + (n - k - 1), _column(level.life)
+    left, right = value * 2, value * 2 + 1
+    slots = []
+    if k < n - 1:
+        j = np.arange(n - k - 1)
+        slots.append(placer.slot(CNOT, adr + j, _column(below.adr[right]) + j))
+    slots.append(placer.slot(TOFFOLI, selector, life, _column(below.life[right])))
+    slots.append(placer.slot(X, selector))
+    slots.append(placer.slot(TOFFOLI, selector, life, _column(below.life[left])))
+    slots.append(placer.slot(X, selector))
+    placer.emit(slots)
 
 
-def _routing_gates(layout: RegisterMap) -> Iterator[Gate]:
-    for k in range(layout.n):
-        yield from _routing_level(layout, k)
-
-
-def _handdown_sequential(layout: RegisterMap, nodes: Sequence[str]) -> Iterator[Gate]:
-    """Step 4 for one level, controlled directly on the children's life flags."""
-    for x in nodes:
-        res_x = layout.res(x)
-        for side in "01":
-            child = x + side
-            life_child = layout.life(child)
-            res_child = layout.res(child)
-            for i in range(layout.m):
-                yield Gate.fredkin(life_child, res_x[i], res_child[i])
-
-
-def _handdown_fanout(layout: RegisterMap, nodes: Sequence[str], s: int) -> Iterator[Gate]:
-    """Step 4 for one level with life-flag copies and swap blocks of size ``s``."""
-    m = layout.m
+def _handdown(placer: _Placer, layout: RegisterMap, k: int, nodes: np.ndarray, s: int | None) -> None:
+    """Step 4 for the nodes of level ``k`` with values ``nodes``: controlled
+    directly on the children's life flags, or with ``s`` given and at least
+    two copies per node, on life-flag copies in swap blocks of size ``s``."""
+    level, below = layout.level(k), layout.level(k + 1)
+    res = _column(level.res[nodes])
+    children = (nodes * 2, nodes * 2 + 1)
+    lives = [_column(below.life[child]) for child in children]
+    child_res = [_column(below.res[child]) for child in children]
     c = layout.copies_per_node
-    if c < 2:
-        yield from _handdown_sequential(layout, nodes)
+    slots = []
+    if s is None or c < 2:
+        for life, res_child in zip(lives, child_res):
+            slots += [placer.slot(FREDKIN, life, res + i, res_child + i) for i in range(layout.m)]
+        placer.emit(slots)
         return
-    for x in nodes:
-        res_x = layout.res(x)
-        children = (x + "0", x + "1")
-        for child in children:
-            cps = layout.copies(child)
-            yield Gate.cnot(layout.life(child), cps[0])
-            for t in range(1, c):
-                yield Gate.cnot(cps[t - 1], cps[t])
-        for child in children:
-            cps = layout.copies(child)
-            res_child = layout.res(child)
-            for i in range(m):
-                yield Gate.fredkin(cps[i // s], res_x[i], res_child[i])
-        for child in children:
-            cps = layout.copies(child)
-            for t in range(c - 1, 0, -1):
-                yield Gate.cnot(cps[t - 1], cps[t])
-            yield Gate.cnot(layout.life(child), cps[0])
+    copies = [_column(below.copy[child]) for child in children]
+    for life, cps in zip(lives, copies):
+        slots.append(placer.slot(CNOT, life, cps))
+        slots += [placer.slot(CNOT, cps + t - 1, cps + t) for t in range(1, c)]
+    for cps, res_child in zip(copies, child_res):
+        slots += [
+            placer.slot(FREDKIN, cps + i // s, res + i, res_child + i) for i in range(layout.m)
+        ]
+    for life, cps in zip(lives, copies):
+        slots += [placer.slot(CNOT, cps + t - 1, cps + t) for t in range(c - 1, 0, -1)]
+        slots.append(placer.slot(CNOT, life, cps))
+    placer.emit(slots)
 
 
 def synth_down(layout: RegisterMap, options: SynthesisOptions | None = None) -> Circuit:
@@ -170,23 +217,21 @@ def synth_down(layout: RegisterMap, options: SynthesisOptions | None = None) -> 
         layout = layout.with_fanout_copies(s)
     else:
         s = None
-    circuit = Circuit(layout)
+    placer = _Placer(layout)
+    if options.include_preparation:
+        placer.emit([placer.slot(X, _column([layout.life(ROOT)]))])
+        placer.floor = 1  # a barrier after the preparation
+    for k in range(layout.n):
+        _routing(placer, layout, k)
+    for k in range(layout.n):
+        _handdown(placer, layout, k, np.arange(1 << k), s)
+    circuit = Circuit.of_columns(layout, placer.columns(), floor=placer.floor)
     circuit.metadata.update(
         phase="down",
         variant=options.variant,
         fanout_block=s,
         include_preparation=options.include_preparation,
     )
-    if options.include_preparation:
-        circuit.append(Gate.x(layout.life(ROOT)))
-        circuit.barrier()
-    circuit.extend(_routing_gates(layout))
-    for k in range(layout.n):
-        nodes = layout.levels[k]
-        if s is not None:
-            circuit.extend(_handdown_fanout(layout, nodes, s))
-        else:
-            circuit.extend(_handdown_sequential(layout, nodes))
     return circuit
 
 
@@ -214,34 +259,47 @@ def synth_run(
     """
     if unitaries is not None and declared_depths is not None:
         raise InvalidParameterError("pass either unitaries or declared_depths, not both")
-    circuit = Circuit(layout)
-    circuit.metadata["phase"] = "run"
     if unitaries is not None:
         unknown = set(unitaries) - set(layout.leaves)
         if unknown:
             raise ConfigurationError(f"unitaries given for unknown leaves: {sorted(unknown)}")
-    for leaf in layout.leaves:
-        targets = layout.res(leaf) + layout.mem(leaf)
-        if unitaries is not None:
+        depths = []
+        for leaf, width in zip(layout.leaves, layout.k):
             spec = unitaries.get(leaf)
             if spec is None:
                 raise ConfigurationError(f"no unitary provided for leaf {leaf!r}")
-            if spec.num_qubits != len(targets):
+            if spec.num_qubits != layout.m + width:
                 raise ShapeError(
                     f"unitary for leaf {leaf!r} acts on {spec.num_qubits} qubit(s), "
-                    f"but res_z ++ mem_z has {len(targets)}",
+                    f"but res_z ++ mem_z has {layout.m + width}",
                     leaf=leaf,
                 )
-            depth = spec.declared_depth
-        elif isinstance(declared_depths, int):
-            depth = declared_depths
-        elif declared_depths is not None:
-            depth = declared_depths.get(leaf, 1)
-        else:
-            depth = 1
-        circuit.append(
-            Gate.controlled_opaque(layout.life(leaf), targets, leaf, declared_depth=depth)
-        )
+            depths.append(spec.declared_depth)
+    elif isinstance(declared_depths, int) or declared_depths is None:
+        depths = [check_declared_depth(1 if declared_depths is None else declared_depths)]
+        depths *= len(layout.k)
+    else:
+        depths = [check_declared_depth(declared_depths.get(leaf, 1)) for leaf in layout.leaves]
+    # one block per leaf z on life_z, acting on res_z ++ mem_z
+    leaves = layout.level(layout.n)
+    count = len(layout.k)
+    lengths = layout.m + np.array(layout.k, dtype=np.int64)
+    tptr = np.concatenate([[0], np.cumsum(lengths)])
+    owner = np.repeat(np.arange(count), lengths)
+    offset = np.arange(tptr[-1]) - tptr[owner]
+    targets = np.where(
+        offset < layout.m, leaves.res[owner] + offset, layout.mem_starts[owner] + offset - layout.m
+    )
+    ops = np.full((count, 3), -1, dtype=np.int32)
+    ops[:, 0] = leaves.life
+    columns = GateColumns(
+        np.full(count, OPAQUE, dtype=np.int8), ops, np.zeros(count, dtype=np.int32),
+        np.zeros(count, dtype=bool), np.arange(count, dtype=np.int32), 1,
+        np.arange(count, dtype=np.int32), np.array(depths, dtype=np.int64), tptr,
+        targets.astype(np.int32), layout.leaves,
+    )
+    circuit = Circuit.of_columns(layout, columns, floor=0)
+    circuit.metadata["phase"] = "run"
     return circuit
 
 
@@ -284,7 +342,8 @@ def fanout_handdown(layout: RegisterMap, nodes: Iterable[str], s: int) -> Circui
             f"fan-out block size must satisfy 1 <= s <= m, got s={s} with m={layout.m}"
         )
     layout = layout.with_fanout_copies(s)
-    fragment = Circuit(layout)
+    placer = _Placer(layout)
+    _handdown(placer, layout, len(nodes[0]), np.array([int(x, 2) if x else 0 for x in nodes]), s)
+    fragment = Circuit.of_columns(layout, placer.columns(), floor=0)
     fragment.metadata.update(phase="handdown", fanout_block=s, nodes=list(nodes))
-    fragment.extend(_handdown_fanout(layout, nodes, s))
     return fragment

@@ -55,9 +55,13 @@ value of physical qubit ``q`` (little-endian in the physical index).
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InvalidParameterError, ResourceLimitError
 
@@ -179,11 +183,75 @@ class QubitId:
         return f"{self.kind}[{owner}]:{self.index}"
 
 
+#: Register kinds in the order of their codes in :attr:`RegisterMap.rows`.
+REGISTER_KINDS = ("address", "result", "life", "adr", "res", "mem", "copy")
+_KIND_CODE = {kind: code for code, kind in enumerate(REGISTER_KINDS)}
+
+#: Qubit indices are stored as 32-bit integers in circuits.
+_INDEX_LIMIT = (1 << 31) - 1
+
+
+class Level(NamedTuple):
+    """First physical qubit of each register of every node of one tree level,
+    as arrays indexed by node value.  ``adr`` resolves aliases (its register
+    holds ``n - level`` consecutive qubits; unused at the leaves), ``res``
+    holds ``m`` and ``copy`` holds :attr:`RegisterMap.copies_per_node`
+    (unused at the root and without the fan-out extension)."""
+
+    life: np.ndarray
+    adr: np.ndarray
+    res: np.ndarray
+    copy: np.ndarray
+
+
+class Rows(NamedTuple):
+    """Every allocated register, in physical order: kind code (see
+    :data:`REGISTER_KINDS`), owning node as (depth, value), first qubit and size.
+    Aliases and empty memory registers own no qubits and have no row."""
+
+    kind: np.ndarray
+    depth: np.ndarray
+    value: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+
+
+class _QubitNames(Sequence):
+    """``qubit_at`` of a layout: the :class:`QubitId` of every physical
+    index, looked up by bisection in the register rows."""
+
+    __slots__ = ("_layout",)
+
+    def __init__(self, layout: "RegisterMap"):
+        self._layout = layout
+
+    def __len__(self) -> int:
+        return self._layout.total_qubits
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        total = self._layout.total_qubits
+        if not -total <= index < total:
+            raise IndexError(f"qubit {index} out of range for {total} qubits")
+        index %= total
+        rows = self._layout.rows
+        row = int(np.searchsorted(rows.start, index, side="right")) - 1
+        node = label_of(int(rows.value[row]), int(rows.depth[row]))
+        return QubitId(REGISTER_KINDS[rows.kind[row]], node, index - int(rows.start[row]))
+
+
 class RegisterMap:
     """Deterministic assignment of every register qubit to a physical index.
 
-    Instances are immutable in practice: all mutation happens in
-    ``__init__``, and the fan-out extension returns a new map.
+    The layout is closed-form: every register is a run of consecutive
+    physical qubits whose start follows from the sizes (see the numbering in
+    the module docstring), so nothing is stored per qubit.  :attr:`rows`
+    lists the allocated registers, :meth:`level` gives a tree level's
+    register starts as arrays, and :attr:`qubit_at` names any index.
+
+    Instances are immutable in practice: the fan-out extension returns a new
+    map.
     """
 
     def __init__(
@@ -215,43 +283,36 @@ class RegisterMap:
 
         counts = ancilla_counts(n, m, self.k)
         total = n + m + counts["total"] + copies * (2 * (1 << n) - 2)
-        if total > max_qubits:
+        limit = min(max_qubits, _INDEX_LIMIT)
+        if total > limit:
             raise ResourceLimitError(
                 f"layout for n={n}, m={m} needs {total} qubits, "
-                f"exceeding the budget of {max_qubits}",
+                f"exceeding the budget of {limit}",
                 requested=total,
-                limit=max_qubits,
+                limit=limit,
             )
         self.total_qubits = total
-        self.levels = tuple(tuple(level) for level in enumerate_nodes(n))
+        self.qubit_at = _QubitNames(self)
+        # First qubit of each level: address and result lead, then per level
+        # every node's life flag, fresh adr register (right children strictly
+        # inside the tree) and res register (all but the root).
+        self._level_start = [n + m]
+        for depth in range(n):
+            self._level_start.append(self._level_start[-1] + self._level_size(depth))
+        self._mem_base = self._level_start[-1] + self._level_size(n)
+        self._mem_start = tuple(itertools.accumulate(self.k, initial=self._mem_base))
+        self._levels: dict[int, Level] = {}
 
-        qubit_at: list[QubitId] = []
-        start: dict[tuple[str, str], int] = {}
+    def _level_size(self, depth: int) -> int:
+        fresh = self._fresh_adr(depth)
+        return (1 << depth) * (1 + self._res_width(depth)) + (1 << depth >> 1) * fresh
 
-        def alloc(kind: str, node: str, size: int) -> None:
-            start[(kind, node)] = len(qubit_at)
-            qubit_at.extend(QubitId(kind, node, i) for i in range(size))
+    def _fresh_adr(self, depth: int) -> int:
+        """Size of the fresh adr register of a right child at ``depth``."""
+        return self.n - depth if 0 < depth < self.n else 0
 
-        alloc("address", ROOT, n)
-        alloc("result", ROOT, m)
-        for depth, level in enumerate(self.levels):
-            for node in level:
-                alloc("life", node, 1)
-                if depth and depth < n and node[-1] == "1":
-                    alloc("adr", node, n - depth)
-                if depth:
-                    alloc("res", node, m)
-        for leaf in self.levels[n]:
-            alloc("mem", leaf, self.k[int(leaf, 2)])
-        if copies:
-            for level in self.levels[1:]:
-                for node in level:
-                    alloc("copy", node, copies)
-
-        assert len(qubit_at) == total
-        self.qubit_at = tuple(qubit_at)
-        self._start = start
-        self._adr_cache: dict[str, tuple[int, ...]] = {}
+    def _res_width(self, depth: int) -> int:
+        return self.m if depth else 0
 
     # -- identity ---------------------------------------------------------
 
@@ -270,26 +331,109 @@ class RegisterMap:
         extra = f", fanout_block={self.fanout_block}" if self.fanout_block else ""
         return f"RegisterMap(n={self.n}, m={self.m}, k={list(self.k)}{extra})"
 
-    # -- register lookups (physical indices) ------------------------------
+    # -- the closed form ----------------------------------------------------
 
-    def _span(self, kind: str, node: str, size: int) -> tuple[int, ...]:
-        try:
-            base = self._start[(kind, node)]
-        except KeyError:
-            raise InvalidParameterError(f"no {kind} register at node {node!r}") from None
-        return tuple(range(base, base + size))
+    def level(self, depth: int) -> Level:
+        """Register starts of every node at ``depth``, indexed by node value."""
+        cached = self._levels.get(depth)
+        if cached is not None:
+            return cached
+        if not 0 <= depth <= self.n:
+            raise InvalidParameterError(f"the tree has levels 0..{self.n}, got {depth}")
+        value = np.arange(1 << depth, dtype=np.int64)
+        odd = value & 1
+        life = self._level_start[depth] + value * (1 + self._res_width(depth))
+        life += (value >> 1) * self._fresh_adr(depth)
+        if depth == 0:
+            adr = np.zeros(1, dtype=np.int64)
+            res = np.full(1, self.n, dtype=np.int64)
+        else:
+            # a left child aliases the low bits of its parent's register
+            adr = np.where(odd == 1, life + 1, self.level(depth - 1).adr[value >> 1])
+            res = life + 1 + odd * self._fresh_adr(depth)
+        first_copy = self._mem_start[-1] + ((1 << depth) - 2) * self.copies_per_node
+        copy = first_copy + value * self.copies_per_node
+        level = self._levels[depth] = Level(life, adr, res, copy)
+        return level
+
+    def _node(self, node: str) -> tuple[int, int]:
+        _check_label(node)
+        if len(node) > self.n:
+            raise InvalidParameterError(f"node {node!r} is deeper than the tree (n={self.n})")
+        return len(node), int(node, 2) if node else 0
+
+    def _register(self, kind: str, node: str) -> tuple[int, int]:
+        """``(start, size)`` of an allocated register."""
+        depth, value = self._node(node)
+        n = self.n
+        if kind == "address" and depth == 0:
+            return 0, n
+        if kind == "result" and depth == 0:
+            return n, self.m
+        if kind == "life":
+            return int(self.level(depth).life[value]), 1
+        if kind == "adr" and value & 1 and depth < n:
+            return int(self.level(depth).life[value]) + 1, n - depth
+        if kind == "res" and depth:
+            return int(self.level(depth).res[value]), self.m
+        if kind == "mem" and depth == n:
+            return self._mem_start[value], self.k[value]
+        if kind == "copy" and depth and self.copies_per_node:
+            return int(self.level(depth).copy[value]), self.copies_per_node
+        raise InvalidParameterError(f"no {kind} register at node {node!r}")
+
+    def _span(self, kind: str, node: str) -> tuple[int, ...]:
+        start, size = self._register(kind, node)
+        return tuple(range(start, start + size))
+
+    @cached_property
+    def rows(self) -> Rows:
+        """The register table, built from the closed form."""
+        parts = [
+            (_KIND_CODE["address"], 0, np.zeros(1), 0, self.n),
+            (_KIND_CODE["result"], 0, np.zeros(1), self.n, self.m),
+        ]
+        for depth in range(self.n + 1):
+            level = self.level(depth)
+            value = np.arange(1 << depth)
+            parts.append((_KIND_CODE["life"], depth, value, level.life, 1))
+            fresh = self._fresh_adr(depth)
+            if fresh:
+                right = value[1::2]
+                parts.append((_KIND_CODE["adr"], depth, right, level.life[1::2] + 1, fresh))
+            if depth:
+                parts.append((_KIND_CODE["res"], depth, value, level.res, self.m))
+        k = np.array(self.k, dtype=np.int64)
+        leaves = np.flatnonzero(k)
+        starts = np.array(self._mem_start[:-1], dtype=np.int64)
+        parts.append((_KIND_CODE["mem"], self.n, leaves, starts[leaves], k[leaves]))
+        if self.copies_per_node:
+            for depth in range(1, self.n + 1):
+                value = np.arange(1 << depth)
+                parts.append(
+                    (_KIND_CODE["copy"], depth, value, self.level(depth).copy, self.copies_per_node)
+                )
+        columns = [
+            np.concatenate([np.broadcast_to(np.asarray(part[i], dtype=np.int64), np.shape(part[2]))
+                            for part in parts])
+            for i in range(5)
+        ]
+        order = np.argsort(columns[3], kind="stable")
+        kind, depth, value, start, size = (column[order] for column in columns)
+        return Rows(kind.astype(np.int8), depth, value, start, size)
+
+    # -- register lookups (physical indices) ------------------------------
 
     @property
     def address_qubits(self) -> tuple[int, ...]:
-        return self._span("address", ROOT, self.n)
+        return tuple(range(self.n))
 
     @property
     def result_qubits(self) -> tuple[int, ...]:
-        return self._span("result", ROOT, self.m)
+        return tuple(range(self.n, self.n + self.m))
 
     def life(self, node: str) -> int:
-        _check_label(node)
-        return self._span("life", node, 1)[0]
+        return self._register("life", node)[0]
 
     def adr(self, node: str) -> tuple[int, ...]:
         """Logical ``adr_x`` register; resolves aliases to physical indices.
@@ -297,35 +441,23 @@ class RegisterMap:
         ``adr("")`` is the address register itself; left children alias the
         low bits of their parent; leaves hold no address copy (empty tuple).
         """
-        _check_label(node)
-        if len(node) > self.n:
-            raise InvalidParameterError(f"node {node!r} is deeper than the tree (n={self.n})")
-        cached = self._adr_cache.get(node)
-        if cached is not None:
-            return cached
-        if node == ROOT:
-            span = self.address_qubits
-        elif len(node) == self.n:
-            span = ()
-        elif node[-1] == "1":
-            span = self._span("adr", node, self.n - len(node))
-        else:
-            span = self.adr(node[:-1])[: self.n - len(node)]
-        self._adr_cache[node] = span
-        return span
+        depth, value = self._node(node)
+        if depth == self.n:
+            return ()
+        start = int(self.level(depth).adr[value])
+        return tuple(range(start, start + self.n - depth))
 
     def res(self, node: str) -> tuple[int, ...]:
         """``res_x`` register; the root's is an alias of ``result``."""
-        _check_label(node)
         if node == ROOT:
             return self.result_qubits
-        return self._span("res", node, self.m)
+        return self._span("res", node)
 
     def mem(self, leaf: str) -> tuple[int, ...]:
         _check_label(leaf)
         if len(leaf) != self.n:
             raise InvalidParameterError(f"mem registers exist only at leaves, got node {leaf!r}")
-        return self._span("mem", leaf, self.k[int(leaf, 2)])
+        return self._span("mem", leaf)
 
     def copies(self, node: str) -> tuple[int, ...]:
         """Fan-out scratch register of a non-root node (empty without the extension)."""
@@ -334,52 +466,67 @@ class RegisterMap:
             return ()
         if not node:
             raise InvalidParameterError("the root has no fan-out copies")
-        return self._span("copy", node, self.copies_per_node)
+        return self._span("copy", node)
 
     def qubit_index(self, qid: QubitId) -> int:
         """Physical index of a :class:`QubitId` (inverse of ``qubit_at``)."""
-        base = self._start.get((qid.kind, qid.node))
-        if base is None:
-            raise InvalidParameterError(f"unknown register {qid.kind!r} at node {qid.node!r}")
-        index = base + qid.index
-        if qid.index < 0 or index >= len(self.qubit_at) or self.qubit_at[index] != qid:
+        try:
+            start, size = self._register(qid.kind, qid.node)
+        except InvalidParameterError:
+            raise InvalidParameterError(
+                f"unknown register {qid.kind!r} at node {qid.node!r}"
+            ) from None
+        if not 0 <= qid.index < size:
             raise InvalidParameterError(f"offset {qid.index} out of range for {qid.kind}[{qid.node}]")
-        return index
+        return start + qid.index
 
     # -- classification ----------------------------------------------------
 
-    @property
+    @cached_property
+    def levels(self) -> tuple[tuple[str, ...], ...]:
+        """Node labels by level, each level in ascending order."""
+        return tuple(tuple(level) for level in enumerate_nodes(self.n)[:-1]) + (self.leaves,)
+
+    @cached_property
     def leaves(self) -> tuple[str, ...]:
-        return self.levels[self.n]
+        return tuple(format(v, f"0{self.n}b") for v in range(1 << self.n))
+
+    @cached_property
+    def mem_starts(self) -> np.ndarray:
+        """First qubit of every leaf's ``mem`` register, in ascending leaf order."""
+        return np.array(self._mem_start[:-1], dtype=np.int64)
 
     @cached_property
     def mem_spans(self) -> tuple[tuple[int, ...], ...]:
         """Every leaf's ``mem`` register, in ascending leaf order."""
-        return tuple(self._span("mem", leaf, width) for leaf, width in zip(self.leaves, self.k))
+        return tuple(
+            tuple(range(start, start + width)) for start, width in zip(self._mem_start, self.k)
+        )
 
     @property
     def data_qubits(self) -> tuple[int, ...]:
         """Address, result, and memory qubits, in physical order."""
-        spans = [self.address_qubits, self.result_qubits, *self.mem_spans]
-        return tuple(q for span in spans for q in span)
+        return tuple(range(self.n + self.m)) + tuple(range(self._mem_base, self._mem_start[-1]))
 
     @cached_property
     def data_mask(self) -> int:
         """The basis-key bits of :attr:`data_qubits`."""
-        return sum(1 << q for q in self.data_qubits)
+        low = (1 << (self.n + self.m)) - 1
+        return low | (((1 << (self._mem_start[-1] - self._mem_base)) - 1) << self._mem_base)
 
     @property
     def ancilla_qubits(self) -> tuple[int, ...]:
-        data = set(self.data_qubits)
-        return tuple(q for q in range(self.total_qubits) if q not in data)
+        return tuple(range(self.n + self.m, self._mem_base)) + tuple(
+            range(self._mem_start[-1], self.total_qubits)
+        )
 
     def counts(self) -> dict[str, int]:
         """Tally of allocated qubits by register kind (aliases not re-counted)."""
-        out = {"address": self.n, "result": self.m, "life": 0, "adr": 0, "res": 0, "mem": 0}
+        rows = self.rows
+        tally = np.bincount(rows.kind, weights=rows.size, minlength=len(REGISTER_KINDS)).astype(np.int64)
+        out = {kind: int(tally[code]) for code, kind in enumerate(REGISTER_KINDS[:-1])}
         if self.copies_per_node:
-            out["copy"] = 0
-        for qid in self.qubit_at[self.n + self.m :]:
-            out[qid.kind] += 1
+            out["copy"] = int(tally[_KIND_CODE["copy"]])
         out["total"] = self.total_qubits
         return out
 
@@ -394,7 +541,6 @@ class RegisterMap:
         """
         new = RegisterMap(self.n, self.m, self.k, fanout_block=s)
         return self if new == self else new
-
 
 def allocate_registers(
     n: int,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError
 from .ir import Circuit
-from .sim import SparseState, UnitarySpec, basis_state, run_batch, superpose
+from .sim import SparseState, UnitarySpec, _check_budget, basis_state, run_batch, superpose
 
 # bench/selftest.py reads qramforge.verifier.run_circuit to check that the
 # benchmark tracer uninstalls cleanly; the checkers themselves use run_batch.
@@ -76,10 +76,18 @@ class InstanceSpec:
         return f"{self.family}({', '.join(bits)})"
 
 
+def _check_payload(what: str, m: int, k: Sequence[int]) -> None:
+    """Refuse an instance whose payload matrices, one complex
+    ``2**(m + k_z)``-square matrix per leaf, would not fit the simulator's
+    budget, before any of them is built."""
+    _check_budget(sum(16 << 2 * (m + width) for width in k), f"the payload matrices of {what}")
+
+
 def build_qram_instance(n: int, m: int) -> InstanceSpec:
     """Classical-memory access: each leaf holds ``m`` memory qubits and the
     payload XORs them into the result, ``|r, s> -> |r XOR s, s>``."""
     _validate_sizes(n, m)
+    _check_payload(f"qram(n={n}, m={m})", m, (m,) * (1 << n))
     dim = 1 << (2 * m)
     low = (1 << m) - 1
     matrix = np.zeros((dim, dim))
@@ -96,6 +104,7 @@ def build_table_lookup_instance(
     """Table lookup: no memory qubits; leaf ``z`` XORs the constant
     ``table[z]`` into the result, ``|r> -> |r XOR f(z)>``."""
     _validate_sizes(n, m)
+    _check_payload(f"table_lookup(n={n}, m={m})", m, (0,) * (1 << n))
     if table is None:
         rng = np.random.default_rng(seed)
         table = [int(v) for v in rng.integers(0, 1 << m, size=1 << n)]
@@ -128,6 +137,7 @@ def build_rotation_instance(n: int, fraction_bits: int) -> InstanceSpec:
         raise InvalidParameterError(
             f"fraction width must be a positive integer, got {fraction_bits!r}"
         )
+    _check_payload(f"rotation(n={n}, fraction_bits={fraction_bits})", 1, (fraction_bits,) * (1 << n))
     dim = 1 << (1 + fraction_bits)
     matrix = np.zeros((dim, dim), dtype=complex)
     for s in range(1 << fraction_bits):
@@ -163,6 +173,7 @@ def build_random_instance(
     with the phase gauge fixed), deterministic in ``seed``."""
     _validate_sizes(n, m)
     k_values = _normalize_k(n, k)
+    _check_payload(f"random(n={n}, m={m}, k={max(k_values)} at most)", m, k_values)
     unitaries = {}
     for z_value in range(1 << n):
         z = label_of(z_value, n)

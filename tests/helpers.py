@@ -1,4 +1,5 @@
-"""Shared test utilities: two reference simulators and a QASM grammar.
+"""Shared test utilities: a reference synthesizer, two reference simulators
+and a QASM grammar.
 
 The dense simulator is deliberately written from scratch against the
 documented conventions (little-endian keys, targets-then-controls semantics)
@@ -6,7 +7,9 @@ without touching the package's sparse engine, so that agreement between the
 two is evidence rather than tautology.  The sparse simulator is the
 package's earlier per-gate dictionary loop; it scales to layouts far too wide
 for a dense vector and pins the exact term order and amplitudes the batched
-engine must reproduce.
+engine must reproduce.  The reference synthesizer is the package's earlier
+per-node gate generators with a gate-by-gate ASAP scheduler; the package now
+places a whole tree level at once.
 """
 
 from __future__ import annotations
@@ -14,8 +17,135 @@ from __future__ import annotations
 import numpy as np
 import pyparsing as pp
 
-from qramforge import Circuit, Gate, GateKind, SparseState
+from qramforge import Circuit, Gate, GateKind, RegisterMap, SparseState, SynthesisOptions
 from qramforge.sim import PRUNE_TOL
+from qramforge.tree import ROOT
+
+
+# ---------------------------------------------------------------------------
+# reference synthesizer: per-node generators, one gate at a time
+# ---------------------------------------------------------------------------
+
+
+def routing_level(layout: RegisterMap, k: int):
+    """Steps 1-3 of the Down phase for level ``k``: address copies and
+    life-flag Toffolis."""
+    n = layout.n
+    for x in layout.levels[k]:
+        adr_x = layout.adr(x)
+        selector = adr_x[n - k - 1]
+        if k < n - 1:
+            adr_right = layout.adr(x + "1")
+            for j in range(n - k - 1):
+                yield Gate.cnot(adr_x[j], adr_right[j])
+        yield Gate.toffoli(selector, layout.life(x), layout.life(x + "1"))
+        yield Gate.x(selector)
+        yield Gate.toffoli(selector, layout.life(x), layout.life(x + "0"))
+        yield Gate.x(selector)
+
+
+def handdown_sequential(layout: RegisterMap, nodes):
+    """Step 4 for one level, controlled directly on the children's life flags."""
+    for x in nodes:
+        res_x = layout.res(x)
+        for side in "01":
+            child = x + side
+            life_child = layout.life(child)
+            res_child = layout.res(child)
+            for i in range(layout.m):
+                yield Gate.fredkin(life_child, res_x[i], res_child[i])
+
+
+def handdown_fanout(layout: RegisterMap, nodes, s: int):
+    """Step 4 for one level with life-flag copies and swap blocks of size ``s``."""
+    m = layout.m
+    c = layout.copies_per_node
+    if c < 2:
+        yield from handdown_sequential(layout, nodes)
+        return
+    for x in nodes:
+        res_x = layout.res(x)
+        children = (x + "0", x + "1")
+        for child in children:
+            cps = layout.copies(child)
+            yield Gate.cnot(layout.life(child), cps[0])
+            for t in range(1, c):
+                yield Gate.cnot(cps[t - 1], cps[t])
+        for child in children:
+            cps = layout.copies(child)
+            res_child = layout.res(child)
+            for i in range(m):
+                yield Gate.fredkin(cps[i // s], res_x[i], res_child[i])
+        for child in children:
+            cps = layout.copies(child)
+            for t in range(c - 1, 0, -1):
+                yield Gate.cnot(cps[t - 1], cps[t])
+            yield Gate.cnot(layout.life(child), cps[0])
+
+
+class ReferenceSchedule:
+    """Gate-by-gate ASAP placement into plain moment lists: each gate goes to
+    the earliest moment after the last use of any of its qubits, and no
+    earlier than the floor that :meth:`barrier` raises."""
+
+    def __init__(self):
+        self.moments: list[list[Gate]] = []
+        self.frontier: dict[int, int] = {}
+        self.floor = 0
+
+    def extend(self, gates):
+        for gate in gates:
+            index = max([self.floor] + [self.frontier.get(q, -1) + 1 for q in gate.qubits])
+            while len(self.moments) <= index:
+                self.moments.append([])
+            self.moments[index].append(gate)
+            for q in gate.qubits:
+                self.frontier[q] = index
+        return self
+
+    def barrier(self):
+        self.floor = len(self.moments)
+        return self
+
+
+def reference_down(layout: RegisterMap, options: SynthesisOptions | None = None):
+    """``(layout, schedule)`` of the Down phase, synthesized gate by gate."""
+    options = options or SynthesisOptions()
+    s = None
+    if options.variant == "fanout":
+        s = options.resolved_block(layout.m)
+        layout = layout.with_fanout_copies(s)
+    schedule = ReferenceSchedule()
+    if options.include_preparation:
+        schedule.extend([Gate.x(layout.life(ROOT))]).barrier()
+    for k in range(layout.n):
+        schedule.extend(routing_level(layout, k))
+    for k in range(layout.n):
+        nodes = layout.levels[k]
+        schedule.extend(handdown_sequential(layout, nodes) if s is None
+                        else handdown_fanout(layout, nodes, s))
+    return layout, schedule
+
+
+def reference_run(layout: RegisterMap, declared_depths=None):
+    """The Run phase's single moment, one opaque block per leaf."""
+    gates = []
+    for leaf in layout.leaves:
+        if isinstance(declared_depths, int):
+            depth = declared_depths
+        elif declared_depths is not None:
+            depth = declared_depths.get(leaf, 1)
+        else:
+            depth = 1
+        gates.append(Gate.controlled_opaque(
+            layout.life(leaf), layout.res(leaf) + layout.mem(leaf), leaf, declared_depth=depth
+        ))
+    return [gates]
+
+
+def reference_fanout_handdown(layout: RegisterMap, nodes, s: int):
+    layout = layout.with_fanout_copies(s)
+    return layout, ReferenceSchedule().extend(handdown_fanout(layout, nodes, s)).moments
 
 
 # ---------------------------------------------------------------------------

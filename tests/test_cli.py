@@ -346,6 +346,21 @@ def test_verify_exhaustive_refuses_large_instances(capsys):
     assert "use --assignments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--family", "random", "--n", "1", "--m", "4", "--k", "14"],
+        ["synth", "--family", "rotation", "--n", "2", "--m", "14"],
+        ["verify", "--family", "qram", "--n", "10", "--m", "4", "--assignments", "1"],
+    ],
+)
+def test_oversized_payloads_exit_2(argv, capsys):
+    """The instance builders refuse payload matrices past the simulator's
+    budget before building them."""
+    assert main(argv) == 2
+    assert "payload matrices" in capsys.readouterr().err
+
+
 def test_verify_all_checks(capsys):
     code = main(
         ["verify", "--family", "qram", "--n", "1", "--m", "1", "--check", "all", "--assignments", "2"]

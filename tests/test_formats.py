@@ -233,6 +233,31 @@ def test_rejects_bad_matrices():
         parse_document(_mutated(scale))
 
 
+@pytest.mark.parametrize(
+    "transform, message",
+    [
+        (lambda m: m["0"]["matrix"].pop(), r"matrices\.0\.matrix: expected 2 rows"),
+        (lambda m: m["1"].update(matrix=[[[1.0, 0.0]] * 4] * 4), r"matrices\.1\.matrix: expected 2 rows"),
+        (lambda m: m["0"].update(matrix=[[[1.0, 0.0]]]), r"matrices\.0\.matrix: expected 2 rows"),
+        (lambda m: m["1"]["matrix"][1].append([0.0, 0.0]), r"matrices\.1\.matrix\[1\]: expected a list of 2"),
+        (lambda m: m["0"]["matrix"].__setitem__(0, "row"), r"matrices\.0\.matrix\[0\]: expected a list"),
+        (lambda m: m["0"]["matrix"][0][1].append(0.0), r"matrices\.0\.matrix\[0\]\[1\]: expected a \[re, im\] pair"),
+        (lambda m: m["0"]["matrix"][1][0].pop(), r"matrices\.0\.matrix\[1\]\[0\]: expected a \[re, im\] pair"),
+        (lambda m: m["1"]["matrix"][0][0].__setitem__(0, "1"), r"matrices\.1\.matrix\[0\]\[0\]: expected a \[re, im\]"),
+        (lambda m: m["1"]["matrix"][0].__setitem__(1, None), r"matrices\.1\.matrix\[0\]\[1\]: expected a \[re, im\]"),
+        (lambda m: m["0"]["matrix"][0][0].__setitem__(1, float("nan")), r"matrices\.0\.matrix: expected finite"),
+        (lambda m: m["0"]["matrix"][0][0].__setitem__(0, 10**400), r"matrices\.0\.matrix: expected finite"),
+        (lambda m: m["0"].update(matrix=None), r"matrices\.0\.matrix: expected a list"),
+    ],
+)
+def test_matrix_shapes_are_checked_before_the_array_is_built(transform, message):
+    """Each leaf's record must hold 2**(m + k_z) rows of 2**(m + k_z) finite
+    [re, im] pairs; a wrong dimension no longer surfaces later as a
+    ShapeError from the simulator."""
+    with pytest.raises(SchemaError, match=message):
+        parse_document(_mutated(lambda raw: transform(raw["matrices"])))
+
+
 def test_rejects_unknown_sections():
     text = _mutated(lambda raw: raw.update(extras={}))
     with pytest.raises(SchemaError, match=r"unknown section\(s\) \['extras'\]"):

@@ -282,14 +282,14 @@ def test_opaque_rows_are_checked_before_any_is_built(monkeypatch):
         "0": UnitarySpec("0", _random_unitary(rng, 16)),
         "1": UnitarySpec("1", _random_unitary(rng, 16)),
     }
-    moment = Circuit(layout)
-    moment.moments.append(
-        Moment(
+    moment = Circuit.from_moments(
+        layout,
+        [
             [
                 Gate.controlled_opaque(0, (1, 2, 3, 4), "0"),
                 Gate.controlled_opaque(5, (6, 7, 8, 9), "1"),
             ]
-        )
+        ],
     )
     # sixteen one-term cases, half switching on each block; a dense matrix
     # turns every term into 16, so the moment yields 256 rows
@@ -394,8 +394,7 @@ def test_batch_agrees_with_both_references(seed):
         "0": UnitarySpec("0", _random_unitary(rng, 4)),
         "1": UnitarySpec("1", _random_unitary(rng, 2)),
     }
-    circuit = Circuit(layout)
-    circuit.moments.extend(_random_moment_stream(rng, layout.total_qubits, 14))
+    circuit = Circuit.from_moments(layout, _random_moment_stream(rng, layout.total_qubits, 14))
     kinds = {g.kind for g in circuit.all_gates()}
     assert len(kinds) == 5 and any(g.dagger for g in circuit.all_gates())
     states = _random_states(rng, layout.total_qubits, 8)
@@ -418,15 +417,15 @@ def test_batch_rows_hitting_several_blocks_in_one_moment():
         "0": UnitarySpec("0", _random_unitary(rng, 4)),
         "1": UnitarySpec("1", _random_unitary(rng, 2)),
     }
-    circuit = Circuit(layout)
-    circuit.moments.append(
-        Moment(
+    circuit = Circuit.from_moments(
+        layout,
+        [
             [
                 Gate.controlled_opaque(0, (1, 2), "0"),
                 Gate.controlled_opaque(3, (4,), "1", dagger=True),
                 Gate.cnot(5, 6),
             ]
-        )
+        ],
     )
     both_on = (1 << 0) | (1 << 3) | (1 << 5)
     states = [

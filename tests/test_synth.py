@@ -27,7 +27,14 @@ from qramforge import (
     synth_run,
     synth_up,
 )
-from qramforge.synth import _handdown_fanout, _handdown_sequential, _routing_level
+from helpers import (
+    ReferenceSchedule,
+    handdown_sequential,
+    reference_down,
+    reference_fanout_handdown,
+    reference_run,
+    routing_level,
+)
 
 
 def expected_down_key(layout: RegisterMap, address: int, result: int, mem=None) -> int:
@@ -127,8 +134,8 @@ def test_two_pass_emission_equals_interleaved_order():
     interleaved.append(Gate.x(layout.life("")))
     interleaved.barrier()
     for k in range(layout.n):
-        interleaved.extend(_routing_level(layout, k))
-        interleaved.extend(_handdown_sequential(layout, layout.levels[k]))
+        interleaved.extend(routing_level(layout, k))
+        interleaved.extend(handdown_sequential(layout, layout.levels[k]))
     two_pass = synth_down(layout)
     assert two_pass.num_gates == interleaved.num_gates
     for address in range(8):
@@ -257,7 +264,7 @@ def test_fanout_handdown_fragment_depth():
         layout = allocate_registers(1, m, 0)
         s = SynthesisOptions().resolved_block(m)
         fragment = fanout_handdown(layout, [""], s)
-        sequential = Circuit(layout).extend(_handdown_sequential(layout, [""]))
+        sequential = Circuit(layout).extend(handdown_sequential(layout, [""]))
         bound = 2 * math.ceil(m / s) + s + 4
         assert fragment.depth <= bound
         assert sequential.depth in (m + 1, m + 2)
@@ -287,3 +294,79 @@ def test_synthesis_is_deterministic():
     b = synth_access(layout, inst.unitaries, options)
     assert a == b
     assert [len(m) for m in a.moments] == [len(m) for m in b.moments]
+
+
+def _gate_lists(circuit):
+    return [list(moment) for moment in circuit.moments]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_synthesis_matches_the_reference_synthesizer(n):
+    """Level-at-a-time synthesis places every gate where the gate-by-gate
+    reference puts it: same kind, operands, leaf, dagger and declared depth,
+    same moment, same order within the moment.  Every phase, both variants
+    with every block size, with and without preparation, integer and
+    per-leaf declared depths."""
+    for m in (1, 2, 3, 4, 5, 9):
+        layout = allocate_registers(n, m, [v % 3 for v in range(1 << n)])
+        per_leaf = {leaf: 1 + v % 4 for v, leaf in enumerate(layout.leaves)}
+        variants = [SynthesisOptions()]
+        variants += [SynthesisOptions(variant="fanout", fanout_block=s) for s in range(1, m + 1)]
+        for index, variant in enumerate(variants):
+            for preparation in (True, False):
+                options = SynthesisOptions(variant.variant, variant.fanout_block, preparation)
+                ref_layout, schedule = reference_down(layout, options)
+                down = synth_down(layout, options)
+                assert down.layout == ref_layout
+                assert _gate_lists(down) == schedule.moments
+                # the access circuit is compared as columns, which hold the
+                # same fields
+                ref_up = [
+                    [gate.adjoint() for gate in moment] for moment in reversed(schedule.moments)
+                ]
+                depths = per_leaf if index % 2 else 3
+                access = synth_access(layout, None, options, declared_depths=depths)
+                ref_access = schedule.moments + reference_run(ref_layout, depths) + ref_up
+                assert access == Circuit.from_moments(ref_layout, ref_access)
+                if index > 1:
+                    continue
+                assert synth_up(layout, options) == Circuit.from_moments(ref_layout, ref_up)
+                # gates appended afterwards land where appending them one by
+                # one would have put them
+                extra = [Gate.x(ref_layout.life("0")), Gate.cnot(ref_layout.res("1")[0], 0)]
+                down.extend(extra)
+                schedule.extend(extra)
+                assert _gate_lists(down) == schedule.moments
+        for depths in (None, 2, per_leaf):
+            assert _gate_lists(synth_run(layout, declared_depths=depths)) == reference_run(layout, depths)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_fanout_handdown_fragments_match_the_reference(n):
+    """Fragments for whole levels, single nodes and nodes out of order."""
+    for m in (1, 2, 3, 4, 5, 9):
+        layout = allocate_registers(n, m, 0)
+        for k in range(n):
+            level = layout.levels[k]
+            for nodes in (level, level[-1:], level[::-1]):
+                for s in range(1, m + 1):
+                    fragment = fanout_handdown(layout, nodes, s)
+                    ref_layout, moments = reference_fanout_handdown(layout, nodes, s)
+                    assert fragment.layout == ref_layout
+                    assert _gate_lists(fragment) == moments
+
+
+def test_synthesis_at_n14_stays_small():
+    """The access circuit at n=14, m=4 (442k gates) is built as columns:
+    under 50 MB of allocations, with the depth, width and gate count pinned
+    from the former gate-by-gate synthesizer."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        circuit = synth_access(allocate_registers(14, 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (circuit.depth, circuit.width, circuit.num_gates) == (101, 16384, 442316)
+    assert peak < 50 * 2**20

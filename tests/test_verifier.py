@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import qramforge.sim as sim
 from qramforge import (
+    Circuit,
     ConfigurationError,
     InvalidParameterError,
+    ResourceLimitError,
     SynthesisOptions,
     UnitarySpec,
     allocate_registers,
@@ -215,8 +218,7 @@ def test_check_proposition_detects_tampering():
     """Dropping the opening moment of the circuit must be caught."""
     inst = build_qram_instance(1, 1)
     circuit = synth_access(inst.layout(), inst.unitaries)
-    tampered = circuit.copy()
-    tampered.moments.pop(0)
+    tampered = Circuit.from_moments(circuit.layout, circuit.moments[1:])
     report = check_proposition(inst, circuit=tampered)
     assert not report.passed
     assert "FAIL" in report.summary()
@@ -325,8 +327,17 @@ def test_empty_case_lists_are_rejected():
 # ---------------------------------------------------------------------------
 
 
-def checker_reports() -> dict:
-    """Every checker's report, minus its wall time, on three small instances.
+def report_instances() -> list:
+    return [
+        build_random_instance(2, 1, 1, seed=3),
+        build_table_lookup_instance(2, 2, seed=5),
+        build_rotation_instance(1, 2),
+    ]
+
+
+def checker_reports(instances=None) -> dict:
+    """Every checker's report, minus its wall time, on three small instances
+    (:func:`report_instances` unless given).
 
     The result is pinned in ``tests/data/verifier_reports.json``: case order,
     labels, the seeded draws and the exact fidelity and residual floats. To
@@ -335,13 +346,8 @@ def checker_reports() -> dict:
 
         PYTHONPATH=src:tests python -c "import test_verifier; test_verifier.write_golden_reports()"
     """
-    instances = [
-        build_random_instance(2, 1, 1, seed=3),
-        build_table_lookup_instance(2, 2, seed=5),
-        build_rotation_instance(1, 2),
-    ]
     reports = {}
-    for inst in instances:
+    for inst in instances or report_instances():
         runs = [
             check_proposition(inst, assignments=6, seed=11),
             check_linearity(inst, num_cases=4, seed=11),
@@ -365,8 +371,6 @@ def test_checker_reports_match_golden_file():
 def test_checker_reports_do_not_depend_on_the_batch_budget(monkeypatch):
     """Under a budget that splits each checker circuit's cases into several
     batches, every report still equals the pinned one."""
-    import qramforge.sim as sim
-
     sizes = []
     original = sim._batches
 
@@ -376,6 +380,59 @@ def test_checker_reports_do_not_depend_on_the_batch_budget(monkeypatch):
             yield rows
 
     monkeypatch.setattr(sim, "_batches", counting_batches)
+    # the instances' payloads (up to 1 KiB) are built under the default budget
+    instances = report_instances()
     monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 512)
-    assert checker_reports() == json.loads(GOLDEN_REPORTS.read_text())
+    assert checker_reports(instances) == json.loads(GOLDEN_REPORTS.read_text())
     assert max(sizes) <= 5 < sum(sizes)
+
+
+# ---------------------------------------------------------------------------
+# payload budget
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_random_instance(1, 4, 14),
+        lambda: build_random_instance(16, 2, 6),
+        lambda: build_qram_instance(10, 4),
+        lambda: build_table_lookup_instance(16, 8),
+        lambda: build_rotation_instance(2, 14),
+        lambda: build_instance("random", 1, 4, [0, 14]),
+    ],
+    ids=["random-k14", "random-n16", "qram-n10-m4", "lookup-n16-m8", "rotation-f14", "random-mixed-k"],
+)
+def test_oversized_payloads_are_refused_before_any_allocation(build):
+    """Σ_z 4**(m + k_z) x 16 bytes of payload matrices past the simulator's
+    budget raise ResourceLimitError before any matrix exists."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="payload matrices") as info:
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.requested > info.value.limit == sim.BATCH_BUDGET_BYTES
+    assert peak < 4 << 20  # the k tuple of 2**16 leaves, no matrix
+
+
+def test_payload_budget_is_the_sum_over_leaves(monkeypatch):
+    # two leaves with 2x2 matrices and two with 4x4: 2*64 + 2*256 bytes
+    needed = 2 * 16 * 4 + 2 * 16 * 16
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", needed)
+    assert len(build_random_instance(2, 1, [0, 1, 0, 1]).unitaries) == 4
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", needed - 1)
+    with pytest.raises(ResourceLimitError) as info:
+        build_random_instance(2, 1, [0, 1, 0, 1])
+    assert info.value.requested == needed
+    # a lone matrix is checked by its row count, before it is copied
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 16 * 64 - 1)
+    for matrix in (np.eye(8), np.eye(8).tolist()):
+        with pytest.raises(ResourceLimitError, match="8-row matrix"):
+            UnitarySpec("0", matrix)
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 16 * 64)
+    assert UnitarySpec("0", np.eye(8)).dim == 8
