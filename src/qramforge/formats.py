@@ -17,7 +17,7 @@ kept as comments.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,28 +65,9 @@ def _metrics(circuit: Circuit) -> dict:
     }
 
 
-def _gate_rows(columns: GateColumns) -> Iterator[tuple[int, int, list[int], list[int], tuple | None]]:
-    """``(moment, kind code, controls, targets, opaque)`` of every gate in
-    row order, ``opaque`` being ``(leaf, dagger, declared depth)`` for opaque
-    blocks and None otherwise."""
-    tptr, targets, depth = columns.tptr.tolist(), columns.targets.tolist(), columns.depth.tolist()
-    leaf = columns.leaf.tolist()
-    for moment, code, ops, dagger, b in zip(
-        columns.moment.tolist(), columns.kind.tolist(), columns.ops.tolist(),
-        columns.dagger.tolist(), columns.block.tolist(),
-    ):
-        if code == OPAQUE:
-            opaque = (columns.leaf_names[leaf[b]], dagger, depth[b])
-            yield moment, code, ops[:1], targets[tptr[b] : tptr[b + 1]], opaque
-        else:
-            controls = NUM_CONTROLS[code]
-            qubits = ops[: NUM_QUBITS[code]]
-            yield moment, code, qubits[:controls], qubits[controls:], None
-
-
 def _moment_records(columns: GateColumns) -> list[list[dict]]:
     moments: list[list[dict]] = [[] for _ in range(columns.num_moments)]
-    for moment, code, controls, targets, opaque in _gate_rows(columns):
+    for moment, code, controls, targets, opaque in columns.records():
         record = {"kind": _KIND_NAMES[code], "controls": controls, "targets": targets}
         if opaque is not None:
             record["leaf"], record["dagger"], record["declared_depth"] = opaque
@@ -224,7 +205,7 @@ def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
     """
     _expect(isinstance(moments, list), "moments", "expected a list")
     kind, moment, sizes, qubits, paths = [], [], [], [], []
-    dagger, block, names, leaf, depth, tptr, targets = [], [], {}, [], [], [0], []
+    dagger, block, leaf, depth, tptr, targets = [], [], [], [], [0], []
     failure = None
     for i, gates in enumerate(moments):
         if not isinstance(gates, list):
@@ -249,7 +230,7 @@ def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
             else:
                 dagger.append(opaque[1])
                 block.append(len(depth))
-                leaf.append(names.setdefault(opaque[0], len(names)))
+                leaf.append(opaque[0])
                 depth.append(opaque[2])
                 targets += gate_targets
                 tptr.append(len(targets))
@@ -301,8 +282,8 @@ def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
     return GateColumns(
         kind, ops, moment.astype(np.int32), np.array(dagger, dtype=bool),
         np.array(block, dtype=np.int32), len(moments),
-        np.array(leaf, dtype=np.int32), np.array(depth, dtype=np.int64),
-        np.array(tptr, dtype=np.int64), np.array(targets, dtype=np.int32), tuple(names),
+        np.array(leaf, dtype=object), np.array(depth, dtype=np.int64),
+        np.array(tptr, dtype=np.int64), np.array(targets, dtype=np.int32),
     )
 
 
@@ -469,7 +450,7 @@ def emit_qasm(circuit: Circuit) -> str:
         lines.append("gate fredkin a,b,c { cx c,b; ccx a,b,c; cx c,b; }")
     blocks = np.flatnonzero(columns.kind == OPAQUE)
     opaque = {
-        (columns.leaf_names[columns.leaf[b]], dagger)
+        (columns.leaf[b], dagger)
         for b, dagger in zip(columns.block[blocks].tolist(), columns.dagger[blocks].tolist())
     }
     for leaf, dagger in sorted(opaque):
@@ -477,7 +458,7 @@ def emit_qasm(circuit: Circuit) -> str:
         formals = ",".join(["ctl"] + [f"q{i}" for i in range(arity - 1)])
         lines.append(f"opaque {_opaque_name(leaf, dagger)} {formals};")
     current = -1
-    for moment, code, controls, targets, block in _gate_rows(columns):
+    for moment, code, controls, targets, block in columns.records():
         while current < moment:
             current += 1
             lines.append(f"// moment {current}")

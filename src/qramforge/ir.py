@@ -7,6 +7,13 @@ use of any of its qubits, so structural depth falls out of construction
 order; ``new_moment`` forces a fresh moment, and :meth:`Circuit.barrier`
 fences all later gates behind everything appended so far.
 
+A circuit stores its gates as :class:`GateColumns`, one row of numpy
+columns per gate, and validates them only where they enter: the
+:class:`Gate` constructors, :meth:`Circuit.append`,
+:meth:`Circuit.from_moments` and the document parser.  Metrics, the adjoint
+and concatenation work on the columns; :class:`Gate` and :class:`Moment`
+objects are views built on demand.
+
 Gate vocabulary: X, CNOT, Toffoli, Fredkin (all self-inverse), plus an
 opaque single-controlled unitary block labelled by the leaf whose payload it
 applies.  Opaque blocks carry a ``declared_depth`` that stands in for the
@@ -229,22 +236,20 @@ class GateColumns:
     padded with -1.  An opaque block keeps only its control in ``ops``; its
     targets, leaf and declared depth sit in a side table that ``block``
     points into (-1 for elementary gates): block ``b`` acts on
-    ``targets[tptr[b]:tptr[b + 1]]`` for leaf ``leaf_names[leaf[b]]``.
+    ``targets[tptr[b]:tptr[b + 1]]`` for leaf ``leaf[b]``.
     Derived tables share arrays with their sources, so nothing writes into
     them after construction.
     """
 
     __slots__ = (
         "kind", "ops", "moment", "dagger", "block", "num_moments",
-        "leaf", "depth", "tptr", "targets", "leaf_names",
+        "leaf", "depth", "tptr", "targets",
     )
 
-    def __init__(self, kind, ops, moment, dagger, block, num_moments,
-                 leaf, depth, tptr, targets, leaf_names):
+    def __init__(self, kind, ops, moment, dagger, block, num_moments, leaf, depth, tptr, targets):
         self.kind, self.ops, self.moment, self.dagger, self.block = kind, ops, moment, dagger, block
         self.num_moments = num_moments
         self.leaf, self.depth, self.tptr, self.targets = leaf, depth, tptr, targets
-        self.leaf_names = leaf_names
 
     @classmethod
     def build(cls, kind, ops, moment, num_moments: int) -> "GateColumns":
@@ -254,8 +259,8 @@ class GateColumns:
             np.asarray(kind, dtype=np.int8), np.asarray(ops, dtype=np.int32).reshape(count, 3),
             np.asarray(moment, dtype=np.int32), np.zeros(count, dtype=bool),
             np.full(count, -1, dtype=np.int32), num_moments,
-            np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int64),
-            np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32), (),
+            np.zeros(0, dtype=object), np.zeros(0, dtype=np.int64),
+            np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32),
         )
 
     @classmethod
@@ -263,7 +268,6 @@ class GateColumns:
         """Columns of ``(moment index, gate)`` pairs; gates keep their order
         within a moment."""
         kind, ops, moment, dagger, block = [], [], [], [], []
-        names: dict[str, int] = {}
         leaf, depth, tptr, targets = [], [], [0], []
         for index, gate in placed:
             code = KIND_CODE[gate.kind]
@@ -273,7 +277,7 @@ class GateColumns:
                 ops.append((gate.controls[0], -1, -1))
                 dagger.append(gate.dagger)
                 block.append(len(depth))
-                leaf.append(names.setdefault(gate.leaf, len(names)))
+                leaf.append(gate.leaf)
                 depth.append(gate.declared_depth)
                 targets.extend(gate.targets)
                 tptr.append(len(targets))
@@ -286,8 +290,8 @@ class GateColumns:
             np.array(kind, dtype=np.int8), np.array(ops, dtype=np.int32).reshape(len(kind), 3),
             np.array(moment, dtype=np.int32), np.array(dagger, dtype=bool),
             np.array(block, dtype=np.int32), num_moments,
-            np.array(leaf, dtype=np.int32), np.array(depth, dtype=np.int64),
-            np.array(tptr, dtype=np.int64), np.array(targets, dtype=np.int32), tuple(names),
+            np.array(leaf, dtype=object), np.array(depth, dtype=np.int64),
+            np.array(tptr, dtype=np.int64), np.array(targets, dtype=np.int32),
         )
         return columns.take(np.argsort(columns.moment, kind="stable"))
 
@@ -301,7 +305,7 @@ class GateColumns:
             self.kind[rows], self.ops[rows],
             self.moment[rows] if moment is None else moment,
             self.dagger[rows] ^ flip, self.block[rows], self.num_moments,
-            self.leaf, self.depth, self.tptr, self.targets, self.leaf_names,
+            self.leaf, self.depth, self.tptr, self.targets,
         )
 
     @staticmethod
@@ -312,18 +316,6 @@ class GateColumns:
             moment_offsets = np.cumsum([0] + [part.num_moments for part in parts[:-1]]).tolist()
         block_offsets = np.cumsum([0] + [len(part.depth) for part in parts])
         target_offsets = np.cumsum([0] + [len(part.targets) for part in parts])
-        named = [part.leaf_names for part in parts if part.leaf_names]
-        if len({id(names) for names in named}) <= 1:
-            leaf_names = named[0] if named else ()
-            leaf = np.concatenate([part.leaf for part in parts])
-        else:
-            codes: dict[str, int] = {}
-            leaf = np.concatenate([
-                np.array([codes.setdefault(name, len(codes)) for name in part.leaf_names],
-                         dtype=np.int32)[part.leaf]
-                for part in parts
-            ])
-            leaf_names = tuple(codes)
         return GateColumns(
             np.concatenate([part.kind for part in parts]),
             np.concatenate([part.ops for part in parts]),
@@ -334,11 +326,10 @@ class GateColumns:
                 for part, offset in zip(parts, block_offsets)
             ]).astype(np.int32),
             max(offset + part.num_moments for part, offset in zip(parts, moment_offsets)),
-            leaf.astype(np.int32),
+            np.concatenate([part.leaf for part in parts]),
             np.concatenate([part.depth for part in parts]),
             np.concatenate([[0]] + [part.tptr[1:] + offset for part, offset in zip(parts, target_offsets)]).astype(np.int64),
             np.concatenate([part.targets for part in parts]).astype(np.int32),
-            leaf_names,
         )
 
     def reversed(self) -> "GateColumns":
@@ -370,33 +361,32 @@ class GateColumns:
         return (np.concatenate([rows, opaque[owner]]),
                 np.concatenate([self.ops[rows, column], targets]))
 
-    def moment_bounds(self) -> list[int]:
-        """Row ``bounds[i]`` is the first row of moment ``i``."""
-        return np.searchsorted(self.moment, np.arange(self.num_moments + 1)).tolist()
+    def records(self) -> Iterator[tuple[int, int, list[int], list[int], tuple | None]]:
+        """``(moment, kind code, controls, targets, opaque)`` of every row in
+        order, ``opaque`` being ``(leaf, dagger, declared depth)`` for opaque
+        blocks and None otherwise."""
+        tptr, targets = self.tptr.tolist(), self.targets.tolist()
+        leaf, depth = self.leaf.tolist(), self.depth.tolist()
+        for moment, code, ops, dagger, b in zip(
+            self.moment.tolist(), self.kind.tolist(), self.ops.tolist(),
+            self.dagger.tolist(), self.block.tolist(),
+        ):
+            if code == OPAQUE:
+                yield moment, code, ops[:1], targets[tptr[b] : tptr[b + 1]], (leaf[b], dagger, depth[b])
+            else:
+                controls = NUM_CONTROLS[code]
+                qubits = ops[: NUM_QUBITS[code]]
+                yield moment, code, qubits[:controls], qubits[controls:], None
 
     def gates(self) -> Iterator[Gate]:
         """A :class:`Gate` view of every row, in row order."""
-        blocks = self.block.tolist()
-        tptr = self.tptr.tolist()
-        for code, ops, dagger, b in zip(self.kind.tolist(), self.ops.tolist(),
-                                        self.dagger.tolist(), blocks):
-            if code == OPAQUE:
-                yield Gate._unchecked(
-                    GateKind.OPAQUE, (ops[0],), tuple(self.targets[tptr[b]:tptr[b + 1]].tolist()),
-                    self.leaf_names[self.leaf[b]], dagger, int(self.depth[b]),
-                )
-            else:
-                controls = NUM_CONTROLS[code]
-                qubits = [q for q in ops if q >= 0]
-                yield Gate._unchecked(KINDS[code], tuple(qubits[:controls]), tuple(qubits[controls:]))
+        for _, code, controls, targets, opaque in self.records():
+            yield Gate._unchecked(KINDS[code], tuple(controls), tuple(targets), *(opaque or ()))
 
-    def _blocks_in_order(self) -> list[tuple[str, int, tuple[int, ...]]]:
+    def _blocks_in_order(self) -> tuple[np.ndarray, ...]:
         rows = np.flatnonzero(self.kind == OPAQUE)
-        tptr = self.tptr.tolist()
-        return [
-            (self.leaf_names[self.leaf[b]], int(self.depth[b]), tuple(self.targets[tptr[b]:tptr[b + 1]].tolist()))
-            for b in self.block[rows].tolist()
-        ]
+        blocks = self.block[rows]
+        return (self.leaf[blocks], self.depth[blocks], *self.block_targets(rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GateColumns):
@@ -405,7 +395,7 @@ class GateColumns:
             self.num_moments == other.num_moments
             and all(np.array_equal(getattr(self, name), getattr(other, name))
                     for name in ("kind", "ops", "moment", "dagger"))
-            and self._blocks_in_order() == other._blocks_in_order()
+            and all(map(np.array_equal, self._blocks_in_order(), other._blocks_in_order()))
         )
 
     # -- metrics --------------------------------------------------------------

@@ -324,14 +324,12 @@ class _Moments:
         moment = columns.moment[owner[order]]
         self.bounds = np.searchsorted(moment, np.arange(columns.num_moments + 1)).tolist()
         self.blocks: list[list[_Block]] = [[] for _ in range(columns.num_moments)]
-        opaque = np.flatnonzero(kind == OPAQUE)
-        targets, position = columns.block_targets(opaque)
-        split = np.split(targets, np.flatnonzero(np.diff(position)) + 1) if len(targets) else []
-        for row, block_targets in zip(opaque.tolist(), split):
-            block = int(columns.block[row])
-            self.blocks[int(columns.moment[row])].append(_Block(
-                int(ops[row, 0]), tuple(block_targets.tolist()),
-                columns.leaf_names[columns.leaf[block]], bool(columns.dagger[row]),
+        tptr = columns.tptr
+        for row in np.flatnonzero(kind == OPAQUE).tolist():
+            block = columns.block[row]
+            self.blocks[columns.moment[row]].append(_Block(
+                int(ops[row, 0]), tuple(columns.targets[tptr[block] : tptr[block + 1]].tolist()),
+                columns.leaf[block], bool(columns.dagger[row]),
             ))
 
     def __len__(self) -> int:

@@ -295,8 +295,8 @@ def synth_run(
     columns = GateColumns(
         np.full(count, OPAQUE, dtype=np.int8), ops, np.zeros(count, dtype=np.int32),
         np.zeros(count, dtype=bool), np.arange(count, dtype=np.int32), 1,
-        np.arange(count, dtype=np.int32), np.array(depths, dtype=np.int64), tptr,
-        targets.astype(np.int32), layout.leaves,
+        np.array(layout.leaves, dtype=object), np.array(depths, dtype=np.int64), tptr,
+        targets.astype(np.int32),
     )
     circuit = Circuit.of_columns(layout, columns, floor=0)
     circuit.metadata["phase"] = "run"

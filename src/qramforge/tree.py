@@ -228,9 +228,7 @@ class _QubitNames(Sequence):
     def __len__(self) -> int:
         return self._layout.total_qubits
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
+    def __getitem__(self, index: int) -> QubitId:
         total = self._layout.total_qubits
         if not -total <= index < total:
             raise IndexError(f"qubit {index} out of range for {total} qubits")

@@ -169,10 +169,8 @@ def dense_apply_gate(vec: np.ndarray, gate: Gate, num_qubits: int, unitaries=Non
         control = 1 << gate.controls[0]
         targets = gate.targets
         dim = 1 << len(targets)
-        for index in range(1 << num_qubits):
+        for index in np.flatnonzero(vec).tolist():  # zero amplitudes contribute nothing
             amp = vec[index]
-            if amp == 0:
-                continue
             if not index & control:
                 out[index] += amp
                 continue
@@ -189,10 +187,8 @@ def dense_apply_gate(vec: np.ndarray, gate: Gate, num_qubits: int, unitaries=Non
                         scattered |= 1 << q
                 out[scattered] += matrix[row, col] * amp
         return out
-    for index in range(1 << num_qubits):
+    for index in np.flatnonzero(vec).tolist():
         amp = vec[index]
-        if amp == 0:
-            continue
         new_index = index
         if gate.kind is GateKind.X:
             new_index = index ^ (1 << gate.targets[0])

@@ -28,7 +28,6 @@ from qramforge import (
     synth_up,
 )
 from helpers import (
-    ReferenceSchedule,
     handdown_sequential,
     reference_down,
     reference_fanout_handdown,
