@@ -114,9 +114,9 @@ class _Placer:
     order.
     """
 
-    def __init__(self, layout: RegisterMap, floor: int = 0):
+    def __init__(self, layout: RegisterMap):
         self.frontier = np.full(layout.total_qubits, -1, dtype=np.int32)
-        self.floor = floor
+        self.floor = 0
         self.kind: list[np.ndarray] = []
         self.ops: list[np.ndarray] = []
         self.moment: list[np.ndarray] = []
@@ -147,7 +147,7 @@ class _Placer:
         order = np.argsort(moment, kind="stable")
         return GateColumns.build(
             np.concatenate(self.kind)[order], np.concatenate(self.ops)[order], moment[order],
-            int(moment.max()) + 1 if moment.size else 0,
+            int(moment.max()) + 1,
         )
 
 
