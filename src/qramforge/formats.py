@@ -16,6 +16,7 @@ kept as comments.
 
 from __future__ import annotations
 
+import cmath
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -523,6 +524,7 @@ def parse_state(text: str) -> SparseState:
         _expect(key not in amps, f"{path}.bits", "duplicate basis term")
         try:
             amps[key] = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise SchemaError(f"{path}: re/im must be numbers") from None
+        _expect(cmath.isfinite(amps[key]), path, "re/im must be finite")
     return SparseState(num_qubits, amps)

@@ -209,6 +209,32 @@ def test_rejects_overlapping_gates_in_a_moment():
         parse_document(_mutated(overlap))
 
 
+def test_rejects_bad_qubits_of_one_gate_first():
+    """A gate's own qubits are checked (non-negative, then distinct) before
+    any moment is checked for overlaps or range, in document order."""
+
+    def repeat(raw):
+        raw["moments"][3][0]["targets"] = [0]
+        raw["moments"][1][0]["targets"] = [99]  # out of range, but checked later
+
+    with pytest.raises(SchemaError, match=r"^moments\[3\]\[0\]: gate qubits must be distinct, got \(0, 2, 0\)$"):
+        parse_document(_mutated(repeat))
+
+    def negative(raw):
+        raw["moments"][1][0]["controls"] = [0, -4]
+        raw["moments"][3][0]["targets"] = [0]
+
+    with pytest.raises(SchemaError, match=r"^moments\[1\]\[0\]: qubit indices are non-negative integers, got -4$"):
+        parse_document(_mutated(negative))
+
+    def then_unknown_kind(raw):
+        raw["moments"][1][0]["controls"] = [2, 2]
+        raw["moments"][3][0]["kind"] = "h"
+
+    with pytest.raises(SchemaError, match=r"^moments\[1\]\[0\]: gate qubits must be distinct"):
+        parse_document(_mutated(then_unknown_kind))
+
+
 def test_rejects_out_of_range_qubits():
     text = _mutated(lambda raw: raw["moments"][0][0].update(targets=[99]))
     with pytest.raises(SchemaError, match="moments:"):

@@ -25,7 +25,7 @@ from qramforge.cli import main
 DATA = Path(__file__).parent / "data"
 
 #: Values of every JSON type, some of them extreme.
-JUNK = (None, True, False, 0, -1, 7, 2**70, -(2**70), 0.5, float("nan"), float("inf"),
+JUNK = (None, True, False, 0, -1, 7, 2**70, -(2**70), 10**400, 0.5, float("nan"), float("inf"),
         "", "x", "01", [], [1, "a"], [[0, 0]], {}, {"kind": "x"})
 
 
