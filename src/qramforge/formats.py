@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, SchemaError
-from .ir import KINDS, NUM_CONTROLS, NUM_QUBITS, OPAQUE, Circuit, GateColumns, check_declared_depth
+from .ir import ARITY, KINDS, OPAQUE, Circuit, GateColumns, check_declared_depth
 from .sim import SparseState, UnitarySpec
 from .tree import REGISTER_KINDS, RegisterMap, label_of
 
@@ -173,7 +173,7 @@ def _parse_gate(record, path: str) -> tuple[int, list[int], list[int], tuple | N
         except InvalidParameterError as exc:
             raise SchemaError(f"{path}: {exc}") from None
     else:
-        expected = (NUM_CONTROLS[code], NUM_QUBITS[code] - NUM_CONTROLS[code])
+        expected = ARITY[code]
         _expect(
             (len(controls), len(targets)) == expected,
             path,

@@ -45,12 +45,12 @@ class GateKind(str, Enum):
 #: Largest declared depth of an opaque block (depths are stored as int64).
 MAX_DECLARED_DEPTH = 1 << 62
 
-_ARITY = {
-    GateKind.X: (0, 1),
-    GateKind.CNOT: (1, 1),
-    GateKind.TOFFOLI: (2, 1),
-    GateKind.FREDKIN: (1, 2),
-}
+#: Gate kinds in the order of their codes in :attr:`GateColumns.kind`.
+KINDS = (GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.FREDKIN, GateKind.OPAQUE)
+X, CNOT, TOFFOLI, FREDKIN, OPAQUE = range(len(KINDS))
+KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+#: Numbers of controls and targets of each elementary kind code.
+ARITY = ((0, 1), (1, 1), (2, 1), (1, 2))
 
 
 def check_declared_depth(value) -> int:
@@ -85,7 +85,7 @@ class Gate:
                 raise StructuralError("an opaque block must name the leaf it applies")
             check_declared_depth(self.declared_depth)
         else:
-            expected = _ARITY[self.kind]
+            expected = ARITY[KIND_CODE[self.kind]]
             if (len(self.controls), len(self.targets)) != expected:
                 raise StructuralError(
                     f"{self.kind.value} takes {expected[0]} control(s) and {expected[1]} target(s), "
@@ -217,15 +217,6 @@ class Moment:
 
     def __repr__(self) -> str:
         return f"Moment({len(self.gates)} gates)"
-
-
-#: Gate kinds in the order of their codes in :attr:`GateColumns.kind`.
-KINDS = (GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.FREDKIN, GateKind.OPAQUE)
-X, CNOT, TOFFOLI, FREDKIN, OPAQUE = range(len(KINDS))
-KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
-#: Number of controls of each kind code, and of qubits of each elementary kind.
-NUM_CONTROLS = (0, 1, 2, 1, 1)
-NUM_QUBITS = (1, 2, 3, 3)
 
 
 class GateColumns:
@@ -374,9 +365,8 @@ class GateColumns:
             if code == OPAQUE:
                 yield moment, code, ops[:1], targets[tptr[b] : tptr[b + 1]], (leaf[b], dagger, depth[b])
             else:
-                controls = NUM_CONTROLS[code]
-                qubits = ops[: NUM_QUBITS[code]]
-                yield moment, code, qubits[:controls], qubits[controls:], None
+                controls, count = ARITY[code]
+                yield moment, code, ops[:controls], ops[controls : controls + count], None
 
     def gates(self) -> Iterator[Gate]:
         """A :class:`Gate` view of every row, in row order."""

@@ -403,8 +403,7 @@ class RegisterMap:
                 parts.append((_KIND_CODE["res"], depth, value, level.res, self.m))
         k = np.array(self.k, dtype=np.int64)
         leaves = np.flatnonzero(k)
-        starts = np.array(self._mem_start[:-1], dtype=np.int64)
-        parts.append((_KIND_CODE["mem"], self.n, leaves, starts[leaves], k[leaves]))
+        parts.append((_KIND_CODE["mem"], self.n, leaves, self.mem_starts[leaves], k[leaves]))
         if self.copies_per_node:
             for depth in range(1, self.n + 1):
                 value = np.arange(1 << depth)
