@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, SchemaError
-from .ir import ARITY, KINDS, OPAQUE, Circuit, GateColumns, check_declared_depth
+from .errors import SchemaError
+from .ir import ARITY, KINDS, MAX_DECLARED_DEPTH, OPAQUE, Circuit, GateColumns
 from .sim import SparseState, UnitarySpec
 from .tree import REGISTER_KINDS, RegisterMap, label_of
 
@@ -158,6 +158,7 @@ def _parse_gate(record, path: str) -> tuple[int, list[int], list[int], tuple | N
         _expect(isinstance(record.get("leaf"), str), f"{path}.leaf", "expected a node label string")
         _expect(isinstance(record.get("dagger", False), bool), f"{path}.dagger", "expected a boolean")
         depth = _expect_int(record.get("declared_depth", 1), f"{path}.declared_depth", 1)
+        _expect(depth <= MAX_DECLARED_DEPTH, f"{path}.declared_depth", "expected an integer <= 2**62")
         opaque = (record["leaf"], record.get("dagger", False), depth)
     unknown = set(record) - allowed
     _expect(not unknown, path, f"unknown field(s) {sorted(unknown)}")
@@ -168,10 +169,6 @@ def _parse_gate(record, path: str) -> tuple[int, list[int], list[int], tuple | N
             path,
             "an opaque block takes one control and at least one target",
         )
-        try:
-            check_declared_depth(opaque[2])
-        except InvalidParameterError as exc:
-            raise SchemaError(f"{path}: {exc}") from None
     else:
         expected = ARITY[code]
         _expect(
