@@ -17,6 +17,7 @@ kept as comments.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ _PARAMETER_KEYS = ("phase", "variant", "include_preparation", "instance")
 
 _KIND_NAMES = tuple(kind.value for kind in KINDS)
 _KIND_CODES = {name: code for code, name in enumerate(_KIND_NAMES)}
+_OPAQUE_FIELDS = frozenset({"kind", "controls", "targets", "leaf", "dagger", "declared_depth"})
 
 
 # ---------------------------------------------------------------------------
@@ -66,35 +68,80 @@ def _metrics(circuit: Circuit) -> dict:
     }
 
 
-def _moment_records(columns: GateColumns) -> list[list[dict]]:
-    moments: list[list[dict]] = [[] for _ in range(columns.num_moments)]
-    for moment, code, controls, targets, opaque in columns.records():
-        record = {"kind": _KIND_NAMES[code], "controls": controls, "targets": targets}
-        if opaque is not None:
-            record["leaf"], record["dagger"], record["declared_depth"] = opaque
-        moments[moment].append(record)
-    return moments
-
-
-def _matrix_record(spec: UnitarySpec) -> dict:
-    return {
-        "declared_depth": spec.declared_depth,
-        "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in spec.matrix],
-    }
-
-
 # ---------------------------------------------------------------------------
 # JSON emission
 # ---------------------------------------------------------------------------
+#
+# A document is written as ``json.dumps(document, indent=2)`` would write it,
+# but only the small header goes through ``json``.  The ``moments`` and
+# ``matrices`` sections sit at a fixed nesting depth, so each gate record and
+# each payload matrix is one ``%``-template, built once per shape; ``%d`` is
+# how ``json`` writes an int, ``%r`` how it writes a finite float.
 
 
-def emit_json(
-    circuit: Circuit,
-    unitaries: Mapping[str, UnitarySpec] | None = None,
-    *,
-    indent: int = 2,
-) -> str:
-    """Serialize a circuit (and optionally its payload matrices) to JSON."""
+def _json_list(items: list[str], depth: int) -> str:
+    """A list of encoded ``items`` as ``json.dumps(indent=2)`` writes it at
+    nesting ``depth``."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_object(fields: list[str], depth: int) -> str:
+    """An object of encoded ``"key": value`` fields, as :func:`_json_list`."""
+    return "{" + _json_list(fields, depth)[1:-1] + "}"
+
+
+@functools.lru_cache(maxsize=64)  # a parsed block may have any number of targets
+def _gate_template(code: int, controls: int, targets: int) -> str:
+    """A gate record in a moment; an opaque block's record also takes its
+    leaf (encoded), dagger flag (encoded) and declared depth."""
+    fields = [
+        f'"kind": "{_KIND_NAMES[code]}"',
+        '"controls": ' + _json_list(["%d"] * controls, 4),
+        '"targets": ' + _json_list(["%d"] * targets, 4),
+    ]
+    if code == OPAQUE:
+        fields += ['"leaf": %s', '"dagger": %s', '"declared_depth": %d']
+    return _json_object(fields, 3)
+
+
+@functools.lru_cache(maxsize=64)
+def _matrix_template(dim: int) -> str:
+    """A ``matrices`` record: the declared depth, then ``dim`` rows of
+    ``dim`` ``[re, im]`` pairs."""
+    pair = _json_list(["%r", "%r"], 5)
+    rows = _json_list([_json_list([pair] * dim, 4)] * dim, 3)
+    return _json_object(['"declared_depth": %d', '"matrix": ' + rows], 2)
+
+
+def _moments_text(columns: GateColumns) -> str:
+    moments: list[list[str]] = [[] for _ in range(columns.num_moments)]
+    for moment, code, controls, targets, opaque in columns.records():
+        values = controls + targets
+        if opaque is not None:
+            leaf, dagger, depth = opaque
+            values += [json.dumps(leaf), "true" if dagger else "false", depth]
+        moments[moment].append(_gate_template(code, len(controls), len(targets)) % tuple(values))
+    return _json_list([_json_list(gates, 2) for gates in moments], 1)
+
+
+def _matrices_text(unitaries: Mapping[str, UnitarySpec]) -> str:
+    records = []
+    for leaf in sorted(unitaries):
+        spec = unitaries[leaf]
+        values = (spec.declared_depth, *spec.matrix.view(float).ravel().tolist())
+        records.append(f"{json.dumps(leaf)}: " + _matrix_template(spec.dim) % values)
+    return _json_object(records, 1)
+
+
+def emit_json(circuit: Circuit, unitaries: Mapping[str, UnitarySpec] | None = None) -> str:
+    """Serialize a circuit (and optionally its payload matrices) to JSON.
+
+    The text is canonical: it is what ``json.dumps(document, indent=2)``
+    writes, so parsing a document and emitting it again gives its bytes.
+    """
     layout = circuit.layout
     parameters: dict = {
         "n": layout.n,
@@ -105,18 +152,16 @@ def emit_json(
     for key in _PARAMETER_KEYS:
         if key in circuit.metadata:
             parameters[key] = circuit.metadata[key]
-    document = {
+    header = {
         "format": FORMAT_VERSION,
         "parameters": parameters,
         "registers": _register_table(layout),
         "metrics": _metrics(circuit),
-        "moments": _moment_records(circuit.columns),
     }
+    sections = [json.dumps(header, indent=2)[:-2], '  "moments": ' + _moments_text(circuit.columns)]
     if unitaries is not None:
-        document["matrices"] = {
-            leaf: _matrix_record(unitaries[leaf]) for leaf in sorted(unitaries)
-        }
-    return json.dumps(document, indent=indent)
+        sections.append('  "matrices": ' + _matrices_text(unitaries))
+    return ",\n".join(sections) + "\n}"
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +199,7 @@ def _parse_gate(record, path: str) -> tuple[int, list[int], list[int], tuple | N
     allowed = {"kind", "controls", "targets"}
     opaque = None
     if code == OPAQUE:
-        allowed |= {"leaf", "dagger", "declared_depth"}
+        allowed = _OPAQUE_FIELDS
         _expect(isinstance(record.get("leaf"), str), f"{path}.leaf", "expected a node label string")
         _expect(isinstance(record.get("dagger", False), bool), f"{path}.dagger", "expected a boolean")
         depth = _expect_int(record.get("declared_depth", 1), f"{path}.declared_depth", 1)
@@ -192,17 +237,68 @@ def _int64(values: list[int]) -> np.ndarray:
         return np.array([stand_in.get(q, q) for q in values], dtype=np.int64)
 
 
-def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
-    """The ``moments`` section as columns.
+def _gather(moments: list) -> tuple | None:
+    """The gates of ``moments`` as column lists, every record checked as
+    :func:`_parse_gate` checks it but over all records at once; None when a
+    record fails, for :func:`_walk` to find and report it."""
+    if not all(type(gates) is list for gates in moments):
+        return None
+    records = [record for gates in moments for record in gates]
+    if not all(type(record) is dict for record in records):
+        return None
+    names = [record.get("kind") for record in records]
+    if not set(map(type, names)) <= {str} or not set(names) <= _KIND_CODES.keys():
+        return None
+    controls = [record.get("controls") for record in records]
+    targets = [record.get("targets") for record in records]
+    if not set(map(type, controls)) | set(map(type, targets)) <= {list}:
+        return None
+    qubits = [q for pair in zip(controls, targets) for part in pair for q in part]
+    if not set(map(type, qubits)) <= {int}:
+        return None
 
-    Each record is checked on its own first.  The values of the qubits are
-    then checked over arrays of all of them: every qubit non-negative and
-    distinct within its gate, and, once every gate has passed, disjoint
-    within its moment and inside the layout.  Errors come in the order of
-    checking one gate and one moment after another.
-    """
-    _expect(isinstance(moments, list), "moments", "expected a list")
-    kind, moment, sizes, qubits, paths = [], [], [], [], []
+    kind = np.array([_KIND_CODES[name] for name in names], dtype=np.int8)
+    num_controls = np.array(list(map(len, controls)), dtype=np.int64)
+    num_targets = np.array(list(map(len, targets)), dtype=np.int64)
+    expected = np.array(ARITY + ((1, 1),))[kind]  # an opaque block: one control, >= 1 target
+    is_opaque = kind == OPAQUE
+    if (
+        (num_controls != expected[:, 0]).any()
+        or (np.where(is_opaque, num_targets < 1, num_targets != expected[:, 1])).any()
+        or (np.array(list(map(len, records)), dtype=np.int64)[~is_opaque] != 3).any()
+    ):
+        return None
+    opaque = np.flatnonzero(is_opaque)
+    blocks = [records[g] for g in opaque.tolist()]
+    leaf = [record.get("leaf") for record in blocks]
+    flags = [record.get("dagger", False) for record in blocks]
+    depth = [record.get("declared_depth", 1) for record in blocks]
+    if not (
+        {key for record in blocks for key in record} <= _OPAQUE_FIELDS
+        and set(map(type, leaf)) <= {str}
+        and set(map(type, flags)) <= {bool}
+        and set(map(type, depth)) <= {int}
+        and 1 <= min(depth, default=1)
+        and max(depth, default=1) <= MAX_DECLARED_DEPTH
+    ):
+        return None
+
+    dagger = np.zeros(len(records), dtype=bool)
+    dagger[opaque] = flags
+    block = np.full(len(records), -1, dtype=np.int32)
+    block[opaque] = np.arange(len(opaque))
+    tptr = np.concatenate([[0], np.cumsum(num_targets[opaque])])
+    return (
+        kind, np.repeat(np.arange(len(moments)), list(map(len, moments))),
+        num_controls + num_targets, qubits, dagger, block, leaf, depth, tptr,
+        [q for g in opaque.tolist() for q in targets[g]],
+    )
+
+
+def _walk(moments: list) -> tuple[tuple, SchemaError | None]:
+    """The gates of ``moments`` as column lists, checked one record at a
+    time up to the first that fails, and that record's error."""
+    kind, moment, sizes, qubits = [], [], [], []
     dagger, block, leaf, depth, tptr, targets = [], [], [], [], [0], []
     failure = None
     for i, gates in enumerate(moments):
@@ -210,15 +306,13 @@ def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
             failure = SchemaError(f"moments[{i}]: expected a list of gates")
             break
         for j, record in enumerate(gates):
-            path = f"moments[{i}][{j}]"
             try:
-                code, gate_controls, gate_targets, opaque = _parse_gate(record, path)
+                code, gate_controls, gate_targets, opaque = _parse_gate(record, f"moments[{i}][{j}]")
             except SchemaError as exc:
                 failure = exc
                 break
             kind.append(code)
             moment.append(i)
-            paths.append(path)
             gate_qubits = gate_controls + gate_targets
             sizes.append(len(gate_qubits))
             qubits += gate_qubits
@@ -234,9 +328,38 @@ def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
                 tptr.append(len(targets))
         if failure is not None:
             break
+    return (kind, moment, sizes, qubits, dagger, block, leaf, depth, tptr, targets), failure
+
+
+def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
+    """The ``moments`` section as columns.
+
+    A moment that lists more gates than the layout has qubits is refused
+    before any record is read: the gates of a valid moment are disjoint.
+    Every record is then checked on its own, over all records at once; only
+    when that finds a fault are the records walked one at a time to report
+    the first.  The values of the qubits are then checked over arrays of all
+    of them: every qubit non-negative and distinct within its gate, and,
+    once every gate has passed, disjoint within its moment and inside the
+    layout.  Errors come in the order of checking one gate and one moment
+    after another.
+    """
+    _expect(isinstance(moments, list), "moments", "expected a list")
+    limit = layout.total_qubits
+    for i, gates in enumerate(moments):
+        if isinstance(gates, list) and len(gates) > limit:
+            raise SchemaError(
+                f"moments[{i}]: {len(gates)} gates in one moment, more than the layout's {limit} qubits"
+            )
+    failure = None
+    gathered = _gather(moments)
+    if gathered is None:
+        gathered, failure = _walk(moments)
+    kind, moment, sizes, qubits, dagger, block, leaf, depth, tptr, targets = gathered
 
     # one gate's qubits: non-negative, then distinct
-    sizes = np.array(sizes, dtype=np.int64)
+    moment = np.asarray(moment, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
     owner = np.repeat(np.arange(len(sizes)), sizes)
     flat = _int64(qubits)
     negative = owner[flat < 0]
@@ -245,18 +368,18 @@ def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
     bad = np.concatenate([negative, repeated])
     if bad.size:
         g = int(bad.min())
+        i = int(moment[g])
         gate_qubits = qubits[int(sizes[:g].sum()) : int(sizes[: g + 1].sum())]
         first_negative = next((q for q in gate_qubits if q < 0), None)
         if first_negative is not None:
             message = f"qubit indices are non-negative integers, got {first_negative!r}"
         else:
             message = f"gate qubits must be distinct, got {tuple(gate_qubits)}"
-        raise SchemaError(f"{paths[g]}: {message}")
+        raise SchemaError(f"moments[{i}][{g - int(np.searchsorted(moment, i))}]: {message}")
     if failure is not None:
         raise failure
 
     # one moment's gates: disjoint; then every qubit inside the layout
-    moment = np.array(moment, dtype=np.int64)
     where = moment[owner]
     order = np.lexsort((owner, flat, where))
     same = (np.diff(where[order]) == 0) & (np.diff(flat[order]) == 0)
@@ -274,14 +397,14 @@ def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
 
     ops = np.full((len(sizes), 3), -1, dtype=np.int32)
     column = np.arange(len(flat)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    kind = np.array(kind, dtype=np.int8)
+    kind = np.asarray(kind, dtype=np.int8)
     keep = (kind[owner] != OPAQUE) | (column == 0)  # an opaque block keeps its control
     ops[owner[keep], column[keep]] = flat[keep]
     return GateColumns(
-        kind, ops, moment.astype(np.int32), np.array(dagger, dtype=bool),
-        np.array(block, dtype=np.int32), len(moments),
+        kind, ops, moment.astype(np.int32), np.asarray(dagger, dtype=bool),
+        np.asarray(block, dtype=np.int32), len(moments),
         np.array(leaf, dtype=object), np.array(depth, dtype=np.int64),
-        np.array(tptr, dtype=np.int64), np.array(targets, dtype=np.int32),
+        np.asarray(tptr, dtype=np.int64), np.array(targets, dtype=np.int32),
     )
 
 
@@ -479,7 +602,7 @@ def _opaque_name(leaf: str, dagger: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def serialize_state(state: SparseState, *, indent: int = 2) -> str:
+def serialize_state(state: SparseState) -> str:
     """Dump a sparse state as JSON.  Keys are bit strings with qubit 0 as the
     rightmost character (matching the little-endian key convention)."""
     terms = [
@@ -495,7 +618,7 @@ def serialize_state(state: SparseState, *, indent: int = 2) -> str:
         "num_qubits": state.num_qubits,
         "terms": terms,
     }
-    return json.dumps(document, indent=indent)
+    return json.dumps(document, indent=2)
 
 
 def parse_state(text: str) -> SparseState:

@@ -87,12 +87,14 @@ class UnitarySpec:
                 f"unitary for leaf {leaf!r} has dimension {dim}, not a power of two >= 2",
                 leaf=leaf,
             )
+        if not np.isfinite(matrix).all():
+            raise InvalidParameterError(f"matrix for leaf {leaf!r} has entries that are not finite")
         deviation = float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim))))
         if deviation > UNITARITY_TOL:
             raise InvalidParameterError(
                 f"matrix for leaf {leaf!r} is not unitary (deviation {deviation:.3e})"
             )
-        if not isinstance(declared_depth, int) or declared_depth < 1:
+        if not isinstance(declared_depth, int) or isinstance(declared_depth, bool) or declared_depth < 1:
             raise InvalidParameterError(
                 f"declared depth must be a positive integer, got {declared_depth!r}"
             )

@@ -9,16 +9,30 @@ package's earlier per-gate dictionary loop; it scales to layouts far too wide
 for a dense vector and pins the exact term order and amplitudes the batched
 engine must reproduce.  The reference synthesizer is the package's earlier
 per-node gate generators with a gate-by-gate ASAP scheduler; the package now
-places a whole tree level at once.
+places a whole tree level at once.  The reference emitter is the package's
+earlier JSON emitter, which built the whole document as dicts and lists and
+encoded it with ``json.dumps(indent=2)``; the package now writes the gate and
+matrix sections from templates.
 """
 
 from __future__ import annotations
+
+import json
+from collections.abc import Mapping
 
 import numpy as np
 import pyparsing as pp
 
 from qramforge import Circuit, Gate, GateKind, RegisterMap, SparseState, SynthesisOptions
-from qramforge.sim import PRUNE_TOL
+from qramforge.formats import (
+    _KIND_NAMES,
+    _PARAMETER_KEYS,
+    FORMAT_VERSION,
+    _metrics,
+    _register_table,
+)
+from qramforge.ir import GateColumns
+from qramforge.sim import PRUNE_TOL, UnitarySpec
 from qramforge.tree import ROOT
 
 
@@ -292,6 +306,54 @@ def sparse_run_circuit(state: SparseState, circuit: Circuit, unitaries=None) -> 
         for gate in moment:
             state = sparse_apply_gate(state, gate, unitaries)
     return state
+
+
+# ---------------------------------------------------------------------------
+# reference JSON emitter: the whole document as dicts, then json.dumps
+# ---------------------------------------------------------------------------
+
+
+def _moment_records(columns: GateColumns) -> list[list[dict]]:
+    moments: list[list[dict]] = [[] for _ in range(columns.num_moments)]
+    for moment, code, controls, targets, opaque in columns.records():
+        record = {"kind": _KIND_NAMES[code], "controls": controls, "targets": targets}
+        if opaque is not None:
+            record["leaf"], record["dagger"], record["declared_depth"] = opaque
+        moments[moment].append(record)
+    return moments
+
+
+def _matrix_record(spec: UnitarySpec) -> dict:
+    return {
+        "declared_depth": spec.declared_depth,
+        "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in spec.matrix],
+    }
+
+
+def reference_emit_json(circuit: Circuit, unitaries: Mapping[str, UnitarySpec] | None = None) -> str:
+    """Serialize a circuit (and optionally its payload matrices) to JSON."""
+    layout = circuit.layout
+    parameters: dict = {
+        "n": layout.n,
+        "m": layout.m,
+        "k": list(layout.k),
+        "fanout_block": layout.fanout_block,
+    }
+    for key in _PARAMETER_KEYS:
+        if key in circuit.metadata:
+            parameters[key] = circuit.metadata[key]
+    document = {
+        "format": FORMAT_VERSION,
+        "parameters": parameters,
+        "registers": _register_table(layout),
+        "metrics": _metrics(circuit),
+        "moments": _moment_records(circuit.columns),
+    }
+    if unitaries is not None:
+        document["matrices"] = {
+            leaf: _matrix_record(unitaries[leaf]) for leaf in sorted(unitaries)
+        }
+    return json.dumps(document, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,23 @@
 diagnostics, QASM structure, and an external grammar check."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qramforge import (
+    Circuit,
     CircuitDocument,
+    Gate,
     SchemaError,
     SparseState,
     SynthesisOptions,
+    UnitarySpec,
+    allocate_registers,
     basis_state,
+    build_random_instance,
     build_rotation_instance,
     build_table_lookup_instance,
     emit_json,
@@ -27,7 +33,7 @@ from qramforge import (
     synth_run,
     synth_up,
 )
-from helpers import assert_valid_qasm2
+from helpers import assert_valid_qasm2, reference_emit_json
 
 DATA = Path(__file__).parent / "data"
 
@@ -105,6 +111,123 @@ def test_round_trip_preserves_complex_matrices():
 def test_parse_json_returns_just_the_circuit():
     inst, circuit = _tiny()
     assert parse_json(emit_json(circuit, inst.unitaries)) == circuit
+
+
+# ---------------------------------------------------------------------------
+# the template emitter against the reference emitter
+# ---------------------------------------------------------------------------
+
+
+def _hand_built_spec(leaf: str, matrix, declared_depth: int) -> UnitarySpec:
+    """A spec that skips the constructor's checks: the emitter writes any
+    matrix it is given, so its floats may lie outside a unitary's range."""
+    spec = object.__new__(UnitarySpec)
+    spec.leaf, spec.matrix, spec.declared_depth = leaf, np.array(matrix, dtype=complex), declared_depth
+    return spec
+
+
+def _empty_moments():
+    layout = allocate_registers(1, 1)
+    yield Circuit.from_moments(layout, []), None
+    yield Circuit.from_moments(layout, [[]]), None
+    yield Circuit.from_moments(layout, [[], [Gate.x(0), Gate.cnot(1, 2)], [], [Gate.fredkin(3, 4, 5)], []]), None
+
+
+def _daggers():
+    inst = build_random_instance(2, 1, k=[0, 1, 0, 2], seed=3)
+    layout = inst.layout()
+    yield synth_run(layout, inst.unitaries).adjoint(), inst.unitaries
+    yield synth_access(layout, inst.unitaries).adjoint(), inst.unitaries
+    leaf = 'a"\\\u00e9\u2028'  # a label that only parsed documents and hand-built gates carry
+    block = Gate.controlled_opaque(2, [3, 4], leaf, dagger=True, declared_depth=2**62)
+    yield Circuit.from_moments(layout, [[Gate.x(0), block]]), None
+
+
+def _options():
+    m = 3
+    layout = allocate_registers(2, m, k=[1, 0, 2, 0])
+    depths = {"00": 3, "01": 1, "10": 12, "11": 2**40}
+    for preparation in (True, False):
+        for s in (None, *range(1, m + 1)):
+            options = SynthesisOptions("fanout", s, preparation)
+            yield synth_access(layout, None, options, declared_depths=depths), None
+        options = SynthesisOptions("sequential", None, preparation)
+        yield synth_access(layout, None, options, declared_depths=5), None
+
+
+def _phases():
+    inst = build_rotation_instance(2, 2)
+    layout = inst.layout()
+    for variant in ("sequential", "fanout"):
+        options = SynthesisOptions(variant)
+        yield synth_down(layout, options), None
+        yield synth_up(layout, options), None
+        yield synth_run(layout, inst.unitaries), inst.unitaries
+        access = synth_access(layout, inst.unitaries, options)
+        access.metadata["instance"] = {"family": inst.family, **inst.params, "note": "caf\u00e9"}
+        yield access, inst.unitaries
+        yield access, None
+        yield access, {}
+
+
+def _extreme_floats_spec() -> UnitarySpec:
+    """A unitary whose entries include -0.0, 1e-17 and the smallest
+    subnormal, 5e-324."""
+    return UnitarySpec("0", [[complex(-0.0, 1.0), complex(1e-17, 5e-324)],
+                             [complex(5e-324, -0.0), complex(1.0, -1e-17)]])
+
+
+def _special_floats():
+    inst, circuit = _tiny()
+    huge = _hand_built_spec("1", [[1e16, -1e16], [1.5e300 - 2.5e-8j, 1 / 3 + 0.1j]], 3)
+    odd_key = _hand_built_spec("1", [[1e22, 1e-5], [123456789.0, -0.0]], 2**62)
+    yield circuit, {"0": _extreme_floats_spec(), "1": huge}
+    yield circuit, {"1": huge, '"\u00e9"': odd_key, "0": _extreme_floats_spec()}
+    yield circuit, inst.unitaries
+
+
+EMISSION_CASES = {
+    "empty-moments": _empty_moments,
+    "daggers-and-x": _daggers,
+    "fanout-every-s-preparation-depths": _options,
+    "phases-instance-no-matrices": _phases,
+    "special-floats": _special_floats,
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMISSION_CASES))
+def test_emitter_matches_the_reference_emitter(case):
+    """The templates write exactly what ``json.dumps(indent=2)`` wrote for
+    the whole document: empty moments and moment lists, x gates with no
+    controls, dagger blocks and escaped leaf labels, every fan-out block
+    size, per-leaf depths, every phase, instance metadata, and floats in
+    every ``repr`` form."""
+    count = 0
+    for circuit, unitaries in EMISSION_CASES[case]():
+        text = emit_json(circuit, unitaries)
+        assert text == reference_emit_json(circuit, unitaries)
+        json.loads(text)
+        count += 1
+    assert count
+
+
+def test_empty_moments_are_written_as_empty_lists():
+    layout = allocate_registers(1, 1)
+    text = emit_json(Circuit.from_moments(layout, [[], [Gate.x(0)], []]))
+    assert '"moments": [\n    [],\n    [\n      {\n        "kind": "x",\n        "controls": [],\n' in text
+    assert '    ],\n    []\n  ]\n}' in text
+    assert emit_json(Circuit.from_moments(layout, [])).endswith('"moments": []\n}')
+
+
+def test_extreme_floats_survive_a_round_trip():
+    inst, circuit = _tiny()
+    unitaries = {**inst.unitaries, "0": _extreme_floats_spec()}
+    text = emit_json(circuit, unitaries)
+    for token in ("-0.0", "1e-17", "5e-324"):
+        assert f" {token}\n" in text or f" {token},\n" in text
+    doc = parse_document(text)
+    assert doc.unitaries["0"].matrix.tobytes() == unitaries["0"].matrix.tobytes()
+    assert emit_json(doc.circuit, doc.unitaries) == text
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +323,61 @@ def test_rejects_opaque_without_leaf():
         parse_document(_mutated(strip_leaf))
 
 
+def _opaque_at(raw) -> tuple[int, int]:
+    return next((i, j) for i, moment in enumerate(raw["moments"])
+                for j, gate in enumerate(moment) if gate["kind"] == "cu")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("dagger", "yes", r"\.dagger: expected a boolean"),
+        ("dagger", 1, r"\.dagger: expected a boolean"),
+        ("declared_depth", 2**62 + 1, r"\.declared_depth: expected an integer <= 2\*\*62"),
+        ("declared_depth", 0, r"\.declared_depth: expected an integer >= 1"),
+        ("declared_depth", True, r"\.declared_depth: expected an integer$"),
+        ("leaf", 5, r"\.leaf: expected a node label string"),
+        ("targets", [], r": an opaque block takes one control and at least one target"),
+        ("controls", [], r": an opaque block takes one control and at least one target"),
+        ("controls", [True], r"\.controls: expected a list of integers"),
+        ("color", "red", r": unknown field\(s\) \['color'\]"),
+    ],
+)
+@pytest.mark.parametrize("later_fault", [False, True])
+def test_opaque_record_faults_name_the_record(field, value, message, later_fault):
+    """Each fault of an opaque block's record is reported at its path, on
+    its own and ahead of a fault in a later moment."""
+    raw = json.loads(_golden_text("access_n1_m1.json"))
+    i, j = _opaque_at(raw)
+    raw["moments"][i][j][field] = value
+    if later_fault:
+        raw["moments"][-1][0]["kind"] = "h"
+    with pytest.raises(SchemaError, match=rf"^moments\[{i}\]\[{j}\]{message}"):
+        parse_document(json.dumps(raw))
+
+
+@pytest.mark.parametrize(
+    "transform, message",
+    [
+        (lambda raw: raw["moments"].__setitem__(2, {}), r"^moments\[2\]: expected a list of gates$"),
+        (lambda raw: raw["moments"][2].__setitem__(0, [1]), r"^moments\[2\]\[0\]: expected a gate object$"),
+        (lambda raw: raw["moments"][2][0].update(kind=5), r"^moments\[2\]\[0\]\.kind: unknown gate kind 5$"),
+        (lambda raw: raw["moments"][2][0].update(kind=["x"]), r"^moments\[2\]\[0\]\.kind: unknown gate kind \['x'\]$"),
+        (lambda raw: raw["moments"][2][0].update(targets=[0.0]), r"^moments\[2\]\[0\]\.targets: expected a list of integers$"),
+        (lambda raw: raw["moments"][2][0].update(leaf="0"), r"^moments\[2\]\[0\]: unknown field\(s\) \['leaf'\]$"),
+        (lambda raw: raw["moments"][2][0].update(targets=[0, 1]), r"^moments\[2\]\[0\]: x takes 0 control\(s\) and 1 target\(s\), got 0 and 2$"),
+    ],
+)
+@pytest.mark.parametrize("later_fault", [False, True])
+def test_elementary_record_faults_name_the_record(transform, message, later_fault):
+    raw = json.loads(_golden_text("access_n1_m1.json"))
+    transform(raw)
+    if later_fault:
+        raw["moments"][-1][0]["kind"] = "h"
+    with pytest.raises(SchemaError, match=message):
+        parse_document(json.dumps(raw))
+
+
 def test_rejects_overlapping_gates_in_a_moment():
     def overlap(raw):
         gate = dict(raw["moments"][0][0])
@@ -233,6 +411,52 @@ def test_rejects_bad_qubits_of_one_gate_first():
 
     with pytest.raises(SchemaError, match=r"^moments\[1\]\[0\]: gate qubits must be distinct"):
         parse_document(_mutated(then_unknown_kind))
+
+
+def _crowd(raw, moment: int, records: list) -> None:
+    raw["moments"][moment] = records
+
+
+def test_crowded_moment_is_refused_before_its_records_are_read():
+    """No valid moment holds more gates than the layout has qubits (7 here),
+    so an eighth record is refused whatever the records hold, ahead of
+    faults in earlier moments."""
+    x = {"kind": "x", "controls": [], "targets": [0]}
+    message = r"^moments\[2\]: 8 gates in one moment, more than the layout's 7 qubits$"
+    with pytest.raises(SchemaError, match=message):
+        parse_document(_mutated(lambda raw: _crowd(raw, 2, [x] * 8)))
+    with pytest.raises(SchemaError, match=message):
+        parse_document(_mutated(lambda raw: _crowd(raw, 2, [None] * 8)))
+
+    def after_a_bad_record(raw):
+        raw["moments"][0][0]["kind"] = "h"
+        raw["moments"][1] = 5
+        _crowd(raw, 2, [x] * 8)
+
+    with pytest.raises(SchemaError, match=message):
+        parse_document(_mutated(after_a_bad_record))
+    # seven records pass the bound and fail as overlapping gates
+    with pytest.raises(SchemaError, match=r"^moments: qubit\(s\) \[0\] already used"):
+        parse_document(_mutated(lambda raw: _crowd(raw, 2, [x] * 7)))
+
+
+def test_crowded_moment_costs_no_more_than_reading_the_json():
+    """The bound fires before any column is built: refusing a moment of
+    20,000 records allocates almost nothing beyond what ``json.loads``
+    allocates for the text."""
+    count = 20_000
+    text = _mutated(lambda raw: _crowd(raw, 1, [{"kind": "x", "controls": [], "targets": [0]}] * count))
+    tracemalloc.start()
+    try:
+        json.loads(text)
+        _, loads_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with pytest.raises(SchemaError, match=rf"^moments\[1\]: {count} gates in one moment"):
+            parse_document(text)
+        _, parse_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parse_peak < loads_peak + 256 * 1024, (parse_peak, loads_peak)
 
 
 def test_rejects_out_of_range_qubits():

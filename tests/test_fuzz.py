@@ -120,8 +120,17 @@ def _ragged_matrix(rng, raw):
         rows[r][0] = [rows[r][0][0], rows[r][0][1], 0.0]
 
 
+def _flood_moment(rng, raw):
+    """One moment lists more gates than the layout has qubits: copies of one
+    of its gates, or junk."""
+    i, _, gate = rng.choice(_gates(raw))
+    extra = raw["metrics"]["total_qubits"] + 1 - len(raw["moments"][i]) + rng.randrange(100)
+    filler = copy.deepcopy(gate) if rng.random() < 0.5 else rng.choice(JUNK)
+    raw["moments"][i] += [copy.deepcopy(filler) for _ in range(extra)]
+
+
 CIRCUIT_MUTATIONS = (_drop_key, _duplicate_key, _wrong_type, _qubit_out_of_range, _overlap,
-                     _falsify_metric, _ragged_matrix)
+                     _falsify_metric, _ragged_matrix, _flood_moment)
 STATE_MUTATIONS = (_drop_key, _duplicate_key, _wrong_type)
 
 
@@ -145,13 +154,22 @@ def _outcome(parse, text):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mutated_circuit_documents_raise_only_schema_errors(seed):
     refused = {mutation.__name__: 0 for mutation in CIRCUIT_MUTATIONS}
-    for name, text in _mutants(_golden(), CIRCUIT_MUTATIONS, seed, 350):
+    for name, text in _mutants(_golden(), CIRCUIT_MUTATIONS, seed, 400):
         refused[name] += _outcome(parse_document, text) == "refused"
-    # qubits out of range, overlaps, false metrics and ragged matrices are
-    # always refused; the other mutations sometimes leave a valid document
-    for name in ("_qubit_out_of_range", "_overlap", "_falsify_metric", "_ragged_matrix"):
+    # qubits out of range, overlaps, false metrics, ragged matrices and
+    # flooded moments are always refused; the other mutations sometimes
+    # leave a valid document
+    for name in ("_qubit_out_of_range", "_overlap", "_falsify_metric", "_ragged_matrix", "_flood_moment"):
         assert refused[name] == 50, name
     assert all(refused.values()), refused
+
+
+def test_flooded_moments_are_refused_by_the_moment_bound():
+    floods = [text for name, text in _mutants(_golden(), CIRCUIT_MUTATIONS, 3, 80) if name == "_flood_moment"]
+    assert len(floods) == 10
+    for text in floods:
+        with pytest.raises(SchemaError, match=r"^moments\[\d+\]: \d+ gates in one moment, more than the layout's 7"):
+            parse_document(text)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

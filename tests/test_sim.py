@@ -1,6 +1,8 @@
 """Simulator tests, anchored to an independent dense reference implementation
 and to the former per-gate dictionary simulator (``tests/helpers.py``)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,25 @@ def test_unitary_spec_validation():
     assert spec.dim == 4 and spec.num_qubits == 2
     with pytest.raises(ValueError):
         spec.matrix[0, 0] = 5  # stored read-only
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_unitary_spec_refuses_entries_that_are_not_finite(entry):
+    """A NaN entry makes the unitarity deviation NaN, which compared as
+    within the tolerance; such a matrix is now refused before the check."""
+    matrix = np.eye(2, dtype=complex)
+    matrix[1, 0] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            UnitarySpec("0", matrix)
+
+
+def test_unitary_spec_refuses_a_boolean_declared_depth():
+    """``True`` is an int to ``isinstance``, but a document writes it as
+    ``true``, which no parser reads back as a depth."""
+    with pytest.raises(InvalidParameterError, match="declared depth"):
+        UnitarySpec("0", np.eye(2), declared_depth=True)
 
 
 def test_unitary_spec_equality():
