@@ -158,6 +158,7 @@ def emit_json(circuit: Circuit, unitaries: Mapping[str, UnitarySpec] | None = No
         "registers": _register_table(layout),
         "metrics": _metrics(circuit),
     }
+    # the header's text without its closing "\n}", then the templated sections
     sections = [json.dumps(header, indent=2)[:-2], '  "moments": ' + _moments_text(circuit.columns)]
     if unitaries is not None:
         sections.append('  "matrices": ' + _matrices_text(unitaries))
