@@ -182,10 +182,11 @@ def _expect_int(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
-def _parse_gate(record, path: str) -> tuple[int, list[int], list[int], tuple | None]:
+def _parse_gate(record, path: str, leaves: frozenset[str]) -> tuple[int, list[int], list[int], tuple | None]:
     """``(kind code, controls, targets, opaque)`` of a gate record, checked
     for everything but the values of its qubits (see :func:`_parse_moments`);
-    ``opaque`` is ``(leaf, dagger, declared depth)`` for an opaque block."""
+    ``opaque`` is ``(leaf, dagger, declared depth)`` for an opaque block,
+    whose leaf must be one of ``leaves``."""
     _expect(isinstance(record, dict), path, "expected a gate object")
     code = _KIND_CODES.get(record.get("kind")) if isinstance(record.get("kind"), str) else None
     if code is None:
@@ -202,6 +203,7 @@ def _parse_gate(record, path: str) -> tuple[int, list[int], list[int], tuple | N
     if code == OPAQUE:
         allowed = _OPAQUE_FIELDS
         _expect(isinstance(record.get("leaf"), str), f"{path}.leaf", "expected a node label string")
+        _expect(record["leaf"] in leaves, f"{path}.leaf", "not a leaf of this layout")
         _expect(isinstance(record.get("dagger", False), bool), f"{path}.dagger", "expected a boolean")
         depth = _expect_int(record.get("declared_depth", 1), f"{path}.declared_depth", 1)
         _expect(depth <= MAX_DECLARED_DEPTH, f"{path}.declared_depth", "expected an integer <= 2**62")
@@ -238,7 +240,7 @@ def _int64(values: list[int]) -> np.ndarray:
         return np.array([stand_in.get(q, q) for q in values], dtype=np.int64)
 
 
-def _gather(moments: list) -> tuple | None:
+def _gather(moments: list, leaves: frozenset[str]) -> tuple | None:
     """The gates of ``moments`` as column lists, every record checked as
     :func:`_parse_gate` checks it but over all records at once; None when a
     record fails, for :func:`_walk` to find and report it."""
@@ -277,6 +279,7 @@ def _gather(moments: list) -> tuple | None:
     if not (
         {key for record in blocks for key in record} <= _OPAQUE_FIELDS
         and set(map(type, leaf)) <= {str}
+        and leaves.issuperset(leaf)
         and set(map(type, flags)) <= {bool}
         and set(map(type, depth)) <= {int}
         and 1 <= min(depth, default=1)
@@ -296,7 +299,7 @@ def _gather(moments: list) -> tuple | None:
     )
 
 
-def _walk(moments: list) -> tuple[tuple, SchemaError | None]:
+def _walk(moments: list, leaves: frozenset[str]) -> tuple[tuple, SchemaError | None]:
     """The gates of ``moments`` as column lists, checked one record at a
     time up to the first that fails, and that record's error."""
     kind, moment, sizes, qubits = [], [], [], []
@@ -308,7 +311,9 @@ def _walk(moments: list) -> tuple[tuple, SchemaError | None]:
             break
         for j, record in enumerate(gates):
             try:
-                code, gate_controls, gate_targets, opaque = _parse_gate(record, f"moments[{i}][{j}]")
+                code, gate_controls, gate_targets, opaque = _parse_gate(
+                    record, f"moments[{i}][{j}]", leaves
+                )
             except SchemaError as exc:
                 failure = exc
                 break
@@ -353,9 +358,10 @@ def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
                 f"moments[{i}]: {len(gates)} gates in one moment, more than the layout's {limit} qubits"
             )
     failure = None
-    gathered = _gather(moments)
+    leaves = frozenset(layout.leaves)
+    gathered = _gather(moments, leaves)
     if gathered is None:
-        gathered, failure = _walk(moments)
+        gathered, failure = _walk(moments, leaves)
     kind, moment, sizes, qubits, dagger, block, leaf, depth, tptr, targets = gathered
 
     # one gate's qubits: non-negative, then distinct
@@ -423,12 +429,9 @@ def _parse_matrix(rows, dim: int, path: str) -> np.ndarray:
     path = f"{path}.matrix"
     _expect(isinstance(rows, list), path, f"expected a list of {dim} rows")
     _expect(len(rows) == dim, path, f"expected {dim} rows (2**(m + k) for this leaf), got {len(rows)}")
-    for r, row in enumerate(rows):
-        _expect(
-            isinstance(row, list) and len(row) == dim,
-            f"{path}[{r}]",
-            f"expected a list of {dim} [re, im] pairs",
-        )
+    if not (set(map(type, rows)) == {list} and set(map(len, rows)) == {dim}):
+        r = next(r for r, row in enumerate(rows) if not (isinstance(row, list) and len(row) == dim))
+        raise SchemaError(f"{path}[{r}]: expected a list of {dim} [re, im] pairs")
     try:
         values = np.array(rows)
     except ValueError:  # pairs of different lengths
@@ -491,8 +494,9 @@ def parse_document(text: str) -> CircuitDocument:
         "registers",
         f"expected {len(expected_rows)} rows for these parameters, got {len(actual_rows)}",
     )
-    for i, (actual, expected) in enumerate(zip(actual_rows, expected_rows)):
-        _expect(actual == expected, f"registers[{i}]", f"expected {expected}, got {actual}")
+    if actual_rows != expected_rows:
+        i = next(i for i, pair in enumerate(zip(actual_rows, expected_rows)) if pair[0] != pair[1])
+        raise SchemaError(f"registers[{i}]: expected {expected_rows[i]}, got {actual_rows[i]}")
 
     circuit = Circuit.of_columns(layout, _parse_moments(raw["moments"], layout))
     for key in _PARAMETER_KEYS:

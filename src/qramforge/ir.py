@@ -446,7 +446,8 @@ class Circuit:
     @classmethod
     def from_moments(cls, layout: RegisterMap, moments: Iterable[Iterable[Gate]]) -> "Circuit":
         """A circuit with exactly these moments, checked to be disjoint and
-        inside the layout.  Gates appended later go after all of them."""
+        inside the layout, every opaque block on a leaf of the layout.  Gates
+        appended later go after all of them."""
         placed = []
         count = 0
         for index, gates in enumerate(moments):
@@ -459,6 +460,10 @@ class Circuit:
             raise StructuralError(
                 f"qubit {int(outside[0])} is outside the layout ({layout.total_qubits} qubits)"
             )
+        leaves = set(layout.leaves)
+        stray = [leaf for leaf in columns.leaf.tolist() if not (isinstance(leaf, str) and leaf in leaves)]
+        if stray:
+            raise StructuralError(f"opaque block leaf {stray[0]!r} is not a leaf of this layout")
         return cls.of_columns(layout, columns)
 
     @property

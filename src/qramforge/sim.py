@@ -343,6 +343,9 @@ class _Moments:
 
 _ONE = np.uint64(1)
 
+#: ``_ONES[w]`` has the low ``w`` bits set.
+_ONES = np.array([(1 << w) - 1 for w in range(65)], dtype=np.uint64)
+
 
 class _Rows:
     """The basis terms of a batch of states, packed as bit-planes.
@@ -358,18 +361,45 @@ class _Rows:
 
     __slots__ = ("num_qubits", "num_cases", "num_words", "words", "amps", "case")
 
-    def __init__(self, keys: list[int], amps: list[complex], counts: list[int], num_qubits: int):
+    def __init__(self, num_qubits: int, case: np.ndarray, amps: np.ndarray, num_cases: int):
+        """Rows with every qubit at 0, for terms of the cases ``case`` with
+        amplitudes ``amps``; :meth:`write` fills in their registers."""
         self.num_qubits = num_qubits
-        self.num_cases = len(counts)
+        self.num_cases = num_cases
         self.num_words = width = -(-num_qubits // 64)
-        _check_budget(len(keys) * (width + 2) * 8, f"{len(keys)} packed basis terms")
-        raw = b"".join(key.to_bytes(8 * width, "little") for key in keys)
-        self.words = np.empty((width + 2, len(keys)), dtype=np.uint64)
-        self.words[:width] = np.frombuffer(raw, dtype="<u8").reshape(len(keys), width).T
+        _check_budget(len(case) * (width + 2) * 8, f"{len(case)} packed basis terms")
+        self.words = np.zeros((width + 2, len(case)), dtype=np.uint64)
         self.words[width] = np.iinfo(np.uint64).max
-        self.words[width + 1] = 0
-        self.amps = np.array(amps, dtype=complex)
-        self.case = np.repeat(np.arange(len(counts)), counts)
+        self.amps = amps
+        self.case = case
+
+    @classmethod
+    def of_keys(cls, keys: list[int], amps: list[complex], counts: list[int], num_qubits: int) -> "_Rows":
+        """Rows for basis keys given as ints, ``counts[i]`` of them for case ``i``."""
+        rows = cls(num_qubits, np.repeat(np.arange(len(counts)), counts), np.array(amps, dtype=complex),
+                   len(counts))
+        width = rows.num_words
+        raw = b"".join(key.to_bytes(8 * width, "little") for key in keys)
+        rows.words[:width] = np.frombuffer(raw, dtype="<u8").reshape(len(keys), width).T
+        return rows
+
+    def write(self, start: int, width: int, values: np.ndarray) -> None:
+        """Set qubits ``start`` to ``start + width - 1`` (at most 64, all at 0
+        before) of every row to the bits of ``values``, lowest bit first."""
+        word, shift = divmod(start, 64)
+        values = values.astype(np.uint64)
+        self.words[word] |= values << np.uint64(shift)
+        if shift + width > 64:
+            self.words[word + 1] |= values >> np.uint64(64 - shift)
+
+    def read(self, start: int, width: int) -> np.ndarray:
+        """The value of qubits ``start`` to ``start + width - 1`` (at most 64)
+        in every row, lowest bit first."""
+        word, shift = divmod(start, 64)
+        values = self.words[word] >> np.uint64(shift)
+        if shift + width > 64:
+            values |= self.words[word + 1] << np.uint64(64 - shift)
+        return values & _ONES[width]
 
     def norms(self) -> np.ndarray:
         weights = np.abs(self.amps) ** 2
@@ -539,11 +569,12 @@ class _Rows:
             yield state
 
 
-def _batch_terms(circuit: Circuit) -> int:
+def _batch_terms(circuit: Circuit, term_bytes: int = 0) -> int:
     """How many input terms one batch may hold: the budget over the packed
-    size of the rows a term can grow into.  An opaque moment multiplies a
-    term at most by its largest block dimension when no term switches on
-    two of its blocks, as in every access circuit."""
+    size of the rows a term can grow into, plus ``term_bytes`` that each
+    term holds beside its rows.  An opaque moment multiplies a term at most
+    by its largest block dimension when no term switches on two of its
+    blocks, as in every access circuit."""
     columns = circuit.columns
     opaque = np.flatnonzero(columns.kind == OPAQUE)
     blocks = columns.block[opaque]
@@ -553,7 +584,7 @@ def _batch_terms(circuit: Circuit) -> int:
     for width in widest[widest > 0].tolist():
         growth *= 1 << width
     row_bytes = 8 * (-(-circuit.layout.total_qubits // 64) + 2)
-    return BATCH_BUDGET_BYTES // (growth * row_bytes)
+    return BATCH_BUDGET_BYTES // (growth * row_bytes + term_bytes)
 
 
 def _batches(states: Iterable[SparseState], circuit: Circuit) -> Iterator[_Rows]:
@@ -573,7 +604,7 @@ def _batches(states: Iterable[SparseState], circuit: Circuit) -> Iterator[_Rows]
             if limit is None:
                 limit = _batch_terms(circuit)
             if len(keys) + len(state.amps) > limit:
-                rows = _Rows(keys, amps, counts, num_qubits)
+                rows = _Rows.of_keys(keys, amps, counts, num_qubits)
                 keys, amps, counts = [], [], []
                 yield rows
                 del rows  # free the finished batch before packing the next
@@ -581,7 +612,7 @@ def _batches(states: Iterable[SparseState], circuit: Circuit) -> Iterator[_Rows]
         amps.extend(state.amps.values())
         counts.append(len(state.amps))
     if counts:
-        rows = _Rows(keys, amps, counts, num_qubits)
+        rows = _Rows.of_keys(keys, amps, counts, num_qubits)
         del keys, amps
         yield rows
 
@@ -604,14 +635,20 @@ def run_batch(
     for rows in _batches(states, circuit):
         if moments is None:
             moments = _Moments(circuit.columns, circuit.layout.total_qubits)
-        before = rows.norms()
-        for index in range(len(moments)):
-            rows.apply(*moments.moment(index), unitaries)
-        drift = np.abs(rows.norms() - before)
-        if drift.size and drift.max() > NORM_TOL:
-            raise SimulationError(f"state norm drifted by {drift.max():.3e} during simulation")
+        _run_moments(rows, moments, unitaries)
         yield from rows.states()
         del rows
+
+
+def _run_moments(rows: _Rows, moments: _Moments, unitaries: Mapping[str, UnitarySpec] | None) -> None:
+    """Apply every moment to ``rows``; a drift of any case's norm beyond
+    :data:`NORM_TOL` raises :class:`~qramforge.errors.SimulationError`."""
+    before = rows.norms()
+    for index in range(len(moments)):
+        rows.apply(*moments.moment(index), unitaries)
+    drift = np.abs(rows.norms() - before)
+    if drift.size and drift.max() > NORM_TOL:
+        raise SimulationError(f"state norm drifted by {drift.max():.3e} during simulation")
 
 
 def run_circuit(
@@ -637,7 +674,7 @@ def apply_gate(
         raise StructuralError(
             f"gate on qubit {max(gate.qubits)} does not fit a {state.num_qubits}-qubit state"
         )
-    rows = _Rows(list(state.amps), list(state.amps.values()), [len(state)], state.num_qubits)
+    rows = _Rows.of_keys(list(state.amps), list(state.amps.values()), [len(state)], state.num_qubits)
     moments = _Moments(GateColumns.of_gates([(0, gate)], 1), state.num_qubits)
     rows.apply(*moments.moment(0), unitaries)
     (out,) = rows.states()

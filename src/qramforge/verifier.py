@@ -11,27 +11,44 @@ circuit, no simulator — and compares the synthesized circuit's simulated
 output against it, reporting fidelities and ancilla residuals per case.
 
 Reference outputs are kept as dictionaries keyed by ``(y, r, mem)`` tuples
-(``mem`` itself a per-leaf tuple), a deliberately circuit-free encoding; the
-only bridge to the simulator is :func:`extract_data_state`, which reads the
-data registers out of a full sparse state and accumulates whatever weight
-sits on non-zero ancillas as a residual.
+(``mem`` itself a per-leaf tuple), a deliberately circuit-free encoding;
+:func:`extract_data_state` reads the data registers out of a full sparse
+state into that form and accumulates whatever weight sits on non-zero
+ancillas as a residual.
+
+The checkers do the same work on columns, one batch of cases at a time: the
+cases are integer columns packed straight into the simulator's bit-planes,
+the expected rows are gathered from the matrix columns, and the output rows
+are judged with array operations that give the same floats as the
+per-state dictionaries (see :func:`_fidelity`).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError
 from .ir import Circuit
-from .sim import SparseState, UnitarySpec, _check_budget, basis_state, run_batch, superpose
+from .sim import (
+    PRUNE_TOL,
+    SparseState,
+    UnitarySpec,
+    _batch_terms,
+    _check_budget,
+    _Moments,
+    _ONES,
+    _Rows,
+    _run_moments,
+)
 
 # bench/selftest.py reads qramforge.verifier.run_circuit to check that the
-# benchmark tracer uninstalls cleanly; the checkers themselves use run_batch.
+# benchmark tracer uninstalls cleanly; the checkers pack their cases as rows.
 from .sim import run_circuit  # noqa: F401
 from .synth import SynthesisOptions, synth_access
 from .tree import RegisterMap, _normalize_k, _validate_sizes, allocate_registers, label_of
@@ -335,25 +352,6 @@ def extract_data_state(state: SparseState, layout: RegisterMap) -> tuple[DataSta
     return data, residual
 
 
-def _data_fidelity(expected: DataState, actual: DataState) -> float:
-    overlap = 0j
-    for key, amp in expected.items():
-        mate = actual.get(key)
-        if mate is not None:
-            overlap += amp.conjugate() * mate
-    return abs(overlap) ** 2
-
-
-def _mem_invariant(actual: DataState, mem: tuple[int, ...]) -> bool:
-    """Every surviving branch leaves mem_z untouched for all z except its own
-    address."""
-    for (y, _r, out_mem), _amp in actual.items():
-        for z_value, value in enumerate(out_mem):
-            if z_value != y and value != mem[z_value]:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -445,101 +443,414 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# checkers
+# cases as columns
 # ---------------------------------------------------------------------------
 
+class _Cases(NamedTuple):
+    """One batch of cases as columns.
 
-def _case_label(instance: InstanceSpec, address: int, result: int, mem: tuple[int, ...]) -> str:
-    label = f"y={label_of(address, instance.n)} r={label_of(result, instance.m)}"
-    if any(instance.k):
-        mem_bits = ",".join(
-            format(value, f"0{width}b") if width else "-"
-            for value, width in zip(mem, instance.k)
-        )
-        label += f" mem={mem_bits}"
-    return label
+    Each case is one or more term rows ``(case, address, amp)`` that share
+    the case's ``result`` and memory: a basis case is one term of amplitude
+    1, a superposition one term per address.  ``mem`` holds each case's
+    memory block as data-key words (see :class:`_Keys`), one column per case.
+    """
+
+    labels: list[str]
+    case: np.ndarray
+    address: np.ndarray
+    amp: np.ndarray
+    result: np.ndarray
+    mem: np.ndarray
+
+    @property
+    def num_cases(self) -> int:
+        return len(self.labels)
+
+    def slice(self, lo: int, hi: int) -> "_Cases":
+        """Cases ``lo`` to ``hi - 1``, with their terms."""
+        first, last = np.searchsorted(self.case, [lo, hi]).tolist()
+        return _Cases(self.labels[lo:hi], self.case[first:last] - lo, self.address[first:last],
+                      self.amp[first:last], self.result[lo:hi], self.mem[:, lo:hi])
 
 
-def _random_assignment(instance: InstanceSpec, rng: np.random.Generator) -> tuple[int, tuple[int, ...]]:
-    """A seeded (result, mem) draw: the result first, then each leaf's memory."""
-    result = int(rng.integers(0, 1 << instance.m))
-    return result, tuple(int(rng.integers(0, 1 << width)) for width in instance.k)
+class _Data(NamedTuple):
+    """Data rows of a batch: every term whose ancillas are all 0, as its
+    case, data key (one column per row) and amplitude; and each case's
+    weight on the other terms, its ancilla residual."""
+
+    case: np.ndarray
+    key: np.ndarray
+    amp: np.ndarray
+    residual: np.ndarray
 
 
-def _generate_cases(
-    instance: InstanceSpec, assignments: int, seed: int
-) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Exhaustive addresses; exhaustive (result, mem) when that space is
-    small, otherwise ``assignments`` seeded samples per address."""
+class _Keys:
+    """The data registers of an instance as packed words.
+
+    A data key is ``1 + ceil(sum(k) / 64)`` words: ``address | result << n``,
+    then the memory block, every leaf's ``mem`` register in leaf order with
+    no gaps, as the layouts place them.  A memory table holds one column per
+    leaf with ``k > 0``.
+    """
+
+    def __init__(self, instance: InstanceSpec):
+        self.n, self.m = instance.n, instance.m
+        self.k = np.array(instance.k, dtype=np.int64)
+        self.offset = np.cumsum(self.k) - self.k  # each leaf's first bit in the block
+        self.leaves = np.flatnonzero(self.k)  # the memory table's columns
+        self.mem_bits = int(self.k.sum())
+        self.mem_words = -(-self.mem_bits // 64)
+        # a case's label as a fixed template and, for every bit it shows,
+        # the character position, the column (address, result, then the
+        # memory table) and the bit within it
+        chars, self.label_pos, label_col, label_bit = [], [], [], []
+
+        def field(column: int, width: int) -> None:
+            self.label_pos.extend(range(len(chars) + width - 1, len(chars) - 1, -1))
+            label_col.extend([column] * width)
+            label_bit.extend(range(width))
+            chars.extend("0" * width)
+
+        chars.extend("y=")
+        field(0, self.n)
+        chars.extend(" r=")
+        field(1, self.m)
+        if self.leaves.size:
+            chars.extend(" mem=")
+            column = 2
+            for z, width in enumerate(instance.k):
+                chars.extend("," if z else "")
+                if width:
+                    field(column, width)
+                    column += 1
+                else:
+                    chars.extend("-")
+        self.template = np.frombuffer("".join(chars).encode(), dtype=np.uint8)
+        self.label_col = np.array(label_col, dtype=np.intp)
+        self.label_bit = np.array(label_bit, dtype=np.uint16)
+        #: bytes a case takes while it is generated and packed, beside its rows
+        self.case_bytes = 64 + 48 * len(self.leaves) + 2 * len(self.template)
+
+    def cases(self, address, result, mem, labels=None, case=None, amp=None) -> _Cases:
+        """Cases from their columns; ``mem`` is the memory table.  By default
+        every case is one basis term, labelled by its contents."""
+        address, result = np.asarray(address, dtype=np.int64), np.asarray(result, dtype=np.int64)
+        if labels is None:
+            values = np.column_stack([address, result, mem]).astype(np.uint16)
+            chars = np.repeat(self.template[None], len(values), axis=0)
+            chars[:, self.label_pos] = (values[:, self.label_col] >> self.label_bit) & 1 | 48
+            labels = chars.view(f"S{chars.shape[1]}").ravel().astype(str).tolist()
+            case, amp = np.arange(len(labels)), np.ones(len(labels), dtype=complex)
+        return _Cases(labels, case, address, amp, result, self._pack_mem(mem))
+
+    def _pack_mem(self, mem: np.ndarray) -> np.ndarray:
+        """A memory table as memory-block words, one column per case."""
+        out = np.zeros((self.mem_words, len(mem)), dtype=np.uint64)
+        if not self.mem_words:
+            return out
+        values = mem.astype(np.uint64)
+        offset, width = self.offset[self.leaves], self.k[self.leaves]
+        word, shift = offset >> 6, (offset & 63).astype(np.uint64)
+        starts = np.flatnonzero(np.diff(word, prepend=-1))
+        out[word[starts]] = np.bitwise_or.reduceat(values << shift, starts, axis=1).T
+        cross = np.flatnonzero(shift + width.astype(np.uint64) > 64)  # one per word at most
+        out[word[cross] + 1] |= (values[:, cross] >> (64 - shift[cross])).T
+        return out
+
+    def _span(self, leaf: np.ndarray):
+        """Where each row's own leaf ``leaf`` sits in the memory block:
+        the rows with a register, its word, shift and mask, and the rows
+        whose register runs into the next word."""
+        rows = np.flatnonzero(self.k[leaf])
+        offset, width = self.offset[leaf[rows]], self.k[leaf[rows]]
+        shift = (offset & 63).astype(np.uint64)
+        return rows, offset >> 6, shift, _ONES[width], np.flatnonzero(shift + width.astype(np.uint64) > 64)
+
+    def leaf_value(self, words: np.ndarray, columns: np.ndarray, leaf: np.ndarray) -> np.ndarray:
+        """The value of leaf ``leaf[i]``'s register in column ``columns[i]``
+        of the memory-block words."""
+        out = np.zeros(len(leaf), dtype=np.uint64)
+        rows, word, shift, mask, cross = self._span(leaf)
+        out[rows] = words[word, columns[rows]] >> shift
+        high = words[word[cross] + 1, columns[rows[cross]]] << (64 - shift[cross])
+        out[rows[cross]] |= high
+        out[rows] &= mask
+        return out
+
+    def set_leaf(self, words: np.ndarray, leaf: np.ndarray, value: np.ndarray | None = None) -> None:
+        """Overwrite leaf ``leaf[i]``'s register in column ``i`` of the
+        memory-block words with ``value[i]`` (with 0 when ``value`` is None)."""
+        rows, word, shift, mask, cross = self._span(leaf)
+        bits = np.uint64(0) if value is None else value[rows].astype(np.uint64)
+        words[word, rows] = words[word, rows] & ~(mask << shift) | bits << shift
+        if cross.size:
+            back = 64 - shift[cross]
+            high = words[word[cross] + 1, rows[cross]] & ~(mask[cross] >> back)
+            if value is not None:
+                high |= bits[cross] >> back
+            words[word[cross] + 1, rows[cross]] = high
+
+
+def _draw_runs(instance: InstanceSpec) -> list[tuple[int, int]]:
+    """One seeded (result, mem) draw as runs ``(width, count)`` of equal
+    bounds: the result first, then each leaf's memory.  A leaf of width 0
+    draws from a bound of 1, which takes no random bits, so it is left out."""
+    runs: list[tuple[int, int]] = []
+    for width in (instance.m, *instance.k):
+        if width and runs and runs[-1][0] == width:
+            runs[-1] = (width, runs[-1][1] + 1)
+        elif width:
+            runs.append((width, 1))
+    return runs
+
+
+def _draw(rng: np.random.Generator, runs: list[tuple[int, int]], count: int) -> np.ndarray:
+    """``count`` seeded (result, mem) draws as rows of ``[result, memory
+    table]``, equal to drawing every value on its own in order:
+    ``rng.integers(0, b, size=N)`` gives the values of N single draws with
+    bound ``b``.  So each run of equal bounds is one draw, and with a
+    single run every case's values are."""
+    if len(runs) == 1:
+        ((width, size),) = runs
+        return rng.integers(0, 1 << width, size=(count, size))
+    out = np.empty((count, sum(size for _, size in runs)), dtype=np.int64)
+    for row in out:
+        start = 0
+        for width, size in runs:
+            row[start : start + size] = rng.integers(0, 1 << width, size=size)
+            start += size
+    return out
+
+
+def _basis_cases(
+    instance: InstanceSpec, keys: _Keys, assignments: int, seed: int
+) -> tuple[int, Callable[[int, int], _Cases]]:
+    """The basis cases: exhaustive addresses; for each, every (result, mem)
+    assignment when that space is small, topped up to ``assignments`` with
+    seeded draws.  Returned as their number and ``take(lo, hi)``, which
+    makes cases ``lo`` to ``hi - 1`` and must be called in order."""
     rng = np.random.default_rng(seed)
-    total_mem_bits = sum(instance.k)
-    combos = 1 << (instance.m + total_mem_bits)
-    cases = []
-    for address in range(1 << instance.n):
-        assigned: list[tuple[int, tuple[int, ...]]] = []
-        if combos <= max(assignments, 64):
-            for packed in range(combos):
-                result = packed & ((1 << instance.m) - 1)
-                rest = packed >> instance.m
-                mem = []
-                for width in instance.k:
-                    mem.append(rest & ((1 << width) - 1))
-                    rest >>= width
-                assigned.append((result, tuple(mem)))
-        while len(assigned) < assignments:
-            assigned.append(_random_assignment(instance, rng))
-        cases.extend((address, result, mem) for result, mem in assigned)
-    return cases
+    runs = _draw_runs(instance)
+    m = instance.m
+    combos = 1 << (m + sum(instance.k))
+    listed = combos if combos <= max(assignments, 64) else 0
+    per_address = max(listed, assignments)
+    mem_shift, mem_mask = m + keys.offset[keys.leaves], (1 << keys.k[keys.leaves]) - 1
+
+    def take(lo: int, hi: int) -> _Cases:
+        address, slot = np.divmod(np.arange(lo, hi), per_address)
+        values = np.empty((hi - lo, 1 + len(keys.leaves)), dtype=np.int64)
+        enumerated = slot < listed
+        packed = slot[enumerated]
+        values[enumerated, 0] = packed & ((1 << m) - 1)
+        values[enumerated, 1:] = (packed[:, None] >> mem_shift) & mem_mask
+        values[~enumerated] = _draw(rng, runs, hi - lo - len(packed))
+        return keys.cases(address, values[:, 0], values[:, 1:])
+
+    return (1 << instance.n) * per_address, take
 
 
-def _basis(circuit: Circuit, address: int, result: int, mem: tuple[int, ...]) -> SparseState:
-    return basis_state(circuit.layout, address, result, mem)
+def _listed_cases(
+    instance: InstanceSpec, keys: _Keys, cases: Sequence[tuple[int, int, Sequence[int] | None]]
+) -> _Cases:
+    """Caller-given basis cases ``(address, result, mem)``, checked."""
+    mems = [_normalize_mem(instance, mem) for _, _, mem in cases]
+    for address, result, _ in cases:
+        for value, width, what in ((address, instance.n, "address"), (result, instance.m, "result")):
+            if not isinstance(value, int) or not 0 <= value < (1 << width):
+                raise InvalidParameterError(f"{what} must lie in [0, {1 << width}), got {value!r}")
+    table = np.array([[mem[z] for z in keys.leaves.tolist()] for mem in mems], dtype=np.int64)
+    return keys.cases(
+        [address for address, _, _ in cases], [result for _, result, _ in cases],
+        table.reshape(len(cases), len(keys.leaves)),
+    )
 
 
-def _simulate(
-    circuit: Circuit, initials: Iterable[SparseState], unitaries: Mapping[str, UnitarySpec]
-) -> Iterator[tuple[DataState, float]]:
-    """Run the initial states through ``circuit`` as one batch; yield each
-    one's data part and residual, in order."""
-    for final in run_batch(initials, circuit, unitaries):
-        yield extract_data_state(final, circuit.layout)
+def _batches(
+    count: int, terms: int | np.ndarray, limit: int, take: Callable[[int, int], _Cases]
+) -> Iterator[_Cases]:
+    """Cases ``0`` to ``count - 1`` in consecutive batches of at most
+    ``limit`` terms (and at least one case), made by ``take(lo, hi)``;
+    ``terms`` is the number of terms of every case, or of each."""
+    if isinstance(terms, int):
+        step = max(1, limit // terms)
+        for lo in range(0, count, step):
+            yield take(lo, min(count, lo + step))
+        return
+    ends = np.cumsum(terms)
+    lo = 0
+    while lo < count:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + limit, side="right")))
+        yield take(lo, hi)
+        lo = hi
+
+
+class _Run:
+    """One circuit as the checkers run it: its moments, its payloads and
+    where its registers sit."""
+
+    def __init__(self, circuit: Circuit, unitaries: Mapping[str, UnitarySpec], keys: _Keys):
+        layout = circuit.layout
+        self.circuit, self.unitaries, self.keys = circuit, unitaries, keys
+        self.moments = _Moments(circuit.columns, layout.total_qubits)
+        self.num_qubits = layout.total_qubits
+        self.mem_base = int(layout.mem_starts[0])
+        words = -(-self.num_qubits // 64)
+        ancillas = (((1 << self.num_qubits) - 1) ^ layout.data_mask).to_bytes(8 * words, "little")
+        self.ancillas = [
+            (word, np.uint64(mask))
+            for word, mask in enumerate(np.frombuffer(ancillas, dtype="<u8").tolist())
+            if mask
+        ]
+
+    def pack(self, cases: _Cases) -> _Rows:
+        """The cases' terms as rows.  As in :func:`~qramforge.sim.superpose`,
+        a term of magnitude at most :data:`~qramforge.sim.PRUNE_TOL` is left out."""
+        keys, case, address, amp = self.keys, cases.case, cases.address, cases.amp
+        live = np.hypot(amp.real, amp.imag) > PRUNE_TOL
+        if not live.all():
+            case, address, amp = case[live], address[live], amp[live]
+        rows = _Rows(self.num_qubits, case, amp, cases.num_cases)
+        rows.write(0, keys.n + keys.m, address | cases.result[case] << keys.n)
+        for j in range(keys.mem_words):
+            rows.write(self.mem_base + 64 * j, min(64, keys.mem_bits - 64 * j), cases.mem[j, case])
+        return rows
+
+    def read(self, rows: _Rows) -> _Data:
+        """The data rows of ``rows``.  Each residual adds ``abs(amp) ** 2``
+        over the case's rows in order, and gives the same float."""
+        keys = self.keys
+        dirty = np.zeros(len(rows.case), dtype=bool)
+        for word, mask in self.ancillas:
+            dirty |= (rows.words[word] & mask) != 0
+        amps = rows.amps[dirty]
+        weights = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
+        # bincount of no rows gives integer zeros, weights or not
+        residual = np.bincount(rows.case[dirty], weights=weights, minlength=rows.num_cases).astype(float)
+        clean = np.flatnonzero(~dirty)
+        key = np.empty((1 + keys.mem_words, len(clean)), dtype=np.uint64)
+        key[0] = rows.read(0, keys.n + keys.m)[clean]
+        for j in range(keys.mem_words):
+            key[1 + j] = rows.read(self.mem_base + 64 * j, min(64, keys.mem_bits - 64 * j))[clean]
+        return _Data(rows.case[clean], key, rows.amps[clean], residual)
+
+
+def _simulate(run: _Run, cases: _Cases) -> _Data:
+    """One batch of cases through one circuit: the output's data rows."""
+    rows = run.pack(cases)
+    _run_moments(rows, run.moments, run.unitaries)
+    return run.read(rows)
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` elementwise, computed as Python multiplies two complex
+    numbers (numpy's complex product can differ in the last bit)."""
+    out = np.empty(len(a), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _oracle(instance: InstanceSpec, keys: _Keys, cases: _Cases) -> _Data:
+    """The expected data rows, read off the matrix columns: for each term
+    ``(y, amp)``, ``amp * U_y[i, col]`` for every ``i`` with a non-zero
+    entry, as :func:`oracle_superposition` lists them."""
+    n, m = instance.n, instance.m
+    own = keys.leaf_value(cases.mem, cases.case, cases.address).astype(np.int64)
+    column = cases.result[cases.case] | own << m
+    order = np.argsort(cases.address, kind="stable")
+    leaves, starts = np.unique(cases.address[order], return_index=True)
+    term, index, value = [], [], []
+    for leaf, lo, hi in zip(leaves.tolist(), starts.tolist(), [*starts[1:].tolist(), len(order)]):
+        chosen = order[lo:hi]
+        block = instance.unitaries[label_of(leaf, n)].matrix[:, column[chosen]].T
+        hit, row = np.nonzero(block)
+        term.append(chosen[hit])
+        index.append(row)
+        value.append(block[hit, row])
+    order = np.argsort(np.concatenate(term), kind="stable")
+    term, index, value = (np.concatenate(part)[order] for part in (term, index, value))
+    value = _times(cases.amp[term], value)
+    kept = value != 0
+    term, index, value = term[kept], index[kept], value[kept]
+    address = cases.address[term]
+    key = np.empty((1 + keys.mem_words, len(term)), dtype=np.uint64)
+    key[0] = (address | (index & ((1 << m) - 1)) << n).astype(np.uint64)
+    key[1:] = cases.mem[:, cases.case[term]]
+    keys.set_leaf(key[1:], address, index >> m)
+    return _Data(cases.case[term], key, value, np.zeros(cases.num_cases))
+
+
+def _fidelity(expected: _Data, actual: _Data, num_cases: int) -> np.ndarray:
+    """Each case's ``|<expected|actual>|**2``: the expected rows are joined
+    to the actual rows with the same case and key, and the overlap adds
+    ``conj(expected) * actual`` in the order of the expected rows, as
+    Python's complex arithmetic does, so the floats are the same."""
+    case = np.concatenate([expected.case, actual.case])
+    key = np.concatenate([expected.key, actual.key], axis=1)
+    order = np.lexsort((*key, case))
+    case, key = case[order], key[:, order]
+    same = (case[1:] == case[:-1]) & (key[:, 1:] == key[:, :-1]).all(axis=0)
+    # keys are distinct within each side and the sort is stable, so a
+    # match is an expected row followed by an actual one
+    mine = order[:-1][same]
+    pick = np.argsort(mine)
+    mine, mate = mine[pick], order[1:][same][pick] - len(expected.case)
+    overlap = _times(np.conj(expected.amp[mine]), actual.amp[mate])
+    case = expected.case[mine]
+    real = np.bincount(case, weights=overlap.real, minlength=num_cases)
+    imag = np.bincount(case, weights=overlap.imag, minlength=num_cases)
+    return np.float_power(np.hypot(real, imag), 2.0)
+
+
+def _mem_invariant(keys: _Keys, actual: _Data, cases: _Cases) -> np.ndarray:
+    """Per case: every data row leaves ``mem_z`` as it was for every leaf
+    ``z`` but the row's own address."""
+    diff = actual.key[1:] ^ cases.mem[:, actual.case]
+    keys.set_leaf(diff, (actual.key[0] & _ONES[keys.n]).astype(np.intp))
+    return np.bincount(actual.case[diff.any(axis=0)], minlength=cases.num_cases) == 0
+
+
+# ---------------------------------------------------------------------------
+# checkers
+# ---------------------------------------------------------------------------
 
 
 def _verify(
     instance: InstanceSpec,
     check: str,
     options: dict,
-    runs: Iterable[tuple[Circuit, Iterable[SparseState], Iterable[tuple]]],
-    unitaries: Mapping[str, UnitarySpec],
+    runs: Sequence[tuple[str, _Run]],
+    batches: Iterable[_Cases],
+    reference: Callable[[_Cases], _Data],
     fidelity_tolerance: float,
     residual_tolerance: float,
     start: float,
 ) -> VerificationReport:
     """The case-running and judging core shared by every checker.
 
-    Each run ``(circuit, initials, expectations)`` sends its initial states
-    through ``circuit`` as one batch.  Its cases are judged in order, each as
-    soon as its output is extracted, against the matching
-    ``(label, (expected, expected_residual), mem)`` of ``expectations``; the
-    residual is the larger of the run's and the reference's (0.0 for the
-    oracle). ``start`` is the checker's entry time.
+    Each batch of cases goes through every run ``(prefix, run)`` and is
+    judged against ``reference(cases)``; the residual is the larger of the
+    run's and the reference's (0 for the oracle).  The cases come run by
+    run, each run's in order and labelled with its prefix.  ``start`` is
+    the checker's entry time.
     """
-    results = []
-    for circuit, initials, expectations in runs:
-        outputs = _simulate(circuit, initials, unitaries)
-        for (label, (expected, expected_residual), mem), (actual, residual) in zip(
-            expectations, outputs
-        ):
-            residual = max(expected_residual, residual)
-            fidelity = _data_fidelity(expected, actual)
-            invariant = _mem_invariant(actual, mem)
-            passed = (
-                fidelity >= 1.0 - fidelity_tolerance
-                and residual <= residual_tolerance
-                and invariant
-            )
-            results.append(CaseResult(label, fidelity, residual, invariant, passed))
-    if not results:
+    results: list[list[CaseResult]] = [[] for _ in runs]
+    for cases in batches:
+        expected = reference(cases)
+        for (prefix, run), out in zip(runs, results):
+            actual = _simulate(run, cases)
+            fidelity = _fidelity(expected, actual, cases.num_cases)
+            residual = np.maximum(expected.residual, actual.residual)
+            invariant = _mem_invariant(run.keys, actual, cases)
+            passed = (fidelity >= 1.0 - fidelity_tolerance) & (residual <= residual_tolerance) & invariant
+            out.extend(map(
+                CaseResult, [prefix + label for label in cases.labels], fidelity.tolist(),
+                residual.tolist(), invariant.tolist(), passed.tolist(),
+            ))
+    cases = [case for out in results for case in out]
+    if not cases:
         raise InvalidParameterError(f"the {check} check of {instance.describe()} has no cases")
     return VerificationReport(
         instance=instance.describe(),
@@ -547,13 +858,17 @@ def _verify(
         options=options,
         fidelity_tolerance=fidelity_tolerance,
         residual_tolerance=residual_tolerance,
-        cases=results,
+        cases=cases,
         wall_seconds=time.perf_counter() - start,
     )
 
 
 def _variant_options(circuit: Circuit) -> dict:
     return {key: circuit.metadata.get(key) for key in ("variant", "fanout_block")}
+
+
+def _batch_limit(keys: _Keys, circuits: Iterable[Circuit]) -> int:
+    return min(_batch_terms(circuit, keys.case_bytes) for circuit in circuits)
 
 
 def check_proposition(
@@ -592,19 +907,17 @@ def check_proposition(
             f"circuit layout {circuit.layout!r} does not match the instance sizes"
         )
     sim_unitaries = circuit_unitaries if circuit_unitaries is not None else instance.unitaries
-    case_list = (
-        [(y, r, _normalize_mem(instance, mem)) for y, r, mem in cases]
-        if cases is not None
-        else _generate_cases(instance, assignments, seed)
-    )
-    initials = (_basis(circuit, *case) for case in case_list)
-    expectations = (
-        (_case_label(instance, *case), (oracle_effect(instance, *case), 0.0), case[2])
-        for case in case_list
-    )
+    keys = _Keys(instance)
+    if cases is None:
+        count, take = _basis_cases(instance, keys, assignments, seed)
+    else:
+        listed = _listed_cases(instance, keys, cases)
+        count, take = listed.num_cases, listed.slice
+    batches = _batches(count, 1, _batch_limit(keys, [circuit]), take)
     return _verify(instance, "proposition", _variant_options(circuit),
-                   [(circuit, initials, expectations)],
-                   sim_unitaries, fidelity_tolerance, residual_tolerance, start)
+                   [("", _Run(circuit, sim_unitaries, keys))], batches,
+                   lambda cases: _oracle(instance, keys, cases),
+                   fidelity_tolerance, residual_tolerance, start)
 
 
 def check_linearity(
@@ -622,33 +935,34 @@ def check_linearity(
     start = time.perf_counter()
     circuit = synth_access(instance.layout(), instance.unitaries, options)
     rng = np.random.default_rng(seed)
+    runs = _draw_runs(instance)
     num_addresses = 1 << instance.n
 
     # Every instance has n >= 1, so there are always two distinct addresses.
-    superpositions: list[tuple[str, list[tuple[complex, int]], int, tuple[int, ...]]] = []
+    labels, addresses, amps, values = [], [], [], []
     for _ in range(num_cases):
         pair = rng.choice(num_addresses, size=2, replace=False)
         raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        amps = raw / np.linalg.norm(raw)
-        result, mem = _random_assignment(instance, rng)
-        terms = [(complex(a), int(y)) for a, y in zip(amps, pair)]
-        label = "+".join(f"y={label_of(y, instance.n)}" for _, y in terms)
-        superpositions.append((f"two-term {label}", terms, result, mem))
-    uniform_amp = complex(1 / np.sqrt(num_addresses))
-    uniform_terms = [(uniform_amp, y) for y in range(num_addresses)]
-    result, mem = _random_assignment(instance, rng)
-    superpositions.append(("uniform over addresses", uniform_terms, result, mem))
-    initials = (
-        superpose([(amp, _basis(circuit, y, result, mem)) for amp, y in terms])
-        for _, terms, result, mem in superpositions
+        amps.append(raw / np.linalg.norm(raw))
+        values.append(_draw(rng, runs, 1))
+        addresses.append(pair)
+        labels.append("two-term " + "+".join(f"y={label_of(int(y), instance.n)}" for y in pair))
+    labels.append("uniform over addresses")
+    addresses.append(np.arange(num_addresses))
+    amps.append(np.full(num_addresses, complex(1 / np.sqrt(num_addresses))))
+    values.append(_draw(rng, runs, 1))
+    terms = np.array([len(pair) for pair in addresses])
+    values = np.concatenate(values)
+    keys = _Keys(instance)
+    superpositions = keys.cases(
+        np.concatenate(addresses), values[:, 0], values[:, 1:], labels,
+        np.repeat(np.arange(len(labels)), terms), np.concatenate(amps),
     )
-    expectations = (
-        (label, (oracle_superposition(instance, terms, result, mem), 0.0), mem)
-        for label, terms, result, mem in superpositions
-    )
+    batches = _batches(len(labels), terms, _batch_limit(keys, [circuit]), superpositions.slice)
     return _verify(instance, "linearity", _variant_options(circuit),
-                   [(circuit, initials, expectations)],
-                   instance.unitaries, fidelity_tolerance, residual_tolerance, start)
+                   [("", _Run(circuit, instance.unitaries, keys))], batches,
+                   lambda cases: _oracle(instance, keys, cases),
+                   fidelity_tolerance, residual_tolerance, start)
 
 
 def check_variant_agreement(
@@ -661,29 +975,23 @@ def check_variant_agreement(
     residual_tolerance: float = RESIDUAL_TOL,
 ) -> VerificationReport:
     """Check that the fan-out variant agrees with the sequential circuit on
-    the data registers (and parks its own scratch copies back at 0)."""
+    the data registers (and parks its own scratch copies back at 0).  Each
+    batch of cases runs once through the sequential circuit, whose data rows
+    are the reference for every block size."""
     start = time.perf_counter()
     layout = instance.layout()
     sequential = synth_access(layout, instance.unitaries, SynthesisOptions())
     if block_sizes is None:
         block_sizes = sorted({SynthesisOptions().resolved_block(instance.m), 1, instance.m})
-    case_list = _generate_cases(instance, assignments, seed)
-    initials = (_basis(sequential, *case) for case in case_list)
-    references = list(_simulate(sequential, initials, instance.unitaries))
-
-    def runs():
-        for s in block_sizes:
-            fanout = synth_access(
-                layout,
-                instance.unitaries,
-                SynthesisOptions(variant="fanout", fanout_block=s),
-            )
-            initials = (_basis(fanout, *case) for case in case_list)
-            expectations = (
-                (f"s={s} " + _case_label(instance, *case), reference, case[2])
-                for case, reference in zip(case_list, references)
-            )
-            yield fanout, initials, expectations
-
-    return _verify(instance, "variant_agreement", {"block_sizes": list(block_sizes)}, runs(),
-                   instance.unitaries, fidelity_tolerance, residual_tolerance, start)
+    fanouts = [
+        synth_access(layout, instance.unitaries, SynthesisOptions(variant="fanout", fanout_block=s))
+        for s in block_sizes
+    ]
+    keys = _Keys(instance)
+    reference = _Run(sequential, instance.unitaries, keys)
+    runs = [(f"s={s} ", _Run(fanout, instance.unitaries, keys)) for s, fanout in zip(block_sizes, fanouts)]
+    count, take = _basis_cases(instance, keys, assignments, seed)
+    batches = _batches(count, 1, _batch_limit(keys, [sequential, *fanouts]), take)
+    return _verify(instance, "variant_agreement", {"block_sizes": list(block_sizes)}, runs, batches,
+                   lambda cases: _simulate(reference, cases),
+                   fidelity_tolerance, residual_tolerance, start)

@@ -12,7 +12,10 @@ per-node gate generators with a gate-by-gate ASAP scheduler; the package now
 places a whole tree level at once.  The reference emitter is the package's
 earlier JSON emitter, which built the whole document as dicts and lists and
 encoded it with ``json.dumps(indent=2)``; the package now writes the gate and
-matrix sections from templates.
+matrix sections from templates.  The reference checkers are the package's
+earlier case-by-case verifier: scalar seeded draws, one sparse state per
+case, and a judge over data-state dictionaries; the package now generates,
+packs and judges the cases of a batch as columns.
 """
 
 from __future__ import annotations
@@ -23,7 +26,24 @@ from collections.abc import Mapping
 import numpy as np
 import pyparsing as pp
 
-from qramforge import Circuit, Gate, GateKind, RegisterMap, SparseState, SynthesisOptions
+from qramforge import (
+    CaseResult,
+    Circuit,
+    Gate,
+    GateKind,
+    RegisterMap,
+    SparseState,
+    SynthesisOptions,
+    VerificationReport,
+    basis_state,
+    extract_data_state,
+    label_of,
+    oracle_effect,
+    oracle_superposition,
+    run_batch,
+    superpose,
+    synth_access,
+)
 from qramforge.formats import (
     _KIND_NAMES,
     _PARAMETER_KEYS,
@@ -34,6 +54,7 @@ from qramforge.formats import (
 from qramforge.ir import GateColumns
 from qramforge.sim import PRUNE_TOL, UnitarySpec
 from qramforge.tree import ROOT
+from qramforge.verifier import FIDELITY_TOL, RESIDUAL_TOL, _normalize_mem
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +375,165 @@ def reference_emit_json(circuit: Circuit, unitaries: Mapping[str, UnitarySpec] |
             leaf: _matrix_record(unitaries[leaf]) for leaf in sorted(unitaries)
         }
     return json.dumps(document, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# reference checkers: one sparse state per case, judged as dictionaries
+# ---------------------------------------------------------------------------
+
+
+def reference_case_label(instance, address: int, result: int, mem: tuple[int, ...]) -> str:
+    label = f"y={label_of(address, instance.n)} r={label_of(result, instance.m)}"
+    if any(instance.k):
+        mem_bits = ",".join(
+            format(value, f"0{width}b") if width else "-"
+            for value, width in zip(mem, instance.k)
+        )
+        label += f" mem={mem_bits}"
+    return label
+
+
+def reference_random_assignment(instance, rng: np.random.Generator) -> tuple[int, tuple[int, ...]]:
+    """A seeded (result, mem) draw: the result first, then each leaf's memory."""
+    result = int(rng.integers(0, 1 << instance.m))
+    return result, tuple(int(rng.integers(0, 1 << width)) for width in instance.k)
+
+
+def reference_generate_cases(instance, assignments: int, seed: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Exhaustive addresses; exhaustive (result, mem) when that space is
+    small, otherwise ``assignments`` seeded samples per address."""
+    rng = np.random.default_rng(seed)
+    combos = 1 << (instance.m + sum(instance.k))
+    cases = []
+    for address in range(1 << instance.n):
+        assigned: list[tuple[int, tuple[int, ...]]] = []
+        if combos <= max(assignments, 64):
+            for packed in range(combos):
+                result = packed & ((1 << instance.m) - 1)
+                rest = packed >> instance.m
+                mem = []
+                for width in instance.k:
+                    mem.append(rest & ((1 << width) - 1))
+                    rest >>= width
+                assigned.append((result, tuple(mem)))
+        while len(assigned) < assignments:
+            assigned.append(reference_random_assignment(instance, rng))
+        cases.extend((address, result, mem) for result, mem in assigned)
+    return cases
+
+
+def _data_fidelity(expected: dict, actual: dict) -> float:
+    overlap = 0j
+    for key, amp in expected.items():
+        mate = actual.get(key)
+        if mate is not None:
+            overlap += amp.conjugate() * mate
+    return abs(overlap) ** 2
+
+
+def _mem_invariant(actual: dict, mem: tuple[int, ...]) -> bool:
+    """Every surviving branch leaves mem_z untouched for all z except its own
+    address."""
+    for (y, _r, out_mem), _amp in actual.items():
+        for z_value, value in enumerate(out_mem):
+            if z_value != y and value != mem[z_value]:
+                return False
+    return True
+
+
+def _reference_verify(instance, check, options, runs, unitaries) -> VerificationReport:
+    """Judge each run ``(circuit, initials, expectations)`` case by case:
+    expectations are ``(label, (expected data, expected residual), mem)``."""
+    results = []
+    for circuit, initials, expectations in runs:
+        outputs = (extract_data_state(final, circuit.layout)
+                   for final in run_batch(initials, circuit, unitaries))
+        for (label, (expected, expected_residual), mem), (actual, residual) in zip(
+            expectations, outputs
+        ):
+            residual = max(expected_residual, residual)
+            fidelity = _data_fidelity(expected, actual)
+            invariant = _mem_invariant(actual, mem)
+            passed = fidelity >= 1.0 - FIDELITY_TOL and residual <= RESIDUAL_TOL and invariant
+            results.append(CaseResult(label, fidelity, residual, invariant, passed))
+    return VerificationReport(instance.describe(), check, options, FIDELITY_TOL, RESIDUAL_TOL,
+                              results, 0.0)
+
+
+def _options(circuit: Circuit) -> dict:
+    return {key: circuit.metadata.get(key) for key in ("variant", "fanout_block")}
+
+
+def reference_check_proposition(instance, options=None, *, assignments=8, seed=7, cases=None,
+                                circuit=None, circuit_unitaries=None) -> VerificationReport:
+    if circuit is None:
+        circuit = synth_access(instance.layout(), instance.unitaries, options or SynthesisOptions())
+    case_list = (
+        [(y, r, _normalize_mem(instance, mem)) for y, r, mem in cases]
+        if cases is not None
+        else reference_generate_cases(instance, assignments, seed)
+    )
+    initials = [basis_state(circuit.layout, *case) for case in case_list]
+    expectations = [
+        (reference_case_label(instance, *case), (oracle_effect(instance, *case), 0.0), case[2])
+        for case in case_list
+    ]
+    unitaries = circuit_unitaries if circuit_unitaries is not None else instance.unitaries
+    return _reference_verify(instance, "proposition", _options(circuit),
+                             [(circuit, initials, expectations)], unitaries)
+
+
+def reference_check_linearity(instance, options=None, *, num_cases=20, seed=7) -> VerificationReport:
+    circuit = synth_access(instance.layout(), instance.unitaries, options or SynthesisOptions())
+    rng = np.random.default_rng(seed)
+    num_addresses = 1 << instance.n
+    superpositions = []
+    for _ in range(num_cases):
+        pair = rng.choice(num_addresses, size=2, replace=False)
+        raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        amps = raw / np.linalg.norm(raw)
+        result, mem = reference_random_assignment(instance, rng)
+        terms = [(complex(a), int(y)) for a, y in zip(amps, pair)]
+        label = "+".join(f"y={label_of(y, instance.n)}" for _, y in terms)
+        superpositions.append((f"two-term {label}", terms, result, mem))
+    uniform_amp = complex(1 / np.sqrt(num_addresses))
+    result, mem = reference_random_assignment(instance, rng)
+    superpositions.append(("uniform over addresses", [(uniform_amp, y) for y in range(num_addresses)],
+                           result, mem))
+    initials = [
+        superpose([(amp, basis_state(circuit.layout, y, result, mem)) for amp, y in terms])
+        for _, terms, result, mem in superpositions
+    ]
+    expectations = [
+        (label, (oracle_superposition(instance, terms, result, mem), 0.0), mem)
+        for label, terms, result, mem in superpositions
+    ]
+    return _reference_verify(instance, "linearity", _options(circuit),
+                             [(circuit, initials, expectations)], instance.unitaries)
+
+
+def reference_check_variant_agreement(instance, *, block_sizes=None, assignments=4, seed=7) -> VerificationReport:
+    layout = instance.layout()
+    sequential = synth_access(layout, instance.unitaries, SynthesisOptions())
+    if block_sizes is None:
+        block_sizes = sorted({SynthesisOptions().resolved_block(instance.m), 1, instance.m})
+    case_list = reference_generate_cases(instance, assignments, seed)
+    references = [
+        extract_data_state(final, layout)
+        for final in run_batch([basis_state(layout, *case) for case in case_list],
+                               sequential, instance.unitaries)
+    ]
+    runs = []
+    for s in block_sizes:
+        fanout = synth_access(layout, instance.unitaries, SynthesisOptions(variant="fanout", fanout_block=s))
+        initials = [basis_state(fanout.layout, *case) for case in case_list]
+        expectations = [
+            (f"s={s} " + reference_case_label(instance, *case), reference, case[2])
+            for case, reference in zip(case_list, references)
+        ]
+        runs.append((fanout, initials, expectations))
+    return _reference_verify(instance, "variant_agreement", {"block_sizes": list(block_sizes)}, runs,
+                             instance.unitaries)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from qramforge import (
     Gate,
     SchemaError,
     SparseState,
+    StructuralError,
     SynthesisOptions,
     UnitarySpec,
     allocate_registers,
@@ -33,6 +34,7 @@ from qramforge import (
     synth_run,
     synth_up,
 )
+from qramforge.cli import main
 from helpers import assert_valid_qasm2, reference_emit_json
 
 DATA = Path(__file__).parent / "data"
@@ -138,9 +140,9 @@ def _daggers():
     layout = inst.layout()
     yield synth_run(layout, inst.unitaries).adjoint(), inst.unitaries
     yield synth_access(layout, inst.unitaries).adjoint(), inst.unitaries
-    leaf = 'a"\\\u00e9\u2028'  # a label that only parsed documents and hand-built gates carry
+    leaf = 'a"\\\u00e9\u2028'  # a label that only gates appended by hand carry
     block = Gate.controlled_opaque(2, [3, 4], leaf, dagger=True, declared_depth=2**62)
-    yield Circuit.from_moments(layout, [[Gate.x(0), block]]), None
+    yield Circuit(layout).append(Gate.x(0)).append(block), None
 
 
 def _options():
@@ -337,6 +339,8 @@ def _opaque_at(raw) -> tuple[int, int]:
         ("declared_depth", 0, r"\.declared_depth: expected an integer >= 1"),
         ("declared_depth", True, r"\.declared_depth: expected an integer$"),
         ("leaf", 5, r"\.leaf: expected a node label string"),
+        ("leaf", "zz", r"\.leaf: not a leaf of this layout"),
+        ("leaf", "", r"\.leaf: not a leaf of this layout"),  # the root
         ("targets", [], r": an opaque block takes one control and at least one target"),
         ("controls", [], r": an opaque block takes one control and at least one target"),
         ("controls", [True], r"\.controls: expected a list of integers"),
@@ -354,6 +358,48 @@ def test_opaque_record_faults_name_the_record(field, value, message, later_fault
         raw["moments"][-1][0]["kind"] = "h"
     with pytest.raises(SchemaError, match=rf"^moments\[{i}\]\[{j}\]{message}"):
         parse_document(json.dumps(raw))
+
+
+def test_opaque_blocks_must_name_a_leaf_of_the_layout(tmp_path, capsys):
+    """A block on a label the layout has no leaf for (a string of the wrong
+    width, an internal node, or no string) is refused when the circuit is
+    built and when a document is parsed, not later by the QASM emitter."""
+    layout = allocate_registers(2, 1)
+    for leaf in ("zz", "000", "0", "", 5):
+        with pytest.raises(StructuralError, match=f"opaque block leaf {leaf!r} is not a leaf"):
+            Circuit.from_moments(layout, [[Gate.x(0)], [Gate.controlled_opaque(2, [3], leaf)]])
+    raw = json.loads(_golden_text("access_n1_m1.json"))
+    i, j = _opaque_at(raw)
+    for leaf, message in (("zz", "not a leaf of this layout"), ("", "not a leaf of this layout"),
+                          (["0"], "expected a node label string")):
+        raw["moments"][i][j]["leaf"] = leaf
+        with pytest.raises(SchemaError, match=rf"^moments\[{i}\]\[{j}\]\.leaf: {message}$"):
+            parse_document(json.dumps(raw))
+    raw["moments"][i][j]["leaf"] = "zz"
+    document = tmp_path / "stray.json"
+    document.write_text(json.dumps(raw))
+    assert main(["simulate", "--circuit", str(document)]) == 2
+    assert "moments[" in capsys.readouterr().err
+
+
+def test_register_and_matrix_row_messages():
+    """Rows are compared as whole lists; the first mismatch is named."""
+    from qramforge.formats import _register_table
+
+    raw = json.loads(_golden_text("access_n1_m1.json"))
+    expected = _register_table(allocate_registers(1, 1))
+    raw["registers"][5]["start"] = 0
+    raw["registers"][3]["size"] = 2
+    with pytest.raises(SchemaError) as info:
+        parse_document(json.dumps(raw))
+    assert str(info.value) == f"registers[3]: expected {expected[3]}, got {raw['registers'][3]}"
+    inst = build_table_lookup_instance(1, 1, table=[1, 0])
+    raw = json.loads(emit_json(synth_access(inst.layout(), inst.unitaries), inst.unitaries))
+    raw["matrices"]["1"]["matrix"][1] = "ro"
+    raw["matrices"]["1"]["matrix"][0].append([0.0, 0.0])
+    with pytest.raises(SchemaError) as info:
+        parse_document(json.dumps(raw))
+    assert str(info.value) == "matrices.1.matrix[0]: expected a list of 2 [re, im] pairs"
 
 
 @pytest.mark.parametrize(

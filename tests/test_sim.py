@@ -299,16 +299,17 @@ def test_opaque_rows_are_checked_before_any_is_built(monkeypatch):
     rng = np.random.default_rng(5)
     layout = allocate_registers(8, 4, 4)  # 3834 qubits: 60 key words per term
     words = -(-layout.total_qubits // 64) + 2
+    first, second = layout.leaves[:2]
     unitaries = {
-        "0": UnitarySpec("0", _random_unitary(rng, 16)),
-        "1": UnitarySpec("1", _random_unitary(rng, 16)),
+        first: UnitarySpec(first, _random_unitary(rng, 16)),
+        second: UnitarySpec(second, _random_unitary(rng, 16)),
     }
     moment = Circuit.from_moments(
         layout,
         [
             [
-                Gate.controlled_opaque(0, (1, 2, 3, 4), "0"),
-                Gate.controlled_opaque(5, (6, 7, 8, 9), "1"),
+                Gate.controlled_opaque(0, (1, 2, 3, 4), first),
+                Gate.controlled_opaque(5, (6, 7, 8, 9), second),
             ]
         ],
     )

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import helpers
 import qramforge.sim as sim
 from qramforge import (
     Circuit,
     ConfigurationError,
+    Gate,
     InvalidParameterError,
     ResourceLimitError,
     SynthesisOptions,
@@ -32,6 +34,7 @@ from qramforge import (
     synth_access,
     SparseState,
 )
+from qramforge.verifier import DEFAULT_SEED
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -284,14 +287,13 @@ def test_check_variant_agreement_runs_each_case_once_on_the_sequential_circuit(m
     import qramforge.verifier as verifier
 
     batches = []
-    original = verifier.run_batch
+    original = verifier._simulate
 
-    def counting_run_batch(states, circuit, unitaries):
-        states = list(states)
-        batches.append((circuit.metadata.get("variant"), len(states)))
-        return original(states, circuit, unitaries)
+    def counting_simulate(run, cases):
+        batches.append((run.circuit.metadata.get("variant"), cases.num_cases))
+        return original(run, cases)
 
-    monkeypatch.setattr(verifier, "run_batch", counting_run_batch)
+    monkeypatch.setattr(verifier, "_simulate", counting_simulate)
     report = check_variant_agreement(build_qram_instance(2, 2), assignments=2, seed=4)
     assert report.passed
     cases_per_block = 8  # 4 addresses x 2 assignments
@@ -360,30 +362,37 @@ def checker_reports(instances=None) -> dict:
     return reports
 
 
+def golden_text(reports: dict) -> str:
+    return json.dumps(reports, indent=1) + "\n"
+
+
 def write_golden_reports() -> None:
-    GOLDEN_REPORTS.write_text(json.dumps(checker_reports(), indent=1) + "\n")
+    GOLDEN_REPORTS.write_text(golden_text(checker_reports()))
 
 
 def test_checker_reports_match_golden_file():
-    assert checker_reports() == json.loads(GOLDEN_REPORTS.read_text())
+    """Byte for byte: an int 0 would equal a pinned 0.0 as a value."""
+    assert golden_text(checker_reports()) == GOLDEN_REPORTS.read_text()
 
 
 def test_checker_reports_do_not_depend_on_the_batch_budget(monkeypatch):
     """Under a budget that splits each checker circuit's cases into several
     batches, every report still equals the pinned one."""
+    import qramforge.verifier as verifier
+
     sizes = []
-    original = sim._batches
+    original = verifier._batches
 
-    def counting_batches(states, circuit):
-        for rows in original(states, circuit):
-            sizes.append(rows.num_cases)
-            yield rows
+    def counting_batches(*args):
+        for cases in original(*args):
+            sizes.append(cases.num_cases)
+            yield cases
 
-    monkeypatch.setattr(sim, "_batches", counting_batches)
+    monkeypatch.setattr(verifier, "_batches", counting_batches)
     # the instances' payloads (up to 1 KiB) are built under the default budget
     instances = report_instances()
     monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 512)
-    assert checker_reports(instances) == json.loads(GOLDEN_REPORTS.read_text())
+    assert golden_text(checker_reports(instances)) == GOLDEN_REPORTS.read_text()
     assert max(sizes) <= 5 < sum(sizes)
 
 
@@ -436,3 +445,182 @@ def test_payload_budget_is_the_sum_over_leaves(monkeypatch):
             UnitarySpec("0", matrix)
     monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 16 * 64)
     assert UnitarySpec("0", np.eye(8)).dim == 8
+
+
+# ---------------------------------------------------------------------------
+# cases as columns, against the case-by-case reference
+# ---------------------------------------------------------------------------
+
+
+def column_cases(instance, assignments, seed, step):
+    """The checker's basis cases as ``(address, result, mem)`` tuples and
+    labels, generated ``step`` cases at a time."""
+    import qramforge.verifier as verifier
+
+    keys = verifier._Keys(instance)
+    count, take = verifier._basis_cases(instance, keys, assignments, seed)
+    out, labels = [], []
+    for cases in verifier._batches(count, 1, step, take):
+        columns = np.arange(cases.num_cases)
+        mem = [
+            keys.leaf_value(cases.mem, columns, np.full(cases.num_cases, z)).tolist()
+            for z in range(1 << instance.n)
+        ]
+        out.extend(zip(cases.address.tolist(), cases.result.tolist(), zip(*mem)))
+        labels.extend(cases.labels)
+    return out, labels
+
+
+@pytest.mark.parametrize(
+    "instance, assignments",
+    [
+        (build_qram_instance(2, 2), 9),  # every width equal: one draw for all cases
+        (build_random_instance(2, 1, 2), 5),  # every leaf width equal, m != k
+        (build_random_instance(2, 1, [0, 1, 2, 0]), 5),  # exhaustive: 16 combos
+        (build_random_instance(2, 1, [0, 1, 2, 0]), 21),  # 16 combos topped up with 5 draws
+        (build_random_instance(3, 1, [0, 1, 2, 0, 0, 1, 2, 0]), 7),  # draws only, per-leaf k
+        (build_random_instance(1, 3, [3, 0]), 70),  # 64 combos, then draws
+        (build_table_lookup_instance(3, 2), 70),  # every leaf of width 0
+        (build_rotation_instance(2, 3), 3),
+    ],
+    ids=["qram", "random-k2", "per-leaf-exhaustive", "per-leaf-topped-up", "per-leaf-drawn",
+         "mixed-topped-up", "lookup", "rotation"],
+)
+def test_column_cases_draw_in_the_scalar_order(instance, assignments):
+    expected = helpers.reference_generate_cases(instance, assignments, 13)
+    labels = [helpers.reference_case_label(instance, *case) for case in expected]
+    for step in (1, 7, len(expected)):
+        assert column_cases(instance, assignments, 13, step) == (expected, labels)
+
+
+def test_custom_cases_keep_their_messages():
+    inst = build_random_instance(2, 1, [0, 1, 2, 0], seed=5)
+    good = (1, 0, (0, 1, 3, 0))
+    for bad, message in [
+        ((4, 0, None), r"address must lie in \[0, 4\), got 4"),
+        ((1.0, 0, None), r"address must lie in \[0, 4\), got 1.0"),
+        ((0, 2, None), r"result must lie in \[0, 2\), got 2"),
+        ((0, "1", None), r"result must lie in \[0, 2\), got '1'"),
+        ((0, 0, (0, 2, 0, 0)), "memory value 2 does not fit leaf 01"),
+        ((0, 0, (0, 1)), "expected 4 memory values, got 2"),
+    ]:
+        for cases in ([bad], [good, bad]):
+            with pytest.raises(InvalidParameterError, match=message):
+                check_proposition(inst, cases=cases)
+    cases = [good, (2, 1, None), (True, 0, [0, True, 2, 0])]
+    assert (check_proposition(inst, cases=cases).to_dict()["cases"]
+            == helpers.reference_check_proposition(inst, cases=cases).to_dict()["cases"])
+
+
+def tampered_circuits(instance):
+    """The instance's circuit with one fault each: the first moment dropped,
+    the payloads of two leaves swapped, an extra X on the last leaf's memory
+    after the run, and that X together with one on an ancilla."""
+    circuit = synth_access(instance.layout(), instance.unitaries)
+    layout, moments = circuit.layout, list(circuit.moments)
+    yield "dropped", Circuit.from_moments(layout, moments[1:]), None
+    first, last = layout.leaves[0], layout.leaves[-1]
+    swapped = {**instance.unitaries, first: instance.unitaries[last], last: instance.unitaries[first]}
+    yield "swapped", circuit, swapped
+    flips = [Gate.x(layout.mem(last)[0])] if layout.mem(last) else []
+    yield "mem-x", Circuit.from_moments(layout, moments + [flips]), None
+    flips.append(Gate.x(layout.ancilla_qubits[0]))
+    yield "mem-ancilla-x", Circuit.from_moments(layout, moments + [flips]), None
+
+
+def differential_reports(instance, everything=True):
+    """``(name, report, reference report)`` for every checker and, unless
+    not ``everything``, the fan-out variant and every tampered circuit of
+    ``instance``."""
+    fanout = SynthesisOptions(variant="fanout", fanout_block=1)
+    yield ("proposition", check_proposition(instance, assignments=5, seed=3),
+           helpers.reference_check_proposition(instance, assignments=5, seed=3))
+    yield ("linearity", check_linearity(instance, num_cases=5, seed=5),
+           helpers.reference_check_linearity(instance, num_cases=5, seed=5))
+    yield ("variant_agreement", check_variant_agreement(instance, assignments=3, seed=7),
+           helpers.reference_check_variant_agreement(instance, assignments=3, seed=7))
+    if not everything:
+        return
+    yield ("proposition-fanout", check_proposition(instance, fanout, assignments=3, seed=4),
+           helpers.reference_check_proposition(instance, fanout, assignments=3, seed=4))
+    yield ("linearity-fanout", check_linearity(instance, fanout, num_cases=3, seed=6),
+           helpers.reference_check_linearity(instance, fanout, num_cases=3, seed=6))
+    for name, circuit, unitaries in tampered_circuits(instance):
+        yield (name, check_proposition(instance, circuit=circuit, circuit_unitaries=unitaries,
+                                       assignments=3, seed=8),
+               helpers.reference_check_proposition(instance, circuit=circuit,
+                                                   circuit_unitaries=unitaries,
+                                                   assignments=3, seed=8))
+
+
+DIFFERENTIAL_INSTANCES = {
+    "qram": lambda: build_qram_instance(2, 1),
+    "lookup": lambda: build_table_lookup_instance(3, 2, seed=4),
+    "rotation": lambda: build_rotation_instance(2, 2),
+    "random": lambda: build_random_instance(2, 1, 1, seed=6),
+    "random-per-leaf-k": lambda: build_random_instance(2, 1, [1, 0, 2, 1], seed=9),
+}
+
+
+def assert_reports_equal(reports) -> dict:
+    """Each report and its reference serialize to the same JSON (an int 0
+    and a float 0.0 compare equal as values but not as text)."""
+    cases = {}
+    for name, report, reference in reports:
+        report, reference = report.to_dict(), reference.to_dict()
+        del report["wall_seconds"], reference["wall_seconds"]
+        assert json.dumps(report) == json.dumps(reference), name
+        cases[name] = reference["cases"]
+    return cases
+
+
+@pytest.mark.parametrize("family", list(DIFFERENTIAL_INSTANCES))
+def test_column_judge_equals_the_case_by_case_judge(family):
+    """Every report, floats included, equals the one the per-case path
+    gives, on passing and on tampered circuits."""
+    instance = DIFFERENTIAL_INSTANCES[family]()
+    tampered = assert_reports_equal(differential_reports(instance))
+    assert not any(case["passed"] for case in tampered["dropped"])
+    if family not in ("qram", "rotation"):  # these use one matrix for every leaf
+        assert not all(case["passed"] for case in tampered["swapped"])
+    if family != "lookup":  # a leaf without memory takes no X on its memory
+        assert not all(case["mem_invariant"] for case in tampered["mem-x"])
+    assert all(case["ancilla_residual"] > 0 for case in tampered["mem-ancilla-x"])
+
+
+@pytest.mark.parametrize("family", ["random-per-leaf-k", "rotation"])
+def test_column_judge_equals_the_case_by_case_judge_over_split_batches(family, monkeypatch):
+    """The same with batches of a case or two."""
+    instance = DIFFERENTIAL_INSTANCES[family]()
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 512)
+    assert_reports_equal(differential_reports(instance, everything=False))
+
+
+def test_case_generation_and_packing_stay_within_the_budget(monkeypatch):
+    """Generating and packing the cases of a random n=8 check holds one
+    batch at a time: the traced peak stays within the batch budget plus a
+    fixed allowance, far below the whole case table."""
+    import tracemalloc
+
+    import qramforge.verifier as verifier
+
+    instance = build_random_instance(8, 1, 1)
+    circuit = synth_access(instance.layout(), instance.unitaries)
+    keys = verifier._Keys(instance)
+    run = verifier._Run(circuit, instance.unitaries, keys)
+    budget = 1 << 20
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", budget)
+    count, take = verifier._basis_cases(instance, keys, 8, DEFAULT_SEED)
+    tracemalloc.start()
+    try:
+        batches = 0
+        for cases in verifier._batches(count, 1, verifier._batch_limit(keys, [circuit]), take):
+            rows = run.pack(cases)
+            batches += 1
+            del cases, rows
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 2048 and batches > 1
+    assert count * 8 * len(keys.leaves) > 2 * budget  # the whole memory table
+    assert peak < budget + (256 << 10)
