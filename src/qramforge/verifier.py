@@ -666,20 +666,13 @@ def _listed_cases(
     )
 
 
-def _batches(
-    count: int, terms: int | np.ndarray, limit: int, take: Callable[[int, int], _Cases]
-) -> Iterator[_Cases]:
-    """Cases ``0`` to ``count - 1`` in consecutive batches of at most
-    ``limit`` terms (and at least one case), made by ``take(lo, hi)``;
-    ``terms`` is the number of terms of every case, or of each."""
-    if isinstance(terms, int):
-        step = max(1, limit // terms)
-        for lo in range(0, count, step):
-            yield take(lo, min(count, lo + step))
-        return
+def _batches(terms: np.ndarray, limit: int, take: Callable[[int, int], _Cases]) -> Iterator[_Cases]:
+    """The cases, ``terms[i]`` terms for case ``i``, in consecutive batches
+    of at most ``limit`` terms (and at least one case), each made by
+    ``take(lo, hi)``."""
     ends = np.cumsum(terms)
     lo = 0
-    while lo < count:
+    while lo < len(ends):
         done = int(ends[lo - 1]) if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, done + limit, side="right")))
         yield take(lo, hi)
@@ -913,7 +906,7 @@ def check_proposition(
     else:
         listed = _listed_cases(instance, keys, cases)
         count, take = listed.num_cases, listed.slice
-    batches = _batches(count, 1, _batch_limit(keys, [circuit]), take)
+    batches = _batches(np.ones(count, dtype=np.int64), _batch_limit(keys, [circuit]), take)
     return _verify(instance, "proposition", _variant_options(circuit),
                    [("", _Run(circuit, sim_unitaries, keys))], batches,
                    lambda cases: _oracle(instance, keys, cases),
@@ -958,7 +951,7 @@ def check_linearity(
         np.concatenate(addresses), values[:, 0], values[:, 1:], labels,
         np.repeat(np.arange(len(labels)), terms), np.concatenate(amps),
     )
-    batches = _batches(len(labels), terms, _batch_limit(keys, [circuit]), superpositions.slice)
+    batches = _batches(terms, _batch_limit(keys, [circuit]), superpositions.slice)
     return _verify(instance, "linearity", _variant_options(circuit),
                    [("", _Run(circuit, instance.unitaries, keys))], batches,
                    lambda cases: _oracle(instance, keys, cases),
@@ -991,7 +984,7 @@ def check_variant_agreement(
     reference = _Run(sequential, instance.unitaries, keys)
     runs = [(f"s={s} ", _Run(fanout, instance.unitaries, keys)) for s, fanout in zip(block_sizes, fanouts)]
     count, take = _basis_cases(instance, keys, assignments, seed)
-    batches = _batches(count, 1, _batch_limit(keys, [sequential, *fanouts]), take)
+    batches = _batches(np.ones(count, dtype=np.int64), _batch_limit(keys, [sequential, *fanouts]), take)
     return _verify(instance, "variant_agreement", {"block_sizes": list(block_sizes)}, runs, batches,
                    lambda cases: _simulate(reference, cases),
                    fidelity_tolerance, residual_tolerance, start)

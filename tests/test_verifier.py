@@ -460,7 +460,7 @@ def column_cases(instance, assignments, seed, step):
     keys = verifier._Keys(instance)
     count, take = verifier._basis_cases(instance, keys, assignments, seed)
     out, labels = [], []
-    for cases in verifier._batches(count, 1, step, take):
+    for cases in verifier._batches(np.ones(count, dtype=np.int64), step, take):
         columns = np.arange(cases.num_cases)
         mem = [
             keys.leaf_value(cases.mem, columns, np.full(cases.num_cases, z)).tolist()
@@ -614,7 +614,8 @@ def test_case_generation_and_packing_stay_within_the_budget(monkeypatch):
     tracemalloc.start()
     try:
         batches = 0
-        for cases in verifier._batches(count, 1, verifier._batch_limit(keys, [circuit]), take):
+        for cases in verifier._batches(np.ones(count, dtype=np.int64),
+                                       verifier._batch_limit(keys, [circuit]), take):
             rows = run.pack(cases)
             batches += 1
             del cases, rows
