@@ -930,28 +930,30 @@ def check_linearity(
     rng = np.random.default_rng(seed)
     runs = _draw_runs(instance)
     num_addresses = 1 << instance.n
-
-    # Every instance has n >= 1, so there are always two distinct addresses.
-    labels, addresses, amps, values = [], [], [], []
-    for _ in range(num_cases):
-        pair = rng.choice(num_addresses, size=2, replace=False)
-        raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        amps.append(raw / np.linalg.norm(raw))
-        values.append(_draw(rng, runs, 1))
-        addresses.append(pair)
-        labels.append("two-term " + "+".join(f"y={label_of(int(y), instance.n)}" for y in pair))
-    labels.append("uniform over addresses")
-    addresses.append(np.arange(num_addresses))
-    amps.append(np.full(num_addresses, complex(1 / np.sqrt(num_addresses))))
-    values.append(_draw(rng, runs, 1))
-    terms = np.array([len(pair) for pair in addresses])
-    values = np.concatenate(values)
     keys = _Keys(instance)
-    superpositions = keys.cases(
-        np.concatenate(addresses), values[:, 0], values[:, 1:], labels,
-        np.repeat(np.arange(len(labels)), terms), np.concatenate(amps),
-    )
-    batches = _batches(terms, _batch_limit(keys, [circuit]), superpositions.slice)
+    terms = np.append(np.full(num_cases, 2), num_addresses)
+
+    def take(lo: int, hi: int) -> _Cases:
+        """Superpositions ``lo`` to ``hi - 1``, drawn in order."""
+        labels, addresses, amps, values = [], [], [], []
+        for i in range(lo, hi):
+            if i < num_cases:
+                # Every instance has n >= 1, so there are always two distinct addresses.
+                pair = rng.choice(num_addresses, size=2, replace=False)
+                raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                addresses.append(pair)
+                amps.append(raw / np.linalg.norm(raw))
+                labels.append("two-term " + "+".join(f"y={label_of(int(y), instance.n)}" for y in pair))
+            else:
+                addresses.append(np.arange(num_addresses))
+                amps.append(np.full(num_addresses, complex(1 / np.sqrt(num_addresses))))
+                labels.append("uniform over addresses")
+            values.append(_draw(rng, runs, 1))
+        values = np.concatenate(values)
+        return keys.cases(np.concatenate(addresses), values[:, 0], values[:, 1:], labels,
+                          np.repeat(np.arange(hi - lo), terms[lo:hi]), np.concatenate(amps))
+
+    batches = _batches(terms, _batch_limit(keys, [circuit]), take)
     return _verify(instance, "linearity", _variant_options(circuit),
                    [("", _Run(circuit, instance.unitaries, keys))], batches,
                    lambda cases: _oracle(instance, keys, cases),

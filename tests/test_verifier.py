@@ -515,7 +515,7 @@ def test_custom_cases_keep_their_messages():
 def tampered_circuits(instance):
     """The instance's circuit with one fault each: the first moment dropped,
     the payloads of two leaves swapped, an extra X on the last leaf's memory
-    after the run, and that X together with one on an ancilla."""
+    at the end, and that X together with one on an ancilla."""
     circuit = synth_access(instance.layout(), instance.unitaries)
     layout, moments = circuit.layout, list(circuit.moments)
     yield "dropped", Circuit.from_moments(layout, moments[1:]), None
