@@ -842,8 +842,8 @@ def _verify(
                 CaseResult, [prefix + label for label in cases.labels], fidelity.tolist(),
                 residual.tolist(), invariant.tolist(), passed.tolist(),
             ))
-    cases = [case for out in results for case in out]
-    if not cases:
+    judged = [case for out in results for case in out]
+    if not judged:
         raise InvalidParameterError(f"the {check} check of {instance.describe()} has no cases")
     return VerificationReport(
         instance=instance.describe(),
@@ -851,7 +851,7 @@ def _verify(
         options=options,
         fidelity_tolerance=fidelity_tolerance,
         residual_tolerance=residual_tolerance,
-        cases=cases,
+        cases=judged,
         wall_seconds=time.perf_counter() - start,
     )
 
