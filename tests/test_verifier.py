@@ -515,7 +515,8 @@ def test_custom_cases_keep_their_messages():
 def tampered_circuits(instance):
     """The instance's circuit with one fault each: the first moment dropped,
     the payloads of two leaves swapped, an extra X on the last leaf's memory
-    at the end, and that X together with one on an ancilla."""
+    at the end, and that X together with a CNOT from the result into an
+    ancilla, which strands the terms whose result bit is 1."""
     circuit = synth_access(instance.layout(), instance.unitaries)
     layout, moments = circuit.layout, list(circuit.moments)
     yield "dropped", Circuit.from_moments(layout, moments[1:]), None
@@ -524,8 +525,8 @@ def tampered_circuits(instance):
     yield "swapped", circuit, swapped
     flips = [Gate.x(layout.mem(last)[0])] if layout.mem(last) else []
     yield "mem-x", Circuit.from_moments(layout, moments + [flips]), None
-    flips.append(Gate.x(layout.ancilla_qubits[0]))
-    yield "mem-ancilla-x", Circuit.from_moments(layout, moments + [flips]), None
+    flips.append(Gate.cnot(layout.result_qubits[0], layout.ancilla_qubits[0]))
+    yield "mem-x-stranded", Circuit.from_moments(layout, moments + [flips]), None
 
 
 def differential_reports(instance, everything=True):
@@ -583,9 +584,13 @@ def test_column_judge_equals_the_case_by_case_judge(family):
     assert not any(case["passed"] for case in tampered["dropped"])
     if family not in ("qram", "rotation"):  # these use one matrix for every leaf
         assert not all(case["passed"] for case in tampered["swapped"])
+    stranded = tampered["mem-x-stranded"]
+    assert any(case["ancilla_residual"] > 0 for case in stranded)
     if family != "lookup":  # a leaf without memory takes no X on its memory
         assert not all(case["mem_invariant"] for case in tampered["mem-x"])
-    assert all(case["ancilla_residual"] > 0 for case in tampered["mem-ancilla-x"])
+        assert not all(case["mem_invariant"] for case in stranded)
+    if family not in ("lookup", "qram"):  # payloads that spread a case over result values
+        assert any(not case["mem_invariant"] and case["ancilla_residual"] > 0 for case in stranded)
 
 
 @pytest.mark.parametrize("family", ["random-per-leaf-k", "rotation"])
