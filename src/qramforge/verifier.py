@@ -634,7 +634,7 @@ def _basis_cases(
     m = instance.m
     combos = 1 << (m + sum(instance.k))
     listed = combos if combos <= max(assignments, 64) else 0
-    per_address = max(listed, assignments)
+    per_address = max(listed, assignments, 0)
     mem_shift, mem_mask = m + keys.offset[keys.leaves], (1 << keys.k[keys.leaves]) - 1
 
     def take(lo: int, hi: int) -> _Cases:
@@ -931,7 +931,7 @@ def check_linearity(
     runs = _draw_runs(instance)
     num_addresses = 1 << instance.n
     keys = _Keys(instance)
-    terms = np.append(np.full(num_cases, 2), num_addresses)
+    terms = np.append(np.full(max(num_cases, 0), 2), num_addresses)
 
     def take(lo: int, hi: int) -> _Cases:
         """Superpositions ``lo`` to ``hi - 1``, drawn in order."""

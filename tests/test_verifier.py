@@ -320,6 +320,11 @@ def test_empty_case_lists_are_rejected():
     inst = build_qram_instance(1, 1)
     with pytest.raises(InvalidParameterError, match="no cases"):
         check_proposition(inst, cases=[])
+    for assignments in (0, -3):  # 2**(1 + 12) (result, mem) assignments: none enumerated
+        with pytest.raises(InvalidParameterError, match="no cases"):
+            check_proposition(build_random_instance(2, 1, 3), assignments=assignments)
+    # a negative count of two-term superpositions leaves the uniform one
+    assert [case.label for case in check_linearity(inst, num_cases=-1).cases] == ["uniform over addresses"]
     with pytest.raises(InvalidParameterError, match="no cases"):
         check_variant_agreement(inst, block_sizes=[])
 
@@ -482,9 +487,10 @@ def column_cases(instance, assignments, seed, step):
         (build_random_instance(1, 3, [3, 0]), 70),  # 64 combos, then draws
         (build_table_lookup_instance(3, 2), 70),  # every leaf of width 0
         (build_rotation_instance(2, 3), 3),
+        (build_random_instance(5, 1, [3, 5, 0, 7] * 8), 2),  # registers across 64-bit words
     ],
     ids=["qram", "random-k2", "per-leaf-exhaustive", "per-leaf-topped-up", "per-leaf-drawn",
-         "mixed-topped-up", "lookup", "rotation"],
+         "mixed-topped-up", "lookup", "rotation", "wide-memory"],
 )
 def test_column_cases_draw_in_the_scalar_order(instance, assignments):
     expected = helpers.reference_generate_cases(instance, assignments, 13)
@@ -560,6 +566,8 @@ DIFFERENTIAL_INSTANCES = {
     "rotation": lambda: build_rotation_instance(2, 2),
     "random": lambda: build_random_instance(2, 1, 1, seed=6),
     "random-per-leaf-k": lambda: build_random_instance(2, 1, [1, 0, 2, 1], seed=9),
+    # 96 memory bits: leaf 21's register spans bits 63-65, across two words
+    "random-wide-memory": lambda: build_random_instance(5, 1, 3, seed=2),
 }
 
 
