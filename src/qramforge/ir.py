@@ -413,6 +413,13 @@ class GateColumns:
 _EMPTY = GateColumns.build([], [], [], 0)
 
 
+def _check_leaves(layout: RegisterMap, leaves: Iterable[object]) -> None:
+    """Refuse the first opaque-block leaf that is no leaf of ``layout``."""
+    for leaf in leaves:
+        if not (isinstance(leaf, str) and len(leaf) == layout.n and not leaf.strip("01")):
+            raise StructuralError(f"opaque block leaf {leaf!r} is not a leaf of this layout")
+
+
 class Circuit:
     """A moment-structured circuit bound to a
     :class:`~qramforge.tree.RegisterMap`, stored as :class:`GateColumns`.
@@ -460,10 +467,7 @@ class Circuit:
             raise StructuralError(
                 f"qubit {int(outside[0])} is outside the layout ({layout.total_qubits} qubits)"
             )
-        leaves = set(layout.leaves)
-        stray = [leaf for leaf in columns.leaf.tolist() if not (isinstance(leaf, str) and leaf in leaves)]
-        if stray:
-            raise StructuralError(f"opaque block leaf {stray[0]!r} is not a leaf of this layout")
+        _check_leaves(layout, columns.leaf.tolist())
         return cls.of_columns(layout, columns)
 
     @property
@@ -485,6 +489,8 @@ class Circuit:
                 raise StructuralError(
                     f"qubit {q} is outside the layout ({self.layout.total_qubits} qubits)"
                 )
+        if gate.kind is GateKind.OPAQUE:
+            _check_leaves(self.layout, [gate.leaf])
         frontier = self._frontier_list()
         if policy == "asap":
             index = self._floor

@@ -4,16 +4,18 @@ A state is a dictionary from basis keys to complex amplitudes, where bit
 ``q`` of a key is the value of physical qubit ``q`` (see the numbering
 contract in :mod:`qramforge.tree`).  :class:`SparseState` is the input and
 output type; inside, one engine runs any number of states through a circuit
-together.  Every basis term of every state is one row of packed bit-planes
+together.  Every basis term of every state is one row of packed words
 (``ceil(qubits / 64)`` uint64 words) with an amplitude and the index of the
 state it came from.
 
 The access circuit is almost entirely classical routing — X, CNOT, Toffoli,
 and Fredkin merely permute basis keys — so the rows never multiply under
-those gates and each moment of them is a few numpy mask operations over all
-rows at once.  Opaque blocks are the one genuinely quantum step: rows with
-the control bit set are grouped by (state, non-target bits) and each group's
-amplitudes are multiplied by the block's dense matrix.
+those gates.  The routing moments up to each opaque moment run bit-sliced:
+slices of rows are transposed into one bit-plane per qubit, and each moment
+is four bitwise operations over the planes of all its gates.  Opaque blocks
+are the one genuinely quantum step: rows with the control bit set are
+grouped by (state, non-target bits) and each group's amplitudes are
+multiplied by the block's dense matrix.
 
 Amplitudes with magnitude at most :data:`PRUNE_TOL` are dropped when a dense
 block produces them; exact zeros from routing never arise.  States are packed
@@ -55,9 +57,9 @@ UNITARITY_TOL = 1e-10
 #: the rows an opaque moment produces.  Batches of states are sized to fit it.
 BATCH_BUDGET_BYTES = 1 << 28
 
-#: Size of one (gates x terms) temporary of a routing moment, in bytes; the
-#: moment runs over slices of terms small enough to keep within it.
-_CHUNK_BYTES = 1 << 15
+#: Size of the bit-planes of one slice of terms, in bytes; a run of routing
+#: moments goes over slices of terms small enough to keep within it.
+_SLICE_BYTES = 1 << 18
 
 
 class UnitarySpec:
@@ -299,12 +301,12 @@ def _unitary_for(block: _Block, unitaries: Mapping[str, UnitarySpec] | None) -> 
 
 class _Moments:
     """A circuit's columns as the simulator reads them, moment by moment:
-    each moment's routing gates as flip rules ``(target, c1, c2, p, q)``
-    (see :class:`_Rows`) and its opaque blocks."""
+    each moment's routing gates as flip rules ``(target, c1, c2, p, q)`` on
+    bit-planes (see :class:`_Rows`) and its opaque blocks."""
 
     def __init__(self, columns: GateColumns, num_qubits: int):
-        words = -(-num_qubits // 64)
-        one, zero = 64 * words, 64 * words + 64
+        one = 64 * -(-num_qubits // 64)
+        zero = one + 1
         kind, ops = columns.kind, columns.ops.astype(np.intp)
         a, b, c = ops[:, 0], ops[:, 1], ops[:, 2]
         rules = np.full((len(kind), 5), one, dtype=np.intp)
@@ -334,29 +336,43 @@ class _Moments:
                 columns.leaf[block], bool(columns.dagger[row]),
             ))
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def moment(self, index: int) -> tuple[np.ndarray, list[_Block]]:
-        return self.rules[self.bounds[index] : self.bounds[index + 1]], self.blocks[index]
-
 
 _ONE = np.uint64(1)
 
 #: ``_ONES[w]`` has the low ``w`` bits set.
 _ONES = np.array([(1 << w) - 1 for w in range(65)], dtype=np.uint64)
 
+#: For each swap of ``_transpose_bits``: its distance and the low bits of
+#: each pair of ``2 * distance`` bits.
+_SWAPS = [(np.uint64(d), np.uint64(((1 << 64) - 1) // ((1 << 2 * d) - 1) * ((1 << d) - 1)))
+          for d in (32, 16, 8, 4, 2, 1)]
+
+
+def _transpose_bits(blocks: np.ndarray) -> None:
+    """Transpose, in place, each 64 x 64 bit matrix that the last axis of
+    ``blocks`` holds as 64 words: bit ``j`` of word ``i`` trades places with
+    bit ``i`` of word ``j``."""
+    for d, low in _SWAPS:
+        pairs = blocks.reshape(*blocks.shape[:-1], 32 // int(d), 2, int(d))
+        top, bottom = pairs[..., 0, :], pairs[..., 1, :]
+        swap = (top >> d ^ bottom) & low
+        bottom ^= swap
+        top ^= swap << d
+
 
 class _Rows:
-    """The basis terms of a batch of states, packed as bit-planes.
+    """The basis terms of a batch of states, packed as words.
 
     Row ``i`` is one term: ``words[w, i]`` holds its qubits ``64 w`` to
     ``64 w + 63``, ``amps[i]`` its amplitude and ``case[i]`` the index of the
-    input state it belongs to.  Two constant words follow the key words, all
-    ones and then all zeros, so that every routing gate is one rule: flip the
-    target where ``c1 & c2 & (p ^ q)``, with unused operands pointing at the
-    constant bits.  Rows of one case keep the order in which a one-state
-    simulation would list its terms.
+    input state it belongs to; two constant words (all ones, all zeros)
+    follow the key words.  Rows of one case keep the order in which a
+    one-state simulation would list its terms.
+
+    Routing runs on the transpose of a slice of rows: plane ``q`` holds
+    qubit ``q`` of 64 rows per uint64, and planes of all ones and all zeros
+    follow.  Every routing gate is one rule, flip plane ``target`` where
+    ``c1 & c2 & (p ^ q)``, with unused operands on the constant planes.
     """
 
     __slots__ = ("num_qubits", "num_cases", "num_words", "words", "amps", "case")
@@ -405,41 +421,44 @@ class _Rows:
         weights = np.abs(self.amps) ** 2
         return np.sqrt(np.bincount(self.case, weights=weights, minlength=self.num_cases))
 
-    def apply(
-        self, rules: np.ndarray, blocks: list[_Block], unitaries: Mapping[str, UnitarySpec] | None
-    ) -> None:
-        """Apply one moment: its routing gates as flip rules, then its opaque
-        blocks."""
-        if len(rules):
-            self._route(rules)
-        # Routing never reorders rows and the gates of a moment commute, so
-        # the opaque blocks may follow the routing gates.
-        if blocks:
-            self._blocks(blocks, unitaries)
+    def apply(self, moments: _Moments, unitaries: Mapping[str, UnitarySpec] | None) -> None:
+        """Apply every moment.  The routing rules of consecutive moments go
+        in one run up to a moment with opaque blocks, whose own rules end
+        the run; its blocks follow them, as the gates of a moment commute
+        and routing keeps the order of the rows."""
+        start = 0
+        for index, blocks in enumerate(moments.blocks):
+            if blocks or index == len(moments.blocks) - 1:
+                bounds = moments.bounds[start : index + 2]
+                if bounds[0] < bounds[-1]:
+                    self._flip_planes(moments.rules, bounds)
+                if blocks:
+                    self._blocks(blocks, unitaries)
+                start = index + 1
 
-    def _route(self, entries: np.ndarray) -> None:
-        """Apply flip rules ``(target, c1, c2, p, q)``, given as qubit indices.
+    def _flip_planes(self, rules: np.ndarray, bounds: list[int]) -> None:
+        """Apply the moments ``rules[bounds[i] : bounds[i + 1]]`` in turn,
+        over slices of rows whose bit-planes fit :data:`_SLICE_BYTES`.
 
-        Every rule reads its bits before any rule writes, as a moment of
-        gates on disjoint qubits needs (a Fredkin gate reads its targets).
-        The rules run over slices of rows sized so that one (rules x rows)
-        temporary stays within :data:`_CHUNK_BYTES`.
+        Within a moment every rule reads its planes before any rule writes,
+        as gates on disjoint qubits need (a Fredkin gate reads its targets).
         """
-        entries = entries[np.argsort(entries[:, 0] >> 6, kind="stable")]
-        index = entries >> 6
-        shift = (entries & 63).astype(np.uint64)[:, :, None]
-        target_words, starts = np.unique(index[:, 0], return_index=True)
-        words = self.words
-        step = max(1, _CHUNK_BYTES // (8 * len(entries)))
-        for lo in range(0, words.shape[1], step):
-            part = words[:, lo : lo + step]
-            flip, c2, p, q = (part[index[:, k]] >> shift[:, k] for k in (1, 2, 3, 4))
-            p ^= q
-            flip &= c2
-            flip &= p
-            flip &= _ONE
-            flip <<= shift[:, 0]
-            part[target_words] ^= np.bitwise_xor.reduceat(flip, starts, axis=0)
+        width = self.num_words
+        step = 64 * max(1, _SLICE_BYTES // (8 * (64 * width + 2)))
+        moments = [rules[lo:hi].T for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
+        for lo in range(0, self.words.shape[1], step):
+            part = self.words[:width, lo : lo + step]
+            blocks = np.zeros((width, -(-part.shape[1] // 64), 64), dtype=np.uint64)
+            blocks.reshape(width, -1)[:, : part.shape[1]] = part
+            _transpose_bits(blocks)
+            planes = np.zeros((64 * width + 2, blocks.shape[1]), dtype=np.uint64)
+            planes[: 64 * width] = blocks.transpose(0, 2, 1).reshape(64 * width, -1)
+            planes[64 * width] = np.iinfo(np.uint64).max
+            for target, c1, c2, p, q in moments:
+                planes[target] ^= (planes[p] ^ planes[q]) & planes[c1] & planes[c2]
+            blocks[...] = planes[: 64 * width].reshape(width, 64, -1).transpose(0, 2, 1)
+            _transpose_bits(blocks)
+            part[...] = blocks.reshape(width, -1)[:, : part.shape[1]]
 
     def _owners(self, blocks: Sequence[_Block]) -> np.ndarray | None:
         """For each row, the index of the block whose control bit it has set
@@ -644,8 +663,7 @@ def _run_moments(rows: _Rows, moments: _Moments, unitaries: Mapping[str, Unitary
     """Apply every moment to ``rows``; a drift of any case's norm beyond
     :data:`NORM_TOL` raises :class:`~qramforge.errors.SimulationError`."""
     before = rows.norms()
-    for index in range(len(moments)):
-        rows.apply(*moments.moment(index), unitaries)
+    rows.apply(moments, unitaries)
     drift = np.abs(rows.norms() - before)
     if drift.size and drift.max() > NORM_TOL:
         raise SimulationError(f"state norm drifted by {drift.max():.3e} during simulation")
@@ -676,6 +694,6 @@ def apply_gate(
         )
     rows = _Rows.of_keys(list(state.amps), list(state.amps.values()), [len(state)], state.num_qubits)
     moments = _Moments(GateColumns.of_gates([(0, gate)], 1), state.num_qubits)
-    rows.apply(*moments.moment(0), unitaries)
+    rows.apply(moments, unitaries)
     (out,) = rows.states()
     return out

@@ -35,6 +35,7 @@ from qramforge import (
     synth_up,
 )
 from qramforge.cli import main
+from qramforge.ir import GateColumns
 from helpers import assert_valid_qasm2, reference_emit_json
 
 DATA = Path(__file__).parent / "data"
@@ -140,9 +141,11 @@ def _daggers():
     layout = inst.layout()
     yield synth_run(layout, inst.unitaries).adjoint(), inst.unitaries
     yield synth_access(layout, inst.unitaries).adjoint(), inst.unitaries
-    leaf = 'a"\\\u00e9\u2028'  # a label that only gates appended by hand carry
+    # no leaf of the layout: only columns built by hand carry such a label,
+    # and the emitter escapes it all the same
+    leaf = 'a"\\\u00e9\u2028'
     block = Gate.controlled_opaque(2, [3, 4], leaf, dagger=True, declared_depth=2**62)
-    yield Circuit(layout).append(Gate.x(0)).append(block), None
+    yield Circuit.of_columns(layout, GateColumns.of_gates([(0, Gate.x(0)), (0, block)], 1)), None
 
 
 def _options():

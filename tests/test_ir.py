@@ -99,6 +99,19 @@ def test_append_bounds_check():
         circuit.append(Gate.x(LAYOUT.total_qubits))
 
 
+def test_append_refuses_an_opaque_block_on_no_leaf_of_the_layout():
+    """As in ``from_moments``: a block on a label the layout has no leaf for
+    is refused when it is appended, so no document can carry it."""
+    layout = allocate_registers(1, 1)
+    for leaf in ("zz", "00", "", 5):
+        circuit = Circuit(layout)
+        with pytest.raises(StructuralError, match=f"opaque block leaf {leaf!r} is not a leaf"):
+            circuit.append(Gate.controlled_opaque(2, [3], leaf))
+        assert circuit.num_moments == 0
+    circuit = Circuit(layout).append(Gate.controlled_opaque(2, [3], "1"))
+    assert circuit.columns.leaf.tolist() == ["1"]
+
+
 def test_depth_weights_opaque_blocks():
     circuit = Circuit(LAYOUT)
     circuit.append(Gate.x(0))

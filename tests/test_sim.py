@@ -1,6 +1,7 @@
 """Simulator tests, anchored to an independent dense reference implementation
 and to the former per-gate dictionary simulator (``tests/helpers.py``)."""
 
+import random
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from qramforge import (
     Circuit,
     ConfigurationError,
     Gate,
+    GateKind,
     InvalidParameterError,
     Moment,
     ResourceLimitError,
@@ -271,9 +273,9 @@ def test_batch_budget_guard(monkeypatch, capsys):
     before they are allocated; past it the run raises ResourceLimitError
     and the command line exits 2."""
     layout = allocate_registers(2, 1, 1)  # 21 qubits: one key word per term
-    unitaries = {"0": UnitarySpec("0", np.eye(4))}
+    unitaries = {"00": UnitarySpec("00", np.eye(4))}
     block = Circuit(layout)
-    block.append(Gate.controlled_opaque(0, (1, 2), "0"))
+    block.append(Gate.controlled_opaque(0, (1, 2), "00"))
     state = SparseState(layout.total_qubits, {1: 1.0})
     # one term packs into 3 words (24 bytes); its group vector is 4 x 16 bytes
     monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 16)
@@ -493,9 +495,9 @@ def test_batch_matches_sparse_reference_on_wide_circuits(instance, options):
         assert list(out.amps.items()) == list(reference.amps.items())
 
 
-def test_batch_does_not_depend_on_the_routing_chunk_size(monkeypatch):
-    """Routing moments run over slices of rows; slices of a single row give
-    the same states as the default size."""
+def test_batch_does_not_depend_on_the_routing_slice_size(monkeypatch):
+    """Routing runs over slices of rows; slices of 64 rows, the smallest,
+    give the same states as the default size."""
     instance = build_random_instance(2, 2, 1, seed=8)
     circuit = synth_access(instance.layout(), instance.unitaries)
     layout = circuit.layout
@@ -504,9 +506,39 @@ def test_batch_does_not_depend_on_the_routing_chunk_size(monkeypatch):
         for y in range(1 << layout.n) for r in range(1 << layout.m) for m in (0, 1)
     ]
     default = [list(s.amps.items()) for s in run_batch(states, circuit, instance.unitaries)]
-    monkeypatch.setattr(sim, "_CHUNK_BYTES", 8)
+    monkeypatch.setattr(sim, "_SLICE_BYTES", 8)
     sliced = [list(s.amps.items()) for s in run_batch(states, circuit, instance.unitaries)]
+    assert sum(map(len, sliced)) > 3 * 64  # several slices, the last one partial
     assert sliced == default
     assert default == [
         list(sparse_run_circuit(s, circuit, instance.unitaries).amps.items()) for s in states
     ]
+
+
+@pytest.mark.parametrize("n, m, variant", [(3, 2, "sequential"), (3, 4, "fanout")])
+def test_routing_matches_sparse_reference_on_random_keys(n, m, variant):
+    """Every routing moment of an access circuit, on random keys over all
+    of its qubits: row counts around a 64-row plane word and just above one
+    slice give the sparse reference's terms, in order.  The moments up to
+    the payload layer and those after it run as two circuits, since each
+    undoes the other; each moves every key."""
+    instance = build_random_instance(n, m, 1, seed=3)
+    circuit = synth_access(instance.layout(), instance.unitaries, SynthesisOptions(variant=variant))
+    moments = [[g for g in moment if g.kind is not GateKind.OPAQUE] for moment in circuit.moments]
+    run = min(i for i, moment in enumerate(circuit.moments) if len(moment) > len(moments[i]))
+    halves = [Circuit.from_moments(circuit.layout, part) for part in (moments[:run], moments[run:])]
+    assert {g.kind for moment in moments for g in moment} >= {
+        GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.FREDKIN
+    }
+    qubits = circuit.layout.total_qubits
+    slice_rows = 64 * (sim._SLICE_BYTES // (8 * (64 * -(-qubits // 64) + 2)))
+    rng = random.Random(n * m)
+    for count in (1, 63, 64, 65, 129, slice_rows + 1):
+        keys: dict[int, complex] = {}
+        while len(keys) < count:
+            keys[rng.getrandbits(qubits)] = complex(rng.random(), rng.random())
+        state = SparseState(qubits, keys)
+        for half in halves:
+            out = run_circuit(state, half)
+            assert list(out.amps.items()) == list(sparse_run_circuit(state, half).amps.items())
+            assert all(after != before for after, before in zip(out.amps, keys))
