@@ -508,7 +508,7 @@ def test_batch_does_not_depend_on_the_routing_slice_size(monkeypatch):
     default = [list(s.amps.items()) for s in run_batch(states, circuit, instance.unitaries)]
     monkeypatch.setattr(sim, "_SLICE_BYTES", 8)
     sliced = [list(s.amps.items()) for s in run_batch(states, circuit, instance.unitaries)]
-    assert sum(map(len, sliced)) > 3 * 64  # several slices, the last one partial
+    assert sum(map(len, sliced)) > 3 * 64  # the routing after the payload spans several slices
     assert sliced == default
     assert default == [
         list(sparse_run_circuit(s, circuit, instance.unitaries).amps.items()) for s in states
