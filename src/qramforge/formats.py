@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError
-from .ir import ARITY, KINDS, MAX_DECLARED_DEPTH, OPAQUE, Circuit, GateColumns
+from .errors import SchemaError, StructuralError
+from .ir import ARITY, KINDS, MAX_DECLARED_DEPTH, OPAQUE, Circuit, GateColumns, as_int64, check_moments
 from .sim import SparseState, UnitarySpec
 from .tree import REGISTER_KINDS, RegisterMap, label_of
 
@@ -228,18 +228,6 @@ def _parse_gate(record, path: str, leaves: frozenset[str]) -> tuple[int, list[in
     return code, controls, targets, opaque
 
 
-def _int64(values: list[int]) -> np.ndarray:
-    """``values`` as int64, each integer beyond 2**62 in magnitude replaced
-    by a stand-in of the same sign that equals the stand-ins of the same
-    integer only."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        huge = sorted({q for q in values if not -(1 << 62) < q < 1 << 62})
-        stand_in = {q: (1 << 62) + r if q > 0 else -(1 << 62) - r for r, q in enumerate(huge)}
-        return np.array([stand_in.get(q, q) for q in values], dtype=np.int64)
-
-
 def _gather(moments: list, leaves: frozenset[str]) -> tuple | None:
     """The gates of ``moments`` as column lists, every record checked as
     :func:`_parse_gate` checks it but over all records at once; None when a
@@ -368,7 +356,7 @@ def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
     moment = np.asarray(moment, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
     owner = np.repeat(np.arange(len(sizes)), sizes)
-    flat = _int64(qubits)
+    flat = as_int64(qubits)
     negative = owner[flat < 0]
     order = np.lexsort((flat, owner))
     repeated = owner[order][1:][(np.diff(owner[order]) == 0) & (np.diff(flat[order]) == 0)]
@@ -387,20 +375,10 @@ def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
         raise failure
 
     # one moment's gates: disjoint; then every qubit inside the layout
-    where = moment[owner]
-    order = np.lexsort((owner, flat, where))
-    same = (np.diff(where[order]) == 0) & (np.diff(flat[order]) == 0)
-    clash_owner, clash_qubit = owner[order][1:][same], flat[order][1:][same]
-    if clash_owner.size:
-        g = int(clash_owner.min())
-        overlap = sorted(set(clash_qubit[clash_owner == g].tolist()))
-        raise SchemaError(f"moments: qubit(s) {overlap} already used in this moment")
-    outside = np.flatnonzero(flat >= layout.total_qubits)
-    if outside.size:
-        first = outside[where[outside] == where[outside].min()][0]
-        raise SchemaError(
-            f"moments: qubit {qubits[first]} is outside the layout ({layout.total_qubits} qubits)"
-        )
+    try:
+        check_moments(layout, moment, owner, qubits, flat)
+    except StructuralError as exc:
+        raise SchemaError(f"moments: {exc}") from exc
 
     ops = np.full((len(sizes), 3), -1, dtype=np.int32)
     column = np.arange(len(flat)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -498,7 +476,7 @@ def parse_document(text: str) -> CircuitDocument:
         i = next(i for i, pair in enumerate(zip(actual_rows, expected_rows)) if pair[0] != pair[1])
         raise SchemaError(f"registers[{i}]: expected {expected_rows[i]}, got {actual_rows[i]}")
 
-    circuit = Circuit.of_columns(layout, _parse_moments(raw["moments"], layout))
+    circuit = Circuit(layout, _parse_moments(raw["moments"], layout))
     for key in _PARAMETER_KEYS:
         if key in params:
             circuit.metadata[key] = params[key]

@@ -1,18 +1,18 @@
 """Moment-structured circuit representation.
 
 A circuit is a list of *moments*; each moment is a set of gates acting on
-pairwise-disjoint qubits (controls count as acting).  Appending with the
-default ``asap`` policy places a gate in the earliest moment after the last
-use of any of its qubits, so structural depth falls out of construction
-order; ``new_moment`` forces a fresh moment, and :meth:`Circuit.barrier`
-fences all later gates behind everything appended so far.
+pairwise-disjoint qubits (controls count as acting).  A circuit is its
+:class:`GateColumns`, one row of numpy columns per gate, sorted by moment.
+Synthesis, :func:`concat`, :meth:`Circuit.adjoint` and the document parser
+build the columns directly; :meth:`Circuit.from_moments` takes explicit
+moments, and :meth:`Circuit.append` places one gate in the earliest moment
+after the last moment that uses one of its qubits.
 
-A circuit stores its gates as :class:`GateColumns`, one row of numpy
-columns per gate, and validates them only where they enter: the
-:class:`Gate` constructors, :meth:`Circuit.append`,
-:meth:`Circuit.from_moments` and the document parser.  Metrics, the adjoint
-and concatenation work on the columns; :class:`Gate` and :class:`Moment`
-objects are views built on demand.
+Gates are validated only where they enter: the :class:`Gate` constructors
+and :meth:`Circuit.from_moments`, which :meth:`Circuit.append` goes
+through, and the document parser, which shares :func:`check_moments` with
+them.  Metrics, the adjoint and concatenation work on the columns;
+:class:`Gate` and :class:`Moment` objects are views built on demand.
 
 Gate vocabulary: X, CNOT, Toffoli, Fredkin (all self-inverse), plus an
 opaque single-controlled unitary block labelled by the leaf whose payload it
@@ -168,36 +168,13 @@ class Gate:
 
 
 class Moment:
-    """An ordered set of gates on pairwise-disjoint qubits."""
+    """The gates of one moment, on pairwise-disjoint qubits: a view that
+    :attr:`Circuit.moments` builds from the columns."""
 
-    __slots__ = ("gates", "_used")
+    __slots__ = ("gates",)
 
     def __init__(self, gates: Iterable[Gate] = ()):
-        self.gates: list[Gate] = []
-        self._used: set[int] = set()
-        for gate in gates:
-            self.add(gate)
-
-    @classmethod
-    def _view(cls, gates: list[Gate]) -> "Moment":
-        """A moment of gates already known to be disjoint."""
-        moment = cls.__new__(cls)
-        moment.gates = gates
-        moment._used = {q for gate in gates for q in gate.qubits}
-        return moment
-
-    def add(self, gate: Gate) -> None:
-        overlap = self._used.intersection(gate.qubits)
-        if overlap:
-            raise StructuralError(
-                f"qubit(s) {sorted(overlap)} already used in this moment"
-            )
-        self.gates.append(gate)
-        self._used.update(gate.qubits)
-
-    @property
-    def used_qubits(self) -> frozenset[int]:
-        return frozenset(self._used)
+        self.gates: list[Gate] = list(gates)
 
     @property
     def declared_depth(self) -> int:
@@ -413,6 +390,42 @@ class GateColumns:
 _EMPTY = GateColumns.build([], [], [], 0)
 
 
+def as_int64(values: list[int]) -> np.ndarray:
+    """``values`` as int64, each integer beyond 2**62 in magnitude replaced
+    by a stand-in of the same sign that equals the stand-ins of the same
+    integer only."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        huge = sorted({q for q in values if not -(1 << 62) < q < 1 << 62})
+        stand_in = {q: (1 << 62) + r if q > 0 else -(1 << 62) - r for r, q in enumerate(huge)}
+        return np.array([stand_in.get(q, q) for q in values], dtype=np.int64)
+
+
+def check_moments(
+    layout: RegisterMap, moment: np.ndarray, owner: np.ndarray, qubits: list[int], flat: np.ndarray
+) -> None:
+    """Refuse the first gate that shares a qubit with an earlier gate of its
+    moment, then the first qubit outside ``layout`` in the earliest moment
+    with one.  ``qubits`` lists every gate's qubits as given (gates in moment
+    order), ``owner`` the gate of each, ``moment`` each gate's moment, and
+    ``flat`` is ``as_int64(qubits)``."""
+    where = moment[owner]
+    order = np.lexsort((owner, flat, where))
+    same = (np.diff(where[order]) == 0) & (np.diff(flat[order]) == 0)
+    clash = order[1:][same]
+    if clash.size:
+        first = clash[owner[clash] == owner[clash].min()].tolist()
+        overlap = sorted({qubits[i] for i in first})
+        raise StructuralError(f"qubit(s) {overlap} already used in this moment")
+    outside = np.flatnonzero(flat >= layout.total_qubits)
+    if outside.size:
+        first = outside[where[outside] == where[outside].min()][0]
+        raise StructuralError(
+            f"qubit {qubits[first]} is outside the layout ({layout.total_qubits} qubits)"
+        )
+
+
 def _check_leaves(layout: RegisterMap, leaves: Iterable[object]) -> None:
     """Refuse the first opaque-block leaf that is no leaf of ``layout``."""
     for leaf in leaves:
@@ -422,109 +435,42 @@ def _check_leaves(layout: RegisterMap, leaves: Iterable[object]) -> None:
 
 class Circuit:
     """A moment-structured circuit bound to a
-    :class:`~qramforge.tree.RegisterMap`, stored as :class:`GateColumns`.
+    :class:`~qramforge.tree.RegisterMap`: its :attr:`columns`, which must
+    already be valid for the layout (build them with :meth:`from_moments`
+    or :meth:`append` otherwise).
 
     ``moments`` and the :class:`Gate` objects in them are views, built on
-    demand; :attr:`columns` is the circuit.  ``metadata`` is a free-form
-    dict (phase names, synthesis options, ...) that never participates in
-    equality.
+    demand.  ``metadata`` is a free-form dict (phase names, synthesis
+    options, ...) that never participates in equality.
     """
 
-    def __init__(self, layout: RegisterMap):
+    def __init__(self, layout: RegisterMap, columns: GateColumns = _EMPTY):
         self.layout = layout
         self.metadata: dict = {}
-        self._columns = _EMPTY
-        self._pending: list[tuple[int, Gate]] = []  # appended, not yet in the columns
-        self._num_moments = 0
-        self._floor = 0
-        self._frontier: list[int] | None = None  # last moment of each qubit
-        self._views: tuple[Moment, ...] | None = None
-
-    @classmethod
-    def of_columns(cls, layout: RegisterMap, columns: GateColumns, floor: int | None = None) -> "Circuit":
-        """A circuit over already validated columns.  Gates appended later
-        go no earlier than ``floor`` (default: after every moment)."""
-        circuit = cls(layout)
-        circuit._columns = columns
-        circuit._num_moments = columns.num_moments
-        circuit._floor = columns.num_moments if floor is None else floor
-        return circuit
+        self.columns = columns
+        self._views: tuple[GateColumns, tuple[Moment, ...]] | None = None
 
     @classmethod
     def from_moments(cls, layout: RegisterMap, moments: Iterable[Iterable[Gate]]) -> "Circuit":
         """A circuit with exactly these moments, checked to be disjoint and
-        inside the layout, every opaque block on a leaf of the layout.  Gates
-        appended later go after all of them."""
-        placed = []
-        count = 0
-        for index, gates in enumerate(moments):
-            placed.extend((index, gate) for gate in Moment(gates))
-            count = index + 1
-        columns = GateColumns.of_gates(placed, count)
-        _, qubits = columns.operands()
-        outside = qubits[qubits >= layout.total_qubits]
-        if outside.size:
-            raise StructuralError(
-                f"qubit {int(outside[0])} is outside the layout ({layout.total_qubits} qubits)"
-            )
-        _check_leaves(layout, columns.leaf.tolist())
-        return cls.of_columns(layout, columns)
+        inside the layout, every opaque block on a leaf of the layout."""
+        moments = [list(gates) for gates in moments]
+        placed = [(index, gate) for index, gates in enumerate(moments) for gate in gates]
+        moment = np.array([index for index, _ in placed], dtype=np.int64)
+        owner = np.repeat(np.arange(len(placed)), [len(gate.qubits) for _, gate in placed])
+        qubits = [q for _, gate in placed for q in gate.qubits]
+        check_moments(layout, moment, owner, qubits, as_int64(qubits))
+        _check_leaves(layout, [gate.leaf for _, gate in placed if gate.kind is GateKind.OPAQUE])
+        return cls(layout, GateColumns.of_gates(placed, len(moments)))
 
-    @property
-    def columns(self) -> GateColumns:
-        """The gate columns, appended gates included."""
-        if self._pending:
-            added = GateColumns.of_gates(self._pending, self._num_moments)
-            merged = GateColumns.concat([self._columns, added], [0, 0])
-            self._columns = merged.take(np.argsort(merged.moment, kind="stable"))
-            self._pending = []
-        return self._columns
-
-    # -- construction --------------------------------------------------------
-
-    def append(self, gate: Gate, policy: str = "asap") -> "Circuit":
-        qubits = gate.qubits
-        for q in qubits:
-            if q >= self.layout.total_qubits:
-                raise StructuralError(
-                    f"qubit {q} is outside the layout ({self.layout.total_qubits} qubits)"
-                )
-        if gate.kind is GateKind.OPAQUE:
-            _check_leaves(self.layout, [gate.leaf])
-        frontier = self._frontier_list()
-        if policy == "asap":
-            index = self._floor
-            for q in qubits:
-                if frontier[q] >= index:
-                    index = frontier[q] + 1
-        elif policy == "new_moment":
-            index = self._num_moments
-        else:
-            raise InvalidParameterError(f"unknown placement policy {policy!r}")
-        self._pending.append((index, gate))
-        for q in qubits:
-            frontier[q] = index
-        self._num_moments = max(self._num_moments, index + 1)
-        self._views = None
-        return self
-
-    def _frontier_list(self) -> list[int]:
-        if self._frontier is None:
-            frontier = np.full(self.layout.total_qubits, -1, dtype=np.int64)
-            columns = self.columns
-            rows, qubits = columns.operands()
-            np.maximum.at(frontier, qubits, columns.moment[rows])
-            self._frontier = frontier.tolist()
-        return self._frontier
-
-    def extend(self, gates: Iterable[Gate], policy: str = "asap") -> "Circuit":
-        for gate in gates:
-            self.append(gate, policy)
-        return self
-
-    def barrier(self) -> "Circuit":
-        """Fence: every gate appended later lands strictly after existing moments."""
-        self._floor = self._num_moments
+    def append(self, gate: Gate) -> "Circuit":
+        """Place ``gate`` in the earliest moment after the last moment that
+        uses one of its qubits, after the gates already there."""
+        added = Circuit.from_moments(self.layout, [[gate]]).columns
+        rows, qubits = self.columns.operands()
+        busy = self.columns.moment[rows[np.isin(qubits, gate.qubits)]]
+        merged = GateColumns.concat([self.columns, added], [0, int(busy.max(initial=-1)) + 1])
+        self.columns = merged.take(np.argsort(merged.moment, kind="stable"))
         return self
 
     # -- views ------------------------------------------------------------------
@@ -533,13 +479,13 @@ class Circuit:
     def moments(self) -> tuple[Moment, ...]:
         """The moments as :class:`Moment` views (changing them changes
         nothing in the circuit; see :meth:`from_moments`)."""
-        if self._views is None:
-            columns = self.columns
-            groups: list[list[Gate]] = [[] for _ in range(self._num_moments)]
+        columns = self.columns
+        if self._views is None or self._views[0] is not columns:
+            groups: list[list[Gate]] = [[] for _ in range(columns.num_moments)]
             for index, gate in zip(columns.moment.tolist(), columns.gates()):
                 groups[index].append(gate)
-            self._views = tuple(Moment._view(gates) for gates in groups)
-        return self._views
+            self._views = (columns, tuple(map(Moment, groups)))
+        return self._views[1]
 
     def all_gates(self) -> Iterator[Gate]:
         return self.columns.gates()
@@ -548,12 +494,12 @@ class Circuit:
 
     def adjoint(self) -> "Circuit":
         """The exact inverse: moments reversed, each gate replaced by its adjoint."""
-        out = Circuit.of_columns(self.layout, self.columns.reversed())
+        out = Circuit(self.layout, self.columns.reversed())
         out.metadata = dict(self.metadata)
         return out
 
     def copy(self) -> "Circuit":
-        out = Circuit.of_columns(self.layout, self.columns)
+        out = Circuit(self.layout, self.columns)
         out.metadata = dict(self.metadata)
         return out
 
@@ -565,7 +511,7 @@ class Circuit:
 
     @property
     def num_moments(self) -> int:
-        return self._num_moments
+        return self.columns.num_moments
 
     @property
     def depth(self) -> int:
@@ -604,4 +550,4 @@ def concat(first: Circuit, second: Circuit, *rest: Circuit) -> Circuit:
     for part in parts[1:]:
         if part.layout != first.layout:
             raise StructuralError("cannot concatenate circuits over different layouts")
-    return Circuit.of_columns(first.layout, GateColumns.concat([part.columns for part in parts]))
+    return Circuit(first.layout, GateColumns.concat([part.columns for part in parts]))

@@ -365,8 +365,7 @@ class _Rows:
 
     Row ``i`` is one term: ``words[w, i]`` holds its qubits ``64 w`` to
     ``64 w + 63``, ``amps[i]`` its amplitude and ``case[i]`` the index of the
-    input state it belongs to; two constant words (all ones, all zeros)
-    follow the key words.  Rows of one case keep the order in which a
+    input state it belongs to.  Rows of one case keep the order in which a
     one-state simulation would list its terms.
 
     Routing runs on the transpose of a slice of rows: plane ``q`` holds
@@ -383,9 +382,8 @@ class _Rows:
         self.num_qubits = num_qubits
         self.num_cases = num_cases
         self.num_words = width = -(-num_qubits // 64)
-        _check_budget(len(case) * (width + 2) * 8, f"{len(case)} packed basis terms")
-        self.words = np.zeros((width + 2, len(case)), dtype=np.uint64)
-        self.words[width] = np.iinfo(np.uint64).max
+        _check_budget(len(case) * width * 8, f"{len(case)} packed basis terms")
+        self.words = np.zeros((width, len(case)), dtype=np.uint64)
         self.amps = amps
         self.case = case
 
@@ -396,7 +394,7 @@ class _Rows:
                    len(counts))
         width = rows.num_words
         raw = b"".join(key.to_bytes(8 * width, "little") for key in keys)
-        rows.words[:width] = np.frombuffer(raw, dtype="<u8").reshape(len(keys), width).T
+        rows.words[...] = np.frombuffer(raw, dtype="<u8").reshape(len(keys), width).T
         return rows
 
     def write(self, start: int, width: int, values: np.ndarray) -> None:
@@ -447,7 +445,7 @@ class _Rows:
         step = 64 * max(1, _SLICE_BYTES // (8 * (64 * width + 2)))
         moments = [rules[lo:hi].T for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
         for lo in range(0, self.words.shape[1], step):
-            part = self.words[:width, lo : lo + step]
+            part = self.words[:, lo : lo + step]
             blocks = np.zeros((width, -(-part.shape[1] // 64), 64), dtype=np.uint64)
             blocks.reshape(width, -1)[:, : part.shape[1]] = part
             _transpose_bits(blocks)
@@ -550,7 +548,7 @@ class _Rows:
 
         key = np.empty((on.size, self.num_words + 1), dtype=np.uint64)
         key[:, 0] = self.case[on]
-        key[:, 1:] = rest[: self.num_words].T
+        key[:, 1:] = rest.T
         raw, width = key.tobytes(), 8 * key.shape[1]
         groups: dict[bytes, int] = {}
         group = np.empty(on.size, dtype=np.intp)
@@ -579,7 +577,7 @@ class _Rows:
         width = 8 * self.num_words
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             rows = order[lo:hi]
-            raw = self.words[: self.num_words, rows].T.astype("<u8").tobytes()
+            raw = self.words[:, rows].T.astype("<u8").tobytes()
             state = SparseState(self.num_qubits)
             state.amps = {
                 int.from_bytes(raw[i * width : (i + 1) * width], "little"): amp
@@ -589,11 +587,12 @@ class _Rows:
 
 
 def _batch_terms(circuit: Circuit, term_bytes: int = 0) -> int:
-    """How many input terms one batch may hold: the budget over the packed
-    size of the rows a term can grow into, plus ``term_bytes`` that each
-    term holds beside its rows.  An opaque moment multiplies a term at most
-    by its largest block dimension when no term switches on two of its
-    blocks, as in every access circuit."""
+    """How many input terms one batch may hold: the budget over the size of
+    the rows a term can grow into, plus ``term_bytes`` that each term holds
+    beside its rows.  An opaque moment multiplies a term at most by its
+    largest block dimension when no term switches on two of its blocks, as
+    in every access circuit; its group vectors take 16 bytes per amplitude,
+    more than a packed row of at most 128 qubits."""
     columns = circuit.columns
     opaque = np.flatnonzero(columns.kind == OPAQUE)
     blocks = columns.block[opaque]
@@ -602,8 +601,8 @@ def _batch_terms(circuit: Circuit, term_bytes: int = 0) -> int:
     growth = 1
     for width in widest[widest > 0].tolist():
         growth *= 1 << width
-    row_bytes = 8 * (-(-circuit.layout.total_qubits // 64) + 2)
-    return BATCH_BUDGET_BYTES // (growth * row_bytes + term_bytes)
+    row_bytes = 8 * -(-circuit.layout.total_qubits // 64)
+    return BATCH_BUDGET_BYTES // (growth * max(row_bytes, 16) + term_bytes)
 
 
 def _batches(states: Iterable[SparseState], circuit: Circuit) -> Iterator[_Rows]:

@@ -103,15 +103,15 @@ class SynthesisOptions:
 class _Placer:
     """ASAP placement of gates emitted one tree level at a time.
 
-    Appending gates one by one puts each in the earliest moment after the
-    last moment of every qubit it uses, and no earlier than the floor.  Every
+    Each gate goes in the earliest moment after the last moment of every
+    qubit it uses, and after the preparation (see :meth:`prepare`).  Every
     node of a level emits the same sequence of gate *slots*, and the nodes of
     one level touch disjoint qubits, so one slot is placed for all of a
     level's nodes at once with one update of the per-qubit frontier, and each
-    gate gets the moment that appending it would give it.  A group's gates
-    are kept node by node, slot by slot (the order of appending them); a
-    stable sort on the moment then gives every moment its gates in that
-    order.
+    gate gets the moment that placing the gates one by one would give it.  A
+    group's gates are kept node by node, slot by slot (the order of placing
+    them); a stable sort on the moment then gives every moment its gates in
+    that order.
     """
 
     def __init__(self, layout: RegisterMap):
@@ -132,6 +132,12 @@ class _Placer:
             self.frontier[q] = moment
         pad = [np.full_like(qubits[0], -1)] * (3 - len(qubits))
         return kind, np.stack([*qubits, *pad], axis=-1), moment
+
+    def prepare(self, qubit: int) -> None:
+        """The preparation ``X`` on ``qubit``, alone in the first moment:
+        every later gate goes after it."""
+        self.emit([self.slot(X, _column([qubit]))])
+        self.floor = 1
 
     def emit(self, slots: list[tuple[int, np.ndarray, np.ndarray]]) -> None:
         """Keep a group's slots, each shaped ``(nodes, per node)``, in the
@@ -219,13 +225,12 @@ def synth_down(layout: RegisterMap, options: SynthesisOptions | None = None) -> 
         s = None
     placer = _Placer(layout)
     if options.include_preparation:
-        placer.emit([placer.slot(X, _column([layout.life(ROOT)]))])
-        placer.floor = 1  # a barrier after the preparation
+        placer.prepare(layout.life(ROOT))
     for k in range(layout.n):
         _routing(placer, layout, k)
     for k in range(layout.n):
         _handdown(placer, layout, k, np.arange(1 << k), s)
-    circuit = Circuit.of_columns(layout, placer.columns(), floor=placer.floor)
+    circuit = Circuit(layout, placer.columns())
     circuit.metadata.update(
         phase="down",
         variant=options.variant,
@@ -298,7 +303,7 @@ def synth_run(
         np.array(layout.leaves, dtype=object), np.array(depths, dtype=np.int64), tptr,
         targets.astype(np.int32),
     )
-    circuit = Circuit.of_columns(layout, columns, floor=0)
+    circuit = Circuit(layout, columns)
     circuit.metadata["phase"] = "run"
     return circuit
 
@@ -344,6 +349,6 @@ def fanout_handdown(layout: RegisterMap, nodes: Iterable[str], s: int) -> Circui
     layout = layout.with_fanout_copies(s)
     placer = _Placer(layout)
     _handdown(placer, layout, len(nodes[0]), np.array([int(x, 2) if x else 0 for x in nodes]), s)
-    fragment = Circuit.of_columns(layout, placer.columns(), floor=0)
+    fragment = Circuit(layout, placer.columns())
     fragment.metadata.update(phase="handdown", fanout_block=s, nodes=list(nodes))
     return fragment

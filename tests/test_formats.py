@@ -145,7 +145,7 @@ def _daggers():
     # and the emitter escapes it all the same
     leaf = 'a"\\\u00e9\u2028'
     block = Gate.controlled_opaque(2, [3, 4], leaf, dagger=True, declared_depth=2**62)
-    yield Circuit.of_columns(layout, GateColumns.of_gates([(0, Gate.x(0)), (0, block)], 1)), None
+    yield Circuit(layout, GateColumns.of_gates([(0, Gate.x(0)), (0, block)], 1)), None
 
 
 def _options():

@@ -8,7 +8,6 @@ from qramforge import (
     Gate,
     GateKind,
     InvalidParameterError,
-    Moment,
     StructuralError,
     allocate_registers,
     concat,
@@ -61,12 +60,16 @@ def test_gate_adjoint():
 
 
 def test_moment_disjointness():
-    moment = Moment([Gate.cnot(0, 1), Gate.cnot(2, 3)])
-    assert len(moment) == 2
-    with pytest.raises(StructuralError):
-        moment.add(Gate.x(1))
-    with pytest.raises(StructuralError):
-        moment.add(Gate.toffoli(4, 0, 5))  # control collision counts too
+    circuit = Circuit.from_moments(LAYOUT, [[Gate.cnot(0, 1), Gate.cnot(2, 3)]])
+    assert [len(m) for m in circuit.moments] == [2]
+    with pytest.raises(StructuralError, match=r"^qubit\(s\) \[1\] already used in this moment$"):
+        Circuit.from_moments(LAYOUT, [[Gate.cnot(0, 1), Gate.cnot(2, 3), Gate.x(1)]])
+    # a control collision counts too
+    with pytest.raises(StructuralError, match=r"^qubit\(s\) \[0\] already used in this moment$"):
+        Circuit.from_moments(LAYOUT, [[Gate.cnot(0, 1)], [Gate.cnot(0, 1), Gate.toffoli(4, 0, 5)]])
+    # indices past int64 are reported as given
+    with pytest.raises(StructuralError, match=rf"^qubit\(s\) \[{2**70}\] already used"):
+        Circuit.from_moments(LAYOUT, [[Gate.x(2**70), Gate.x(2**70)]])
 
 
 def test_asap_packing():
@@ -80,23 +83,18 @@ def test_asap_packing():
     assert circuit.width == 3
 
 
-def test_new_moment_policy_and_barrier():
-    circuit = Circuit(LAYOUT)
-    circuit.append(Gate.x(0))
-    circuit.append(Gate.x(1), policy="new_moment")
-    assert circuit.num_moments == 2
-    circuit.barrier()
-    circuit.append(Gate.x(2))  # would fit moment 0, but the barrier fences it
-    assert circuit.num_moments == 3
-    assert [len(m) for m in circuit.moments] == [1, 1, 1]
-    with pytest.raises(InvalidParameterError):
-        circuit.append(Gate.x(3), policy="sometime")
-
-
 def test_append_bounds_check():
-    circuit = Circuit(LAYOUT)
-    with pytest.raises(StructuralError):
-        circuit.append(Gate.x(LAYOUT.total_qubits))
+    """Qubits outside the layout are refused, also those past int32 and
+    int64, by ``append`` and by ``from_moments`` alike."""
+    small = allocate_registers(1, 1)
+    for layout, q in [(LAYOUT, LAYOUT.total_qubits)] + [(small, q) for q in (2**31, 2**63, 2**70)]:
+        message = rf"^qubit {q} is outside the layout \({layout.total_qubits} qubits\)$"
+        circuit = Circuit(layout)
+        with pytest.raises(StructuralError, match=message):
+            circuit.append(Gate.x(q))
+        assert circuit.num_moments == 0
+        with pytest.raises(StructuralError, match=message):
+            Circuit.from_moments(layout, [[Gate.x(0)], [Gate.x(q)]])
 
 
 def test_append_refuses_an_opaque_block_on_no_leaf_of_the_layout():

@@ -277,8 +277,8 @@ def test_batch_budget_guard(monkeypatch, capsys):
     block = Circuit(layout)
     block.append(Gate.controlled_opaque(0, (1, 2), "00"))
     state = SparseState(layout.total_qubits, {1: 1.0})
-    # one term packs into 3 words (24 bytes); its group vector is 4 x 16 bytes
-    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 16)
+    # one term packs into 1 word (8 bytes); its group vector is 4 x 16 bytes
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 4)
     with pytest.raises(ResourceLimitError, match="basis terms"):
         run_circuit(state, block, unitaries)
     monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 32)
@@ -288,7 +288,7 @@ def test_batch_budget_guard(monkeypatch, capsys):
     monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 64)
     assert run_circuit(state, block, unitaries).amps == {1: 1.0 + 0j}
 
-    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 16)
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 4)
     assert main(["verify", "--family", "qram", "--n", "1", "--m", "1"]) == 2
     assert "budget" in capsys.readouterr().err
 
@@ -300,7 +300,7 @@ def test_opaque_rows_are_checked_before_any_is_built(monkeypatch):
 
     rng = np.random.default_rng(5)
     layout = allocate_registers(8, 4, 4)  # 3834 qubits: 60 key words per term
-    words = -(-layout.total_qubits // 64) + 2
+    words = -(-layout.total_qubits // 64)
     first, second = layout.leaves[:2]
     unitaries = {
         first: UnitarySpec(first, _random_unitary(rng, 16)),
@@ -359,8 +359,9 @@ def test_batches_split_to_fit_the_budget(monkeypatch):
             yield rows
 
     monkeypatch.setattr(sim, "_batches", counting_batches)
-    # a term grows into at most 8 rows of 3 words through the Run moment
-    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 5 * 8 * 3 * 8)
+    # a term grows into at most 8 amplitudes through the Run moment, each a
+    # 16-byte group vector entry (wider than its 1-word row)
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 5 * 8 * 16)
     split = [list(s.amps.items()) for s in run_batch(states, circuit, instance.unitaries)]
     assert split == default
     assert sizes == [5] * 6 + [2]

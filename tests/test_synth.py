@@ -28,6 +28,7 @@ from qramforge import (
     synth_up,
 )
 from helpers import (
+    ReferenceSchedule,
     handdown_sequential,
     reference_down,
     reference_fanout_handdown,
@@ -129,12 +130,11 @@ def test_two_pass_emission_equals_interleaved_order():
     """Emitting all routing before any hand-down must implement the same
     permutation as the level-interleaved order (the gates commute)."""
     layout = allocate_registers(3, 2, 0)
-    interleaved = Circuit(layout)
-    interleaved.append(Gate.x(layout.life("")))
-    interleaved.barrier()
+    schedule = ReferenceSchedule().extend([Gate.x(layout.life(""))]).barrier()
     for k in range(layout.n):
-        interleaved.extend(routing_level(layout, k))
-        interleaved.extend(handdown_sequential(layout, layout.levels[k]))
+        schedule.extend(routing_level(layout, k))
+        schedule.extend(handdown_sequential(layout, layout.levels[k]))
+    interleaved = Circuit.from_moments(layout, schedule.moments)
     two_pass = synth_down(layout)
     assert two_pass.num_gates == interleaved.num_gates
     for address in range(8):
@@ -263,7 +263,9 @@ def test_fanout_handdown_fragment_depth():
         layout = allocate_registers(1, m, 0)
         s = SynthesisOptions().resolved_block(m)
         fragment = fanout_handdown(layout, [""], s)
-        sequential = Circuit(layout).extend(handdown_sequential(layout, [""]))
+        sequential = Circuit.from_moments(
+            layout, ReferenceSchedule().extend(handdown_sequential(layout, [""])).moments
+        )
         bound = 2 * math.ceil(m / s) + s + 4
         assert fragment.depth <= bound
         assert sequential.depth in (m + 1, m + 2)
@@ -333,7 +335,8 @@ def test_synthesis_matches_the_reference_synthesizer(n):
                 # gates appended afterwards land where appending them one by
                 # one would have put them
                 extra = [Gate.x(ref_layout.life("0")), Gate.cnot(ref_layout.res("1")[0], 0)]
-                down.extend(extra)
+                for gate in extra:
+                    down.append(gate)
                 schedule.extend(extra)
                 assert _gate_lists(down) == schedule.moments
         for depths in (None, 2, per_leaf):

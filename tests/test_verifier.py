@@ -605,7 +605,7 @@ def test_column_judge_equals_the_case_by_case_judge(family):
 def test_column_judge_equals_the_case_by_case_judge_over_split_batches(family, monkeypatch):
     """The same with batches of a case or two."""
     instance = DIFFERENTIAL_INSTANCES[family]()
-    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 512)
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 256)
     assert_reports_equal(differential_reports(instance, everything=False))
 
 
