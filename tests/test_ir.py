@@ -83,6 +83,25 @@ def test_asap_packing():
     assert circuit.width == 3
 
 
+def test_append_after_explicit_moments():
+    """Moments given to ``from_moments`` are kept as given, also an empty one
+    and gates that ``append`` would pack together; gates appended afterwards
+    go after the last moment using one of their qubits, behind the gates
+    already there."""
+    circuit = Circuit.from_moments(LAYOUT, [[Gate.x(0)], [], [Gate.x(1)]])
+    assert [len(m) for m in circuit.moments] == [1, 0, 1]
+    circuit.append(Gate.x(2))  # free qubit: first moment, after x(0)
+    circuit.append(Gate.cnot(0, 3))  # qubit 0 busy in moment 0: the empty moment
+    circuit.append(Gate.x(1))  # qubit 1 busy in the last moment: a new one
+    assert [list(m) for m in circuit.moments] == [
+        [Gate.x(0), Gate.x(2)],
+        [Gate.cnot(0, 3)],
+        [Gate.x(1)],
+        [Gate.x(1)],
+    ]
+    assert circuit.columns.moment.tolist() == [0, 0, 1, 2, 3]
+
+
 def test_append_bounds_check():
     """Qubits outside the layout are refused, also those past int32 and
     int64, by ``append`` and by ``from_moments`` alike."""
