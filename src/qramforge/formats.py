@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import cmath
 import functools
+import gc
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import SchemaError, StructuralError
+from .errors import QramForgeError, SchemaError, StructuralError
 from .ir import ARITY, KINDS, MAX_DECLARED_DEPTH, OPAQUE, Circuit, GateColumns, as_int64, check_moments
 from .sim import SparseState, UnitarySpec
 from .tree import REGISTER_KINDS, RegisterMap, label_of
@@ -44,17 +46,24 @@ _OPAQUE_FIELDS = frozenset({"kind", "controls", "targets", "leaf", "dagger", "de
 # ---------------------------------------------------------------------------
 
 
-def _register_table(layout: RegisterMap) -> list[dict]:
-    """Allocated registers as ``{kind, node, start, size}`` rows, in physical
+_REGISTER_FIELDS = ("kind", "node", "start", "size")
+
+
+def _register_rows(layout: RegisterMap) -> list[tuple[str, str, int, int]]:
+    """Allocated registers as ``(kind, node, start, size)``, in physical
     order (aliases do not appear; they own no qubits)."""
     rows = layout.rows
-    return [
-        {"kind": REGISTER_KINDS[kind], "node": label_of(value, depth), "start": start, "size": size}
-        for kind, depth, value, start, size in zip(
-            rows.kind.tolist(), rows.depth.tolist(), rows.value.tolist(),
-            rows.start.tolist(), rows.size.tolist(),
-        )
-    ]
+    return list(zip(
+        [REGISTER_KINDS[kind] for kind in rows.kind.tolist()],
+        [label_of(value, depth) for depth, value in zip(rows.depth.tolist(), rows.value.tolist())],
+        rows.start.tolist(),
+        rows.size.tolist(),
+    ))
+
+
+def _register_table(layout: RegisterMap) -> list[dict]:
+    """:func:`_register_rows` as ``{kind, node, start, size}`` objects."""
+    return [dict(zip(_REGISTER_FIELDS, row)) for row in _register_rows(layout)]
 
 
 def _metrics(circuit: Circuit) -> dict:
@@ -73,24 +82,26 @@ def _metrics(circuit: Circuit) -> dict:
 # ---------------------------------------------------------------------------
 #
 # A document is written as ``json.dumps(document, indent=2)`` would write it,
-# but only the small header goes through ``json``.  The ``moments`` and
-# ``matrices`` sections sit at a fixed nesting depth, so each gate record and
-# each payload matrix is one ``%``-template, built once per shape; ``%d`` is
+# but only the metrics and the metadata values go through ``json``.  The
+# register table, the ``k`` list and the ``moments`` and ``matrices``
+# sections sit at a fixed nesting depth, so each register row, gate record
+# and payload matrix is one ``%``-template, built once per shape; ``%d`` is
 # how ``json`` writes an int, ``%r`` how it writes a finite float.
 
 
-def _json_list(items: list[str], depth: int) -> str:
+def _json_list(items: list[str], depth: int, brackets: str = "[]") -> str:
     """A list of encoded ``items`` as ``json.dumps(indent=2)`` writes it at
-    nesting ``depth``."""
+    nesting ``depth``; the items are copied once (a section may take
+    megabytes)."""
     if not items:
-        return "[]"
+        return brackets
     inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+    return "".join((brackets[0], inner, ("," + inner).join(items), "\n", "  " * depth, brackets[1]))
 
 
 def _json_object(fields: list[str], depth: int) -> str:
     """An object of encoded ``"key": value`` fields, as :func:`_json_list`."""
-    return "{" + _json_list(fields, depth)[1:-1] + "}"
+    return _json_list(fields, depth, "{}")
 
 
 @functools.lru_cache(maxsize=64)  # a parsed block may have any number of targets
@@ -116,6 +127,40 @@ def _matrix_template(dim: int) -> str:
     return _json_object(['"declared_depth": %d', '"matrix": ' + rows], 2)
 
 
+# kinds and node labels are bit strings and plain names, which json writes as is
+_REGISTER_TEMPLATE = _json_object(['"kind": "%s"', '"node": "%s"', '"start": %d', '"size": %d'], 2)
+
+
+def _json_value(value, depth: int) -> str:
+    """Any JSON value as ``json.dumps(indent=2)`` writes it at nesting
+    ``depth``: its own text with every line indented further."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _header_text(circuit: Circuit) -> str:
+    """The ``format``, ``parameters``, ``registers`` and ``metrics`` fields;
+    the ``k`` list and the register table come from templates."""
+    layout = circuit.layout
+    parameters = [
+        '"n": %d' % layout.n,
+        '"m": %d' % layout.m,
+        '"k": ' + _json_list(["%d"] * len(layout.k), 2) % layout.k,
+        '"fanout_block": ' + json.dumps(layout.fanout_block),
+    ]
+    parameters += [
+        f'"{key}": ' + _json_value(circuit.metadata[key], 2)
+        for key in _PARAMETER_KEYS
+        if key in circuit.metadata
+    ]
+    rows = _register_rows(layout)
+    return ",\n".join([
+        '{\n  "format": ' + json.dumps(FORMAT_VERSION),
+        '  "parameters": ' + _json_object(parameters, 1),
+        '  "registers": ' + _json_list([_REGISTER_TEMPLATE] * len(rows), 1) % tuple(chain.from_iterable(rows)),
+        '  "metrics": ' + _json_value(_metrics(circuit), 1),
+    ])
+
+
 def _moments_text(columns: GateColumns) -> str:
     moments: list[list[str]] = [[] for _ in range(columns.num_moments)]
     for moment, code, controls, targets, opaque in columns.records():
@@ -127,13 +172,26 @@ def _moments_text(columns: GateColumns) -> str:
     return _json_list([_json_list(gates, 2) for gates in moments], 1)
 
 
-def _matrices_text(unitaries: Mapping[str, UnitarySpec]) -> str:
-    records = []
+def _matrices_parts(unitaries: Mapping[str, UnitarySpec]) -> list[str]:
+    """The ``matrices`` section as fragments of text, to be joined into the
+    document only, so its megabytes are copied once.  Each distinct record
+    is written once; records are keyed on the matrix bytes, not its values,
+    so ``-0.0`` and ``0.0`` stay apart."""
+    bodies: dict[tuple, str] = {}
+    parts = []
     for leaf in sorted(unitaries):
         spec = unitaries[leaf]
-        values = (spec.declared_depth, *spec.matrix.view(float).ravel().tolist())
-        records.append(f"{json.dumps(leaf)}: " + _matrix_template(spec.dim) % values)
-    return _json_object(records, 1)
+        key = (spec.declared_depth, spec.matrix.shape, spec.matrix.tobytes())
+        body = bodies.get(key)
+        if body is None:
+            values = (spec.declared_depth, *spec.matrix.view(float).ravel().tolist())
+            body = bodies[key] = _matrix_template(spec.dim) % values
+        parts += (",\n    ", json.dumps(leaf), ": ", body)
+    if not parts:
+        return ["{}"]
+    parts[0] = "{\n    "
+    parts.append("\n  }")
+    return parts
 
 
 def emit_json(circuit: Circuit, unitaries: Mapping[str, UnitarySpec] | None = None) -> str:
@@ -142,27 +200,12 @@ def emit_json(circuit: Circuit, unitaries: Mapping[str, UnitarySpec] | None = No
     The text is canonical: it is what ``json.dumps(document, indent=2)``
     writes, so parsing a document and emitting it again gives its bytes.
     """
-    layout = circuit.layout
-    parameters: dict = {
-        "n": layout.n,
-        "m": layout.m,
-        "k": list(layout.k),
-        "fanout_block": layout.fanout_block,
-    }
-    for key in _PARAMETER_KEYS:
-        if key in circuit.metadata:
-            parameters[key] = circuit.metadata[key]
-    header = {
-        "format": FORMAT_VERSION,
-        "parameters": parameters,
-        "registers": _register_table(layout),
-        "metrics": _metrics(circuit),
-    }
-    # the header's text without its closing "\n}", then the templated sections
-    sections = [json.dumps(header, indent=2)[:-2], '  "moments": ' + _moments_text(circuit.columns)]
+    parts = [_header_text(circuit), ',\n  "moments": ', _moments_text(circuit.columns)]
     if unitaries is not None:
-        sections.append('  "matrices": ' + _matrices_text(unitaries))
-    return ",\n".join(sections) + "\n}"
+        parts.append(',\n  "matrices": ')
+        parts += _matrices_parts(unitaries)
+    parts.append("\n}")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +457,12 @@ def _parse_matrix(rows, dim: int, path: str) -> np.ndarray:
         values = np.array(rows)
     except ValueError:  # pairs of different lengths
         values = None
-    if values is None or values.shape != (dim, dim, 2) or values.dtype.kind not in "fiu":
+    if (
+        values is None
+        or values.shape != (dim, dim, 2)
+        or values.dtype.kind not in "fiu"
+        or bool in set(map(type, chain.from_iterable(chain.from_iterable(rows))))  # numpy reads True as 1
+    ):
         for r, row in enumerate(rows):
             for c, pair in enumerate(row):
                 _expect(_is_pair(pair), f"{path}[{r}][{c}]", "expected a [re, im] pair of numbers")
@@ -424,6 +472,89 @@ def _parse_matrix(rows, dim: int, path: str) -> np.ndarray:
         values = np.full(1, np.inf)
     _expect(bool(np.isfinite(values).all()), path, "expected finite numbers")
     return values.view(complex)[..., 0]
+
+
+#: Matrix entries read into one array at a time while parsing; it bounds the
+#: lists and arrays a chunk of ``matrices`` records takes on top of the tree.
+_PARSE_CHUNK_VALUES = 1 << 16
+
+
+def _matrix_values(matrices: list, dim: int) -> np.ndarray | None:
+    """The entries of ``matrices``, each ``dim`` rows of ``dim`` finite
+    ``[re, im]`` number pairs, as one flat float array; None when one is not."""
+    if not (set(map(type, matrices)) <= {list} and set(map(len, matrices)) <= {dim}):
+        return None
+    rows = list(chain.from_iterable(matrices))
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {dim}):
+        return None
+    pairs = list(chain.from_iterable(rows))
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        return None
+    values = list(chain.from_iterable(pairs))
+    if not set(map(type, values)) <= {float, int}:  # a bool is neither
+        return None
+    try:
+        array = np.fromiter(values, dtype=float, count=len(values))
+    except OverflowError:  # integers beyond the float range
+        return None
+    return array if np.isfinite(array).all() else None
+
+
+def _stack_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec] | None:
+    """The ``matrices`` section as specs, every record checked as
+    :func:`_walk_matrices` checks it but over all records at once: the
+    entries of the records of one size are read into one stack, in chunks of
+    records, and the specs built by :meth:`UnitarySpec.stack`.  None when a
+    record fails, for :func:`_walk_matrices` to find and report it."""
+    leaves, records = list(section), list(section.values())
+    if not (
+        set(map(len, leaves)) <= {layout.n}
+        and set("".join(leaves)) <= {"0", "1"}
+        and set(map(type, records)) <= {dict}
+    ):
+        return None
+    depths = [record.get("declared_depth", 1) for record in records]
+    if not (set(map(type, depths)) <= {int} and min(depths, default=1) >= 1):
+        return None
+    groups: dict[int, list[int]] = {}
+    for i, leaf in enumerate(leaves):
+        groups.setdefault(1 << (layout.m + layout.k[int(leaf, 2)]), []).append(i)
+    matrices: list = [None] * len(leaves)
+    for dim, members in groups.items():
+        stack = np.empty((len(members), dim, dim), dtype=complex)
+        flat = stack.view(float).reshape(len(members), -1)
+        step = max(1, _PARSE_CHUNK_VALUES // (2 * dim * dim))
+        for start in range(0, len(members), step):
+            chunk = members[start : start + step]
+            values = _matrix_values([records[i].get("matrix") for i in chunk], dim)
+            if values is None:
+                return None
+            flat[start : start + len(chunk)] = values.reshape(len(chunk), -1)
+        for i, matrix in zip(members, stack):
+            matrices[i] = matrix
+    return UnitarySpec.stack(leaves, matrices, depths)
+
+
+def _walk_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec]:
+    """The ``matrices`` section as specs, checked one record at a time; the
+    first record that fails raises its error."""
+    unitaries = {}
+    for leaf, record in section.items():
+        path = f"matrices.{leaf}"
+        _expect(len(leaf) == layout.n and set(leaf) <= {"0", "1"}, path, "not a leaf of this layout")
+        _expect(isinstance(record, dict), path, "expected an object")
+        matrix = _parse_matrix(record.get("matrix"), 1 << (layout.m + layout.k[int(leaf, 2)]), path)
+        try:
+            unitaries[leaf] = UnitarySpec(
+                leaf,
+                matrix,
+                declared_depth=_expect_int(record.get("declared_depth", 1), f"{path}.declared_depth", 1),
+            )
+        except SchemaError:
+            raise
+        except Exception as exc:
+            raise SchemaError(f"{path}: {exc}") from exc
+    return unitaries
 
 
 @dataclass
@@ -436,7 +567,22 @@ class CircuitDocument:
 
 
 def parse_document(text: str) -> CircuitDocument:
-    """Parse and validate a ``qramforge-circuit/1`` document."""
+    """Parse and validate a ``qramforge-circuit/1`` document.
+
+    The cyclic garbage collector is paused while the text is decoded and its
+    tree walked: a JSON tree holds no cycles, and reference counting frees
+    it.  The caller's collector state is restored on return and on error.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_document(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_document(text: str) -> CircuitDocument:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -495,26 +641,12 @@ def parse_document(text: str) -> CircuitDocument:
     unitaries = None
     if "matrices" in raw:
         _expect(isinstance(raw["matrices"], dict), "matrices", "expected an object")
-        unitaries = {}
-        for leaf, record in raw["matrices"].items():
-            path = f"matrices.{leaf}"
-            _expect(
-                len(leaf) == layout.n and set(leaf) <= {"0", "1"}, path, "not a leaf of this layout"
-            )
-            _expect(isinstance(record, dict), path, "expected an object")
-            matrix = _parse_matrix(record.get("matrix"), 1 << (layout.m + layout.k[int(leaf, 2)]), path)
-            try:
-                unitaries[leaf] = UnitarySpec(
-                    leaf,
-                    matrix,
-                    declared_depth=_expect_int(
-                        record.get("declared_depth", 1), f"{path}.declared_depth", 1
-                    ),
-                )
-            except SchemaError:
-                raise
-            except Exception as exc:
-                raise SchemaError(f"{path}: {exc}") from exc
+        try:
+            unitaries = _stack_matrices(raw["matrices"], layout)
+        except QramForgeError:
+            unitaries = None
+        if unitaries is None:
+            unitaries = _walk_matrices(raw["matrices"], layout)
 
     unknown = set(raw) - {"format", "parameters", "registers", "metrics", "moments", "matrices"}
     _expect(not unknown, "$", f"unknown section(s) {sorted(unknown)}")
@@ -557,8 +689,13 @@ def emit_qasm(circuit: Circuit) -> str:
         (columns.leaf[b], dagger)
         for b, dagger in zip(columns.block[blocks].tolist(), columns.dagger[blocks].tolist())
     }
+    spans = dict(zip(layout.leaves, layout.mem_spans))
     for leaf, dagger in sorted(opaque):
-        arity = 1 + len(layout.res(leaf)) + len(layout.mem(leaf))
+        if leaf not in spans:  # no leaf of the layout: the label-checked lookups raise
+            layout.res(leaf)
+            layout.mem(leaf)
+        # the control, the leaf's res register (m qubits at every leaf) and its mem register
+        arity = 1 + layout.m + len(spans[leaf])
         formals = ",".join(["ctl"] + [f"q{i}" for i in range(arity - 1)])
         lines.append(f"opaque {_opaque_name(leaf, dagger)} {formals};")
     current = -1

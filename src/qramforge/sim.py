@@ -105,6 +105,73 @@ class UnitarySpec:
         self.matrix = matrix
         self.declared_depth = declared_depth
 
+    @classmethod
+    def stack(
+        cls, leaves: Sequence[str], matrices: Sequence, declared_depths: int | Sequence[int] = 1
+    ) -> dict[str, "UnitarySpec"]:
+        """``{leaf: UnitarySpec(leaf, matrix, depth)}`` over the three
+        sequences (``declared_depths`` may be one depth for every leaf).
+
+        Every check of the constructor runs once over all leaves: labels,
+        budget, shape, size, finiteness and depth, and unitarity as one
+        batched product per chunk of matrices of one size.  When any check
+        fails, the leaves are built one at a time from the first, so the
+        first fault raises what the constructor raises.
+        """
+        leaves, matrices = list(leaves), list(matrices)
+        depths = (
+            list(declared_depths) if isinstance(declared_depths, Sequence)
+            else [declared_depths] * len(leaves)
+        )
+        if not len(leaves) == len(matrices) == len(depths):
+            raise InvalidParameterError(
+                f"got {len(leaves)} leaves, {len(matrices)} matrices and {len(depths)} depths"
+            )
+        specs = cls._stacked(leaves, matrices, depths)
+        if specs is None:
+            specs = {leaf: cls(leaf, matrix, depth) for leaf, matrix, depth in zip(leaves, matrices, depths)}
+        return specs
+
+    @classmethod
+    def _stacked(cls, leaves: list, matrices: list, depths: list) -> dict[str, "UnitarySpec"] | None:
+        """The specs of :meth:`stack`, each matrix a read-only view of one
+        stack per size; None when a check fails or the inputs are not
+        numeric arrays (the constructor then decides)."""
+        if not (
+            set(map(type, leaves)) <= {str}
+            and set("".join(leaves)) <= {"0", "1"}
+            and set(map(type, depths)) <= {int}
+            and min(depths, default=1) >= 1
+            and all(isinstance(matrix, np.ndarray) and matrix.dtype.kind in "biufc" for matrix in matrices)
+        ):
+            return None
+        groups: dict[tuple, list[int]] = {}
+        for i, matrix in enumerate(matrices):
+            groups.setdefault(matrix.shape, []).append(i)
+        for shape in groups:
+            dim = shape[0] if shape else 0
+            if shape != (dim, dim) or dim < 2 or dim & (dim - 1) or 16 * dim * dim > BATCH_BUDGET_BYTES:
+                return None
+        specs: list = [None] * len(leaves)
+        for (dim, _), members in groups.items():
+            stack = np.array([matrices[i] for i in members], dtype=complex)
+            if not np.isfinite(stack).all():
+                return None
+            step = max(1, (1 << 16) // (16 * dim * dim))  # each temporary of a chunk within 64 KiB
+            identity = np.eye(dim)
+            for start in range(0, len(members), step):
+                part = stack[start : start + step]
+                deviation = np.abs(part.conj().swapaxes(1, 2) @ part - identity).max()
+                # the margin leaves a product near the tolerance to the
+                # constructor's own unbatched product
+                if not deviation <= UNITARITY_TOL / 2:
+                    return None
+            stack.setflags(write=False)
+            for i, matrix in zip(members, stack):
+                spec = specs[i] = object.__new__(cls)  # checked above, as the constructor checks
+                spec.leaf, spec.matrix, spec.declared_depth = leaves[i], matrix, depths[i]
+        return dict(zip(leaves, specs))
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]

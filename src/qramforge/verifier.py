@@ -111,7 +111,7 @@ def build_qram_instance(n: int, m: int) -> InstanceSpec:
     for idx in range(dim):
         r, s = idx & low, idx >> m
         matrix[(r ^ s) | (s << m), idx] = 1.0
-    unitaries = {z: UnitarySpec(z, matrix) for z in _leaves(n)}
+    unitaries = UnitarySpec.stack(_leaves(n), [matrix] * (1 << n))
     return InstanceSpec("qram", n, m, (m,) * (1 << n), unitaries)
 
 
@@ -129,15 +129,14 @@ def build_table_lookup_instance(
     if len(table) != 1 << n:
         raise InvalidParameterError(f"table must have {1 << n} entries, got {len(table)}")
     dim = 1 << m
-    unitaries = {}
-    for z_value, f_value in enumerate(table):
+    for f_value in table:
         if not 0 <= f_value < dim:
             raise InvalidParameterError(f"table entry {f_value} does not fit in {m} bits")
-        matrix = np.zeros((dim, dim))
-        for r in range(dim):
-            matrix[r ^ f_value, r] = 1.0
-        z = label_of(z_value, n)
-        unitaries[z] = UnitarySpec(z, matrix)
+    # leaf z's permutation sends column r to row r ^ table[z]
+    r = np.arange(dim)
+    matrices = np.zeros((1 << n, dim, dim), dtype=bool)
+    matrices[np.arange(1 << n)[:, None], np.bitwise_xor.outer(table, r), r] = True
+    unitaries = UnitarySpec.stack(_leaves(n), matrices)
     return InstanceSpec("table_lookup", n, m, (0,) * (1 << n), unitaries, {"table": table})
 
 
@@ -166,9 +165,7 @@ def build_rotation_instance(n: int, fraction_bits: int) -> InstanceSpec:
         matrix[base + 1, base + 1] = c
         matrix[base, base + 1] = -1j * v
         matrix[base + 1, base] = -1j * v
-    unitaries = {
-        z: UnitarySpec(z, matrix, declared_depth=fraction_bits) for z in _leaves(n)
-    }
+    unitaries = UnitarySpec.stack(_leaves(n), [matrix] * (1 << n), fraction_bits)
     return InstanceSpec(
         "rotation",
         n,
@@ -191,15 +188,15 @@ def build_random_instance(
     _validate_sizes(n, m)
     k_values = _normalize_k(n, k)
     _check_payload(f"random(n={n}, m={m}, k={max(k_values)} at most)", m, k_values)
-    unitaries = {}
+    matrices = []
     for z_value in range(1 << n):
-        z = label_of(z_value, n)
         dim = 1 << (m + k_values[z_value])
         rng = np.random.default_rng([seed, z_value])
         sample = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         q, r = np.linalg.qr(sample)
         phases = np.diagonal(r) / np.abs(np.diagonal(r))
-        unitaries[z] = UnitarySpec(z, q * phases)
+        matrices.append(q * phases)
+    unitaries = UnitarySpec.stack(_leaves(n), matrices)
     return InstanceSpec("random", n, m, k_values, unitaries, {"seed": seed})
 
 

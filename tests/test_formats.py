@@ -1,6 +1,8 @@
 """Serialization tests: golden files, byte-exact round trips, schema
 diagnostics, QASM structure, and an external grammar check."""
 
+import gc
+import hashlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -74,6 +76,25 @@ def test_golden_document_parses_back_to_the_same_circuit():
     assert doc.unitaries == inst.unitaries
     assert doc.parameters["phase"] == "access"
     assert doc.parameters["variant"] == "sequential"
+
+
+#: sha256 of ``synth --include-matrices`` on stdout, taken before the
+#: payloads were checked and written per document rather than per leaf.
+SYNTH_SHA256 = {
+    ("qram", "--m", "2"): "f7ae44e3edb30a7a7289edfdec14aa6119ef7c74066e332522acb77039e6fc87",
+    ("table_lookup", "--m", "2"): "6b1b2d6e35cf7c283a628fcda8d87c31eb7eb2c87ee4024ec8fc47eadecd1ea3",
+    ("rotation", "--m", "2"): "2726184fad61e7ba393b01b54393685c979fad098534c601134e557c02820a7c",
+    ("random", "--m", "1", "--k", "0,1,2,0,1,0,2,1"): "48f7c73bc28349f8b06c3b96c138e6e5e047173b05afda44d8ee60112399cf1c",
+}
+
+
+@pytest.mark.parametrize("family", sorted(SYNTH_SHA256))
+def test_synth_documents_with_matrices_are_pinned(family, capsys):
+    """Every family at n=3, rotation with declared depth 2 and random with
+    per-leaf memory widths."""
+    assert main(["synth", "--n", "3", "--include-matrices", "--family", *family]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SYNTH_SHA256[family]
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +212,29 @@ def _special_floats():
     yield circuit, inst.unitaries
 
 
+def _cache_specs() -> dict[str, UnitarySpec]:
+    """Equal matrices under different declared depths, a repeat, and the
+    same matrix with a -0.0 entry in place of 0.0."""
+    x = [[0.0, 1.0], [1.0, 0.0]]
+    return {
+        "00": UnitarySpec("00", x),
+        "01": UnitarySpec("01", x, declared_depth=3),
+        "10": UnitarySpec("10", [[complex(-0.0, 0.0), 1.0], [1.0, 0.0]]),
+        "11": UnitarySpec("11", x),
+    }
+
+
+def _record_cache():
+    unitaries = _cache_specs()
+    yield synth_access(allocate_registers(2, 1), unitaries), unitaries
+
+
 EMISSION_CASES = {
     "empty-moments": _empty_moments,
     "daggers-and-x": _daggers,
     "fanout-every-s-preparation-depths": _options,
     "phases-instance-no-matrices": _phases,
+    "record-cache": _record_cache,
     "special-floats": _special_floats,
 }
 
@@ -214,6 +253,21 @@ def test_emitter_matches_the_reference_emitter(case):
         json.loads(text)
         count += 1
     assert count
+
+
+def test_matrix_records_are_shared_by_depth_shape_and_bytes():
+    """A record body is written once per distinct (depth, shape, bytes):
+    equal matrices under two depths get two bodies, and -0.0 is not 0.0."""
+    unitaries = _cache_specs()
+    text = emit_json(synth_access(allocate_registers(2, 1), unitaries), unitaries)
+    records = json.loads(text)["matrices"]
+    assert [records[leaf]["declared_depth"] for leaf in sorted(records)] == [1, 3, 1, 1]
+    assert records["00"] == records["11"] and text.count('"declared_depth": 3,') == 1
+    assert text.count("-0.0") == 1
+    doc = parse_document(text)
+    for leaf, spec in unitaries.items():
+        assert doc.unitaries[leaf].matrix.tobytes() == spec.matrix.tobytes()
+        assert doc.unitaries[leaf].declared_depth == spec.declared_depth
 
 
 def test_empty_moments_are_written_as_empty_lists():
@@ -555,6 +609,64 @@ def test_matrix_shapes_are_checked_before_the_array_is_built(transform, message)
     ShapeError from the simulator."""
     with pytest.raises(SchemaError, match=message):
         parse_document(_mutated(lambda raw: transform(raw["matrices"])))
+
+
+@pytest.mark.parametrize(
+    "transform, path",
+    [
+        (lambda m: m["0"]["matrix"][0][1].__setitem__(0, True), "0.matrix[0][1]"),  # among floats
+        (lambda m: m["1"]["matrix"][1][1].__setitem__(1, False), "1.matrix[1][1]"),
+        (lambda m: m["0"].update(matrix=[[[0, 0], [1, 0]], [[True, 0], [0, 0]]]), "0.matrix[1][0]"),  # among ints
+    ],
+    ids=["true-among-floats", "false-among-floats", "true-among-ints"],
+)
+def test_boolean_matrix_entries_are_refused(transform, path):
+    """numpy reads ``true`` as 1 among numbers, so a boolean entry is
+    refused by its type, with the message of any other non-number."""
+    with pytest.raises(SchemaError) as info:
+        parse_document(_mutated(lambda raw: transform(raw["matrices"])))
+    assert str(info.value) == f"matrices.{path}: expected a [re, im] pair of numbers"
+
+
+def test_matrices_section_checks_every_record_before_reporting_the_first_fault():
+    """A fault in a later record is reported for that record after every
+    record before it has passed; the bulk and the record-by-record checks
+    agree on which comes first."""
+    inst = build_random_instance(2, 1, k=[0, 1, 0, 1], seed=3)
+    text = emit_json(synth_access(inst.layout(), inst.unitaries), inst.unitaries)
+    for transform, message in (
+        (lambda m: m["01"]["matrix"][2][3].__setitem__(0, True), r"^matrices\.01\.matrix\[2\]\[3\]: expected a \[re"),
+        (lambda m: m["10"].update(declared_depth=0), r"^matrices\.10\.declared_depth: expected an integer >= 1$"),
+        (lambda m: m["10"]["matrix"][0][0].__setitem__(0, 0.5), r"^matrices\.10: matrix for leaf '10' is not unitary"),
+    ):
+        raw = json.loads(text)
+        transform(raw["matrices"])
+        raw["matrices"]["11"]["matrix"][0][0] = None  # a second fault, after the first
+        with pytest.raises(SchemaError, match=message):
+            parse_document(json.dumps(raw))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_document_restores_the_collector_state(enabled, monkeypatch):
+    """The collector is paused while a document is parsed, and the caller's
+    state comes back whether the document parses or is refused."""
+    inst, circuit = _tiny()
+    good = emit_json(circuit, inst.unitaries)
+    decode = json.loads
+    during = []
+    monkeypatch.setattr(json, "loads", lambda text: during.append(gc.isenabled()) or decode(text))
+    was = gc.isenabled()
+    try:
+        for text in (good, good[:-1], good.replace('"size": 1', '"size": 2', 1)):
+            gc.enable() if enabled else gc.disable()
+            try:
+                parse_document(text)
+            except SchemaError:
+                assert text != good
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert during == [False] * 3
 
 
 def test_rejects_unknown_sections():

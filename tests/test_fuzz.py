@@ -129,6 +129,12 @@ def _flood_moment(rng, raw):
     raw["moments"][i] += [copy.deepcopy(filler) for _ in range(extra)]
 
 
+def _boolean_entry(rng, raw):
+    """One number of a matrix entry becomes ``true`` or ``false``."""
+    rows = raw["matrices"][rng.choice(sorted(raw["matrices"]))]["matrix"]
+    rng.choice(rng.choice(rows))[rng.randrange(2)] = rng.choice([True, False])
+
+
 CIRCUIT_MUTATIONS = (_drop_key, _duplicate_key, _wrong_type, _qubit_out_of_range, _overlap,
                      _falsify_metric, _ragged_matrix, _flood_moment)
 STATE_MUTATIONS = (_drop_key, _duplicate_key, _wrong_type)
@@ -162,6 +168,13 @@ def test_mutated_circuit_documents_raise_only_schema_errors(seed):
     for name in ("_qubit_out_of_range", "_overlap", "_falsify_metric", "_ragged_matrix", "_flood_moment"):
         assert refused[name] == 50, name
     assert all(refused.values()), refused
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_boolean_matrix_entries_are_refused(seed):
+    for _, text in _mutants(_golden(), (_boolean_entry,), seed, 40):
+        with pytest.raises(SchemaError, match=r"^matrices\.[01]\.matrix\[[01]\]\[[01]\]: expected a \[re, im\] pair of numbers$"):
+            parse_document(text)
 
 
 def test_flooded_moments_are_refused_by_the_moment_bound():

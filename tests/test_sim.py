@@ -15,6 +15,7 @@ from qramforge import (
     GateKind,
     InvalidParameterError,
     Moment,
+    QramForgeError,
     ResourceLimitError,
     ShapeError,
     SimulationError,
@@ -89,6 +90,73 @@ def test_unitary_spec_equality():
     assert a != c
     assert a != UnitarySpec("1", np.eye(2))
     assert a != UnitarySpec("0", np.eye(2), declared_depth=3)
+
+
+def _stack_inputs(count: int = 8):
+    """Labels, matrices of two sizes and depths for the bulk constructor."""
+    rng = np.random.default_rng(5)
+    leaves = [format(v, "03b") for v in range(count)]
+    matrices = [_random_unitary(rng, 2 << (v % 2)) for v in range(count)]
+    return leaves, matrices, [1 + v % 3 for v in range(count)]
+
+
+def test_unitary_spec_stack_matches_the_constructor():
+    leaves, matrices, depths = _stack_inputs()
+    specs = UnitarySpec.stack(leaves, matrices, depths)
+    assert list(specs) == leaves
+    assert specs == {z: UnitarySpec(z, u, d) for z, u, d in zip(leaves, matrices, depths)}
+    for leaf, matrix in zip(leaves, matrices):
+        assert specs[leaf].matrix.tobytes() == matrix.astype(complex).tobytes()
+        with pytest.raises(ValueError):
+            specs[leaf].matrix[0, 0] = 5  # stored read-only
+    assert UnitarySpec.stack(leaves, [np.eye(2)] * 8, 4) == {z: UnitarySpec(z, np.eye(2), 4) for z in leaves}
+    with pytest.raises(InvalidParameterError, match="got 8 leaves, 7 matrices and 8 depths"):
+        UnitarySpec.stack(leaves, matrices[:7], depths)
+
+
+def _budget(monkeypatch, leaves, matrices, depths):
+    monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", 16 * 4 * 4)  # the 4-row matrices fit
+    matrices[5] = np.eye(8)
+
+
+FAULTS = {
+    "label": lambda mp, z, u, d: z.__setitem__(5, "1x0"),
+    "shape": lambda mp, z, u, d: u.__setitem__(5, np.eye(4)[:3]),
+    "size": lambda mp, z, u, d: u.__setitem__(5, np.eye(3)),
+    "non-finite": lambda mp, z, u, d: u[5].__setitem__((0, 1), np.nan),
+    "non-unitary": lambda mp, z, u, d: u.__setitem__(5, u[5] * (1 + 1e-9)),
+    "depth": lambda mp, z, u, d: d.__setitem__(5, 0),
+    "boolean depth": lambda mp, z, u, d: d.__setitem__(5, True),
+    "budget": _budget,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_unitary_spec_stack_raises_the_constructors_first_fault(fault, monkeypatch):
+    """A fault at a later leaf raises the type and message the constructor
+    raises for that leaf, and a second fault after it stays unreported."""
+    leaves, matrices, depths = _stack_inputs()
+    FAULTS[fault](monkeypatch, leaves, matrices, depths)
+    depths[7] = -1
+    with pytest.raises(QramForgeError) as expected:
+        UnitarySpec(leaves[5], matrices[5], depths[5])
+    with pytest.raises(type(expected.value)) as raised:
+        UnitarySpec.stack(leaves, matrices, depths)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_unitary_spec_stack_leaves_a_near_tolerance_product_to_the_constructor():
+    """A deviation between half the tolerance and the tolerance is judged by
+    the constructor's own product: accepted below the tolerance, refused
+    above it."""
+    leaves, matrices, depths = _stack_inputs()
+    for scale, accepted in ((1 + 0.35e-10, True), (1 + 0.7e-10, False)):
+        matrices[5] = np.diag([scale, 1.0])
+        if accepted:
+            assert UnitarySpec.stack(leaves, matrices, depths)[leaves[5]].matrix[0, 0] == scale
+        else:
+            with pytest.raises(InvalidParameterError, match="not unitary"):
+                UnitarySpec.stack(leaves, matrices, depths)
 
 
 def test_basis_state_keys():
