@@ -480,8 +480,9 @@ _PARSE_CHUNK_VALUES = 1 << 16
 
 
 def _matrix_values(matrices: list, dim: int) -> np.ndarray | None:
-    """The entries of ``matrices``, each ``dim`` rows of ``dim`` finite
-    ``[re, im]`` number pairs, as one flat float array; None when one is not."""
+    """``matrices``, each ``dim`` rows of ``dim`` ``[re, im]`` number pairs,
+    as one ``(len(matrices), dim, dim)`` complex array; None when one is not.
+    Every length is checked before anything is read."""
     if not (set(map(type, matrices)) <= {list} and set(map(len, matrices)) <= {dim}):
         return None
     rows = list(chain.from_iterable(matrices))
@@ -497,15 +498,16 @@ def _matrix_values(matrices: list, dim: int) -> np.ndarray | None:
         array = np.fromiter(values, dtype=float, count=len(values))
     except OverflowError:  # integers beyond the float range
         return None
-    return array if np.isfinite(array).all() else None
+    return array.view(complex).reshape(len(matrices), dim, dim)
 
 
 def _stack_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec] | None:
-    """The ``matrices`` section as specs, every record checked as
-    :func:`_walk_matrices` checks it but over all records at once: the
-    entries of the records of one size are read into one stack, in chunks of
-    records, and the specs built by :meth:`UnitarySpec.stack`.  None when a
-    record fails, for :func:`_walk_matrices` to find and report it."""
+    """The ``matrices`` section as specs built by :meth:`UnitarySpec.stack`,
+    which checks depths, finiteness and unitarity.  The labels and the
+    records' shapes and entry types are checked here, as
+    :func:`_walk_matrices` checks them, and read a chunk of records of one
+    size at a time.  None when a record fails, for :func:`_walk_matrices` to
+    find and report it."""
     leaves, records = list(section), list(section.values())
     if not (
         set(map(len, leaves)) <= {layout.n}
@@ -513,26 +515,20 @@ def _stack_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec
         and set(map(type, records)) <= {dict}
     ):
         return None
-    depths = [record.get("declared_depth", 1) for record in records]
-    if not (set(map(type, depths)) <= {int} and min(depths, default=1) >= 1):
-        return None
     groups: dict[int, list[int]] = {}
     for i, leaf in enumerate(leaves):
         groups.setdefault(1 << (layout.m + layout.k[int(leaf, 2)]), []).append(i)
     matrices: list = [None] * len(leaves)
     for dim, members in groups.items():
-        stack = np.empty((len(members), dim, dim), dtype=complex)
-        flat = stack.view(float).reshape(len(members), -1)
         step = max(1, _PARSE_CHUNK_VALUES // (2 * dim * dim))
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
             values = _matrix_values([records[i].get("matrix") for i in chunk], dim)
             if values is None:
                 return None
-            flat[start : start + len(chunk)] = values.reshape(len(chunk), -1)
-        for i, matrix in zip(members, stack):
-            matrices[i] = matrix
-    return UnitarySpec.stack(leaves, matrices, depths)
+            for i, matrix in zip(chunk, values):
+                matrices[i] = matrix
+    return UnitarySpec.stack(leaves, matrices, [record.get("declared_depth", 1) for record in records])
 
 
 def _walk_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec]:

@@ -107,10 +107,10 @@ class UnitarySpec:
 
     @classmethod
     def stack(
-        cls, leaves: Sequence[str], matrices: Sequence, declared_depths: int | Sequence[int] = 1
+        cls, leaves: Sequence[str], matrices: Sequence, declared_depths: Sequence[int] | None = None
     ) -> dict[str, "UnitarySpec"]:
         """``{leaf: UnitarySpec(leaf, matrix, depth)}`` over the three
-        sequences (``declared_depths`` may be one depth for every leaf).
+        sequences (every depth 1 when ``declared_depths`` is None).
 
         Every check of the constructor runs once over all leaves: labels,
         budget, shape, size, finiteness and depth, and unitarity as one
@@ -119,10 +119,7 @@ class UnitarySpec:
         first fault raises what the constructor raises.
         """
         leaves, matrices = list(leaves), list(matrices)
-        depths = (
-            list(declared_depths) if isinstance(declared_depths, Sequence)
-            else [declared_depths] * len(leaves)
-        )
+        depths = [1] * len(leaves) if declared_depths is None else list(declared_depths)
         if not len(leaves) == len(matrices) == len(depths):
             raise InvalidParameterError(
                 f"got {len(leaves)} leaves, {len(matrices)} matrices and {len(depths)} depths"
@@ -134,9 +131,9 @@ class UnitarySpec:
 
     @classmethod
     def _stacked(cls, leaves: list, matrices: list, depths: list) -> dict[str, "UnitarySpec"] | None:
-        """The specs of :meth:`stack`, each matrix a read-only view of one
-        stack per size; None when a check fails or the inputs are not
-        numeric arrays (the constructor then decides)."""
+        """The specs of :meth:`stack`, each matrix a read-only view of a
+        stack of a chunk of same-size matrices; None when a check fails or
+        the inputs are not numeric arrays (the constructor then decides)."""
         if not (
             set(map(type, leaves)) <= {str}
             and set("".join(leaves)) <= {"0", "1"}
@@ -154,22 +151,27 @@ class UnitarySpec:
                 return None
         specs: list = [None] * len(leaves)
         for (dim, _), members in groups.items():
-            stack = np.array([matrices[i] for i in members], dtype=complex)
-            if not np.isfinite(stack).all():
-                return None
-            step = max(1, (1 << 16) // (16 * dim * dim))  # each temporary of a chunk within 64 KiB
+            # a chunk's stack and the temporaries of its product stay within
+            # 64 KiB (or one matrix), below the size at which malloc maps
+            # memory of its own: freeing such a mapping raises that size for
+            # the rest of the process, and its peak RSS with it
+            step = max(1, (1 << 16) // (16 * dim * dim))
             identity = np.eye(dim)
             for start in range(0, len(members), step):
-                part = stack[start : start + step]
-                deviation = np.abs(part.conj().swapaxes(1, 2) @ part - identity).max()
+                chunk = members[start : start + step]
+                part = np.array([matrices[i] for i in chunk], dtype=complex)
+                if not np.isfinite(part).all():
+                    return None
+                with np.errstate(over="ignore", invalid="ignore"):  # the constructor warns
+                    deviation = np.abs(part.conj().swapaxes(1, 2) @ part - identity).max()
                 # the margin leaves a product near the tolerance to the
                 # constructor's own unbatched product
                 if not deviation <= UNITARITY_TOL / 2:
                     return None
-            stack.setflags(write=False)
-            for i, matrix in zip(members, stack):
-                spec = specs[i] = object.__new__(cls)  # checked above, as the constructor checks
-                spec.leaf, spec.matrix, spec.declared_depth = leaves[i], matrix, depths[i]
+                part.setflags(write=False)
+                for i, matrix in zip(chunk, part):
+                    spec = specs[i] = object.__new__(cls)  # checked above, as the constructor checks
+                    spec.leaf, spec.matrix, spec.declared_depth = leaves[i], matrix, depths[i]
         return dict(zip(leaves, specs))
 
     @property

@@ -165,7 +165,7 @@ def build_rotation_instance(n: int, fraction_bits: int) -> InstanceSpec:
         matrix[base + 1, base + 1] = c
         matrix[base, base + 1] = -1j * v
         matrix[base + 1, base] = -1j * v
-    unitaries = UnitarySpec.stack(_leaves(n), [matrix] * (1 << n), fraction_bits)
+    unitaries = UnitarySpec.stack(_leaves(n), [matrix] * (1 << n), [fraction_bits] * (1 << n))
     return InstanceSpec(
         "rotation",
         n,

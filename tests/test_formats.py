@@ -611,6 +611,20 @@ def test_matrix_shapes_are_checked_before_the_array_is_built(transform, message)
         parse_document(_mutated(lambda raw: transform(raw["matrices"])))
 
 
+@pytest.mark.parametrize("m", [40, 100])
+def test_a_short_matrix_for_a_huge_register_is_refused_before_any_array(m):
+    """The parameters fix each record's row count; a record that falls short
+    of 2**m rows is refused by its length, however large 2**m is, and no
+    array of the declared size is built."""
+    raw = json.loads(emit_json(Circuit(allocate_registers(1, m))))
+    raw["matrices"] = {"0": {"matrix": [[[1.0, 0.0]]]}}
+    with pytest.raises(SchemaError) as info:
+        parse_document(json.dumps(raw))
+    assert str(info.value) == (
+        f"matrices.0.matrix: expected {1 << m} rows (2**(m + k) for this leaf), got 1"
+    )
+
+
 @pytest.mark.parametrize(
     "transform, path",
     [

@@ -109,7 +109,7 @@ def test_unitary_spec_stack_matches_the_constructor():
         assert specs[leaf].matrix.tobytes() == matrix.astype(complex).tobytes()
         with pytest.raises(ValueError):
             specs[leaf].matrix[0, 0] = 5  # stored read-only
-    assert UnitarySpec.stack(leaves, [np.eye(2)] * 8, 4) == {z: UnitarySpec(z, np.eye(2), 4) for z in leaves}
+    assert UnitarySpec.stack(leaves, [np.eye(2)] * 8) == {z: UnitarySpec(z, np.eye(2)) for z in leaves}
     with pytest.raises(InvalidParameterError, match="got 8 leaves, 7 matrices and 8 depths"):
         UnitarySpec.stack(leaves, matrices[:7], depths)
 
