@@ -26,10 +26,10 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import QramForgeError, SchemaError, StructuralError
+from .errors import SchemaError, StructuralError
 from .ir import ARITY, KINDS, MAX_DECLARED_DEPTH, OPAQUE, Circuit, GateColumns, as_int64, check_moments
 from .sim import SparseState, UnitarySpec
-from .tree import REGISTER_KINDS, RegisterMap, label_of
+from .tree import RegisterMap
 
 FORMAT_VERSION = "qramforge-circuit/1"
 STATE_FORMAT_VERSION = "qramforge-state/1"
@@ -49,21 +49,9 @@ _OPAQUE_FIELDS = frozenset({"kind", "controls", "targets", "leaf", "dagger", "de
 _REGISTER_FIELDS = ("kind", "node", "start", "size")
 
 
-def _register_rows(layout: RegisterMap) -> list[tuple[str, str, int, int]]:
-    """Allocated registers as ``(kind, node, start, size)``, in physical
-    order (aliases do not appear; they own no qubits)."""
-    rows = layout.rows
-    return list(zip(
-        [REGISTER_KINDS[kind] for kind in rows.kind.tolist()],
-        [label_of(value, depth) for depth, value in zip(rows.depth.tolist(), rows.value.tolist())],
-        rows.start.tolist(),
-        rows.size.tolist(),
-    ))
-
-
 def _register_table(layout: RegisterMap) -> list[dict]:
-    """:func:`_register_rows` as ``{kind, node, start, size}`` objects."""
-    return [dict(zip(_REGISTER_FIELDS, row)) for row in _register_rows(layout)]
+    """The allocated registers as ``{kind, node, start, size}`` objects."""
+    return [dict(zip(_REGISTER_FIELDS, row)) for row in layout.labelled_rows]
 
 
 def _metrics(circuit: Circuit) -> dict:
@@ -152,7 +140,7 @@ def _header_text(circuit: Circuit) -> str:
         for key in _PARAMETER_KEYS
         if key in circuit.metadata
     ]
-    rows = _register_rows(layout)
+    rows = layout.labelled_rows
     return ",\n".join([
         '{\n  "format": ' + json.dumps(FORMAT_VERSION),
         '  "parameters": ' + _json_object(parameters, 1),
@@ -161,15 +149,41 @@ def _header_text(circuit: Circuit) -> str:
     ])
 
 
+def _opaque_rows(columns: GateColumns) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The opaque rows, their blocks and each one's number of targets."""
+    rows = np.flatnonzero(columns.kind == OPAQUE)
+    blocks = columns.block[rows]
+    return rows, blocks, (columns.tptr[blocks + 1] - columns.tptr[blocks]).tolist()
+
+
+def _by_moment(columns: GateColumns, templates: np.ndarray) -> list[list[str]]:
+    """The per-row ``templates``, as one list per moment."""
+    bounds = np.searchsorted(columns.moment, np.arange(columns.num_moments + 1)).tolist()
+    templates = templates.tolist()
+    return [templates[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+#: The record of each elementary gate kind, by kind code.
+_GATE_TEMPLATES = tuple(_gate_template(code, *arity) for code, arity in enumerate(ARITY))
+
+
 def _moments_text(columns: GateColumns) -> str:
-    moments: list[list[str]] = [[] for _ in range(columns.num_moments)]
-    for moment, code, controls, targets, opaque in columns.records():
-        values = controls + targets
-        if opaque is not None:
-            leaf, dagger, depth = opaque
-            values += [json.dumps(leaf), "true" if dagger else "false", depth]
-        moments[moment].append(_gate_template(code, len(controls), len(targets)) % tuple(values))
-    return _json_list([_json_list(gates, 2) for gates in moments], 1)
+    """The ``moments`` section as one template, a record's by its kind (and
+    an opaque block's by its number of targets), over one tuple of values:
+    every gate's qubits, then an opaque block's leaf, dagger flag and depth."""
+    rows, blocks, sizes = _opaque_rows(columns)
+    templates = np.array(_GATE_TEMPLATES + (None,), dtype=object)[columns.kind]
+    templates[rows] = [_gate_template(OPAQUE, 1, size) for size in sizes]
+    owner, qubits = columns.operands()
+    extras = np.column_stack([
+        list(map(json.dumps, columns.leaf[blocks].tolist())),
+        np.where(columns.dagger[rows], "true", "false"),
+        columns.depth[blocks].astype(object),
+    ])
+    values = np.concatenate([qubits.astype(object), extras.ravel()])
+    order = np.argsort(np.concatenate([owner, np.repeat(rows, 3)]), kind="stable")
+    text = _json_list([_json_list(gates, 2) for gates in _by_moment(columns, templates)], 1)
+    return text % tuple(values[order].tolist())
 
 
 def _matrices_parts(unitaries: Mapping[str, UnitarySpec]) -> list[str]:
@@ -502,12 +516,11 @@ def _matrix_values(matrices: list, dim: int) -> np.ndarray | None:
 
 
 def _stack_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec] | None:
-    """The ``matrices`` section as specs built by :meth:`UnitarySpec.stack`,
-    which checks depths, finiteness and unitarity.  The labels and the
-    records' shapes and entry types are checked here, as
-    :func:`_walk_matrices` checks them, and read a chunk of records of one
-    size at a time.  None when a record fails, for :func:`_walk_matrices` to
-    find and report it."""
+    """The ``matrices`` section as specs checked by :meth:`UnitarySpec._stacked`
+    for depths, finiteness and unitarity.  Labels, shapes and entry types are
+    checked here as :func:`_walk_matrices` checks them, reading each distinct
+    record object once, in chunks of one size.  None when a record fails, for
+    :func:`_walk_matrices` to find and report it."""
     leaves, records = list(section), list(section.values())
     if not (
         set(map(len, leaves)) <= {layout.n}
@@ -515,20 +528,21 @@ def _stack_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec
         and set(map(type, records)) <= {dict}
     ):
         return None
-    groups: dict[int, list[int]] = {}
-    for i, leaf in enumerate(leaves):
-        groups.setdefault(1 << (layout.m + layout.k[int(leaf, 2)]), []).append(i)
-    matrices: list = [None] * len(leaves)
-    for dim, members in groups.items():
+    dims = [1 << (layout.m + layout.k[int(leaf, 2)]) for leaf in leaves]
+    keys = list(zip(dims, map(id, records)))
+    distinct = dict(zip(keys, records))
+    arrays: dict[tuple[int, int], np.ndarray] = {}
+    for dim in set(dims):
+        members = [key for key in distinct if key[0] == dim]
         step = max(1, _PARSE_CHUNK_VALUES // (2 * dim * dim))
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
-            values = _matrix_values([records[i].get("matrix") for i in chunk], dim)
+            values = _matrix_values([distinct[key].get("matrix") for key in chunk], dim)
             if values is None:
                 return None
-            for i, matrix in zip(chunk, values):
-                matrices[i] = matrix
-    return UnitarySpec.stack(leaves, matrices, [record.get("declared_depth", 1) for record in records])
+            arrays.update(zip(chunk, values))
+    depths = [record.get("declared_depth", 1) for record in records]
+    return UnitarySpec._stacked(leaves, [arrays[key] for key in keys], depths)
 
 
 def _walk_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec]:
@@ -578,9 +592,50 @@ def parse_document(text: str) -> CircuitDocument:
             gc.enable()
 
 
+#: What :func:`emit_json` writes between the ``moments`` and ``matrices``
+#: sections, and between two ``matrices`` records.
+_MATRICES = ',\n  "matrices": {\n    '
+_RECORD_SEPARATOR = ",\n    "
+_DECODER = json.JSONDecoder()
+
+
+def _decode(text: str):
+    """``json.loads(text)``, decoding each distinct ``matrices`` record text
+    once when the section comes last as :func:`emit_json` writes it: records
+    ``"[01]*": {...}`` that end at the first ``}``.  A body is compared in
+    place with the first earlier body of its hash, so no body text is kept.
+    Other text goes through ``json.loads`` whole: same tree or error."""
+    cut = text.find(_MATRICES)
+    pos, section, seen = cut + len(_MATRICES), {}, {}  # seen: hash -> (start, record)
+    try:
+        raw = json.loads(text[:cut] + "\n}") if cut > 0 else None
+        while type(raw) is dict and raw:  # an empty head: "{" then a comma, no JSON
+            colon = text.find('": ', pos)
+            start, end = colon + 3, text.find("}", colon) + 1
+            if not (colon > pos and end and text.startswith('"', pos)) or (leaf := text[pos + 1 : colon]).strip("01"):
+                break
+            body = text[start:end]
+            first, record = seen.get(hash(body), (0, None))
+            if record is None or not text.startswith(body, first):  # the same text ends at the same "}"
+                record, stop = _DECODER.raw_decode(text, start)
+                if stop != end:
+                    break
+                seen.setdefault(hash(body), (start, record))
+            section[leaf] = record  # a repeated leaf keeps its first place and last value, as in json.loads
+            if not text.startswith(_RECORD_SEPARATOR, end):
+                if text[end:].rstrip(" \t\n\r") == "\n  }\n}":
+                    raw["matrices"] = section  # a repeated key keeps its first place, as in json.loads
+                    return raw
+                break
+            pos = end + len(_RECORD_SEPARATOR)
+    except json.JSONDecodeError:
+        pass
+    return json.loads(text)
+
+
 def _parse_document(text: str) -> CircuitDocument:
     try:
-        raw = json.loads(text)
+        raw = _decode(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     _expect(isinstance(raw, dict), "$", "expected a JSON object")
@@ -637,12 +692,7 @@ def _parse_document(text: str) -> CircuitDocument:
     unitaries = None
     if "matrices" in raw:
         _expect(isinstance(raw["matrices"], dict), "matrices", "expected an object")
-        try:
-            unitaries = _stack_matrices(raw["matrices"], layout)
-        except QramForgeError:
-            unitaries = None
-        if unitaries is None:
-            unitaries = _walk_matrices(raw["matrices"], layout)
+        unitaries = _stack_matrices(raw["matrices"], layout) or _walk_matrices(raw["matrices"], layout)
 
     unknown = set(raw) - {"format", "parameters", "registers", "metrics", "moments", "matrices"}
     _expect(not unknown, "$", f"unknown section(s) {sorted(unknown)}")
@@ -668,25 +718,19 @@ def _qasm_register_name(kind: str, node: str) -> str:
 def emit_qasm(circuit: Circuit) -> str:
     """Serialize a circuit as OpenQASM 2.0 text."""
     layout = circuit.layout
-    rows = _register_table(layout)
-    refs: list[str] = []
-    for row in rows:
-        name = _qasm_register_name(row["kind"], row["node"])
-        refs.extend(f"{name}[{offset}]" for offset in range(row["size"]))
-
     columns = circuit.columns
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
-    for row in rows:
-        lines.append(f"qreg {_qasm_register_name(row['kind'], row['node'])}[{row['size']}];")
+    refs: list[str] = []
+    for kind, node, _, size in layout.labelled_rows:
+        name = _qasm_register_name(kind, node)
+        lines.append(f"qreg {name}[{size}];")
+        refs.extend(f"{name}[{offset}]" for offset in range(size))
     if circuit.gate_counts().get("cswap"):
         lines.append("gate fredkin a,b,c { cx c,b; ccx a,b,c; cx c,b; }")
-    blocks = np.flatnonzero(columns.kind == OPAQUE)
-    opaque = {
-        (columns.leaf[b], dagger)
-        for b, dagger in zip(columns.block[blocks].tolist(), columns.dagger[blocks].tolist())
-    }
+    rows, blocks, sizes = _opaque_rows(columns)
+    opaque = list(zip(columns.leaf[blocks].tolist(), columns.dagger[rows].tolist()))
     spans = dict(zip(layout.leaves, layout.mem_spans))
-    for leaf, dagger in sorted(opaque):
+    for leaf, dagger in sorted(set(opaque)):
         if leaf not in spans:  # no leaf of the layout: the label-checked lookups raise
             layout.res(leaf)
             layout.mem(leaf)
@@ -694,19 +738,16 @@ def emit_qasm(circuit: Circuit) -> str:
         arity = 1 + layout.m + len(spans[leaf])
         formals = ",".join(["ctl"] + [f"q{i}" for i in range(arity - 1)])
         lines.append(f"opaque {_opaque_name(leaf, dagger)} {formals};")
-    current = -1
-    for moment, code, controls, targets, block in columns.records():
-        while current < moment:
-            current += 1
-            lines.append(f"// moment {current}")
-        name = _QASM_NAMES[code] if block is None else _opaque_name(block[0], block[1])
-        lines.append(f"{name} {','.join(refs[q] for q in controls + targets)};")
-    for index in range(current + 1, columns.num_moments):
-        lines.append(f"// moment {index}")
-    return "\n".join(lines) + "\n"
+    templates = np.array(_QASM_TEMPLATES + (None,), dtype=object)[columns.kind]
+    templates[rows] = [_opaque_name(*key) + " " + ",".join(["%s"] * (1 + size)) + ";" for key, size in zip(opaque, sizes)]
+    owner, qubits = columns.operands()
+    values = np.array(refs, dtype=object)[qubits[np.argsort(owner, kind="stable")]]
+    moments = _by_moment(columns, templates)
+    text = "\n".join(chain.from_iterable([f"// moment {i}", *gates] for i, gates in enumerate(moments)))
+    return "\n".join([*lines, text % tuple(values.tolist())] if moments else lines) + "\n"
 
 
-_QASM_NAMES = ("x", "cx", "ccx", "fredkin")
+_QASM_TEMPLATES = ("x %s;", "cx %s,%s;", "ccx %s,%s,%s;", "fredkin %s,%s,%s;")
 
 
 def _opaque_name(leaf: str, dagger: bool) -> str:

@@ -329,26 +329,16 @@ class GateColumns:
         return (np.concatenate([rows, opaque[owner]]),
                 np.concatenate([self.ops[rows, column], targets]))
 
-    def records(self) -> Iterator[tuple[int, int, list[int], list[int], tuple | None]]:
-        """``(moment, kind code, controls, targets, opaque)`` of every row in
-        order, ``opaque`` being ``(leaf, dagger, declared depth)`` for opaque
-        blocks and None otherwise."""
-        tptr, targets = self.tptr.tolist(), self.targets.tolist()
-        leaf, depth = self.leaf.tolist(), self.depth.tolist()
-        for moment, code, ops, dagger, b in zip(
-            self.moment.tolist(), self.kind.tolist(), self.ops.tolist(),
-            self.dagger.tolist(), self.block.tolist(),
-        ):
-            if code == OPAQUE:
-                yield moment, code, ops[:1], targets[tptr[b] : tptr[b + 1]], (leaf[b], dagger, depth[b])
-            else:
-                controls, count = ARITY[code]
-                yield moment, code, ops[:controls], ops[controls : controls + count], None
-
     def gates(self) -> Iterator[Gate]:
         """A :class:`Gate` view of every row, in row order."""
-        for _, code, controls, targets, opaque in self.records():
-            yield Gate._unchecked(KINDS[code], tuple(controls), tuple(targets), *(opaque or ()))
+        tptr, targets = self.tptr.tolist(), self.targets.tolist()
+        leaf, depth = self.leaf.tolist(), self.depth.tolist()
+        for code, ops, dagger, b in zip(self.kind.tolist(), self.ops.tolist(), self.dagger.tolist(), self.block.tolist()):
+            if code == OPAQUE:
+                yield Gate._unchecked(KINDS[code], (ops[0],), tuple(targets[tptr[b] : tptr[b + 1]]), leaf[b], dagger, depth[b])
+            else:
+                controls, count = ARITY[code]
+                yield Gate._unchecked(KINDS[code], tuple(ops[:controls]), tuple(ops[controls : controls + count]))
 
     def _blocks_in_order(self) -> tuple[np.ndarray, ...]:
         rows = np.flatnonzero(self.kind == OPAQUE)

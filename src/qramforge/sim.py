@@ -131,25 +131,27 @@ class UnitarySpec:
 
     @classmethod
     def _stacked(cls, leaves: list, matrices: list, depths: list) -> dict[str, "UnitarySpec"] | None:
-        """The specs of :meth:`stack`, each matrix a read-only view of a
-        stack of a chunk of same-size matrices; None when a check fails or
-        the inputs are not numeric arrays (the constructor then decides)."""
+        """The specs of :meth:`stack`.  Each distinct matrix object is checked
+        once, and its leaves share one read-only view of a stack of a chunk
+        of same-size matrices.  None when a check fails or the inputs are not
+        numeric arrays (the constructor then decides)."""
+        ids = list(map(id, matrices))
+        distinct = dict(zip(ids, matrices))
         if not (
             set(map(type, leaves)) <= {str}
             and set("".join(leaves)) <= {"0", "1"}
             and set(map(type, depths)) <= {int}
             and min(depths, default=1) >= 1
-            and all(isinstance(matrix, np.ndarray) and matrix.dtype.kind in "biufc" for matrix in matrices)
+            and all(isinstance(matrix, np.ndarray) and matrix.dtype.kind in "biufc" for matrix in distinct.values())
         ):
             return None
         groups: dict[tuple, list[int]] = {}
-        for i, matrix in enumerate(matrices):
-            groups.setdefault(matrix.shape, []).append(i)
+        for key, matrix in distinct.items():
+            groups.setdefault(matrix.shape, []).append(key)
         for shape in groups:
             dim = shape[0] if shape else 0
             if shape != (dim, dim) or dim < 2 or dim & (dim - 1) or 16 * dim * dim > BATCH_BUDGET_BYTES:
                 return None
-        specs: list = [None] * len(leaves)
         for (dim, _), members in groups.items():
             # a chunk's stack and the temporaries of its product stay within
             # 64 KiB (or one matrix), below the size at which malloc maps
@@ -159,7 +161,7 @@ class UnitarySpec:
             identity = np.eye(dim)
             for start in range(0, len(members), step):
                 chunk = members[start : start + step]
-                part = np.array([matrices[i] for i in chunk], dtype=complex)
+                part = np.array([distinct[key] for key in chunk], dtype=complex)
                 if not np.isfinite(part).all():
                     return None
                 with np.errstate(over="ignore", invalid="ignore"):  # the constructor warns
@@ -169,9 +171,10 @@ class UnitarySpec:
                 if not deviation <= UNITARITY_TOL / 2:
                     return None
                 part.setflags(write=False)
-                for i, matrix in zip(chunk, part):
-                    spec = specs[i] = object.__new__(cls)  # checked above, as the constructor checks
-                    spec.leaf, spec.matrix, spec.declared_depth = leaves[i], matrix, depths[i]
+                distinct.update(zip(chunk, part))
+        specs = [object.__new__(cls) for _ in leaves]  # checked above, as the constructor checks
+        for spec, leaf, key, depth in zip(specs, leaves, ids, depths):
+            spec.leaf, spec.matrix, spec.declared_depth = leaf, distinct[key], depth
         return dict(zip(leaves, specs))
 
     @property

@@ -419,6 +419,14 @@ class RegisterMap:
         kind, depth, value, start, size = (column[order] for column in columns)
         return Rows(kind.astype(np.int8), depth, value, start, size)
 
+    @cached_property
+    def labelled_rows(self) -> tuple[tuple[str, str, int, int], ...]:
+        """:attr:`rows` as ``(kind, node label, start, size)`` tuples."""
+        rows = self.rows
+        labels = [label_of(value, depth) for depth, value in zip(rows.depth.tolist(), rows.value.tolist())]
+        kinds = [REGISTER_KINDS[kind] for kind in rows.kind.tolist()]
+        return tuple(zip(kinds, labels, rows.start.tolist(), rows.size.tolist()))
+
     # -- register lookups (physical indices) ------------------------------
 
     @property

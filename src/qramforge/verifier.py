@@ -132,11 +132,13 @@ def build_table_lookup_instance(
     for f_value in table:
         if not 0 <= f_value < dim:
             raise InvalidParameterError(f"table entry {f_value} does not fit in {m} bits")
-    # leaf z's permutation sends column r to row r ^ table[z]
-    r = np.arange(dim)
-    matrices = np.zeros((1 << n, dim, dim), dtype=bool)
-    matrices[np.arange(1 << n)[:, None], np.bitwise_xor.outer(table, r), r] = True
-    unitaries = UnitarySpec.stack(_leaves(n), matrices)
+    # leaf z's permutation sends column r to row r ^ table[z]; leaves with
+    # one table value share one matrix, which is checked once
+    values, r = sorted(set(table)), np.arange(dim)
+    matrices = np.zeros((len(values), dim, dim), dtype=bool)
+    matrices[np.arange(len(values))[:, None], np.bitwise_xor.outer(values, r), r] = True
+    shared = dict(zip(values, matrices))
+    unitaries = UnitarySpec.stack(_leaves(n), [shared[value] for value in table])
     return InstanceSpec("table_lookup", n, m, (0,) * (1 << n), unitaries, {"table": table})
 
 

@@ -45,7 +45,6 @@ from qramforge import (
     synth_access,
 )
 from qramforge.formats import (
-    _KIND_NAMES,
     _PARAMETER_KEYS,
     FORMAT_VERSION,
     _metrics,
@@ -336,10 +335,10 @@ def sparse_run_circuit(state: SparseState, circuit: Circuit, unitaries=None) -> 
 
 def _moment_records(columns: GateColumns) -> list[list[dict]]:
     moments: list[list[dict]] = [[] for _ in range(columns.num_moments)]
-    for moment, code, controls, targets, opaque in columns.records():
-        record = {"kind": _KIND_NAMES[code], "controls": controls, "targets": targets}
-        if opaque is not None:
-            record["leaf"], record["dagger"], record["declared_depth"] = opaque
+    for moment, gate in zip(columns.moment.tolist(), columns.gates()):
+        record = {"kind": gate.kind.value, "controls": list(gate.controls), "targets": list(gate.targets)}
+        if gate.kind is GateKind.OPAQUE:
+            record["leaf"], record["dagger"], record["declared_depth"] = gate.leaf, gate.dagger, gate.declared_depth
         moments[moment].append(record)
     return moments
 

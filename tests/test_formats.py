@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from qramforge import (
     synth_run,
     synth_up,
 )
+from qramforge import tree
 from qramforge.cli import main
 from qramforge.ir import GateColumns
 from helpers import assert_valid_qasm2, reference_emit_json
@@ -95,6 +97,43 @@ def test_synth_documents_with_matrices_are_pinned(family, capsys):
     assert main(["synth", "--n", "3", "--include-matrices", "--family", *family]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SYNTH_SHA256[family]
+
+
+#: sha256 of ``synth --n 3 --format qasm`` on stdout, taken before moments
+#: and gate lines were written as one template over the columns.
+QASM_SHA256 = {
+    ("qram", "--m", "2"): "ac7f41b0210d768097f83844a30b7ce769190b710ce45960c8e3d02f8671e27d",
+    ("table_lookup", "--m", "2"): "022975304d956a4df00aad71b3249a5515b2ff464532c65b155a3f0a6b7c51b3",
+    ("rotation", "--m", "2"): "141f4c97f768447a04f8d3b271e65ecf4b66b03071affc64124cb06cec59ecbe",
+    ("random", "--m", "1", "--k", "0,1,2,0,1,0,2,1"): "92f4ef9eaa81d3ef014619bfb7d1a19decab0b2bf4f40d5050c3279468c5827d",
+    ("table_lookup", "--m", "4", "--variant", "fanout"): "d18b7d9ff519494f880eee2069931aced7ad0cbbe1df2d51e8133f5d1ba1299f",
+    ("rotation", "--m", "2", "--phase", "up"): "148f169cf9d7abe86d8af253d2204c666b837aa515709166f995afad7d3433c4",
+    ("random", "--m", "2", "--k", "0,1,2,0,1,0,2,1", "--phase", "up", "--variant", "fanout"):
+        "39886e7264cca008676db03595bdfc0caf92992f50e265639cbdebac19c7f8a7",
+}
+
+
+@pytest.mark.parametrize("family", sorted(QASM_SHA256))
+def test_synth_qasm_is_pinned(family, capsys):
+    """Every family at n=3, a fan-out hand-down, the Up phase alone, and
+    random memory widths, whose opaque blocks take several targets."""
+    assert main(["synth", "--n", "3", "--format", "qasm", "--family", *family]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == QASM_SHA256[family]
+
+
+def test_dagger_blocks_are_pinned():
+    """The adjoint of a fan-out access circuit with multi-target blocks: its
+    QASM declares and applies ``_dg`` blocks, and its moments say
+    ``"dagger": true``.  The command line writes no adjoint, so the pins are
+    taken through the library."""
+    inst = build_random_instance(3, 1, k=[0, 1, 2, 0, 1, 0, 2, 1], seed=5)
+    circuit = synth_access(inst.layout(), inst.unitaries, SynthesisOptions(variant="fanout")).adjoint()
+    qasm, text = emit_qasm(circuit), emit_json(circuit)
+    assert qasm.count("_dg") == 16 and text.count('"dagger": true') == 8
+    assert hashlib.sha256(qasm.encode()).hexdigest() == "c5be6a031d92ce025d4821c286fdae747323858cfbc591170589f1e525e29541"
+    assert hashlib.sha256(text.encode()).hexdigest() == "597839546eab95212bdd1bd98869ca386176b17cad16d230a5d633ff25cbdf25"
+    assert text == reference_emit_json(circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -660,15 +699,37 @@ def test_matrices_section_checks_every_record_before_reporting_the_first_fault()
             parse_document(json.dumps(raw))
 
 
+def test_a_refused_matrix_is_checked_once():
+    """A record whose product overflows fails the bulk check quietly and is
+    then built once, by the record-by-record walk: each of the product's
+    warnings comes out once, before the walk's message."""
+    raw = json.loads(_golden_text("access_n1_m1.json"))
+    raw["matrices"]["0"]["matrix"][0][0] = [1e300, 0.0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SchemaError) as info:
+            parse_document(json.dumps(raw, indent=2))
+    assert str(info.value) == "matrices.0: matrix for leaf '0' is not unitary (deviation inf)"
+    messages = [str(warning.message) for warning in caught]
+    assert "overflow encountered in matmul" in messages
+    assert len(messages) == len(set(messages))
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_parse_document_restores_the_collector_state(enabled, monkeypatch):
     """The collector is paused while a document is parsed, and the caller's
-    state comes back whether the document parses or is refused."""
+    state comes back whether the document parses or is refused.  The text is
+    decoded by ``json.loads`` and, for the records of ``matrices``, by
+    ``JSONDecoder.raw_decode``: every call of either runs paused."""
     inst, circuit = _tiny()
     good = emit_json(circuit, inst.unitaries)
-    decode = json.loads
+    loads, raw_decode = json.loads, json.JSONDecoder.raw_decode
     during = []
-    monkeypatch.setattr(json, "loads", lambda text: during.append(gc.isenabled()) or decode(text))
+    monkeypatch.setattr(json, "loads", lambda text: during.append(gc.isenabled()) or loads(text))
+    monkeypatch.setattr(
+        json.JSONDecoder, "raw_decode",
+        lambda self, text, idx=0: during.append(gc.isenabled()) or raw_decode(self, text, idx),
+    )
     was = gc.isenabled()
     try:
         for text in (good, good[:-1], good.replace('"size": 1', '"size": 2', 1)):
@@ -680,7 +741,20 @@ def test_parse_document_restores_the_collector_state(enabled, monkeypatch):
             assert gc.isenabled() is enabled
     finally:
         gc.enable() if was else gc.disable()
-    assert during == [False] * 3
+    assert len(during) > 3 and not any(during)
+
+
+def test_register_rows_are_labelled_once_per_layout(monkeypatch):
+    """The header, the QASM registers and a second emission read one set of
+    labelled register rows, built on first use."""
+    inst = build_table_lookup_instance(2, 1, table=[1, 0, 1, 1])
+    circuit = synth_access(inst.layout(), inst.unitaries)
+    label_of, calls = tree.label_of, []
+    monkeypatch.setattr(tree, "label_of", lambda value, width: calls.append(value) or label_of(value, width))
+    first = emit_json(circuit, inst.unitaries)
+    emit_qasm(circuit)
+    assert emit_json(circuit, inst.unitaries) == first
+    assert len(calls) == len(circuit.layout.rows.kind) > 0
 
 
 def test_rejects_unknown_sections():

@@ -13,6 +13,8 @@ from qramforge import (
     SchemaError,
     basis_state,
     build_table_lookup_instance,
+    emit_json,
+    formats,
     parse_document,
     parse_state,
     run_circuit,
@@ -62,12 +64,14 @@ def _drop_key(rng, raw):
 
 
 def _duplicate_key(rng, raw):
-    """The text repeats a key of some object; the parser keeps the last value."""
+    """The text repeats a key of some object; the parser keeps the last value.
+    The key is returned, for :func:`_mutants` to write in place of the
+    placeholder."""
     dicts = [raw] + [c[k] for c, k in _nodes(raw, []) if isinstance(c[k], dict) and c[k]]
     target = rng.choice(dicts)
     key = rng.choice(sorted(target))
     target["__duplicate__"] = rng.choice(JUNK)
-    return json.dumps(raw).replace('"__duplicate__"', json.dumps(key))
+    return key
 
 
 def _wrong_type(rng, raw):
@@ -140,13 +144,20 @@ CIRCUIT_MUTATIONS = (_drop_key, _duplicate_key, _wrong_type, _qubit_out_of_range
 STATE_MUTATIONS = (_drop_key, _duplicate_key, _wrong_type)
 
 
-def _mutants(base, mutations, seed, count):
+def _mutants(base, mutations, seed, count, indent=None):
+    """``count`` mutated documents, each dumped compactly or with indent 2 at
+    random (a repeated key always compactly); a given ``indent`` is used for
+    every document instead, after the same random choices."""
     rng = random.Random(seed)
     for index in range(count):
         mutation = mutations[index % len(mutations)]
         raw = copy.deepcopy(base)
-        text = mutation(rng, raw)
-        yield mutation.__name__, text if text is not None else json.dumps(raw, indent=rng.choice([None, 2]))
+        repeated = mutation(rng, raw)
+        chosen = None if repeated is not None else rng.choice([None, 2])
+        text = json.dumps(raw, indent=chosen if indent is None else indent)
+        if repeated is not None:
+            text = text.replace('"__duplicate__"', json.dumps(repeated))
+        yield mutation.__name__, text
 
 
 def _outcome(parse, text):
@@ -183,6 +194,111 @@ def test_flooded_moments_are_refused_by_the_moment_bound():
     for text in floods:
         with pytest.raises(SchemaError, match=r"^moments\[\d+\]: \d+ gates in one moment, more than the layout's 7"):
             parse_document(text)
+
+
+# ---------------------------------------------------------------------------
+# the record-by-record decoder against json.loads
+# ---------------------------------------------------------------------------
+
+
+def _parse_outcome(text):
+    try:
+        doc = parse_document(text)
+    except SchemaError as exc:
+        return "refused", str(exc)
+    return "accepted", emit_json(doc.circuit, doc.unitaries)
+
+
+def _check_decode(text, monkeypatch) -> bool:
+    """``formats._decode`` gives the tree ``json.loads`` gives, with its key
+    order, and ``parse_document`` the outcome and message it gives when the
+    whole text goes through ``json.loads``; whether ``_decode`` took the
+    ``matrices`` records one by one rather than the whole text."""
+    loads, whole = json.loads, []
+    try:
+        expected = loads(text)
+    except json.JSONDecodeError:
+        expected = None
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "loads", lambda part: whole.append(part == text) or loads(part))
+        if expected is None:
+            with pytest.raises(json.JSONDecodeError):
+                formats._decode(text)
+        else:
+            assert json.dumps(formats._decode(text)) == json.dumps(expected)  # NaN != NaN, so compare the dumps
+    outcome = _parse_outcome(text)
+    with monkeypatch.context() as patch:
+        patch.setattr(formats, "_decode", loads)
+        assert _parse_outcome(text) == outcome
+    return not any(whole)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mutants_in_the_emitters_layout_decode_as_json_loads_does(seed, monkeypatch):
+    """Every mutation, dumped with indent 2 as the emitter writes, so that
+    most of them reach the record-by-record decoder."""
+    mutations = CIRCUIT_MUTATIONS + (_boolean_entry,)
+    decoded = sum(
+        _check_decode(text, monkeypatch)
+        for _, text in _mutants(_golden(), mutations, seed, 180, indent=2)
+    )
+    assert decoded >= 150
+
+
+GOLDEN = (DATA / "access_n1_m1.json").read_text()
+MATRICES = GOLDEN.index(formats._MATRICES)
+
+
+def _in_matrices(old: str, new: str) -> str:
+    """The golden document with the first ``old`` in its ``matrices``
+    section replaced."""
+    return GOLDEN[:MATRICES] + GOLDEN[MATRICES:].replace(old, new, 1)
+
+
+def _reordered(*keys) -> str:
+    raw = json.loads(GOLDEN)
+    return json.dumps({key: raw[key] for key in keys}, indent=2)
+
+
+_RECORD_0 = GOLDEN[GOLDEN.index('"0": {') + 5 : GOLDEN.index(',\n    "1": {')]
+_RECORD_1 = GOLDEN[GOLDEN.index('"1": {') + 5 : GOLDEN.rindex("\n  }")]
+
+#: Texts around the decoder's fast path, and whether they take it.
+HOSTILE = {
+    "golden": (GOLDEN, True),
+    "shared body": (GOLDEN.replace(_RECORD_1, _RECORD_0), True),
+    "duplicate leaf key": (_in_matrices('"1": {', '"0": {'), True),
+    "duplicate leaf key, shared body": (GOLDEN.replace(_RECORD_1, _RECORD_0).replace('"1": {', '"0": {'), True),
+    "second matrices section": (GOLDEN[:-2] + GOLDEN[MATRICES:-2] + "\n}", False),
+    "earlier matrices key": (GOLDEN.replace('{\n  "format"', '{\n  "matrices": {},\n  "format"', 1), True),
+    "escaped leaf key": (_in_matrices('"0": {', '"\\u0030": {'), False),
+    "leaf key of other characters": (_in_matrices('"0": {', '"0x": {'), False),
+    "empty leaf key": (_in_matrices('"0": {', '"": {'), True),
+    "NaN entry": (_in_matrices("1.0,", "NaN,"), True),
+    "Infinity entry": (_in_matrices("1.0,", "Infinity,"), True),
+    "1e400 entry": (_in_matrices("1.0,", "1e400,"), True),
+    "nested object in a record": (_in_matrices('"declared_depth": 1', '"declared_depth": {"d": 1}'), False),
+    "brace in a string in a record": (_in_matrices('"declared_depth"', '"note": "}",\n      "declared_depth"'), False),
+    "empty record": (GOLDEN.replace(_RECORD_0, "{}"), True),
+    "record that is not an object": (GOLDEN.replace(_RECORD_0, "[1, {}]"), False),
+    "record separator inside a record": (_in_matrices(",\n            0.0", ",\n    0.0"), True),
+    "record separator at another depth": (_in_matrices(',\n    "1": {', ',\n  "1": {'), False),
+    "no separator between records": (_in_matrices(',\n    "1": {', '\n    "1": {'), False),
+    "text after the final brace": (GOLDEN + "x", False),
+    "a second final brace": (GOLDEN + "\n}", False),
+    "whitespace after the final brace": (GOLDEN + "\n \t\r\n", True),
+    "no final brace": (GOLDEN[:-1], False),
+    "matrices before moments": (_reordered("format", "parameters", "registers", "metrics", "matrices", "moments"), False),
+    "a section after matrices": (GOLDEN[:-2] + ',\n  "extras": {}\n}', False),
+    "matrices alone": ("{" + GOLDEN[MATRICES + 1 :], False),
+    "a comma before matrices alone": ("{" + GOLDEN[MATRICES:], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_texts_decode_as_json_loads_does(case, monkeypatch):
+    text, decoded = HOSTILE[case]
+    assert _check_decode(text, monkeypatch) is decoded
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -159,6 +159,37 @@ def test_unitary_spec_stack_leaves_a_near_tolerance_product_to_the_constructor()
                 UnitarySpec.stack(leaves, matrices, depths)
 
 
+def test_unitary_spec_stack_checks_a_shared_matrix_once(monkeypatch):
+    """One matrix object given for every leaf is checked as one matrix, and
+    its leaves share one read-only array; the specs are the constructor's."""
+    matrix = _random_unitary(np.random.default_rng(7), 4)
+    leaves = [format(v, "03b") for v in range(8)]
+    checked = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda values: checked.append(np.size(values)) or isfinite(values))
+    specs = UnitarySpec.stack(leaves, [matrix] * 8, [2] * 8)
+    assert checked == [16]
+    monkeypatch.undo()
+    assert specs == {z: UnitarySpec(z, matrix, 2) for z in leaves}
+    assert len({id(spec.matrix) for spec in specs.values()}) == 1
+    with pytest.raises(ValueError):
+        specs["000"].matrix[0, 0] = 5
+    assert matrix.flags.writeable  # the caller's array is not frozen
+
+
+def test_unitary_spec_stack_names_the_first_leaf_of_a_shared_fault():
+    """A non-unitary matrix given for leaves 3 and 5 raises the constructor's
+    message for leaf 3."""
+    leaves, matrices, depths = _stack_inputs()
+    bad = np.diag([1.5, 1.0])
+    matrices[3] = matrices[5] = bad
+    with pytest.raises(InvalidParameterError) as expected:
+        UnitarySpec(leaves[3], bad, depths[3])
+    with pytest.raises(InvalidParameterError) as raised:
+        UnitarySpec.stack(leaves, matrices, depths)
+    assert str(raised.value) == str(expected.value) and "'011'" in str(raised.value)
+
+
 def test_basis_state_keys():
     # address "10" (value 2) sets address qubit 1; result 1 sets qubit 2;
     # the mem bit of leaf 10 is qubit 19 in this layout's numbering
