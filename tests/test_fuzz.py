@@ -3,13 +3,17 @@ documents must be refused with SchemaError and nothing else, and the command
 line must exit 2 on them."""
 
 import copy
+import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 from qramforge import (
+    QramForgeError,
+    RegisterMap,
     SchemaError,
     basis_state,
     build_table_lookup_instance,
@@ -139,9 +143,50 @@ def _boolean_entry(rng, raw):
     rng.choice(rng.choice(rows))[rng.randrange(2)] = rng.choice([True, False])
 
 
+def _negative_qubit(rng, raw):
+    _, _, gate = rng.choice(_gates(raw))
+    field = rng.choice([f for f in ("controls", "targets") if gate[f]])
+    gate[field][rng.randrange(len(gate[field]))] = rng.choice([-1, -5, -(2**70)])
+
+
+def _repeated_qubit(rng, raw):
+    """One qubit of a gate is repeated in the same gate."""
+    gate = rng.choice([gate for _, _, gate in _gates(raw) if len(gate["controls"] + gate["targets"]) > 1])
+    qubits = gate["controls"] + gate["targets"]
+    a, b = rng.sample(range(len(qubits)), 2)
+    field, index = ("controls", b) if b < len(gate["controls"]) else ("targets", b - len(gate["controls"]))
+    gate[field][index] = qubits[a]
+
+
+def _wrong_arity(rng, raw):
+    """A gate of a kind chosen at random gains or loses a control or a target."""
+    kind = rng.choice(sorted({gate["kind"] for _, _, gate in _gates(raw)}))
+    gate = rng.choice([gate for _, _, gate in _gates(raw) if gate["kind"] == kind])
+    field = rng.choice([f for f in ("controls", "targets") if gate[f]] + ["grow"])
+    if field == "grow":
+        gate[rng.choice(["controls", "targets"])].append(raw["metrics"]["total_qubits"] - 1)
+    else:
+        gate[field].pop()
+
+
+def _non_unitary(rng, raw):
+    """Every number of a matrix is scaled, just inside or outside the
+    unitarity tolerance, or far outside it."""
+    record = raw["matrices"][rng.choice(sorted(raw["matrices"]))]
+    scale = rng.choice([1 + 0.35e-10, 1 + 0.7e-10, 1 + 1e-6, 2.0])
+    record["matrix"] = [[[value * scale for value in pair] for pair in row] for row in record["matrix"]]
+
+
+def _matrix_depth(rng, raw):
+    raw["matrices"][rng.choice(sorted(raw["matrices"]))]["declared_depth"] = rng.choice([0, True, 1.5])
+
+
 CIRCUIT_MUTATIONS = (_drop_key, _duplicate_key, _wrong_type, _qubit_out_of_range, _overlap,
                      _falsify_metric, _ragged_matrix, _flood_moment)
 STATE_MUTATIONS = (_drop_key, _duplicate_key, _wrong_type)
+
+#: Mutations aimed at one check each of the gate and matrix records.
+FAULT_MUTATIONS = (_negative_qubit, _repeated_qubit, _wrong_arity, _non_unitary, _matrix_depth)
 
 
 def _mutants(base, mutations, seed, count, indent=None):
@@ -325,3 +370,59 @@ def test_command_line_exits_2_on_mutated_documents(tmp_path, capsys):
             assert "error:" in capsys.readouterr().err
         checked += 1
     assert checked >= 20
+
+
+# ---------------------------------------------------------------------------
+# the messages of the whole corpus, and the bulk checks against the walks
+# ---------------------------------------------------------------------------
+
+#: Every mutation, each over three seeds: the corpus whose outcomes are pinned.
+CORPUS_MUTATIONS = CIRCUIT_MUTATIONS + (_boolean_entry,) + FAULT_MUTATIONS
+
+
+def _corpus():
+    for seed in (0, 1, 2):
+        yield from _mutants(_golden(), CORPUS_MUTATIONS, seed, 20 * len(CORPUS_MUTATIONS))
+
+
+def _verdict(text) -> tuple[str, str]:
+    try:
+        parse_document(text)
+    except SchemaError as exc:
+        return "refused", str(exc)
+    return "accepted", ""
+
+
+#: What each of :data:`FAULT_MUTATIONS` may give: the check it aims at, or
+#: for a matrix scaled just inside the tolerance, or an opaque block given
+#: one more target, an accepted document or a later check's refusal.
+FAULT_VERDICTS = {
+    "_negative_qubit": r"refused moments\[\d+\]\[\d+\]: qubit indices are non-negative integers, got -\d+",
+    "_repeated_qubit": r"refused moments\[\d+\]\[\d+\]: gate qubits must be distinct, got \(\d+(, \d+)+\)",
+    "_wrong_arity": r"refused moments(\[\d+\]\[\d+\]: (an opaque block takes one control and at least one target"
+                    r"|(x|ccx|cswap) takes \d control\(s\) and \d target\(s\), got \d and \d)"
+                    r"|: qubit\(s\) \[\d+\] already used in this moment)",
+    "_non_unitary": r"accepted |refused matrices\.([01]): matrix for leaf '\1' is not unitary \(deviation \d\.\d{3}e[-+]\d+\)",
+    "_matrix_depth": r"refused matrices\.[01]\.declared_depth: expected an integer( >= 1)?",
+}
+
+
+def test_fault_mutations_reach_the_checks_they_aim_at():
+    verdicts = []
+    for name, text in _corpus():
+        if name in FAULT_VERDICTS:
+            verdicts.append(" ".join(_verdict(text)))
+            assert re.fullmatch(FAULT_VERDICTS[name], verdicts[-1]), (name, verdicts[-1])
+    text = "\n".join(verdicts)
+    for part in ("]: x takes", "]: ccx takes", "]: cswap takes", "]: an opaque block takes", "accepted",
+                 "(deviation 1.400e-10)", "declared_depth: expected an integer\n", "an integer >= 1"):
+        assert part in text, part
+
+
+#: sha256 of the ``(mutation, outcome, message)`` list of the corpus.
+CORPUS_DIGEST = "1211d791872a487a4e8895454594f7a91d390aa64e4acf7e111a378ae88b6030"
+
+
+def test_corpus_verdicts_and_messages_are_pinned():
+    verdicts = [(name, *_verdict(text)) for name, text in _corpus()]
+    assert hashlib.sha256(json.dumps(verdicts).encode()).hexdigest() == CORPUS_DIGEST
