@@ -43,7 +43,6 @@ from .sim import (
 )
 from .synth import (
     SynthesisOptions,
-    fanout_handdown,
     synth_access,
     synth_down,
     synth_run,
@@ -123,7 +122,6 @@ __all__ = [
     "emit_qasm",
     "enumerate_nodes",
     "extract_data_state",
-    "fanout_handdown",
     "label_of",
     "oracle_effect",
     "oracle_superposition",

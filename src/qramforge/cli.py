@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigurationError, InvalidParameterError, QramForgeError
-from .formats import emit_json, emit_qasm, parse_document, serialize_state
+from .formats import _expect, _expect_int, emit_json, emit_qasm, parse_document, serialize_state
 from .sim import basis_state, run_circuit
 from .synth import SynthesisOptions, synth_access, synth_down, synth_run, synth_up
 from .tree import allocate_registers
@@ -214,19 +214,21 @@ def _rebuild_unitaries(doc):
             "document embeds no matrices and names no instance; "
             "re-synthesize with --include-matrices or pass instance parameters"
         )
+    _expect(isinstance(params, dict), "parameters.instance", "expected an object")
+    table = params.get("table")
+    _expect(
+        table is None or isinstance(table, list) and set(map(type, table)) <= {int},
+        "parameters.instance.table",
+        "expected a list of integers",
+    )
     layout = doc.circuit.layout
     family = params.get("family")
-    m = params["fraction_bits"] if family == "rotation" else layout.m
+    m = layout.m
+    if family == "rotation":
+        m = _expect_int(params.get("fraction_bits"), "parameters.instance.fraction_bits", 1)
     k = None if family in ("qram", "table_lookup", "rotation") else list(layout.k)
-    instance = build_instance(
-        family,
-        layout.n,
-        m,
-        k,
-        seed=params.get("seed", DEFAULT_SEED),
-        table=params.get("table"),
-    )
-    return instance.unitaries
+    seed = _expect_int(params.get("seed", DEFAULT_SEED), "parameters.instance.seed", 0)
+    return build_instance(family, layout.n, m, k, seed=seed, table=table).unitaries
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -26,8 +26,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import SchemaError, StructuralError
-from .ir import ARITY, KINDS, MAX_DECLARED_DEPTH, OPAQUE, Circuit, GateColumns, as_int64, check_moments
+from .errors import QramForgeError, SchemaError, StructuralError
+from .ir import ARITY, KINDS, MAX_DECLARED_DEPTH, OPAQUE, Circuit, Gate, GateColumns, as_int64, check_moments
 from .sim import SparseState, UnitarySpec
 from .tree import RegisterMap
 
@@ -239,11 +239,10 @@ def _expect_int(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
-def _parse_gate(record, path: str, leaves: frozenset[str]) -> tuple[int, list[int], list[int], tuple | None]:
-    """``(kind code, controls, targets, opaque)`` of a gate record, checked
-    for everything but the values of its qubits (see :func:`_parse_moments`);
-    ``opaque`` is ``(leaf, dagger, declared depth)`` for an opaque block,
-    whose leaf must be one of ``leaves``."""
+def _check_gate(record, path: str, leaves: frozenset[str]) -> None:
+    """Raise the first fault of a gate record: its fields and their types
+    (an opaque block's leaf one of ``leaves``) are checked here, its arity
+    and qubits by the :class:`Gate` constructor, whose message is kept."""
     _expect(isinstance(record, dict), path, "expected a gate object")
     code = _KIND_CODES.get(record.get("kind")) if isinstance(record.get("kind"), str) else None
     if code is None:
@@ -256,7 +255,7 @@ def _parse_gate(record, path: str, leaves: frozenset[str]) -> tuple[int, list[in
             "expected a list of integers",
         )
     allowed = {"kind", "controls", "targets"}
-    opaque = None
+    opaque = {}
     if code == OPAQUE:
         allowed = _OPAQUE_FIELDS
         _expect(isinstance(record.get("leaf"), str), f"{path}.leaf", "expected a node label string")
@@ -264,31 +263,27 @@ def _parse_gate(record, path: str, leaves: frozenset[str]) -> tuple[int, list[in
         _expect(isinstance(record.get("dagger", False), bool), f"{path}.dagger", "expected a boolean")
         depth = _expect_int(record.get("declared_depth", 1), f"{path}.declared_depth", 1)
         _expect(depth <= MAX_DECLARED_DEPTH, f"{path}.declared_depth", "expected an integer <= 2**62")
-        opaque = (record["leaf"], record.get("dagger", False), depth)
+        opaque = {"leaf": record["leaf"], "dagger": record.get("dagger", False), "declared_depth": depth}
     unknown = set(record) - allowed
     _expect(not unknown, path, f"unknown field(s) {sorted(unknown)}")
-    controls, targets = record["controls"], record["targets"]
-    if code == OPAQUE:
-        _expect(
-            len(controls) == 1 and targets,
-            path,
-            "an opaque block takes one control and at least one target",
-        )
-    else:
-        expected = ARITY[code]
-        _expect(
-            (len(controls), len(targets)) == expected,
-            path,
-            f"{_KIND_NAMES[code]} takes {expected[0]} control(s) and {expected[1]} target(s), "
-            f"got {len(controls)} and {len(targets)}",
-        )
-    return code, controls, targets, opaque
+    try:
+        Gate(KINDS[code], tuple(record["controls"]), tuple(record["targets"]), **opaque)
+    except QramForgeError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _first_gate_fault(moments: list, leaves: frozenset[str]) -> None:
+    """Raise the first fault of ``moments``, one record at a time."""
+    for i, gates in enumerate(moments):
+        _expect(isinstance(gates, list), f"moments[{i}]", "expected a list of gates")
+        for j, record in enumerate(gates):
+            _check_gate(record, f"moments[{i}][{j}]", leaves)
 
 
 def _gather(moments: list, leaves: frozenset[str]) -> tuple | None:
-    """The gates of ``moments`` as column lists, every record checked as
-    :func:`_parse_gate` checks it but over all records at once; None when a
-    record fails, for :func:`_walk` to find and report it."""
+    """The gates of ``moments`` as column lists and arrays, every record
+    checked as :func:`_check_gate` checks it but over all records at once;
+    None when a record fails, for :func:`_first_gate_fault` to name it."""
     if not all(type(gates) is list for gates in moments):
         return None
     records = [record for gates in moments for record in gates]
@@ -332,54 +327,23 @@ def _gather(moments: list, leaves: frozenset[str]) -> tuple | None:
     ):
         return None
 
+    # one gate's qubits: non-negative, then distinct
+    sizes = num_controls + num_targets
+    owner = np.repeat(np.arange(len(records)), sizes)
+    flat = as_int64(qubits)
+    order = np.lexsort((flat, owner))
+    if (flat < 0).any() or ((np.diff(owner[order]) == 0) & (np.diff(flat[order]) == 0)).any():
+        return None
+
     dagger = np.zeros(len(records), dtype=bool)
     dagger[opaque] = flags
     block = np.full(len(records), -1, dtype=np.int32)
     block[opaque] = np.arange(len(opaque))
     tptr = np.concatenate([[0], np.cumsum(num_targets[opaque])])
     return (
-        kind, np.repeat(np.arange(len(moments)), list(map(len, moments))),
-        num_controls + num_targets, qubits, dagger, block, leaf, depth, tptr,
-        [q for g in opaque.tolist() for q in targets[g]],
+        kind, np.repeat(np.arange(len(moments)), list(map(len, moments))), sizes, owner, qubits, flat,
+        dagger, block, leaf, depth, tptr, [q for g in opaque.tolist() for q in targets[g]],
     )
-
-
-def _walk(moments: list, leaves: frozenset[str]) -> tuple[tuple, SchemaError | None]:
-    """The gates of ``moments`` as column lists, checked one record at a
-    time up to the first that fails, and that record's error."""
-    kind, moment, sizes, qubits = [], [], [], []
-    dagger, block, leaf, depth, tptr, targets = [], [], [], [], [0], []
-    failure = None
-    for i, gates in enumerate(moments):
-        if not isinstance(gates, list):
-            failure = SchemaError(f"moments[{i}]: expected a list of gates")
-            break
-        for j, record in enumerate(gates):
-            try:
-                code, gate_controls, gate_targets, opaque = _parse_gate(
-                    record, f"moments[{i}][{j}]", leaves
-                )
-            except SchemaError as exc:
-                failure = exc
-                break
-            kind.append(code)
-            moment.append(i)
-            gate_qubits = gate_controls + gate_targets
-            sizes.append(len(gate_qubits))
-            qubits += gate_qubits
-            if opaque is None:
-                dagger.append(False)
-                block.append(-1)
-            else:
-                dagger.append(opaque[1])
-                block.append(len(depth))
-                leaf.append(opaque[0])
-                depth.append(opaque[2])
-                targets += gate_targets
-                tptr.append(len(targets))
-        if failure is not None:
-            break
-    return (kind, moment, sizes, qubits, dagger, block, leaf, depth, tptr, targets), failure
 
 
 def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
@@ -387,12 +351,12 @@ def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
 
     A moment that lists more gates than the layout has qubits is refused
     before any record is read: the gates of a valid moment are disjoint.
-    Every record is then checked on its own, over all records at once; only
-    when that finds a fault are the records walked one at a time to report
-    the first.  The values of the qubits are then checked over arrays of all
-    of them: every qubit non-negative and distinct within its gate, and,
-    once every gate has passed, disjoint within its moment and inside the
-    layout.  Errors come in the order of checking one gate and one moment
+    Every record is then checked on its own, over all records at once: its
+    fields, its arity, and its qubits non-negative and distinct.  Only when
+    that finds a fault are the records walked one at a time, from the first,
+    to name it.  Once every gate has passed, the gates of each moment are
+    checked disjoint and every qubit inside the layout, over arrays of all
+    of them.  Errors come in the order of checking one gate and one moment
     after another.
     """
     _expect(isinstance(moments, list), "moments", "expected a list")
@@ -402,34 +366,11 @@ def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
             raise SchemaError(
                 f"moments[{i}]: {len(gates)} gates in one moment, more than the layout's {limit} qubits"
             )
-    failure = None
     leaves = frozenset(layout.leaves)
     gathered = _gather(moments, leaves)
     if gathered is None:
-        gathered, failure = _walk(moments, leaves)
-    kind, moment, sizes, qubits, dagger, block, leaf, depth, tptr, targets = gathered
-
-    # one gate's qubits: non-negative, then distinct
-    moment = np.asarray(moment, dtype=np.int64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    flat = as_int64(qubits)
-    negative = owner[flat < 0]
-    order = np.lexsort((flat, owner))
-    repeated = owner[order][1:][(np.diff(owner[order]) == 0) & (np.diff(flat[order]) == 0)]
-    bad = np.concatenate([negative, repeated])
-    if bad.size:
-        g = int(bad.min())
-        i = int(moment[g])
-        gate_qubits = qubits[int(sizes[:g].sum()) : int(sizes[: g + 1].sum())]
-        first_negative = next((q for q in gate_qubits if q < 0), None)
-        if first_negative is not None:
-            message = f"qubit indices are non-negative integers, got {first_negative!r}"
-        else:
-            message = f"gate qubits must be distinct, got {tuple(gate_qubits)}"
-        raise SchemaError(f"moments[{i}][{g - int(np.searchsorted(moment, i))}]: {message}")
-    if failure is not None:
-        raise failure
+        _first_gate_fault(moments, leaves)
+    kind, moment, sizes, owner, qubits, flat, dagger, block, leaf, depth, tptr, targets = gathered
 
     # one moment's gates: disjoint; then every qubit inside the layout
     try:
@@ -439,22 +380,12 @@ def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
 
     ops = np.full((len(sizes), 3), -1, dtype=np.int32)
     column = np.arange(len(flat)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    kind = np.asarray(kind, dtype=np.int8)
     keep = (kind[owner] != OPAQUE) | (column == 0)  # an opaque block keeps its control
     ops[owner[keep], column[keep]] = flat[keep]
     return GateColumns(
-        kind, ops, moment.astype(np.int32), np.asarray(dagger, dtype=bool),
-        np.asarray(block, dtype=np.int32), len(moments),
+        kind, ops, moment.astype(np.int32), dagger, block, len(moments),
         np.array(leaf, dtype=object), np.array(depth, dtype=np.int64),
         np.asarray(tptr, dtype=np.int64), np.array(targets, dtype=np.int32),
-    )
-
-
-def _is_pair(pair) -> bool:
-    return (
-        isinstance(pair, list)
-        and len(pair) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
     )
 
 
@@ -464,28 +395,18 @@ def _parse_matrix(rows, dim: int, path: str) -> np.ndarray:
     path = f"{path}.matrix"
     _expect(isinstance(rows, list), path, f"expected a list of {dim} rows")
     _expect(len(rows) == dim, path, f"expected {dim} rows (2**(m + k) for this leaf), got {len(rows)}")
-    if not (set(map(type, rows)) == {list} and set(map(len, rows)) == {dim}):
-        r = next(r for r, row in enumerate(rows) if not (isinstance(row, list) and len(row) == dim))
-        raise SchemaError(f"{path}[{r}]: expected a list of {dim} [re, im] pairs")
-    try:
-        values = np.array(rows)
-    except ValueError:  # pairs of different lengths
-        values = None
-    if (
-        values is None
-        or values.shape != (dim, dim, 2)
-        or values.dtype.kind not in "fiu"
-        or bool in set(map(type, chain.from_iterable(chain.from_iterable(rows))))  # numpy reads True as 1
-    ):
-        for r, row in enumerate(rows):
-            for c, pair in enumerate(row):
-                _expect(_is_pair(pair), f"{path}[{r}][{c}]", "expected a [re, im] pair of numbers")
-    try:
-        values = np.ascontiguousarray(values, dtype=float)
-    except OverflowError:  # integers beyond the float range
-        values = np.full(1, np.inf)
-    _expect(bool(np.isfinite(values).all()), path, "expected finite numbers")
-    return values.view(complex)[..., 0]
+    for r, row in enumerate(rows):
+        _expect(isinstance(row, list) and len(row) == dim, f"{path}[{r}]", f"expected a list of {dim} [re, im] pairs")
+    for r, row in enumerate(rows):
+        for c, pair in enumerate(row):
+            _expect(
+                isinstance(pair, list) and len(pair) == 2 and set(map(type, pair)) <= {float, int},
+                f"{path}[{r}][{c}]",
+                "expected a [re, im] pair of numbers",
+            )
+    values = _matrix_values([rows], dim)  # None: integers beyond the float range
+    _expect(values is not None and bool(np.isfinite(values).all()), path, "expected finite numbers")
+    return values[0]
 
 
 #: Matrix entries read into one array at a time while parsing; it bounds the
@@ -518,9 +439,9 @@ def _matrix_values(matrices: list, dim: int) -> np.ndarray | None:
 def _stack_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec] | None:
     """The ``matrices`` section as specs checked by :meth:`UnitarySpec._stacked`
     for depths, finiteness and unitarity.  Labels, shapes and entry types are
-    checked here as :func:`_walk_matrices` checks them, reading each distinct
-    record object once, in chunks of one size.  None when a record fails, for
-    :func:`_walk_matrices` to find and report it."""
+    checked here as :func:`_first_matrix_fault` checks them, reading each
+    distinct record object once, in chunks of one size.  None when a record
+    fails, for :func:`_first_matrix_fault` to name it."""
     leaves, records = list(section), list(section.values())
     if not (
         set(map(len, leaves)) <= {layout.n}
@@ -545,26 +466,20 @@ def _stack_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec
     return UnitarySpec._stacked(leaves, [arrays[key] for key in keys], depths)
 
 
-def _walk_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec]:
-    """The ``matrices`` section as specs, checked one record at a time; the
-    first record that fails raises its error."""
-    unitaries = {}
+def _first_matrix_fault(section: dict, layout: RegisterMap) -> None:
+    """Raise the first fault of the ``matrices`` section, one record at a
+    time; the matrix itself is checked by the :class:`UnitarySpec`
+    constructor."""
     for leaf, record in section.items():
         path = f"matrices.{leaf}"
         _expect(len(leaf) == layout.n and set(leaf) <= {"0", "1"}, path, "not a leaf of this layout")
         _expect(isinstance(record, dict), path, "expected an object")
         matrix = _parse_matrix(record.get("matrix"), 1 << (layout.m + layout.k[int(leaf, 2)]), path)
+        depth = _expect_int(record.get("declared_depth", 1), f"{path}.declared_depth", 1)
         try:
-            unitaries[leaf] = UnitarySpec(
-                leaf,
-                matrix,
-                declared_depth=_expect_int(record.get("declared_depth", 1), f"{path}.declared_depth", 1),
-            )
-        except SchemaError:
-            raise
-        except Exception as exc:
+            UnitarySpec(leaf, matrix, declared_depth=depth)
+        except QramForgeError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
-    return unitaries
 
 
 @dataclass
@@ -692,7 +607,9 @@ def _parse_document(text: str) -> CircuitDocument:
     unitaries = None
     if "matrices" in raw:
         _expect(isinstance(raw["matrices"], dict), "matrices", "expected an object")
-        unitaries = _stack_matrices(raw["matrices"], layout) or _walk_matrices(raw["matrices"], layout)
+        unitaries = _stack_matrices(raw["matrices"], layout)
+        if unitaries is None:
+            _first_matrix_fault(raw["matrices"], layout)
 
     unknown = set(raw) - {"format", "parameters", "registers", "metrics", "moments", "matrices"}
     _expect(not unknown, "$", f"unknown section(s) {sorted(unknown)}")

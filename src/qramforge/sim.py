@@ -91,7 +91,7 @@ class UnitarySpec:
             )
         if not np.isfinite(matrix).all():
             raise InvalidParameterError(f"matrix for leaf {leaf!r} has entries that are not finite")
-        deviation = float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim))))
+        deviation = float(_deviation(matrix[None])[0])
         if deviation > UNITARITY_TOL:
             raise InvalidParameterError(
                 f"matrix for leaf {leaf!r} is not unitary (deviation {deviation:.3e})"
@@ -114,9 +114,10 @@ class UnitarySpec:
 
         Every check of the constructor runs once over all leaves: labels,
         budget, shape, size, finiteness and depth, and unitarity as one
-        batched product per chunk of matrices of one size.  When any check
-        fails, the leaves are built one at a time from the first, so the
-        first fault raises what the constructor raises.
+        batched product per chunk of matrices of one size, which gives each
+        matrix the constructor's deviation bit for bit.  When a check fails,
+        the constructor names the first fault; matrices given as nested
+        sequences rather than numeric arrays are built by the constructor.
         """
         leaves, matrices = list(leaves), list(matrices)
         depths = [1] * len(leaves) if declared_depths is None else list(declared_depths)
@@ -134,7 +135,7 @@ class UnitarySpec:
         """The specs of :meth:`stack`.  Each distinct matrix object is checked
         once, and its leaves share one read-only view of a stack of a chunk
         of same-size matrices.  None when a check fails or the inputs are not
-        numeric arrays (the constructor then decides)."""
+        numeric arrays."""
         ids = list(map(id, matrices))
         distinct = dict(zip(ids, matrices))
         if not (
@@ -158,18 +159,14 @@ class UnitarySpec:
             # memory of its own: freeing such a mapping raises that size for
             # the rest of the process, and its peak RSS with it
             step = max(1, (1 << 16) // (16 * dim * dim))
-            identity = np.eye(dim)
             for start in range(0, len(members), step):
                 chunk = members[start : start + step]
                 part = np.array([distinct[key] for key in chunk], dtype=complex)
                 if not np.isfinite(part).all():
                     return None
                 with np.errstate(over="ignore", invalid="ignore"):  # the constructor warns
-                    deviation = np.abs(part.conj().swapaxes(1, 2) @ part - identity).max()
-                # the margin leaves a product near the tolerance to the
-                # constructor's own unbatched product
-                if not deviation <= UNITARITY_TOL / 2:
-                    return None
+                    if not _deviation(part).max() <= UNITARITY_TOL:
+                        return None
                 part.setflags(write=False)
                 distinct.update(zip(chunk, part))
         specs = [object.__new__(cls) for _ in leaves]  # checked above, as the constructor checks
@@ -335,6 +332,13 @@ def superpose(terms: Iterable[tuple[complex, SparseState]]) -> SparseState:
         for key, value in state.amps.items():
             out.amps[key] = out.amps.get(key, 0j) + amp * value
     return out.prune()
+
+
+def _deviation(stack: np.ndarray) -> np.ndarray:
+    """The largest entry of ``|U^dagger U - 1|`` of each matrix ``U`` of a
+    ``(..., d, d)`` stack."""
+    identity = np.eye(stack.shape[-1])
+    return np.abs(stack.conj().swapaxes(-1, -2) @ stack - identity).max(axis=(-2, -1))
 
 
 def _check_budget(nbytes: int, what: str) -> None:

@@ -47,7 +47,7 @@ is a single moment.  Up is the exact adjoint of Down, emitted gate for gate.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,30 +325,3 @@ def synth_access(
     circuit.metadata.update(down.metadata, phase="access")
     return circuit
 
-
-def fanout_handdown(layout: RegisterMap, nodes: Iterable[str], s: int) -> Circuit:
-    """A standalone fan-out hand-down fragment for one level's ``nodes``.
-
-    Useful for inspecting the depth of a single level in isolation.  The
-    fragment lives on ``layout.with_fanout_copies(s)``.
-    """
-    nodes = tuple(nodes)
-    if not nodes:
-        raise InvalidParameterError("need at least one node")
-    depth_set = {len(x) for x in nodes}
-    if len(depth_set) != 1:
-        raise InvalidParameterError("hand-down fragments span a single level")
-    if len(set(nodes)) != len(nodes):
-        raise InvalidParameterError("duplicate nodes in hand-down fragment")
-    if depth_set.pop() >= layout.n:
-        raise InvalidParameterError("leaves have no children to hand the payload to")
-    if not 1 <= s <= layout.m:
-        raise InvalidParameterError(
-            f"fan-out block size must satisfy 1 <= s <= m, got s={s} with m={layout.m}"
-        )
-    layout = layout.with_fanout_copies(s)
-    placer = _Placer(layout)
-    _handdown(placer, layout, len(nodes[0]), np.array([int(x, 2) if x else 0 for x in nodes]), s)
-    fragment = Circuit(layout, placer.columns())
-    fragment.metadata.update(phase="handdown", fanout_block=s, nodes=list(nodes))
-    return fragment

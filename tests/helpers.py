@@ -177,11 +177,6 @@ def reference_run(layout: RegisterMap, declared_depths=None):
     return [gates]
 
 
-def reference_fanout_handdown(layout: RegisterMap, nodes, s: int):
-    layout = layout.with_fanout_copies(s)
-    return layout, ReferenceSchedule().extend(handdown_fanout(layout, nodes, s)).moments
-
-
 # ---------------------------------------------------------------------------
 # dense reference simulator
 # ---------------------------------------------------------------------------

@@ -285,6 +285,28 @@ def test_simulate_missing_instance_exits_2(lookup_doc, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "instance, path",
+    [
+        ("qram", "parameters.instance: expected an object"),
+        (["qram"], "parameters.instance: expected an object"),
+        ({"family": "rotation"}, "parameters.instance.fraction_bits: expected an integer"),
+        ({"family": "random", "seed": -1}, "parameters.instance.seed: expected an integer >= 0"),
+        ({"family": "table_lookup", "table": "abc"}, "parameters.instance.table: expected a list of integers"),
+    ],
+)
+def test_simulate_refuses_malformed_instance_parameters(instance, path, tmp_path, capsys):
+    """A document without matrices names the instance to rebuild them from;
+    a malformed one is a schema error naming the field, exit 2."""
+    doc = tmp_path / "qram.json"
+    assert main(["synth", "--family", "qram", "--n", "2", "--m", "1", "--out", str(doc)]) == 0
+    raw = json.loads(doc.read_text())
+    raw["parameters"]["instance"] = instance
+    doc.write_text(json.dumps(raw, indent=2))
+    assert main(["simulate", "--circuit", str(doc)]) == 2
+    assert capsys.readouterr().err == f"error: {path}\n"
+
+
 def test_simulate_bad_register_values_exit_2(lookup_doc, capsys):
     assert main(["simulate", "--circuit", str(lookup_doc), "--address", "7"]) == 2
     assert main(["simulate", "--circuit", str(lookup_doc), "--mem", "0,0,0"]) == 2

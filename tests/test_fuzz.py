@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from qramforge import (
-    QramForgeError,
     RegisterMap,
     SchemaError,
     basis_state,
@@ -385,24 +384,16 @@ def _corpus():
         yield from _mutants(_golden(), CORPUS_MUTATIONS, seed, 20 * len(CORPUS_MUTATIONS))
 
 
-def _verdict(text) -> tuple[str, str]:
-    try:
-        parse_document(text)
-    except SchemaError as exc:
-        return "refused", str(exc)
-    return "accepted", ""
-
-
-#: What each of :data:`FAULT_MUTATIONS` may give: the check it aims at, or
-#: for a matrix scaled just inside the tolerance, or an opaque block given
-#: one more target, an accepted document or a later check's refusal.
+#: What each of :data:`FAULT_MUTATIONS` may give: a refusal by the check it
+#: aims at.  A matrix scaled just inside the tolerance is accepted, and a
+#: gate given one more qubit may be refused for sharing it with its moment.
 FAULT_VERDICTS = {
     "_negative_qubit": r"refused moments\[\d+\]\[\d+\]: qubit indices are non-negative integers, got -\d+",
     "_repeated_qubit": r"refused moments\[\d+\]\[\d+\]: gate qubits must be distinct, got \(\d+(, \d+)+\)",
     "_wrong_arity": r"refused moments(\[\d+\]\[\d+\]: (an opaque block takes one control and at least one target"
                     r"|(x|ccx|cswap) takes \d control\(s\) and \d target\(s\), got \d and \d)"
                     r"|: qubit\(s\) \[\d+\] already used in this moment)",
-    "_non_unitary": r"accepted |refused matrices\.([01]): matrix for leaf '\1' is not unitary \(deviation \d\.\d{3}e[-+]\d+\)",
+    "_non_unitary": r"accepted|refused matrices\.([01]): matrix for leaf '\1' is not unitary \(deviation \d\.\d{3}e[-+]\d+\)",
     "_matrix_depth": r"refused matrices\.[01]\.declared_depth: expected an integer( >= 1)?",
 }
 
@@ -411,7 +402,8 @@ def test_fault_mutations_reach_the_checks_they_aim_at():
     verdicts = []
     for name, text in _corpus():
         if name in FAULT_VERDICTS:
-            verdicts.append(" ".join(_verdict(text)))
+            outcome, message = _parse_outcome(text)
+            verdicts.append(f"refused {message}" if outcome == "refused" else outcome)
             assert re.fullmatch(FAULT_VERDICTS[name], verdicts[-1]), (name, verdicts[-1])
     text = "\n".join(verdicts)
     for part in ("]: x takes", "]: ccx takes", "]: cswap takes", "]: an opaque block takes", "accepted",
@@ -419,10 +411,50 @@ def test_fault_mutations_reach_the_checks_they_aim_at():
         assert part in text, part
 
 
-#: sha256 of the ``(mutation, outcome, message)`` list of the corpus.
-CORPUS_DIGEST = "1211d791872a487a4e8895454594f7a91d390aa64e4acf7e111a378ae88b6030"
+#: sha256 of the ``(mutation, outcome, message or re-emitted document)``
+#: list of the corpus, taken before the parser's fallback walks were rewritten.
+CORPUS_DIGEST = "313db37bb0151455ab3fee76182fc3754217ddfe9b2be624fbc6f268b213253d"
 
 
 def test_corpus_verdicts_and_messages_are_pinned():
-    verdicts = [(name, *_verdict(text)) for name, text in _corpus()]
+    verdicts = [(name, *_parse_outcome(text)) for name, text in _corpus()]
     assert hashlib.sha256(json.dumps(verdicts).encode()).hexdigest() == CORPUS_DIGEST
+
+
+def _walk_message(walk, *args) -> str | None:
+    try:
+        walk(*args)
+    except SchemaError as exc:
+        return str(exc)
+    return None
+
+
+def test_bulk_checks_refuse_exactly_what_the_first_fault_walks_name():
+    """Over the corpus, ``_gather`` refuses a ``moments`` section exactly
+    when ``_first_gate_fault`` raises, and ``_stack_matrices`` a ``matrices``
+    section exactly when ``_first_matrix_fault`` raises; the walk's message
+    is what ``parse_document`` gives for the golden document with that
+    section in place."""
+    golden = _golden()
+    layout = RegisterMap(1, 1, [0, 0])
+    leaves = frozenset(layout.leaves)
+    refused = {"moments": 0, "matrices": 0}
+    for _, text in _corpus():
+        raw = json.loads(text)
+        if not isinstance(raw, dict):
+            continue
+        moments, section = raw.get("moments"), raw.get("matrices")
+        cases = []
+        if isinstance(moments, list) and all(not isinstance(g, list) or len(g) <= 7 for g in moments):
+            bulk = formats._gather(moments, leaves) is None
+            cases.append(("moments", moments, bulk, _walk_message(formats._first_gate_fault, moments, leaves)))
+        if isinstance(section, dict):
+            bulk = formats._stack_matrices(section, layout) is None
+            cases.append(("matrices", section, bulk, _walk_message(formats._first_matrix_fault, section, layout)))
+        for key, value, bulk, message in cases:
+            assert bulk is (message is not None), (key, message)
+            if message is not None:
+                refused[key] += 1
+                spliced = dict(golden, **{key: value})
+                assert _parse_outcome(json.dumps(spliced)) == ("refused", message)
+    assert min(refused.values()) >= 100, refused

@@ -145,18 +145,34 @@ def test_unitary_spec_stack_raises_the_constructors_first_fault(fault, monkeypat
     assert str(raised.value) == str(expected.value)
 
 
-def test_unitary_spec_stack_leaves_a_near_tolerance_product_to_the_constructor():
-    """A deviation between half the tolerance and the tolerance is judged by
-    the constructor's own product: accepted below the tolerance, refused
-    above it."""
+def test_unitary_spec_stack_and_the_constructor_agree_at_the_tolerance():
+    """With no margin, the batched check and the constructor judge a matrix
+    alike on either side of the tolerance: a deviation of 0.7e-10 is
+    accepted by the batched check itself, one of 1.4e-10 refused by both."""
     leaves, matrices, depths = _stack_inputs()
     for scale, accepted in ((1 + 0.35e-10, True), (1 + 0.7e-10, False)):
         matrices[5] = np.diag([scale, 1.0])
+        assert (UnitarySpec._stacked(leaves, matrices, depths) is not None) is accepted
         if accepted:
             assert UnitarySpec.stack(leaves, matrices, depths)[leaves[5]].matrix[0, 0] == scale
+            UnitarySpec(leaves[5], matrices[5], depths[5])
         else:
-            with pytest.raises(InvalidParameterError, match="not unitary"):
-                UnitarySpec.stack(leaves, matrices, depths)
+            for build in (lambda: UnitarySpec.stack(leaves, matrices, depths),
+                          lambda: UnitarySpec(leaves[5], matrices[5], depths[5])):
+                with pytest.raises(InvalidParameterError, match=r"not unitary \(deviation 1\.400e-10\)"):
+                    build()
+
+
+def test_deviation_of_a_chunk_is_each_matrix_deviation_bit_for_bit():
+    """The batched product gives each matrix of a chunk the deviation it has
+    alone, which is the constructor's, in chunks as large as `_stacked`
+    makes (at least two matrices)."""
+    rng = np.random.default_rng(11)
+    for dim in (2, 4, 8, 16, 32, 64):
+        count = max(2, (1 << 16) // (16 * dim * dim))
+        chunk = np.array([_random_unitary(rng, dim) * (1 + rng.uniform(-1e-10, 1e-10)) for _ in range(count)])
+        alone = [sim._deviation(matrix[None])[0] for matrix in chunk]
+        assert sim._deviation(chunk).tobytes() == np.array(alone).tobytes(), dim
 
 
 def test_unitary_spec_stack_checks_a_shared_matrix_once(monkeypatch):

@@ -20,7 +20,6 @@ from qramforge import (
     basis_state,
     build_random_instance,
     concat,
-    fanout_handdown,
     run_circuit,
     synth_access,
     synth_down,
@@ -31,7 +30,6 @@ from helpers import (
     ReferenceSchedule,
     handdown_sequential,
     reference_down,
-    reference_fanout_handdown,
     reference_run,
     routing_level,
 )
@@ -258,33 +256,18 @@ def test_fanout_emits_copy_chains():
     assert counts["cswap"] == 8
 
 
-def test_fanout_handdown_fragment_depth():
+def test_fanout_handdown_depth():
+    """A one-level Down phase with the default block size s ~ sqrt(m) has
+    depth exactly 2 ceil(m/s) + s + 5, below the sequential hand-down's from
+    m = 16 on."""
     for m in (4, 9, 16, 25, 36, 49, 64):
         layout = allocate_registers(1, m, 0)
         s = SynthesisOptions().resolved_block(m)
-        fragment = fanout_handdown(layout, [""], s)
-        sequential = Circuit.from_moments(
-            layout, ReferenceSchedule().extend(handdown_sequential(layout, [""])).moments
-        )
-        bound = 2 * math.ceil(m / s) + s + 4
-        assert fragment.depth <= bound
-        assert sequential.depth in (m + 1, m + 2)
+        fanout = synth_down(layout, SynthesisOptions(variant="fanout"))
+        assert fanout.layout.copies_per_node == s
+        assert fanout.depth == 2 * math.ceil(m / s) + s + 5
         if m >= 16:
-            assert fragment.depth < sequential.depth
-
-
-def test_fanout_handdown_validation():
-    layout = allocate_registers(2, 4, 0)
-    with pytest.raises(InvalidParameterError):
-        fanout_handdown(layout, [], 2)
-    with pytest.raises(InvalidParameterError):
-        fanout_handdown(layout, ["", "0"], 2)  # mixed levels
-    with pytest.raises(InvalidParameterError):
-        fanout_handdown(layout, ["0", "0"], 2)  # duplicates
-    with pytest.raises(InvalidParameterError):
-        fanout_handdown(layout, ["00"], 2)  # leaves have no children
-    with pytest.raises(InvalidParameterError):
-        fanout_handdown(layout, ["0"], 9)  # s > m
+            assert fanout.depth < synth_down(layout, SynthesisOptions()).depth
 
 
 def test_synthesis_is_deterministic():
@@ -341,21 +324,6 @@ def test_synthesis_matches_the_reference_synthesizer(n):
                 assert _gate_lists(down) == schedule.moments
         for depths in (None, 2, per_leaf):
             assert _gate_lists(synth_run(layout, declared_depths=depths)) == reference_run(layout, depths)
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_fanout_handdown_fragments_match_the_reference(n):
-    """Fragments for whole levels, single nodes and nodes out of order."""
-    for m in (1, 2, 3, 4, 5, 9):
-        layout = allocate_registers(n, m, 0)
-        for k in range(n):
-            level = layout.levels[k]
-            for nodes in (level, level[-1:], level[::-1]):
-                for s in range(1, m + 1):
-                    fragment = fanout_handdown(layout, nodes, s)
-                    ref_layout, moments = reference_fanout_handdown(layout, nodes, s)
-                    assert fragment.layout == ref_layout
-                    assert _gate_lists(fragment) == moments
 
 
 def test_synthesis_at_n14_stays_small():
