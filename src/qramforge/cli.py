@@ -27,8 +27,8 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigurationError, InvalidParameterError, QramForgeError
-from .formats import _expect, _expect_int, emit_json, emit_qasm, parse_document, serialize_state
+from .errors import ConfigurationError, InvalidParameterError, QramForgeError, SchemaError
+from .formats import emit_json, emit_qasm, parse_document, serialize_state
 from .sim import basis_state, run_circuit
 from .synth import SynthesisOptions, synth_access, synth_down, synth_run, synth_up
 from .tree import allocate_registers
@@ -205,6 +205,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _instance_int(params: dict, field: str, default, minimum: int) -> int:
+    value = params.get(field, default)
+    if type(value) is not int:
+        raise SchemaError(f"parameters.instance.{field}: expected an integer")
+    if value < minimum:
+        raise SchemaError(f"parameters.instance.{field}: expected an integer >= {minimum}")
+    return value
+
+
 def _rebuild_unitaries(doc):
     if doc.unitaries is not None:
         return doc.unitaries
@@ -214,20 +223,16 @@ def _rebuild_unitaries(doc):
             "document embeds no matrices and names no instance; "
             "re-synthesize with --include-matrices or pass instance parameters"
         )
-    _expect(isinstance(params, dict), "parameters.instance", "expected an object")
+    if not isinstance(params, dict):
+        raise SchemaError("parameters.instance: expected an object")
     table = params.get("table")
-    _expect(
-        table is None or isinstance(table, list) and set(map(type, table)) <= {int},
-        "parameters.instance.table",
-        "expected a list of integers",
-    )
+    if not (table is None or isinstance(table, list) and set(map(type, table)) <= {int}):
+        raise SchemaError("parameters.instance.table: expected a list of integers")
     layout = doc.circuit.layout
     family = params.get("family")
-    m = layout.m
-    if family == "rotation":
-        m = _expect_int(params.get("fraction_bits"), "parameters.instance.fraction_bits", 1)
+    m = _instance_int(params, "fraction_bits", None, 1) if family == "rotation" else layout.m
     k = None if family in ("qram", "table_lookup", "rotation") else list(layout.k)
-    seed = _expect_int(params.get("seed", DEFAULT_SEED), "parameters.instance.seed", 0)
+    seed = _instance_int(params, "seed", DEFAULT_SEED, 0)
     return build_instance(family, layout.n, m, k, seed=seed, table=table).unitaries
 
 

@@ -370,6 +370,7 @@ def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
     gathered = _gather(moments, leaves)
     if gathered is None:
         _first_gate_fault(moments, leaves)
+        raise SchemaError("moments: refused by the bulk check, but no record check names a fault")
     kind, moment, sizes, owner, qubits, flat, dagger, block, leaf, depth, tptr, targets = gathered
 
     # one moment's gates: disjoint; then every qubit inside the layout
@@ -610,6 +611,7 @@ def _parse_document(text: str) -> CircuitDocument:
         unitaries = _stack_matrices(raw["matrices"], layout)
         if unitaries is None:
             _first_matrix_fault(raw["matrices"], layout)
+            raise SchemaError("matrices: refused by the bulk check, but no record check names a fault")
 
     unknown = set(raw) - {"format", "parameters", "registers", "metrics", "moments", "matrices"}
     _expect(not unknown, "$", f"unknown section(s) {sorted(unknown)}")

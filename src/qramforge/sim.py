@@ -92,7 +92,7 @@ class UnitarySpec:
         if not np.isfinite(matrix).all():
             raise InvalidParameterError(f"matrix for leaf {leaf!r} has entries that are not finite")
         deviation = float(_deviation(matrix[None])[0])
-        if deviation > UNITARITY_TOL:
+        if not deviation <= UNITARITY_TOL:  # a NaN from an overflowing product too
             raise InvalidParameterError(
                 f"matrix for leaf {leaf!r} is not unitary (deviation {deviation:.3e})"
             )

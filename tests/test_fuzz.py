@@ -9,6 +9,7 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qramforge import (
@@ -458,3 +459,37 @@ def test_bulk_checks_refuse_exactly_what_the_first_fault_walks_name():
                 spliced = dict(golden, **{key: value})
                 assert _parse_outcome(json.dumps(spliced)) == ("refused", message)
     assert min(refused.values()) >= 100, refused
+
+
+#: Finite entries whose product ``U^dagger U`` overflows: for ``x * (1 + 1j)``
+#: the product is NaN + NaN j, so the deviation is NaN, not infinite.
+OVERFLOWING = {"diagonal": [[[1e200, 1e200], [0.0, 0.0]], [[0.0, 0.0], [1e200, 1e200]]],
+               "real": [[[1e200, 0.0], [1e200, 0.0]], [[1e200, 0.0], [-1e200, 0.0]]]}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING))
+def test_a_matrix_whose_product_overflows_is_refused_by_both_checks(case):
+    """A deviation that is NaN or infinite is refused by the bulk check and
+    named by the walk, and the document is refused with the walk's message."""
+    raw = _golden()
+    raw["matrices"]["0"]["matrix"] = OVERFLOWING[case]
+    layout = RegisterMap(1, 1, [0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert formats._stack_matrices(raw["matrices"], layout) is None
+        message = _walk_message(formats._first_matrix_fault, raw["matrices"], layout)
+        assert _parse_outcome(json.dumps(raw)) == ("refused", message)
+    assert re.fullmatch(r"matrices\.0: matrix for leaf '0' is not unitary \(deviation (nan|inf)\)", message)
+
+
+@pytest.mark.parametrize("section, walk", [("moments", "_first_gate_fault"), ("matrices", "_first_matrix_fault")])
+def test_a_bulk_refusal_no_walk_names_still_refuses_the_document(section, walk, monkeypatch):
+    """Should a bulk check refuse a section whose records the walk passes,
+    the document is refused, not accepted without the section."""
+    raw = _golden()
+    if section == "moments":
+        raw["moments"][0][0]["targets"] = [0, 0]
+    else:
+        raw["matrices"]["0"]["matrix"][0][0] = [2.0, 0.0]
+    monkeypatch.setattr(formats, walk, lambda *args: None)
+    outcome, message = _parse_outcome(json.dumps(raw))
+    assert (outcome, message) == ("refused", f"{section}: refused by the bulk check, but no record check names a fault")

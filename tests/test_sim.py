@@ -163,6 +163,19 @@ def test_unitary_spec_stack_and_the_constructor_agree_at_the_tolerance():
                     build()
 
 
+def test_unitary_spec_refuses_a_matrix_whose_product_overflows_to_nan():
+    """Finite entries of 1e200 (1 + 1j) make ``U^dagger U`` NaN: the
+    constructor refuses the NaN deviation as the batched check does."""
+    leaves, matrices, depths = _stack_inputs()
+    matrices[5] = np.diag([1e200 * (1 + 1j)] * 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert UnitarySpec._stacked(leaves, matrices, depths) is None
+        for build in (lambda: UnitarySpec.stack(leaves, matrices, depths),
+                      lambda: UnitarySpec(leaves[5], matrices[5], depths[5])):
+            with pytest.raises(InvalidParameterError, match=r"not unitary \(deviation nan\)"):
+                build()
+
+
 def test_deviation_of_a_chunk_is_each_matrix_deviation_bit_for_bit():
     """The batched product gives each matrix of a chunk the deviation it has
     alone, which is the constructor's, in chunks as large as `_stacked`
