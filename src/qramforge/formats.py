@@ -483,6 +483,20 @@ def _first_matrix_fault(section: dict, layout: RegisterMap) -> None:
             raise SchemaError(f"{path}: {exc}") from exc
 
 
+def _check_block_widths(columns: GateColumns, layout: RegisterMap, unitaries: Mapping[str, UnitarySpec]) -> None:
+    """Refuse the first opaque record whose targets are not as many as the
+    qubits of its leaf's matrix, ``m + k[z]`` for leaf ``z``, over all blocks at once."""
+    leaves, present = np.array(layout.leaves), np.zeros(len(layout.leaves), dtype=bool)
+    present[np.searchsorted(leaves, list(unitaries))] = True  # the leaves are in ascending order
+    qubits = np.where(present, layout.m + np.array(layout.k), -1)[np.searchsorted(leaves, columns.leaf.astype(str))]
+    targets = np.diff(columns.tptr)
+    for b in np.flatnonzero((qubits >= 0) & (qubits != targets))[:1].tolist():
+        row = np.flatnonzero(columns.block == b)[0]
+        i, j = columns.moment[row], row - np.searchsorted(columns.moment, columns.moment[row])
+        raise SchemaError(f"moments[{i}][{j}].targets: leaf {columns.leaf[b]!r} has a matrix on {qubits[b]} "
+                          f"qubit(s), got {targets[b]} target(s)")
+
+
 @dataclass
 class CircuitDocument:
     """A fully parsed document: the circuit plus everything else it carried."""
@@ -615,6 +629,8 @@ def _parse_document(text: str) -> CircuitDocument:
 
     unknown = set(raw) - {"format", "parameters", "registers", "metrics", "moments", "matrices"}
     _expect(not unknown, "$", f"unknown section(s) {sorted(unknown)}")
+    if unitaries is not None:
+        _check_block_widths(circuit.columns, layout, unitaries)
     return CircuitDocument(circuit=circuit, unitaries=unitaries, parameters=dict(params))
 
 

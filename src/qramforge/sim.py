@@ -13,9 +13,10 @@ and Fredkin merely permute basis keys — so the rows never multiply under
 those gates.  The routing moments up to each opaque moment run bit-sliced:
 slices of rows are transposed into one bit-plane per qubit, and each moment
 is four bitwise operations over the planes of all its gates.  Opaque blocks
-are the one genuinely quantum step: rows with the control bit set are
-grouped by (state, non-target bits) and each group's amplitudes are
-multiplied by the block's dense matrix.
+are the one genuinely quantum step, one array pass per moment: rows with a
+control bit set are grouped by (block, state, non-target bits), and each
+block multiplies its groups' amplitudes by its dense matrix in one stacked
+``matmul``, which gives every group ``matrix @ vector`` bit for bit.
 
 Amplitudes with magnitude at most :data:`PRUNE_TOL` are dropped when a dense
 block produces them; exact zeros from routing never arise.  States are packed
@@ -351,42 +352,48 @@ def _check_budget(nbytes: int, what: str) -> None:
         )
 
 
-class _Block(NamedTuple):
-    """One opaque block of a moment, read from the circuit's columns."""
+def _unitaries_for(blocks: "_Blocks", unitaries: Mapping[str, UnitarySpec] | None) -> list[UnitarySpec]:
+    """Each block's unitary.  The first block, hit or not, whose leaf has no
+    unitary or one of another width raises."""
+    specs = list(map((unitaries or {}).get, blocks.leaf))
+    qubits = [-1 if spec is None else len(spec.matrix).bit_length() - 1 for spec in specs]
+    for b in np.flatnonzero(np.array(qubits) != blocks.width)[:1].tolist():
+        leaf, spec = blocks.leaf[b], specs[b]
+        if spec is None:
+            raise ConfigurationError(f"no unitary available for opaque block at leaf {leaf!r}")
+        message = f"acts on {spec.num_qubits} qubit(s), gate has {blocks.width[b]} target(s)"
+        raise ShapeError(f"unitary for leaf {leaf!r} {message}", leaf=leaf)
+    return specs
 
-    control: int
-    targets: tuple[int, ...]
-    leaf: str
-    dagger: bool
 
+class _Blocks(NamedTuple):
+    """The opaque blocks of one moment as columns, in gate order: block ``b``
+    is switched on by qubit ``control[b]`` and acts on the first ``width[b]``
+    qubits of ``targets[b]`` (padded with its first target) with leaf
+    ``leaf[b]``'s matrix, conjugate-transposed where ``dagger[b]``."""
 
-def _unitary_for(block: _Block, unitaries: Mapping[str, UnitarySpec] | None) -> UnitarySpec:
-    if unitaries is None or block.leaf not in unitaries:
-        raise ConfigurationError(
-            f"no unitary available for opaque block at leaf {block.leaf!r}"
-        )
-    spec = unitaries[block.leaf]
-    if spec.num_qubits != len(block.targets):
-        raise ShapeError(
-            f"unitary for leaf {block.leaf!r} acts on {spec.num_qubits} qubit(s), "
-            f"gate has {len(block.targets)} target(s)",
-            leaf=block.leaf,
-        )
-    return spec
+    control: np.ndarray
+    targets: np.ndarray
+    width: np.ndarray
+    leaf: np.ndarray
+    dagger: np.ndarray
+
+    def part(self, lo: int, hi: int) -> "_Blocks":
+        return _Blocks(*(column[lo:hi] for column in self))
 
 
 class _Moments:
     """A circuit's columns as the simulator reads them, moment by moment:
     each moment's routing gates as flip rules ``(target, c1, c2, p, q)`` on
-    bit-planes (see :class:`_Rows`) and its opaque blocks."""
+    bit-planes (see :class:`_Rows`) and its opaque blocks (None for a moment
+    without any)."""
 
     def __init__(self, columns: GateColumns, num_qubits: int):
-        one = 64 * -(-num_qubits // 64)
-        zero = one + 1
+        one = 64 * -(-num_qubits // 64)  # the all-ones plane; the all-zeros one follows
         kind, ops = columns.kind, columns.ops.astype(np.intp)
         a, b, c = ops[:, 0], ops[:, 1], ops[:, 2]
         rules = np.full((len(kind), 5), one, dtype=np.intp)
-        rules[:, 4] = zero
+        rules[:, 4] = one + 1
         # X: flip a; CNOT: flip b on a; Toffoli: flip c on a & b; Fredkin:
         # flip b (and, in the second rule, c) on a & (b ^ c)
         rules[:, 0] = np.select([kind == X, kind == CNOT, kind == TOFFOLI], [a, b, c], b)
@@ -403,14 +410,17 @@ class _Moments:
         self.rules = np.concatenate([rules[routing], second])[order]
         moment = columns.moment[owner[order]]
         self.bounds = np.searchsorted(moment, np.arange(columns.num_moments + 1)).tolist()
-        self.blocks: list[list[_Block]] = [[] for _ in range(columns.num_moments)]
-        tptr = columns.tptr
-        for row in np.flatnonzero(kind == OPAQUE).tolist():
-            block = columns.block[row]
-            self.blocks[columns.moment[row]].append(_Block(
-                int(ops[row, 0]), tuple(columns.targets[tptr[block] : tptr[block + 1]].tolist()),
-                columns.leaf[block], bool(columns.dagger[row]),
-            ))
+
+        opaque = np.flatnonzero(kind == OPAQUE)
+        block = columns.block[opaque]
+        width = np.diff(columns.tptr)[block]
+        slot = np.arange(width.max(initial=0))
+        targets = columns.targets[columns.tptr[block, None] + np.where(slot < width[:, None], slot, 0)]
+        blocks = _Blocks(a[opaque], targets, width, columns.leaf[block], columns.dagger[opaque])
+        self.blocks: list[_Blocks | None] = [None] * columns.num_moments
+        where, first, count = np.unique(columns.moment[opaque], return_index=True, return_counts=True)
+        for index, lo, hi in zip(where.tolist(), first.tolist(), (first + count).tolist()):
+            self.blocks[index] = blocks.part(lo, hi)
 
 
 _ONE = np.uint64(1)
@@ -447,7 +457,8 @@ class _Rows:
     Routing runs on the transpose of a slice of rows: plane ``q`` holds
     qubit ``q`` of 64 rows per uint64, and planes of all ones and all zeros
     follow.  Every routing gate is one rule, flip plane ``target`` where
-    ``c1 & c2 & (p ^ q)``, with unused operands on the constant planes.
+    ``c1 & c2 & (p ^ q)``, with unused operands on the constant planes.  The
+    blocks of an opaque moment go in one pass over the rows of all of them.
     """
 
     __slots__ = ("num_qubits", "num_cases", "num_words", "words", "amps", "case")
@@ -502,11 +513,11 @@ class _Rows:
         and routing keeps the order of the rows."""
         start = 0
         for index, blocks in enumerate(moments.blocks):
-            if blocks or index == len(moments.blocks) - 1:
+            if blocks is not None or index == len(moments.blocks) - 1:
                 bounds = moments.bounds[start : index + 2]
                 if bounds[0] < bounds[-1]:
                     self._flip_planes(moments.rules, bounds)
-                if blocks:
+                if blocks is not None:
                     self._blocks(blocks, unitaries)
                 start = index + 1
 
@@ -534,20 +545,24 @@ class _Rows:
             _transpose_bits(blocks)
             part[...] = blocks.reshape(width, -1)[:, : part.shape[1]]
 
-    def _owners(self, blocks: Sequence[_Block]) -> np.ndarray | None:
+    def _owners(self, blocks: _Blocks) -> np.ndarray | None:
         """For each row, the index of the block whose control bit it has set
-        (-1 for none), or None when some row has the controls of two."""
-        words = self.words
-        owner = np.full(words.shape[1], -1)
-        for i, block in enumerate(blocks):
-            control = block.control
-            on = np.flatnonzero((words[control >> 6] >> np.uint64(control & 63)) & _ONE)
-            if (owner[on] >= 0).any():
+        (-1 for none), or None when some row has the controls of two; one
+        step per distinct word that holds a control."""
+        words, which = np.unique(blocks.control >> 6, return_inverse=True)
+        owners = np.full((len(words), 64), -1)
+        owners[which, blocks.control & 63] = np.arange(len(which))
+        masks = np.where(owners >= 0, _ONE << np.arange(64, dtype=np.uint64), 0)
+        owner = np.full(self.words.shape[1], -1)
+        for word, mask, table in zip(words.tolist(), np.bitwise_or.reduce(masks, axis=1), owners):
+            on = np.flatnonzero(self.words[word] & mask)
+            hits = self.words[word, on] & mask
+            if (owner[on] >= 0).any() or (hits & (hits - _ONE)).any():  # two controls of one word
                 return None
-            owner[on] = i
+            owner[on] = table[np.frexp(hits.astype(float))[1] - 1]  # 2^b is 0.5 * 2^(b + 1)
         return owner
 
-    def _blocks(self, gates: Sequence[_Block], unitaries: Mapping[str, UnitarySpec] | None) -> None:
+    def _blocks(self, blocks: _Blocks, unitaries: Mapping[str, UnitarySpec] | None) -> None:
         """Apply the opaque blocks of one moment.
 
         Rows that switch on no block keep their order and come first; then
@@ -555,96 +570,79 @@ class _Rows:
         of applying the blocks one after another, which is what happens when
         a row switches on several of them.
         """
-        specs = [_unitary_for(gate, unitaries) for gate in gates]
-        owner = self._owners(gates)
+        specs = _unitaries_for(blocks, unitaries)
+        owner = self._owners(blocks)
         if owner is None:
-            for gate, spec in zip(gates, specs):
-                self._blocks_on([gate], [spec], self._owners([gate]))
+            for b, spec in enumerate(specs):
+                one = blocks.part(b, b + 1)
+                self._blocks_on(one, [spec], self._owners(one))
         else:
-            self._blocks_on(gates, specs, owner)
+            self._blocks_on(blocks, specs, owner)
 
-    def _blocks_on(
-        self, gates: Sequence[_Block], specs: Sequence[UnitarySpec], owner: np.ndarray
-    ) -> None:
+    def _blocks_on(self, blocks: _Blocks, specs: Sequence[UnitarySpec], owner: np.ndarray) -> None:
         """Replace the rows by the result of blocks that no row switches on
-        twice.  The blocks' amplitudes are computed first; the new rows are
-        checked against the budget before any of them is built."""
+        twice, in one pass over all of them.  The hit rows are grouped on
+        (block, case, non-target bits) in order of first appearance; the
+        groups' amplitudes fill vectors over the target index, one scatter
+        per run of blocks, and each hit block multiplies its groups' vectors
+        with one stacked ``np.matmul``, bit for bit each ``matrix @ vector``.
+        Results come by group, then target index, without amplitudes of
+        magnitude at most :data:`PRUNE_TOL`.  Each block's group vectors,
+        then the new rows are checked against the budget before they are built."""
         order = np.argsort(owner, kind="stable")
-        bounds = np.searchsorted(owner[order], np.arange(-1, len(gates) + 1)).tolist()
-        untouched = order[: bounds[1]]
-        results = [
-            (gate, *self._block(gate, spec, order[lo:hi]))
-            for gate, spec, lo, hi in zip(gates, specs, bounds[1:], bounds[2:])
-            if lo < hi
-        ]
-        if not results:
+        untouched, hit = np.split(order, [np.count_nonzero(owner < 0)])
+        if not hit.size:
             return
-        size = untouched.size + sum(amps.size for _, _, _, _, amps, _ in results)
-        _check_budget(size * len(self.words) * 8, f"{size} basis terms")
-        words = np.empty((len(self.words), size), dtype=np.uint64)
-        amps = np.empty(size, dtype=complex)
-        case = np.empty(size, dtype=self.case.dtype)
-        stop = untouched.size
-        words[:, :stop] = self.words[:, untouched]
-        amps[:stop] = self.amps[untouched]
-        case[:stop] = self.case[untouched]
-        for gate, rest, group, target_index, block_amps, group_case in results:
-            start, stop = stop, stop + block_amps.size
-            rows = words[:, start:stop]
-            rows[...] = rest[:, group]
-            for j, q in enumerate(gate.targets):
-                bits = (target_index >> j).astype(np.uint64) & _ONE
-                rows[q >> 6] |= bits << np.uint64(q & 63)
-            amps[start:stop] = block_amps
-            case[start:stop] = group_case[group]
-        self.words, self.amps, self.case = words, amps, case
+        words, block = self.words, owner[hit]
+        key = np.empty((hit.size, self.num_words + 2), dtype=np.uint64)
+        key[:, 0], key[:, 1], key[:, 2:] = block, self.case[hit], words[:, hit].T
+        index, each = np.zeros(hit.size, dtype=np.intp), np.arange(hit.size)
+        for j, q in enumerate(blocks.targets[block].T):  # the padding reads the first target, cleared: 0
+            column, bit = 2 + (q >> 6), (q & 63).astype(np.uint64)
+            index |= ((key[each, column] >> bit) & _ONE).astype(np.intp) << j
+            key[each, column] &= ~(_ONE << bit)
+        first, group = np.unique(
+            key.view(np.dtype((np.void, 8 * key.shape[1])))[:, 0], return_index=True, return_inverse=True
+        )[1:]
+        rank = np.argsort(first)  # the groups in order of first appearance
+        leaders, group = first[rank], np.argsort(rank)[group]  # each group's first hit row
 
-    def _block(
-        self, gate: _Block, spec: UnitarySpec, on: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One opaque block's result for its hit rows ``on`` (in order).
+        dims = 1 << blocks.width
+        counts = np.bincount(block[leaders], minlength=len(dims))
+        for b in np.flatnonzero(counts * dims * 16 > BATCH_BUDGET_BYTES)[:1].tolist():
+            _check_budget(int(counts[b] * dims[b] * 16), f"the {counts[b]} groups of opaque block {blocks.leaf[b]!r}")
+        rptr = np.searchsorted(block, np.arange(len(dims) + 1))  # each block's hit rows, then groups
+        gptr = np.searchsorted(block[leaders], np.arange(len(dims) + 1))
+        # runs of blocks of one dimension whose vectors take about 64 KiB (one
+        # block alone when larger), so that no temporary raises the peak RSS
+        ends = (np.cumsum(counts * dims) - 1) >> 12
+        cuts = [0, *(np.flatnonzero((np.diff(dims) != 0) | (np.diff(ends) != 0)) + 1).tolist(), len(dims)]
+        parts = []
+        for b0, b1 in zip(cuts[:-1], cuts[1:]):
+            (g0, g1), (r0, r1), dim = gptr[[b0, b1]], rptr[[b0, b1]], dims[b0]
+            vectors = np.zeros((g1 - g0, dim), dtype=complex)
+            vectors[group[r0:r1] - g0, index[r0:r1]] = self.amps[hit[r0:r1]]
+            product = np.empty_like(vectors)
+            on = np.flatnonzero(counts[b0:b1]) + b0
+            for b, lo, hi in zip(on.tolist(), (gptr[on] - g0).tolist(), (gptr[on + 1] - g0).tolist()):
+                matrix = specs[b].matrix.conj().T if blocks.dagger[b] else specs[b].matrix
+                np.matmul(matrix[None], vectors[lo:hi, :, None], out=product[lo:hi, :, None])
+            kept, target_index = np.nonzero(np.abs(product) > PRUNE_TOL)
+            parts.append((g0 + kept, target_index, product[kept, target_index]))
+            del vectors, product  # before the next run's
+        kept, target_index, amps = (np.concatenate(column) for column in zip(*parts))
+        leader = leaders[kept]
 
-        The rows are grouped on (case, non-target bits); each group's
-        amplitudes fill a vector over the target index that is multiplied by
-        the block's matrix.  The results come in order of first appearance
-        of their group, then by target index, with amplitudes of magnitude at
-        most :data:`PRUNE_TOL` dropped.  Returned: each group's words with
-        the target bits cleared and its case, and each result's group,
-        target index and amplitude.  No result row is built here.
-        """
-        words = self.words
-        dim = spec.dim
-        index = np.zeros(on.size, dtype=np.intp)
-        keep_bits = np.full(len(words), np.iinfo(np.uint64).max, dtype=np.uint64)
-        for j, q in enumerate(gate.targets):
-            word, bit = q >> 6, np.uint64(q & 63)
-            index |= ((words[word, on] >> bit) & _ONE).astype(np.intp) << j
-            keep_bits[word] &= ~(_ONE << bit)
-        rest = words[:, on] & keep_bits[:, None]
-
-        key = np.empty((on.size, self.num_words + 1), dtype=np.uint64)
-        key[:, 0] = self.case[on]
-        key[:, 1:] = rest.T
-        raw, width = key.tobytes(), 8 * key.shape[1]
-        groups: dict[bytes, int] = {}
-        group = np.empty(on.size, dtype=np.intp)
-        leaders = []  # each group's first hit row
-        for i in range(on.size):
-            g = group[i] = groups.setdefault(raw[i * width : (i + 1) * width], len(groups))
-            if g == len(leaders):
-                leaders.append(i)
-
-        _check_budget(
-            len(leaders) * dim * 16, f"the {len(leaders)} groups of opaque block {gate.leaf!r}"
-        )
-        vectors = np.zeros((len(leaders), dim), dtype=complex)
-        vectors[group, index] = self.amps[on]
-        matrix = spec.matrix.conj().T if gate.dagger else spec.matrix
-        out = np.empty_like(vectors)
-        for g, vector in enumerate(vectors):
-            out[g] = matrix @ vector
-        kept, target_index = np.nonzero(np.abs(out) > PRUNE_TOL)
-        return rest[:, leaders], kept, target_index, out[kept, target_index], self.case[on[leaders]]
+        size = untouched.size + kept.size
+        _check_budget(size * len(words) * 8, f"{size} basis terms")
+        out = np.empty((len(words), size), dtype=np.uint64)
+        out[:, : untouched.size], out[:, untouched.size :] = words[:, untouched], key[leader, 2:].T
+        flat, columns = out.reshape(-1), np.arange(untouched.size, size)
+        for j, q in enumerate(blocks.targets[block[leader]].T):
+            flat[(q >> 6) * size + columns] |= ((target_index >> j) & 1).astype(np.uint64) << (q & 63).astype(np.uint64)
+        self.words = out
+        self.amps = np.concatenate([self.amps[untouched], amps])
+        self.case = np.concatenate([self.case[untouched], self.case[hit[leader]]])
 
     def states(self) -> Iterator[SparseState]:
         """The rows as one :class:`SparseState` per case, in case order."""

@@ -186,19 +186,27 @@ def build_random_instance(
     seed: int = DEFAULT_SEED,
 ) -> InstanceSpec:
     """Independent Haar-random payloads per leaf (QR of a complex Gaussian
-    with the phase gauge fixed), deterministic in ``seed``."""
+    with the phase gauge fixed), deterministic in ``seed``.  The leaves of
+    one dimension are factored by one stacked QR per chunk of at most 64 KiB
+    (or one matrix), which gives each leaf its own QR's matrix bit for bit."""
     _validate_sizes(n, m)
     k_values = _normalize_k(n, k)
     _check_payload(f"random(n={n}, m={m}, k={max(k_values)} at most)", m, k_values)
-    matrices = []
-    for z_value in range(1 << n):
-        dim = 1 << (m + k_values[z_value])
-        rng = np.random.default_rng([seed, z_value])
-        sample = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        q, r = np.linalg.qr(sample)
-        phases = np.diagonal(r) / np.abs(np.diagonal(r))
-        matrices.append(q * phases)
-    unitaries = UnitarySpec.stack(_leaves(n), matrices)
+    matrices = {}
+    for width in sorted(set(k_values)):
+        dim, leaves = 1 << (m + width), [z for z, k_z in enumerate(k_values) if k_z == width]
+        step = max(1, (1 << 16) // (16 * dim * dim))  # the chunks of UnitarySpec._stacked, as small
+        for chunk in (leaves[start : start + step] for start in range(0, len(leaves), step)):
+            sample = np.empty((len(chunk), dim, dim), dtype=complex)
+            for i, z_value in enumerate(chunk):
+                rng = np.random.default_rng([seed, z_value])
+                sample[i] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            q, r = np.linalg.qr(sample)
+            diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+            q *= (diagonal / np.abs(diagonal))[:, None, :]
+            matrices.update(zip(chunk, q))
+            del sample, r, diagonal  # before the next chunk's, and before the specs are stacked
+    unitaries = UnitarySpec.stack(_leaves(n), [matrices[z] for z in range(1 << n)])
     return InstanceSpec("random", n, m, k_values, unitaries, {"seed": seed})
 
 

@@ -15,7 +15,9 @@ encoded it with ``json.dumps(indent=2)``; the package now writes the gate and
 matrix sections from templates.  The reference checkers are the package's
 earlier case-by-case verifier: scalar seeded draws, one sparse state per
 case, and a judge over data-state dictionaries; the package now generates,
-packs and judges the cases of a batch as columns.
+packs and judges the cases of a batch as columns.  The reference payload
+builder is the package's earlier per-leaf QR loop; the package now factors
+the leaves of one dimension in stacked chunks.
 """
 
 from __future__ import annotations
@@ -369,6 +371,25 @@ def reference_emit_json(circuit: Circuit, unitaries: Mapping[str, UnitarySpec] |
             leaf: _matrix_record(unitaries[leaf]) for leaf in sorted(unitaries)
         }
     return json.dumps(document, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# reference payload builder: one QR per leaf
+# ---------------------------------------------------------------------------
+
+
+def reference_random_payloads(n: int, m: int, k_values, seed: int) -> list[np.ndarray]:
+    """Leaf ``z``'s Haar-random payload: QR of a complex Gaussian drawn from
+    ``default_rng([seed, z])``, with the phase gauge fixed."""
+    matrices = []
+    for z_value in range(1 << n):
+        dim = 1 << (m + k_values[z_value])
+        rng = np.random.default_rng([seed, z_value])
+        sample = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(sample)
+        phases = np.diagonal(r) / np.abs(np.diagonal(r))
+        matrices.append(q * phases)
+    return matrices
 
 
 # ---------------------------------------------------------------------------

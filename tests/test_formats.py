@@ -22,6 +22,7 @@ from qramforge import (
     UnitarySpec,
     allocate_registers,
     basis_state,
+    build_qram_instance,
     build_random_instance,
     build_rotation_instance,
     build_table_lookup_instance,
@@ -761,6 +762,43 @@ def test_rejects_unknown_sections():
     text = _mutated(lambda raw: raw.update(extras={}))
     with pytest.raises(SchemaError, match=r"unknown section\(s\) \['extras'\]"):
         parse_document(text)
+
+
+def _qram_document_with_targets(cut) -> dict:
+    """``synth --family qram --n 1 --m 1 --include-matrices`` with ``cut``
+    applied to the targets of each ``cu`` record (moment, position, targets)."""
+    instance = build_qram_instance(1, 1)
+    raw = json.loads(emit_json(synth_access(instance.layout(), instance.unitaries), instance.unitaries))
+    blocks = [(i, j, gate) for i, gates in enumerate(raw["moments"]) for j, gate in enumerate(gates)
+              if gate["kind"] == "cu"]
+    for i, j, gate in blocks:
+        gate["targets"] = cut(i, j, gate["targets"])
+    return raw
+
+
+def test_opaque_targets_are_checked_against_their_leafs_matrix(capsys, tmp_path):
+    """With a matrices section, an opaque record whose targets do not match
+    its leaf's matrix is refused by the parser, naming the first such
+    record; without one the circuit alone is accepted."""
+    raw = _qram_document_with_targets(lambda i, j, targets: targets[:1] if (i, j) == (6, 0) else targets)
+    message = "moments[6][0].targets: leaf '0' has a matrix on 2 qubit(s), got 1 target(s)"
+    with pytest.raises(SchemaError) as info:
+        parse_document(json.dumps(raw))
+    assert str(info.value) == message
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    assert main(["simulate", "--circuit", str(path), "--address", "0"]) == 2
+    assert message in capsys.readouterr().err
+    del raw["matrices"]
+    assert parse_document(json.dumps(raw)).unitaries is None
+
+    grown = _qram_document_with_targets(lambda i, j, targets: targets + [0] if j == 1 else targets)
+    with pytest.raises(SchemaError) as info:
+        parse_document(json.dumps(grown))
+    assert str(info.value) == "moments[6][1].targets: leaf '1' has a matrix on 2 qubit(s), got 3 target(s)"
+    both = _qram_document_with_targets(lambda i, j, targets: targets[1:])
+    with pytest.raises(SchemaError, match=r"^moments\[6\]\[0\]\.targets: "):
+        parse_document(json.dumps(both))
 
 
 # ---------------------------------------------------------------------------

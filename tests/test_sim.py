@@ -591,6 +591,109 @@ def test_batch_rows_hitting_several_blocks_in_one_moment():
         assert len(out) > len(state)
 
 
+#: An opaque moment on a 140-qubit layout (three key words per term): two
+#: blocks of leaf 0000, blocks of dimensions 2, 4 and 8 (two of them daggered,
+#: one with targets in two words), a block whose control no test state sets,
+#: and a routing gate.
+WIDE = allocate_registers(4, 2, 2)
+WIDE_MOMENT = [
+    Gate.controlled_opaque(0, (1, 2), "0000"),
+    Gate.controlled_opaque(64, (65, 66, 130), "0001", dagger=True),
+    Gate.controlled_opaque(70, (3,), "0010"),
+    Gate.controlled_opaque(100, (101, 63), "0000", dagger=True),
+    Gate.controlled_opaque(139, (5, 6), "0011"),
+    Gate.cnot(7, 8),
+]
+WIDE_CONTROLS = (0, 64, 70, 100)
+
+
+def _wide_unitaries(rng):
+    return {
+        leaf: UnitarySpec(leaf, _random_unitary(rng, dim))
+        for leaf, dim in (("0000", 4), ("0001", 8), ("0010", 2), ("0011", 4))
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("shared", [False, True], ids=["one-block-per-term", "two-blocks-on-a-term"])
+def test_one_pass_moment_matches_sparse_reference(seed, shared, monkeypatch):
+    """Every block of a moment goes through one pass: each case equals the
+    sparse reference, term order and amplitude bits included.  Terms set at
+    most one control, or, in the second run, some set two, which applies the
+    blocks one after another.  An empty state passes through."""
+    passes = []
+    original = sim._Rows._blocks_on
+
+    def counting(rows, blocks, specs, owner):
+        passes.append(len(blocks.control))
+        return original(rows, blocks, specs, owner)
+
+    monkeypatch.setattr(sim._Rows, "_blocks_on", counting)
+    rng = np.random.default_rng(seed)
+    unitaries = _wide_unitaries(rng)
+    circuit = Circuit.from_moments(WIDE, [[Gate.x(9)], WIDE_MOMENT, [Gate.cnot(0, 10)], WIDE_MOMENT])
+    states = [SparseState(WIDE.total_qubits)]
+    for _ in range(12):
+        amps = {}
+        for _ in range(int(rng.integers(1, 9))):
+            key = int.from_bytes(rng.bytes(18), "little") & ((1 << 139) - 1)
+            for control in WIDE_CONTROLS:
+                key &= ~(1 << control)
+            on = rng.choice(WIDE_CONTROLS, size=2 if shared and rng.random() < 0.3 else 1, replace=False)
+            for control in on.tolist() if rng.random() < 0.8 else []:
+                key |= 1 << control
+            amps[key] = complex(rng.standard_normal(), rng.standard_normal())
+        states.append(SparseState(WIDE.total_qubits, amps))
+    outputs = list(run_batch(states, circuit, unitaries))
+    assert len(outputs) == len(states) and not outputs[0].amps
+    for state, out in zip(states, outputs):
+        reference = sparse_run_circuit(state, circuit, unitaries)
+        assert list(out.amps.items()) == list(reference.amps.items())
+    assert sum(map(len, outputs)) > 2 * sum(map(len, states))
+    assert passes == ([1] * 10 if shared else [5, 5])  # one pass per moment, or one per block
+
+
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        ({"0011": None}, ConfigurationError, "no unitary available for opaque block at leaf '0011'"),
+        ({"0011": 8}, ShapeError, "unitary for leaf '0011' acts on 3 qubit(s), gate has 2 target(s)"),
+        ({"0001": 4, "0011": None}, ShapeError, "unitary for leaf '0001' acts on 2 qubit(s), gate has 3 target(s)"),
+        ({"0001": None, "0011": 8}, ConfigurationError, "no unitary available for opaque block at leaf '0001'"),
+    ],
+)
+def test_unitary_faults_are_raised_for_blocks_no_row_switches_on(change, error, message):
+    """A missing or mis-sized unitary is refused for every block of the
+    moment, hit or not, and the first such block in moment order is named;
+    an empty state is refused too."""
+    rng = np.random.default_rng(3)
+    unitaries = _wide_unitaries(rng)
+    for leaf, dim in change.items():
+        if dim is None:
+            del unitaries[leaf]
+        else:
+            unitaries[leaf] = UnitarySpec(leaf, _random_unitary(rng, dim))
+    circuit = Circuit.from_moments(WIDE, [WIDE_MOMENT])
+    for state in (SparseState(WIDE.total_qubits, {1: 1.0}), SparseState(WIDE.total_qubits)):
+        with pytest.raises(error) as info:
+            run_circuit(state, circuit, unitaries)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("dagger", [False, True])
+def test_stacked_matmul_is_each_groups_matvec_bit_for_bit(dagger):
+    """What an opaque block computes for its groups, one stacked ``matmul``,
+    equals ``matrix @ vector`` for each group bit for bit."""
+    rng = np.random.default_rng(11)
+    for dim in (2, 4, 8, 16, 32, 64, 128, 256):
+        matrix = _random_unitary(rng, dim)
+        matrix = matrix.conj().T if dagger else matrix
+        vectors = rng.standard_normal((5, dim)) + 1j * rng.standard_normal((5, dim))
+        vectors[:, rng.random(dim) < 0.5] = 0
+        stacked = np.matmul(matrix[None], vectors[:, :, None])[..., 0]
+        assert stacked.tobytes() == np.array([matrix @ vector for vector in vectors]).tobytes(), dim
+
+
 @pytest.mark.parametrize(
     "instance, options",
     [

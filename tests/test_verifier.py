@@ -136,6 +136,40 @@ def test_random_instance_is_deterministic_and_leafwise_distinct():
         assert np.max(np.abs(mat.conj().T @ mat - np.eye(4))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_random_payloads_equal_the_per_leaf_reference_bit_for_bit(n):
+    """Stacked QR over chunks of same-size leaves gives each leaf the matrix
+    of its own QR, bit for bit.  Per-leaf sizes are mixed, and leaf 0 is
+    256-dimensional, so chunks of one matrix and of many both occur."""
+    for m in (1, 2, 3):
+        for seed in (0, 1, 2):
+            rng = np.random.default_rng([n, m, seed])
+            k = [8 - m] + [int(width) for width in rng.integers(0, 3, (1 << n) - 1)]
+            instance = build_random_instance(n, m, k, seed=seed)
+            reference = helpers.reference_random_payloads(n, m, k, seed)
+            for z, expected in enumerate(reference):
+                got = instance.unitaries[format(z, f"0{n}b")].matrix
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (m, seed, z)
+
+
+#: ``tracemalloc``'s peak, in bytes, of ``build_random_instance(6, 3, 1)``
+#: (after a first call) with the per-leaf QR loop, at numpy 2.4.
+PER_LEAF_PAYLOAD_PEAK = 765408
+
+
+def test_stacked_payloads_take_no_more_memory_than_the_per_leaf_loop():
+    import tracemalloc
+
+    build_random_instance(6, 3, 1)
+    tracemalloc.start()
+    try:
+        build_random_instance(6, 3, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= PER_LEAF_PAYLOAD_PEAK
+
+
 def test_build_instance_dispatch():
     assert build_instance("qram", 2, 1).family == "qram"
     assert build_instance("qram", 2, 1).k == (1, 1, 1, 1)
