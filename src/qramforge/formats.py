@@ -487,7 +487,7 @@ def _check_block_widths(columns: GateColumns, layout: RegisterMap, unitaries: Ma
     """Refuse the first opaque record whose targets are not as many as the
     qubits of its leaf's matrix, ``m + k[z]`` for leaf ``z``, over all blocks at once."""
     leaves, present = np.array(layout.leaves), np.zeros(len(layout.leaves), dtype=bool)
-    present[np.searchsorted(leaves, list(unitaries))] = True  # the leaves are in ascending order
+    present[np.searchsorted(leaves, list(unitaries))] = True  # leaves ascend; each label is a leaf
     qubits = np.where(present, layout.m + np.array(layout.k), -1)[np.searchsorted(leaves, columns.leaf.astype(str))]
     targets = np.diff(columns.tptr)
     for b in np.flatnonzero((qubits >= 0) & (qubits != targets))[:1].tolist():

@@ -195,7 +195,7 @@ def build_random_instance(
     matrices = {}
     for width in sorted(set(k_values)):
         dim, leaves = 1 << (m + width), [z for z, k_z in enumerate(k_values) if k_z == width]
-        step = max(1, (1 << 16) // (16 * dim * dim))  # the chunks of UnitarySpec._stacked, as small
+        step = max(1, (1 << 16) // (16 * dim * dim))  # the chunk size of UnitarySpec._stacked
         for chunk in (leaves[start : start + step] for start in range(0, len(leaves), step)):
             sample = np.empty((len(chunk), dim, dim), dtype=complex)
             for i, z_value in enumerate(chunk):
