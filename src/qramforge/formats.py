@@ -149,13 +149,6 @@ def _header_text(circuit: Circuit) -> str:
     ])
 
 
-def _opaque_rows(columns: GateColumns) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The opaque rows, their blocks and each one's number of targets."""
-    rows = np.flatnonzero(columns.kind == OPAQUE)
-    blocks = columns.block[rows]
-    return rows, blocks, (columns.tptr[blocks + 1] - columns.tptr[blocks]).tolist()
-
-
 def _by_moment(columns: GateColumns, templates: np.ndarray) -> list[list[str]]:
     """The per-row ``templates``, as one list per moment."""
     bounds = np.searchsorted(columns.moment, np.arange(columns.num_moments + 1)).tolist()
@@ -171,9 +164,9 @@ def _moments_text(columns: GateColumns) -> str:
     """The ``moments`` section as one template, a record's by its kind (and
     an opaque block's by its number of targets), over one tuple of values:
     every gate's qubits, then an opaque block's leaf, dagger flag and depth."""
-    rows, blocks, sizes = _opaque_rows(columns)
+    rows, blocks, sizes = columns._opaque_blocks()
     templates = np.array(_GATE_TEMPLATES + (None,), dtype=object)[columns.kind]
-    templates[rows] = [_gate_template(OPAQUE, 1, size) for size in sizes]
+    templates[rows] = [_gate_template(OPAQUE, 1, size) for size in sizes.tolist()]
     owner, qubits = columns.operands()
     extras = np.column_stack([
         list(map(json.dumps, columns.leaf[blocks].tolist())),
@@ -488,13 +481,13 @@ def _check_block_widths(columns: GateColumns, layout: RegisterMap, unitaries: Ma
     qubits of its leaf's matrix, ``m + k[z]`` for leaf ``z``, over all blocks at once."""
     leaves, present = np.array(layout.leaves), np.zeros(len(layout.leaves), dtype=bool)
     present[np.searchsorted(leaves, list(unitaries))] = True  # leaves ascend; each label is a leaf
-    qubits = np.where(present, layout.m + np.array(layout.k), -1)[np.searchsorted(leaves, columns.leaf.astype(str))]
-    targets = np.diff(columns.tptr)
-    for b in np.flatnonzero((qubits >= 0) & (qubits != targets))[:1].tolist():
-        row = np.flatnonzero(columns.block == b)[0]
-        i, j = columns.moment[row], row - np.searchsorted(columns.moment, columns.moment[row])
-        raise SchemaError(f"moments[{i}][{j}].targets: leaf {columns.leaf[b]!r} has a matrix on {qubits[b]} "
-                          f"qubit(s), got {targets[b]} target(s)")
+    rows, blocks, targets = columns._opaque_blocks()
+    leaf = columns.leaf[blocks]
+    qubits = np.where(present, layout.m + np.array(layout.k), -1)[np.searchsorted(leaves, leaf.astype(str))]
+    for g in np.flatnonzero((qubits >= 0) & (qubits != targets))[:1].tolist():
+        i, j = columns.moment[rows[g]], rows[g] - np.searchsorted(columns.moment, columns.moment[rows[g]])
+        raise SchemaError(f"moments[{i}][{j}].targets: leaf {leaf[g]!r} has a matrix on {qubits[g]} "
+                          f"qubit(s), got {targets[g]} target(s)")
 
 
 @dataclass
@@ -662,15 +655,15 @@ def emit_qasm(circuit: Circuit) -> str:
         refs.extend(f"{name}[{offset}]" for offset in range(size))
     if circuit.gate_counts().get("cswap"):
         lines.append("gate fredkin a,b,c { cx c,b; ccx a,b,c; cx c,b; }")
-    rows, blocks, sizes = _opaque_rows(columns)
+    rows, blocks, sizes = columns._opaque_blocks()
     opaque = list(zip(columns.leaf[blocks].tolist(), columns.dagger[rows].tolist()))
-    spans = dict(zip(layout.leaves, layout.mem_spans))
+    widths = dict(zip(layout.leaves, layout.k))
     for leaf, dagger in sorted(set(opaque)):
-        if leaf not in spans:  # no leaf of the layout: the label-checked lookups raise
+        if leaf not in widths:  # no leaf of the layout: the label-checked lookups raise
             layout.res(leaf)
             layout.mem(leaf)
         # the control, the leaf's res register (m qubits at every leaf) and its mem register
-        arity = 1 + layout.m + len(spans[leaf])
+        arity = 1 + layout.m + widths[leaf]
         formals = ",".join(["ctl"] + [f"q{i}" for i in range(arity - 1)])
         lines.append(f"opaque {_opaque_name(leaf, dagger)} {formals};")
     templates = np.array(_QASM_TEMPLATES + (None,), dtype=object)[columns.kind]

@@ -310,24 +310,26 @@ class GateColumns:
 
     # -- per-gate data ------------------------------------------------------
 
-    def block_targets(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The targets of the opaque ``rows``, flattened, and each target's
-        position in ``rows``."""
+    def _opaque_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The opaque rows, their blocks and each block's number of targets."""
+        rows = np.flatnonzero(self.kind == OPAQUE)
         blocks = self.block[rows]
-        lengths = self.tptr[blocks + 1] - self.tptr[blocks]
+        return rows, blocks, self.tptr[blocks + 1] - self.tptr[blocks]
+
+    def block_targets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The targets of every opaque row, flattened, and each target's row."""
+        rows, blocks, lengths = self._opaque_blocks()
         owner = np.repeat(np.arange(len(rows)), lengths)
         first = np.cumsum(lengths) - lengths
         index = np.arange(int(lengths.sum())) - first[owner] + self.tptr[blocks][owner]
-        return self.targets[index], owner
+        return self.targets[index], rows[owner]
 
     def operands(self) -> tuple[np.ndarray, np.ndarray]:
         """Every qubit a gate acts on, as parallel (row, qubit) arrays: the
         ``ops`` entries first, then the opaque targets."""
         rows, column = np.nonzero(self.ops >= 0)
-        opaque = np.flatnonzero(self.kind == OPAQUE)
-        targets, owner = self.block_targets(opaque)
-        return (np.concatenate([rows, opaque[owner]]),
-                np.concatenate([self.ops[rows, column], targets]))
+        targets, owner = self.block_targets()
+        return np.concatenate([rows, owner]), np.concatenate([self.ops[rows, column], targets])
 
     def gates(self) -> Iterator[Gate]:
         """A :class:`Gate` view of every row, in row order."""
@@ -341,9 +343,8 @@ class GateColumns:
                 yield Gate._unchecked(KINDS[code], tuple(ops[:controls]), tuple(ops[controls : controls + count]))
 
     def _blocks_in_order(self) -> tuple[np.ndarray, ...]:
-        rows = np.flatnonzero(self.kind == OPAQUE)
-        blocks = self.block[rows]
-        return (self.leaf[blocks], self.depth[blocks], *self.block_targets(rows))
+        blocks = self._opaque_blocks()[1]
+        return (self.leaf[blocks], self.depth[blocks], *self.block_targets())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GateColumns):
@@ -359,8 +360,8 @@ class GateColumns:
 
     def depth_total(self) -> int:
         per_moment = np.ones(self.num_moments, dtype=np.int64)
-        rows = np.flatnonzero(self.kind == OPAQUE)
-        np.maximum.at(per_moment, self.moment[rows], self.depth[self.block[rows]])
+        rows, blocks, _ = self._opaque_blocks()
+        np.maximum.at(per_moment, self.moment[rows], self.depth[blocks])
         return sum(per_moment.tolist())
 
     def width(self) -> int:

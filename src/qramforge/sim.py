@@ -18,6 +18,13 @@ control bit set are grouped by (block, state, non-target bits), and each
 block multiplies its groups' amplitudes by its dense matrix in one stacked
 ``matmul``, which gives every group ``matrix @ vector`` bit for bit.
 
+Every register is a run of consecutive qubits (see :class:`~qramforge.tree.RegisterMap`),
+so reading or writing one in packed words is reading or writing a bit field.
+:func:`_read_bits` and :func:`_write_bits` are the one codec for such fields,
+here and in :mod:`qramforge.verifier`.  An opaque block's targets are read
+and written as runs of consecutive qubits too (a synthesized block's res and
+mem registers), each a bit field of the target index.
+
 Amplitudes with magnitude at most :data:`PRUNE_TOL` are dropped when a dense
 block produces them; exact zeros from routing never arise.  States are packed
 in consecutive batches sized so that the rows they can grow into fit
@@ -61,6 +68,13 @@ BATCH_BUDGET_BYTES = 1 << 28
 #: Size of the bit-planes of one slice of terms, in bytes; a run of routing
 #: moments goes over slices of terms small enough to keep within it.
 _SLICE_BYTES = 1 << 18
+
+#: Largest chunk of payload matrices, or of group vectors, that one array
+#: operation builds, in bytes (one matrix or block when larger).  It stays
+#: below the size at which malloc maps memory of its own: freeing such a
+#: mapping raises that size for the rest of the process, and its peak RSS
+#: with it.
+_CHUNK_BYTES = 1 << 16
 
 
 class UnitarySpec:
@@ -155,11 +169,7 @@ class UnitarySpec:
             if shape != (dim, dim) or dim < 2 or dim & (dim - 1) or 16 * dim * dim > BATCH_BUDGET_BYTES:
                 return None
         for (dim, _), members in groups.items():
-            # a chunk's stack and the temporaries of its product stay within
-            # 64 KiB (or one matrix), below the size at which malloc maps
-            # memory of its own: freeing such a mapping raises that size for
-            # the rest of the process, and its peak RSS with it
-            step = max(1, (1 << 16) // (16 * dim * dim))
+            step = max(1, _CHUNK_BYTES // (16 * dim * dim))
             for start in range(0, len(members), step):
                 chunk = members[start : start + step]
                 part = np.array([distinct[key] for key in chunk], dtype=complex)
@@ -272,15 +282,6 @@ def _register_value(value: int | str, width: int, what: str) -> int:
     return value
 
 
-def _scatter(value: int, span: Sequence[int]) -> int:
-    """Spread the bits of ``value`` over the physical indices in ``span``."""
-    key = 0
-    for j, q in enumerate(span):
-        if (value >> j) & 1:
-            key |= 1 << q
-    return key
-
-
 def basis_state(
     layout: RegisterMap,
     address: int | str = 0,
@@ -294,20 +295,22 @@ def basis_state(
     per-leaf memory registers, either as a mapping from leaf labels or as a
     sequence covering every leaf in ascending order; omitted leaves are 0.
     """
-    key = _scatter(_register_value(address, layout.n, "address"), layout.address_qubits)
-    key |= _scatter(_register_value(result, layout.m, "result"), layout.result_qubits)
+    key = _register_value(address, layout.n, "address") | _register_value(result, layout.m, "result") << layout.n
     if mem is not None:
         if isinstance(mem, Mapping):
-            items = [(leaf, layout.mem(leaf), value) for leaf, value in mem.items()]
+            for leaf in mem:
+                layout.mem(leaf)  # refuses a label that is not a leaf
+            items = [(int(leaf, 2), value) for leaf, value in mem.items()]
         else:
             mem = list(mem)
             if len(mem) != len(layout.leaves):
                 raise InvalidParameterError(
                     f"expected one memory value per leaf ({len(layout.leaves)}), got {len(mem)}"
                 )
-            items = zip(layout.leaves, layout.mem_spans, mem)
-        for leaf, span, value in items:
-            key |= _scatter(_register_value(value, len(span), f"mem[{leaf}]"), span)
+            items = enumerate(mem)
+        starts = layout.mem_starts.tolist()
+        for z, value in items:
+            key |= _register_value(value, layout.k[z], f"mem[{layout.leaves[z]}]") << starts[z]
     return SparseState(layout.total_qubits, {key: 1.0 + 0j})
 
 
@@ -368,12 +371,14 @@ def _unitaries_for(blocks: "_Blocks", unitaries: Mapping[str, UnitarySpec] | Non
 
 class _Blocks(NamedTuple):
     """The opaque blocks of one moment as columns, in gate order: block ``b``
-    is switched on by qubit ``control[b]`` and acts on the first ``width[b]``
-    qubits of ``targets[b]`` (padded with its first target) with leaf
-    ``leaf[b]``'s matrix, conjugate-transposed where ``dagger[b]``."""
+    is switched on by qubit ``control[b]`` and acts on ``width[b]`` targets
+    with leaf ``leaf[b]``'s matrix, conjugate-transposed where ``dagger[b]``.
+    Its targets, as runs of consecutive qubits, are bit fields of the target
+    index: ``fields[b, r]`` is run ``r``'s first qubit, size and first bit in
+    the index (a 0-bit field where the block has fewer runs)."""
 
     control: np.ndarray
-    targets: np.ndarray
+    fields: np.ndarray
     width: np.ndarray
     leaf: np.ndarray
     dagger: np.ndarray
@@ -411,12 +416,15 @@ class _Moments:
         moment = columns.moment[owner[order]]
         self.bounds = np.searchsorted(moment, np.arange(columns.num_moments + 1)).tolist()
 
-        opaque = np.flatnonzero(kind == OPAQUE)
-        block = columns.block[opaque]
-        width = np.diff(columns.tptr)[block]
-        slot = np.arange(width.max(initial=0))
-        targets = columns.targets[columns.tptr[block, None] + np.where(slot < width[:, None], slot, 0)]
-        blocks = _Blocks(a[opaque], targets, width, columns.leaf[block], columns.dagger[opaque])
+        opaque, block, width = columns._opaque_blocks()
+        qubit, owner = columns.block_targets()
+        owner = np.searchsorted(opaque, owner)
+        bit = np.arange(len(qubit)) - np.searchsorted(owner, owner)
+        head = np.flatnonzero((bit == 0) | (np.diff(qubit, prepend=-1) != 1))
+        run = np.arange(len(head)) - np.searchsorted(owner[head], owner[head])
+        fields = np.zeros((len(opaque), run.max(initial=-1) + 1, 3), dtype=np.int64)
+        fields[owner[head], run] = np.column_stack([qubit[head], np.diff(head, append=len(qubit)), bit[head]])
+        blocks = _Blocks(a[opaque], fields, width, columns.leaf[block], columns.dagger[opaque])
         self.blocks: list[_Blocks | None] = [None] * columns.num_moments
         where, first, count = np.unique(columns.moment[opaque], return_index=True, return_counts=True)
         for index, lo, hi in zip(where.tolist(), first.tolist(), (first + count).tolist()):
@@ -424,9 +432,41 @@ class _Moments:
 
 
 _ONE = np.uint64(1)
+_ALL = np.uint64((1 << 64) - 1)
+_WORD = np.uint64(64)
 
-#: ``_ONES[w]`` has the low ``w`` bits set.
-_ONES = np.array([(1 << w) - 1 for w in range(65)], dtype=np.uint64)
+
+def _field(words: np.ndarray, start, width, columns) -> tuple:
+    """Where bit fields sit in the word-major ``words``: the flat indices of
+    each field's word and of the word after it (the last word itself for a
+    field in the last word), its shift within its word and its mask."""
+    start, count = np.asarray(start, dtype=np.int64), words.shape[1]
+    word, column = start >> 6, np.arange(count)[columns]
+    return (word * count + column, np.minimum(word + 1, len(words) - 1) * count + column,
+            (start & 63).astype(np.uint64), ~(_ALL << np.asarray(width, dtype=np.uint64)))
+
+
+def _read_bits(words: np.ndarray, start, width, columns) -> np.ndarray:
+    """The ``width``-bit field (at most 64 bits) that starts at bit ``start``
+    of each column ``columns`` of the word-major ``words``, lowest bit first.
+
+    Bit ``b`` of a column is bit ``b % 64`` of its word ``b // 64``;
+    ``start`` and ``width`` are scalars or one per column.  A shift by 64
+    gives 0 in numpy, so a field that stays in its word takes nothing from
+    the next word, and no branch is needed."""
+    at, after, shift, mask = _field(words, start, width, columns)
+    return (words.take(at) >> shift | words.take(after) << (_WORD - shift)) & mask
+
+
+def _write_bits(words: np.ndarray, start, width, values, columns) -> None:
+    """Overwrite the fields that :func:`_read_bits` reads with ``values``,
+    each below ``2 ** width``; no two fields of one call may share a word
+    of one column."""
+    at, after, shift, mask = _field(words, start, width, columns)
+    values = np.asarray(values).astype(np.uint64)
+    words.put(at, words.take(at) & ~(mask << shift) | values << shift)
+    words.put(after, words.take(after) & ~(mask >> (_WORD - shift)) | values >> (_WORD - shift))
+
 
 #: For each swap of ``_transpose_bits``: its distance and the low bits of
 #: each pair of ``2 * distance`` bits.
@@ -465,7 +505,7 @@ class _Rows:
 
     def __init__(self, num_qubits: int, case: np.ndarray, amps: np.ndarray, num_cases: int):
         """Rows with every qubit at 0, for terms of the cases ``case`` with
-        amplitudes ``amps``; :meth:`write` fills in their registers."""
+        amplitudes ``amps``; :func:`_write_bits` fills in their registers."""
         self.num_qubits = num_qubits
         self.num_cases = num_cases
         self.num_words = width = -(-num_qubits // 64)
@@ -483,24 +523,6 @@ class _Rows:
         raw = b"".join(key.to_bytes(8 * width, "little") for key in keys)
         rows.words[...] = np.frombuffer(raw, dtype="<u8").reshape(len(keys), width).T
         return rows
-
-    def write(self, start: int, width: int, values: np.ndarray) -> None:
-        """Set qubits ``start`` to ``start + width - 1`` (at most 64, all at 0
-        before) of every row to the bits of ``values``, lowest bit first."""
-        word, shift = divmod(start, 64)
-        values = values.astype(np.uint64)
-        self.words[word] |= values << np.uint64(shift)
-        if shift + width > 64:
-            self.words[word + 1] |= values >> np.uint64(64 - shift)
-
-    def read(self, start: int, width: int) -> np.ndarray:
-        """The value of qubits ``start`` to ``start + width - 1`` (at most 64)
-        in every row, lowest bit first."""
-        word, shift = divmod(start, 64)
-        values = self.words[word] >> np.uint64(shift)
-        if shift + width > 64:
-            values |= self.words[word + 1] << np.uint64(64 - shift)
-        return values & _ONES[width]
 
     def norms(self) -> np.ndarray:
         weights = np.abs(self.amps) ** 2
@@ -594,15 +616,15 @@ class _Rows:
         if not hit.size:
             return
         words, block = self.words, owner[hit]
-        key = np.empty((hit.size, self.num_words + 2), dtype=np.uint64)
-        key[:, 0], key[:, 1], key[:, 2:] = block, self.case[hit], words[:, hit].T
-        index, each = np.zeros(hit.size, dtype=np.intp), np.arange(hit.size)
-        for j, q in enumerate(blocks.targets[block].T):  # the padding reads the first target, cleared: 0
-            column, bit = 2 + (q >> 6), (q & 63).astype(np.uint64)
-            index |= ((key[each, column] >> bit) & _ONE).astype(np.intp) << j
-            key[each, column] &= ~(_ONE << bit)
+        key = np.empty((self.num_words + 2, hit.size), dtype=np.uint64)
+        key[0], key[1], key[2:] = block, self.case[hit], words[:, hit]
+        index = np.zeros(hit.size, dtype=np.intp)
+        for start, size, bit in blocks.fields[block].transpose(1, 2, 0):
+            index |= _read_bits(key, 128 + start, size, slice(None)).astype(np.intp) << bit
+            _write_bits(key, 128 + start, size, 0, slice(None))
         first, group = np.unique(
-            key.view(np.dtype((np.void, 8 * key.shape[1])))[:, 0], return_index=True, return_inverse=True
+            np.ascontiguousarray(key.T).view(np.dtype((np.void, 8 * len(key))))[:, 0],
+            return_index=True, return_inverse=True,
         )[1:]
         rank = np.argsort(first)  # the groups in order of first appearance
         leaders, group = first[rank], np.argsort(rank)[group]  # each group's first hit row
@@ -613,9 +635,8 @@ class _Rows:
             _check_budget(int(counts[b] * dims[b] * 16), f"the {counts[b]} groups of opaque block {blocks.leaf[b]!r}")
         rptr = np.searchsorted(block, np.arange(len(dims) + 1))  # each block's hit rows, then groups
         gptr = np.searchsorted(block[leaders], np.arange(len(dims) + 1))
-        # runs of blocks of one dimension whose vectors take about 64 KiB (one
-        # block alone when larger), so that no temporary raises the peak RSS
-        ends = (np.cumsum(counts * dims) - 1) >> 12
+        # runs of blocks of one dimension whose vectors fill a chunk
+        ends = (np.cumsum(counts * dims) - 1) // (_CHUNK_BYTES // 16)
         cuts = [0, *(np.flatnonzero((np.diff(dims) != 0) | (np.diff(ends) != 0)) + 1).tolist(), len(dims)]
         parts = []
         for b0, b1 in zip(cuts[:-1], cuts[1:]):
@@ -636,10 +657,10 @@ class _Rows:
         size = untouched.size + kept.size
         _check_budget(size * len(words) * 8, f"{size} basis terms")
         out = np.empty((len(words), size), dtype=np.uint64)
-        out[:, : untouched.size], out[:, untouched.size :] = words[:, untouched], key[leader, 2:].T
-        flat, columns = out.reshape(-1), np.arange(untouched.size, size)
-        for j, q in enumerate(blocks.targets[block[leader]].T):
-            flat[(q >> 6) * size + columns] |= ((target_index >> j) & 1).astype(np.uint64) << (q & 63).astype(np.uint64)
+        out[:, : untouched.size], out[:, untouched.size :] = words[:, untouched], key[2:, leader]
+        columns = np.arange(untouched.size, size)
+        for start, width, bit in blocks.fields[block[leader]].transpose(1, 2, 0):
+            _write_bits(out, start, width, (target_index >> bit) & ((1 << width) - 1), columns)
         self.words = out
         self.amps = np.concatenate([self.amps[untouched], amps])
         self.case = np.concatenate([self.case[untouched], self.case[hit[leader]]])
@@ -668,13 +689,10 @@ def _batch_terms(circuit: Circuit, term_bytes: int = 0) -> int:
     in every access circuit; its group vectors take 16 bytes per amplitude,
     more than a packed row of at most 128 qubits."""
     columns = circuit.columns
-    opaque = np.flatnonzero(columns.kind == OPAQUE)
-    blocks = columns.block[opaque]
+    opaque, _, width = columns._opaque_blocks()
     widest = np.zeros(columns.num_moments, dtype=np.int64)
-    np.maximum.at(widest, columns.moment[opaque], columns.tptr[blocks + 1] - columns.tptr[blocks])
-    growth = 1
-    for width in widest[widest > 0].tolist():
-        growth *= 1 << width
+    np.maximum.at(widest, columns.moment[opaque], width)
+    growth = 1 << int(widest.sum())  # the product of each moment's largest dimension
     row_bytes = 8 * -(-circuit.layout.total_qubits // 64)
     return BATCH_BUDGET_BYTES // (growth * max(row_bytes, 16) + term_bytes)
 

@@ -181,18 +181,19 @@ def _routing(placer: _Placer, layout: RegisterMap, k: int) -> None:
     placer.emit(slots)
 
 
-def _handdown(placer: _Placer, layout: RegisterMap, k: int, nodes: np.ndarray, s: int | None) -> None:
+def _handdown(placer: _Placer, layout: RegisterMap, k: int, nodes: np.ndarray, fanout: bool) -> None:
     """Step 4 for the nodes of level ``k`` with values ``nodes``: controlled
-    directly on the children's life flags, or with ``s`` given and at least
-    two copies per node, on life-flag copies in swap blocks of size ``s``."""
+    directly on the children's life flags, or, for the fan-out variant on a
+    layout with copies, on life-flag copies in swap blocks of its block
+    size ``s``."""
     level, below = layout.level(k), layout.level(k + 1)
     res = _column(level.res[nodes])
     children = (nodes * 2, nodes * 2 + 1)
     lives = [_column(below.life[child]) for child in children]
     child_res = [_column(below.res[child]) for child in children]
-    c = layout.copies_per_node
+    s, c = layout.fanout_block, layout.copies_per_node
     slots = []
-    if s is None or c < 2:
+    if not fanout or s is None:
         for life, res_child in zip(lives, child_res):
             slots += [placer.slot(FREDKIN, life, res + i, res_child + i) for i in range(layout.m)]
         placer.emit(slots)
@@ -229,7 +230,7 @@ def synth_down(layout: RegisterMap, options: SynthesisOptions | None = None) -> 
     for k in range(layout.n):
         _routing(placer, layout, k)
     for k in range(layout.n):
-        _handdown(placer, layout, k, np.arange(1 << k), s)
+        _handdown(placer, layout, k, np.arange(1 << k), s is not None)
     circuit = Circuit(layout, placer.columns())
     circuit.metadata.update(
         phase="down",

@@ -103,12 +103,7 @@ def enumerate_nodes(n: int) -> list[list[str]]:
 
     ``enumerate_nodes(2) == [[""], ["0", "1"], ["00", "01", "10", "11"]]``.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParameterError(f"address width must be a positive integer, got {n!r}")
-    if n > MAX_ADDRESS_WIDTH:
-        raise InvalidParameterError(
-            f"address width {n} exceeds the supported maximum {MAX_ADDRESS_WIDTH}"
-        )
+    _validate_sizes(n, 1)
     return [[label_of(v, k) for v in range(1 << k)] for k in range(n + 1)]
 
 
@@ -500,13 +495,6 @@ class RegisterMap:
     def mem_starts(self) -> np.ndarray:
         """First qubit of every leaf's ``mem`` register, in ascending leaf order."""
         return np.array(self._mem_start[:-1], dtype=np.int64)
-
-    @cached_property
-    def mem_spans(self) -> tuple[tuple[int, ...], ...]:
-        """Every leaf's ``mem`` register, in ascending leaf order."""
-        return tuple(
-            tuple(range(start, start + width)) for start, width in zip(self._mem_start, self.k)
-        )
 
     @property
     def data_qubits(self) -> tuple[int, ...]:

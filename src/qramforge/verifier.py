@@ -39,12 +39,14 @@ from .sim import (
     PRUNE_TOL,
     SparseState,
     UnitarySpec,
+    _CHUNK_BYTES,
     _batch_terms,
     _check_budget,
     _Moments,
-    _ONES,
+    _read_bits,
     _Rows,
     _run_moments,
+    _write_bits,
 )
 
 # bench/selftest.py reads qramforge.verifier.run_circuit to check that the
@@ -195,7 +197,7 @@ def build_random_instance(
     matrices = {}
     for width in sorted(set(k_values)):
         dim, leaves = 1 << (m + width), [z for z, k_z in enumerate(k_values) if k_z == width]
-        step = max(1, (1 << 16) // (16 * dim * dim))  # the chunk size of UnitarySpec._stacked
+        step = max(1, _CHUNK_BYTES // (16 * dim * dim))
         for chunk in (leaves[start : start + step] for start in range(0, len(leaves), step)):
             sample = np.empty((len(chunk), dim, dim), dtype=complex)
             for i, z_value in enumerate(chunk):
@@ -340,10 +342,8 @@ def extract_data_state(state: SparseState, layout: RegisterMap) -> tuple[DataSta
     ancilla_mask = ((1 << layout.total_qubits) - 1) ^ layout.data_mask
     # A register holds consecutive physical qubits, so its value is a shift
     # and a mask of the key.
-    (a_shift, a_mask), (r_shift, r_mask), *mem_fields = [
-        (span[0] if span else 0, (1 << len(span)) - 1)
-        for span in (layout.address_qubits, layout.result_qubits, *layout.mem_spans)
-    ]
+    a_mask, r_mask = (1 << layout.n) - 1, (1 << layout.m) - 1
+    mem_fields = [(start, (1 << width) - 1) for start, width in zip(layout.mem_starts.tolist(), layout.k)]
     data: DataState = {}
     residual = 0.0
     for key, amp in state.amps.items():
@@ -351,8 +351,8 @@ def extract_data_state(state: SparseState, layout: RegisterMap) -> tuple[DataSta
             residual += abs(amp) ** 2
             continue
         entry = (
-            (key >> a_shift) & a_mask,
-            (key >> r_shift) & r_mask,
+            key & a_mask,
+            (key >> layout.n) & r_mask,
             tuple([(key >> shift) & mask for shift, mask in mem_fields]),
         )
         data[entry] = amp
@@ -551,51 +551,29 @@ class _Keys:
         return _Cases(labels, case, address, amp, result, self._pack_mem(mem))
 
     def _pack_mem(self, mem: np.ndarray) -> np.ndarray:
-        """A memory table as memory-block words, one column per case."""
-        out = np.zeros((self.mem_words, len(mem)), dtype=np.uint64)
-        if not self.mem_words:
-            return out
-        values = mem.astype(np.uint64)
-        offset, width = self.offset[self.leaves], self.k[self.leaves]
-        word, shift = offset >> 6, (offset & 63).astype(np.uint64)
-        starts = np.flatnonzero(np.diff(word, prepend=-1))
-        out[word[starts]] = np.bitwise_or.reduceat(values << shift, starts, axis=1).T
-        cross = np.flatnonzero(shift + width.astype(np.uint64) > 64)  # one per word at most
-        out[word[cross] + 1] |= (values[:, cross] >> (64 - shift[cross])).T
-        return out
-
-    def _span(self, leaf: np.ndarray):
-        """Where each row's own leaf ``leaf`` sits in the memory block:
-        the rows with a register, its word, shift and mask, and the rows
-        whose register runs into the next word."""
-        rows = np.flatnonzero(self.k[leaf])
-        offset, width = self.offset[leaf[rows]], self.k[leaf[rows]]
-        shift = (offset & 63).astype(np.uint64)
-        return rows, offset >> 6, shift, _ONES[width], np.flatnonzero(shift + width.astype(np.uint64) > 64)
+        """A memory table as memory-block words, one column per case: every
+        bit of the block taken from its leaf's column, eight to a byte.  The
+        labels show the memory bits in block order, so their tables say
+        where each bit comes from."""
+        bits = slice(self.n + self.m, None)
+        values = (mem[:, self.label_col[bits] - 2] >> self.label_bit[bits]) & 1
+        out = np.zeros((len(mem), 8 * self.mem_words), dtype=np.uint8)
+        out[:, : -(-self.mem_bits // 8)] = np.packbits(values.astype(np.uint8), axis=1, bitorder="little")
+        return out.view("<u8").T
 
     def leaf_value(self, words: np.ndarray, columns: np.ndarray, leaf: np.ndarray) -> np.ndarray:
         """The value of leaf ``leaf[i]``'s register in column ``columns[i]``
         of the memory-block words."""
         out = np.zeros(len(leaf), dtype=np.uint64)
-        rows, word, shift, mask, cross = self._span(leaf)
-        out[rows] = words[word, columns[rows]] >> shift
-        high = words[word[cross] + 1, columns[rows[cross]]] << (64 - shift[cross])
-        out[rows[cross]] |= high
-        out[rows] &= mask
+        rows = np.flatnonzero(self.k[leaf])
+        out[rows] = _read_bits(words, self.offset[leaf[rows]], self.k[leaf[rows]], columns[rows])
         return out
 
     def set_leaf(self, words: np.ndarray, leaf: np.ndarray, value: np.ndarray | None = None) -> None:
         """Overwrite leaf ``leaf[i]``'s register in column ``i`` of the
         memory-block words with ``value[i]`` (with 0 when ``value`` is None)."""
-        rows, word, shift, mask, cross = self._span(leaf)
-        bits = np.uint64(0) if value is None else value[rows].astype(np.uint64)
-        words[word, rows] = words[word, rows] & ~(mask << shift) | bits << shift
-        if cross.size:
-            back = 64 - shift[cross]
-            high = words[word[cross] + 1, rows[cross]] & ~(mask[cross] >> back)
-            if value is not None:
-                high |= bits[cross] >> back
-            words[word[cross] + 1, rows[cross]] = high
+        rows = np.flatnonzero(self.k[leaf])
+        _write_bits(words, self.offset[leaf[rows]], self.k[leaf[rows]], 0 if value is None else value[rows], rows)
 
 
 def _draw_runs(instance: InstanceSpec) -> list[tuple[int, int]]:
@@ -695,7 +673,10 @@ class _Run:
         self.circuit, self.unitaries, self.keys = circuit, unitaries, keys
         self.moments = _Moments(circuit.columns, layout.total_qubits)
         self.num_qubits = layout.total_qubits
-        self.mem_base = int(layout.mem_starts[0])
+        # the data key's fields: address and result, then each word of the memory block
+        base = int(layout.mem_starts[0])
+        self.fields = [(0, keys.n + keys.m)] + [(base + 64 * j, min(64, keys.mem_bits - 64 * j))
+                                                 for j in range(keys.mem_words)]
         words = -(-self.num_qubits // 64)
         ancillas = (((1 << self.num_qubits) - 1) ^ layout.data_mask).to_bytes(8 * words, "little")
         self.ancillas = [
@@ -712,15 +693,13 @@ class _Run:
         if not live.all():
             case, address, amp = case[live], address[live], amp[live]
         rows = _Rows(self.num_qubits, case, amp, cases.num_cases)
-        rows.write(0, keys.n + keys.m, address | cases.result[case] << keys.n)
-        for j in range(keys.mem_words):
-            rows.write(self.mem_base + 64 * j, min(64, keys.mem_bits - 64 * j), cases.mem[j, case])
+        for (start, width), values in zip(self.fields, [address | cases.result[case] << keys.n, *cases.mem[:, case]]):
+            _write_bits(rows.words, start, width, values, slice(None))
         return rows
 
     def read(self, rows: _Rows) -> _Data:
         """The data rows of ``rows``.  Each residual adds ``abs(amp) ** 2``
         over the case's rows in order, and gives the same float."""
-        keys = self.keys
         dirty = np.zeros(len(rows.case), dtype=bool)
         for word, mask in self.ancillas:
             dirty |= (rows.words[word] & mask) != 0
@@ -729,10 +708,7 @@ class _Run:
         # bincount of no rows gives integer zeros, weights or not
         residual = np.bincount(rows.case[dirty], weights=weights, minlength=rows.num_cases).astype(float)
         clean = np.flatnonzero(~dirty)
-        key = np.empty((1 + keys.mem_words, len(clean)), dtype=np.uint64)
-        key[0] = rows.read(0, keys.n + keys.m)[clean]
-        for j in range(keys.mem_words):
-            key[1 + j] = rows.read(self.mem_base + 64 * j, min(64, keys.mem_bits - 64 * j))[clean]
+        key = np.array([_read_bits(rows.words, start, width, clean) for start, width in self.fields], dtype=np.uint64)
         return _Data(rows.case[clean], key, rows.amps[clean], residual)
 
 
@@ -808,7 +784,7 @@ def _mem_invariant(keys: _Keys, actual: _Data, cases: _Cases) -> np.ndarray:
     """Per case: every data row leaves ``mem_z`` as it was for every leaf
     ``z`` but the row's own address."""
     diff = actual.key[1:] ^ cases.mem[:, actual.case]
-    keys.set_leaf(diff, (actual.key[0] & _ONES[keys.n]).astype(np.intp))
+    keys.set_leaf(diff, _read_bits(actual.key, 0, keys.n, slice(None)).astype(np.intp))
     return np.bincount(actual.case[diff.any(axis=0)], minlength=cases.num_cases) == 0
 
 

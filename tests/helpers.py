@@ -17,7 +17,10 @@ earlier case-by-case verifier: scalar seeded draws, one sparse state per
 case, and a judge over data-state dictionaries; the package now generates,
 packs and judges the cases of a batch as columns.  The reference payload
 builder is the package's earlier per-leaf QR loop; the package now factors
-the leaves of one dimension in stacked chunks.
+the leaves of one dimension in stacked chunks.  The reference basis key is
+the package's earlier bit-by-bit scatter of register values; the package
+now shifts each value to its register's first qubit, and packs a case's
+memory block in one array pass.
 """
 
 from __future__ import annotations
@@ -390,6 +393,43 @@ def reference_random_payloads(n: int, m: int, k_values, seed: int) -> list[np.nd
         phases = np.diagonal(r) / np.abs(np.diagonal(r))
         matrices.append(q * phases)
     return matrices
+
+
+# ---------------------------------------------------------------------------
+# reference register packing: bit by bit, and per leaf
+# ---------------------------------------------------------------------------
+
+
+def scatter(value: int, span) -> int:
+    """Spread the bits of ``value`` over the physical indices in ``span``."""
+    key = 0
+    for j, q in enumerate(span):
+        if (value >> j) & 1:
+            key |= 1 << q
+    return key
+
+
+def reference_basis_key(layout: RegisterMap, address, result, mem=None) -> int:
+    """The basis key of :func:`~qramforge.sim.basis_state` for valid
+    arguments, scattered bit by bit over each register's qubits."""
+    def value(v) -> int:
+        return int(v, 2) if isinstance(v, str) and v else int(v or 0)
+
+    key = scatter(value(address), layout.address_qubits) | scatter(value(result), layout.result_qubits)
+    items = mem.items() if isinstance(mem, Mapping) else zip(layout.leaves, mem or ())
+    for leaf, v in items:
+        key |= scatter(value(v), layout.mem(leaf))
+    return key
+
+
+def reference_memory_words(keys, table: np.ndarray) -> list[list[int]]:
+    """Each row of a memory table as the words of its memory block, per
+    leaf: every leaf's value shifted to its offset in one Python int."""
+    words = []
+    for row in table.tolist():
+        block = sum(value << int(keys.offset[z]) for z, value in zip(keys.leaves.tolist(), row))
+        words.append([(block >> 64 * j) & ((1 << 64) - 1) for j in range(keys.mem_words)])
+    return words
 
 
 # ---------------------------------------------------------------------------

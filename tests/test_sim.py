@@ -38,6 +38,7 @@ from helpers import (
     dense_apply_gate,
     dense_from_sparse,
     dense_run_circuit,
+    reference_basis_key,
     sparse_run_circuit,
 )
 
@@ -243,6 +244,108 @@ def test_basis_state_validation():
         basis_state(LAYOUT, 0, 0, {"1": 0})  # not a leaf
     with pytest.raises(InvalidParameterError):
         basis_state(LAYOUT, 0, 0, [1, 0])  # one value per leaf
+    with pytest.raises(InvalidParameterError, match="only at leaves"):
+        basis_state(LAYOUT, 0, 0, {"10": 2, "1": 0})  # labels are checked before values
+
+
+def _bits(value: int, width: int) -> str:
+    return format(value, f"0{width}b") if width else ""
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        allocate_registers(2, 1, 1),
+        allocate_registers(2, 3, [0, 2, 0, 3]),  # leaves with k = 0
+        allocate_registers(1, 2, 0),  # no memory at all
+        allocate_registers(3, 2, 40),  # registers across 64-bit words
+        allocate_registers(2, 4, [1, 0, 2, 1]).with_fanout_copies(2),
+    ],
+    ids=["plain", "per-leaf-k", "no-memory", "wide-memory", "fanout"],
+)
+def test_basis_state_matches_the_bitwise_reference(layout):
+    """Each register value shifted to its first qubit gives the key the
+    bit-by-bit scatter gives, for int and string values and for memory as a
+    sequence or as a mapping over some of the leaves, in any order."""
+    rng = random.Random(layout.total_qubits)
+    for _ in range(12):
+        address, result = rng.randrange(1 << layout.n), rng.randrange(1 << layout.m)
+        mem = [rng.randrange(1 << width) for width in layout.k]
+        strings = [_bits(value, width) for value, width in zip(mem, layout.k)]
+        some = rng.sample(range(len(mem)), rng.randrange(len(mem) + 1))
+        for args in [
+            (address, result, None),
+            (address, result, mem),
+            (_bits(address, layout.n), _bits(result, layout.m), strings),
+            (address, _bits(result, layout.m), {layout.leaves[z]: mem[z] for z in some}),
+            (_bits(address, layout.n), result, {layout.leaves[z]: strings[z] for z in some}),
+        ]:
+            assert basis_state(layout, *args).amps == {reference_basis_key(layout, *args): 1.0 + 0j}
+
+
+def test_numpy_shifts_by_64_give_zero():
+    """The bit-field codec reads and writes the word after a field without a
+    branch: a field that stays in its word shifts by 64 there, and numpy
+    gives 0 for that (C leaves it undefined), for arrays and scalars."""
+    ones, by = np.full(3, (1 << 64) - 1, dtype=np.uint64), np.uint64(64)
+    assert not (ones << by).any() and not (ones >> by).any()
+    assert not (ones << np.full(3, by)).any() and not (ones >> np.full(3, by)).any()
+    assert ones[0] << by == 0 and ones[0] >> by == 0
+
+
+def _column_ints(words: np.ndarray) -> list[int]:
+    """Each column of the word-major ``words`` as one Python int."""
+    return [sum(int(word) << 64 * i for i, word in enumerate(column)) for column in words.T.tolist()]
+
+
+#: (start, width) bit fields on columns of three words: widths 0, 1, 63 and
+#: 64; starts at bit 0 and bit 63 of a word; fields across a word boundary
+#: and fields in the last word.
+CODEC_FIELDS = [
+    (0, 0), (0, 1), (0, 63), (0, 64), (63, 1), (63, 2), (63, 64), (60, 10), (64, 64), (100, 63),
+    (127, 1), (127, 64), (128, 64), (130, 62), (191, 1), (191, 0), (129, 63), (65, 63),
+]
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["contiguous", "transposed-view"])
+def test_bit_field_codec_matches_python_ints(view):
+    """Reads take the field's bits of each column; writes replace them and
+    leave every other bit of the column as it was.  Starts and widths are
+    scalars or one per column."""
+    rng = np.random.default_rng(int(view))
+
+    def words() -> np.ndarray:
+        raw = rng.integers(0, 1 << 64, size=(7, 3), dtype=np.uint64)
+        return raw.T if view else np.ascontiguousarray(raw.T)
+
+    for start, width in CODEC_FIELDS:
+        mask = (1 << width) - 1
+        for columns in (slice(None), np.array([4, 0, 6])):
+            table = words()
+            before = _column_ints(table)
+            picked = np.arange(7)[columns].tolist()
+            read = sim._read_bits(table, start, width, columns)
+            assert read.tolist() == [(before[c] >> start) & mask for c in picked]
+            values = rng.integers(0, 1 << 64, size=len(picked), dtype=np.uint64) & np.uint64(mask)
+            sim._write_bits(table, start, width, values, columns)
+            after = before[:]
+            for c, value in zip(picked, values.tolist()):
+                after[c] = before[c] & ~(mask << start) | value << start
+            assert _column_ints(table) == after
+    for _ in range(20):  # one field per column, each its own start and width
+        fields = [CODEC_FIELDS[i] for i in rng.integers(0, len(CODEC_FIELDS), size=7)]
+        start, width = (np.array(column) for column in zip(*fields))
+        columns = rng.permutation(7)
+        table = words()
+        before = _column_ints(table)
+        read = sim._read_bits(table, start, width, columns)
+        assert read.tolist() == [(before[c] >> s) & ((1 << w) - 1) for c, (s, w) in zip(columns.tolist(), fields)]
+        values = [int(rng.integers(0, 1 << 64, dtype=np.uint64)) & ((1 << w) - 1) for _, w in fields]
+        sim._write_bits(table, start, width, np.array(values, dtype=np.uint64), columns)
+        after = before[:]
+        for c, (s, w), value in zip(columns.tolist(), fields, values):
+            after[c] = before[c] & ~(((1 << w) - 1) << s) | value << s
+        assert _column_ints(table) == after
 
 
 def test_sparse_state_basics():
@@ -692,6 +795,52 @@ def test_stacked_matmul_is_each_groups_matvec_bit_for_bit(dagger):
         vectors[:, rng.random(dim) < 0.5] = 0
         stacked = np.matmul(matrix[None], vectors[:, :, None])[..., 0]
         assert stacked.tobytes() == np.array([matrix @ vector for vector in vectors]).tobytes(), dim
+
+
+def test_opaque_targets_are_register_bit_fields():
+    """A synthesized payload block acts on its leaf's res register, then its
+    mem register: two runs of consecutive qubits, the low ``m`` and the next
+    ``k`` bits of the target index.  A leaf without memory has one run, and
+    its second field is 0 bits wide."""
+    instance = build_random_instance(2, 2, [0, 1, 3, 2], seed=1)
+    layout = instance.layout()
+    moments = sim._Moments(synth_access(layout, instance.unitaries).columns, layout.total_qubits)
+    (blocks,) = [blocks for blocks in moments.blocks if blocks is not None]
+    assert sorted(blocks.leaf.tolist()) == list(layout.leaves)
+    for leaf, fields in zip(blocks.leaf.tolist(), blocks.fields.tolist()):
+        mem = layout.mem(leaf)
+        assert fields == [[layout.res(leaf)[0], 2, 0], [mem[0], len(mem), 2] if mem else [0, 0, 0]]
+
+
+#: Blocks whose targets are several runs: one run across the boundary of
+#: the first two words, three runs of one qubit out of order, and the last
+#: qubit of the layout followed by a low one.
+RUNS_MOMENT = [
+    Gate.controlled_opaque(0, (62, 63, 64), "0001"),
+    Gate.controlled_opaque(1, (10, 12, 11), "0001", dagger=True),
+    Gate.controlled_opaque(2, (139, 5), "0000"),
+    Gate.toffoli(3, 4, 6),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_opaque_blocks_with_several_runs_match_sparse_reference(seed):
+    """Target runs across a word boundary and out of order give each case
+    the sparse reference's terms, in its order and bit for bit."""
+    rng = np.random.default_rng(seed)
+    unitaries = _wide_unitaries(rng)
+    circuit = Circuit.from_moments(WIDE, [RUNS_MOMENT, [Gate.x(70)], RUNS_MOMENT])
+    states = []
+    for _ in range(10):
+        amps = {}
+        for _ in range(int(rng.integers(1, 6))):
+            key = int.from_bytes(rng.bytes(18), "little") & ((1 << 140) - 1) & ~0b111
+            amps[key | 1 << int(rng.integers(0, 3))] = complex(rng.standard_normal(), rng.standard_normal())
+        states.append(SparseState(WIDE.total_qubits, amps))
+    for state, out in zip(states, run_batch(states, circuit, unitaries)):
+        reference = sparse_run_circuit(state, circuit, unitaries)
+        assert list(out.amps.items()) == list(reference.amps.items())
+        assert len(out) > len(state)
 
 
 @pytest.mark.parametrize(

@@ -245,6 +245,18 @@ def test_fanout_degenerate_cases_match_sequential():
     assert synth_down(wide, SynthesisOptions(variant="fanout", fanout_block=4)) == synth_down(wide)
 
 
+def test_sequential_variant_ignores_the_copies_of_a_fanout_layout():
+    """The sequential variant hands down on the life flags even on a layout
+    that already carries fan-out copies: the registers it uses sit where the
+    plain layout puts them, so the gates are the plain layout's."""
+    plain = allocate_registers(2, 4, 0)
+    copies = RegisterMap(2, 4, 0, fanout_block=2)
+    down = synth_down(copies)
+    assert down.layout == copies and copies.copies_per_node == 2
+    assert down.columns == synth_down(plain).columns
+    assert down.gate_counts() == {"x": 7, "cx": 1, "ccx": 6, "cswap": 24}
+
+
 def test_fanout_emits_copy_chains():
     layout = allocate_registers(1, 4, 0)
     options = SynthesisOptions(variant="fanout", fanout_block=2)

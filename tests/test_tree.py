@@ -208,6 +208,15 @@ def test_parameter_validation():
         enumerate_nodes(0)
 
 
+@pytest.mark.parametrize("n", [0, -1, 17, 2.0, None])
+def test_enumerate_nodes_refuses_an_address_width_as_register_map_does(n):
+    with pytest.raises(InvalidParameterError) as nodes:
+        enumerate_nodes(n)
+    with pytest.raises(InvalidParameterError) as layout:
+        allocate_registers(n, 1, 0)
+    assert str(nodes.value) == str(layout.value)
+
+
 def test_width_boundary():
     layout = allocate_registers(16, 1, 0)
     assert layout.total_qubits == 16 + 1 + (2**17 - 1) + (2**16 - 17) + (2**17 - 2)

@@ -499,13 +499,12 @@ def column_cases(instance, assignments, seed, step):
     keys = verifier._Keys(instance)
     count, take = verifier._basis_cases(instance, keys, assignments, seed)
     out, labels = [], []
+    leaves = len(instance.k)
     for cases in verifier._batches(np.ones(count, dtype=np.int64), step, take):
-        columns = np.arange(cases.num_cases)
-        mem = [
-            keys.leaf_value(cases.mem, columns, np.full(cases.num_cases, z)).tolist()
-            for z in range(1 << instance.n)
-        ]
-        out.extend(zip(cases.address.tolist(), cases.result.tolist(), zip(*mem)))
+        # every leaf's register of every case in one read: a field per column
+        columns = np.repeat(np.arange(cases.num_cases), leaves)
+        mem = keys.leaf_value(cases.mem, columns, np.tile(np.arange(leaves), cases.num_cases))
+        out.extend(zip(cases.address.tolist(), cases.result.tolist(), map(tuple, mem.reshape(-1, leaves).tolist())))
         labels.extend(cases.labels)
     return out, labels
 
@@ -531,6 +530,42 @@ def test_column_cases_draw_in_the_scalar_order(instance, assignments):
     labels = [helpers.reference_case_label(instance, *case) for case in expected]
     for step in (1, 7, len(expected)):
         assert column_cases(instance, assignments, 13, step) == (expected, labels)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [[3] * 32, [3, 5, 0, 7] * 8, [0] * 4, [1, 2], [40, 0, 63, 1, 24, 0, 17, 60]],
+    ids=["96-bit", "mixed-across-words", "no-memory", "one-word", "wide-registers"],
+)
+def test_memory_words_match_the_per_leaf_reference(k):
+    """A memory table packs into the memory-block words that shifting each
+    leaf's value to its offset gives; every register reads back, and
+    overwriting one leaf's register per column leaves every other bit."""
+    from types import SimpleNamespace
+
+    import qramforge.verifier as verifier
+
+    keys = verifier._Keys(SimpleNamespace(n=(len(k) - 1).bit_length(), m=1, k=tuple(k)))
+    rng = np.random.default_rng(len(k))
+    widths = keys.k[keys.leaves].tolist()
+    table = np.array([[int(rng.integers(0, 1 << w, dtype=np.uint64)) for w in widths] for _ in range(21)],
+                     dtype=np.int64).reshape(21, len(widths))
+    words = keys._pack_mem(table)
+    assert words.dtype == np.uint64 and words.shape == (keys.mem_words, 21)
+    assert np.array(helpers.reference_memory_words(keys, table), dtype=np.uint64).T.tolist() == words.tolist()
+    full = np.zeros((21, len(k)), dtype=np.int64)
+    full[:, keys.leaves] = table
+    leaf = rng.integers(0, len(k), size=21)
+    assert keys.leaf_value(words, np.arange(21), leaf).tolist() == full[np.arange(21), leaf].tolist()
+    values = np.array([int(rng.integers(0, 1 << int(w), dtype=np.uint64)) for w in keys.k[leaf]], dtype=np.uint64)
+    full[np.arange(21), leaf] = values.astype(np.int64)
+    for value in (values, None):
+        if value is None:
+            full[np.arange(21), leaf] = 0
+        changed = words.copy()
+        keys.set_leaf(changed, leaf, value)
+        expected = helpers.reference_memory_words(keys, full[:, keys.leaves])
+        assert np.array(expected, dtype=np.uint64).T.tolist() == changed.tolist()
 
 
 def test_custom_cases_keep_their_messages():
