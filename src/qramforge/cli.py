@@ -166,7 +166,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "variant", "n", "m", "k_total", "life", "adr", "res", "mem", "copy",
         "ancillas", "total_qubits", "depth", "width", "gates",
     )
-    rows = []
+    table = [columns]
     for variant in variants:
         options = SynthesisOptions(
             variant=variant,
@@ -175,33 +175,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         layout = allocate_registers(args.n, args.m, k)
         circuit = synth_access(layout, None, options, declared_depths=args.max_u)
         counts = circuit.layout.counts()
-        rows.append(
-            {
-                "variant": variant,
-                "n": args.n,
-                "m": args.m,
-                "k_total": counts["mem"],
-                "life": counts["life"],
-                "adr": counts["adr"],
-                "res": counts["res"],
-                "mem": counts["mem"],
-                "copy": counts.get("copy", 0),
-                "ancillas": counts["total"] - args.n - args.m,
-                "total_qubits": counts["total"],
-                "depth": circuit.depth,
-                "width": circuit.width,
-                "gates": circuit.num_gates,
-            }
-        )
+        table.append([str(value) for value in (
+            variant, args.n, args.m, counts["mem"], counts["life"], counts["adr"], counts["res"],
+            counts["mem"], counts.get("copy", 0), counts["total"] - args.n - args.m, counts["total"],
+            circuit.depth, circuit.width, circuit.num_gates,
+        )])
     if args.csv:
-        lines = [",".join(columns)]
-        lines.extend(",".join(str(row[c]) for c in columns) for row in rows)
-        _write_output("\n".join(lines) + "\n", args.out)
+        lines = [",".join(row) for row in table]
     else:
-        widths = {c: max(len(c), *(len(str(row[c])) for row in rows)) for c in columns}
-        lines = ["  ".join(f"{c:>{widths[c]}}" for c in columns)]
-        lines.extend("  ".join(f"{str(row[c]):>{widths[c]}}" for c in columns) for row in rows)
-        _write_output("\n".join(lines) + "\n", args.out)
+        widths = [max(map(len, column)) for column in zip(*table)]
+        lines = ["  ".join(f"{cell:>{width}}" for cell, width in zip(row, widths)) for row in table]
+    _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -164,14 +164,14 @@ def _moments_text(columns: GateColumns) -> str:
     """The ``moments`` section as one template, a record's by its kind (and
     an opaque block's by its number of targets), over one tuple of values:
     every gate's qubits, then an opaque block's leaf, dagger flag and depth."""
-    rows, blocks, sizes = columns._opaque_blocks()
+    rows, leaf, depth, sizes = columns._opaque_blocks()
     templates = np.array(_GATE_TEMPLATES + (None,), dtype=object)[columns.kind]
     templates[rows] = [_gate_template(OPAQUE, 1, size) for size in sizes.tolist()]
     owner, qubits = columns.operands()
     extras = np.column_stack([
-        list(map(json.dumps, columns.leaf[blocks].tolist())),
+        list(map(json.dumps, leaf.tolist())),
         np.where(columns.dagger[rows], "true", "false"),
-        columns.depth[blocks].astype(object),
+        depth.astype(object),
     ])
     values = np.concatenate([qubits.astype(object), extras.ravel()])
     order = np.argsort(np.concatenate([owner, np.repeat(rows, 3)]), kind="stable")
@@ -304,8 +304,7 @@ def _gather(moments: list, leaves: frozenset[str]) -> tuple | None:
         or (np.array(list(map(len, records)), dtype=np.int64)[~is_opaque] != 3).any()
     ):
         return None
-    opaque = np.flatnonzero(is_opaque)
-    blocks = [records[g] for g in opaque.tolist()]
+    blocks = [records[g] for g in np.flatnonzero(is_opaque).tolist()]
     leaf = [record.get("leaf") for record in blocks]
     flags = [record.get("dagger", False) for record in blocks]
     depth = [record.get("declared_depth", 1) for record in blocks]
@@ -328,15 +327,8 @@ def _gather(moments: list, leaves: frozenset[str]) -> tuple | None:
     if (flat < 0).any() or ((np.diff(owner[order]) == 0) & (np.diff(flat[order]) == 0)).any():
         return None
 
-    dagger = np.zeros(len(records), dtype=bool)
-    dagger[opaque] = flags
-    block = np.full(len(records), -1, dtype=np.int32)
-    block[opaque] = np.arange(len(opaque))
-    tptr = np.concatenate([[0], np.cumsum(num_targets[opaque])])
-    return (
-        kind, np.repeat(np.arange(len(moments)), list(map(len, moments))), sizes, owner, qubits, flat,
-        dagger, block, leaf, depth, tptr, [q for g in opaque.tolist() for q in targets[g]],
-    )
+    moment = np.repeat(np.arange(len(moments)), list(map(len, moments)))
+    return kind, moment, sizes, owner, qubits, flat, flags, leaf, depth
 
 
 def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
@@ -364,23 +356,14 @@ def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
     if gathered is None:
         _first_gate_fault(moments, leaves)
         raise SchemaError("moments: refused by the bulk check, but no record check names a fault")
-    kind, moment, sizes, owner, qubits, flat, dagger, block, leaf, depth, tptr, targets = gathered
+    kind, moment, sizes, owner, qubits, flat, dagger, leaf, depth = gathered
 
     # one moment's gates: disjoint; then every qubit inside the layout
     try:
         check_moments(layout, moment, owner, qubits, flat)
     except StructuralError as exc:
         raise SchemaError(f"moments: {exc}") from exc
-
-    ops = np.full((len(sizes), 3), -1, dtype=np.int32)
-    column = np.arange(len(flat)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    keep = (kind[owner] != OPAQUE) | (column == 0)  # an opaque block keeps its control
-    ops[owner[keep], column[keep]] = flat[keep]
-    return GateColumns(
-        kind, ops, moment.astype(np.int32), dagger, block, len(moments),
-        np.array(leaf, dtype=object), np.array(depth, dtype=np.int64),
-        np.asarray(tptr, dtype=np.int64), np.array(targets, dtype=np.int32),
-    )
+    return GateColumns.of_flat(kind, moment, sizes, flat, len(moments), dagger, leaf, depth)
 
 
 def _parse_matrix(rows, dim: int, path: str) -> np.ndarray:
@@ -481,8 +464,7 @@ def _check_block_widths(columns: GateColumns, layout: RegisterMap, unitaries: Ma
     qubits of its leaf's matrix, ``m + k[z]`` for leaf ``z``, over all blocks at once."""
     leaves, present = np.array(layout.leaves), np.zeros(len(layout.leaves), dtype=bool)
     present[np.searchsorted(leaves, list(unitaries))] = True  # leaves ascend; each label is a leaf
-    rows, blocks, targets = columns._opaque_blocks()
-    leaf = columns.leaf[blocks]
+    rows, leaf, _, targets = columns._opaque_blocks()
     qubits = np.where(present, layout.m + np.array(layout.k), -1)[np.searchsorted(leaves, leaf.astype(str))]
     for g in np.flatnonzero((qubits >= 0) & (qubits != targets))[:1].tolist():
         i, j = columns.moment[rows[g]], rows[g] - np.searchsorted(columns.moment, columns.moment[rows[g]])
@@ -655,17 +637,20 @@ def emit_qasm(circuit: Circuit) -> str:
         refs.extend(f"{name}[{offset}]" for offset in range(size))
     if circuit.gate_counts().get("cswap"):
         lines.append("gate fredkin a,b,c { cx c,b; ccx a,b,c; cx c,b; }")
-    rows, blocks, sizes = columns._opaque_blocks()
-    opaque = list(zip(columns.leaf[blocks].tolist(), columns.dagger[rows].tolist()))
-    widths = dict(zip(layout.leaves, layout.k))
-    for leaf, dagger in sorted(set(opaque)):
-        if leaf not in widths:  # no leaf of the layout: the label-checked lookups raise
-            layout.res(leaf)
-            layout.mem(leaf)
-        # the control, the leaf's res register (m qubits at every leaf) and its mem register
-        arity = 1 + layout.m + widths[leaf]
-        formals = ",".join(["ctl"] + [f"q{i}" for i in range(arity - 1)])
-        lines.append(f"opaque {_opaque_name(leaf, dagger)} {formals};")
+    rows, leaf, _, sizes = columns._opaque_blocks()
+    opaque = list(zip(leaf.tolist(), columns.dagger[rows].tolist()))
+    arity = dict(zip(opaque, sizes.tolist()))  # a declaration's targets: as many as its blocks have
+    for key, size in zip(opaque, sizes.tolist()):
+        if size != arity[key]:
+            raise StructuralError(f"opaque blocks on leaf {key[0]!r} have {size} and {arity[key]} targets; "
+                                  f"one QASM declaration of {_opaque_name(*key)} takes one count")
+    leaves = set(layout.leaves)
+    for (name, dagger), size in sorted(arity.items()):
+        if name not in leaves:  # no leaf of the layout: the label-checked lookups raise
+            layout.res(name)
+            layout.mem(name)
+        formals = ",".join(["ctl"] + [f"q{i}" for i in range(size)])
+        lines.append(f"opaque {_opaque_name(name, dagger)} {formals};")
     templates = np.array(_QASM_TEMPLATES + (None,), dtype=object)[columns.kind]
     templates[rows] = [_opaque_name(*key) + " " + ",".join(["%s"] * (1 + size)) + ";" for key, size in zip(opaque, sizes)]
     owner, qubits = columns.operands()
@@ -727,9 +712,11 @@ def parse_state(text: str) -> SparseState:
         )
         key = int(bits, 2)
         _expect(key not in amps, f"{path}.bits", "duplicate basis term")
+        parts = (term.get("re", 0.0), term.get("im", 0.0))
+        _expect(set(map(type, parts)) <= {int, float}, path, "re/im must be numbers")
         try:
-            amps[key] = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
-        except (TypeError, ValueError, OverflowError):
+            amps[key] = complex(*map(float, parts))
+        except OverflowError:
             raise SchemaError(f"{path}: re/im must be numbers") from None
         _expect(cmath.isfinite(amps[key]), path, "re/im must be finite")
     return SparseState(num_qubits, amps)

@@ -3,10 +3,11 @@
 A circuit is a list of *moments*; each moment is a set of gates acting on
 pairwise-disjoint qubits (controls count as acting).  A circuit is its
 :class:`GateColumns`, one row of numpy columns per gate, sorted by moment.
-Synthesis, :func:`concat`, :meth:`Circuit.adjoint` and the document parser
-build the columns directly; :meth:`Circuit.from_moments` takes explicit
-moments, and :meth:`Circuit.append` places one gate in the earliest moment
-after the last moment that uses one of its qubits.
+:meth:`GateColumns.of_flat` writes every gate list but the synthesis
+placer's (:meth:`GateColumns.build`), and only this module indexes the
+opaque-block table.  :meth:`Circuit.from_moments` takes explicit moments,
+and :meth:`Circuit.append` places one gate in the earliest moment after
+the last moment that uses one of its qubits.
 
 Gates are validated only where they enter: the :class:`Gate` constructors
 and :meth:`Circuit.from_moments`, which :meth:`Circuit.append` goes
@@ -232,36 +233,43 @@ class GateColumns:
         )
 
     @classmethod
-    def of_gates(cls, placed: Iterable[tuple[int, Gate]], num_moments: int) -> "GateColumns":
-        """Columns of ``(moment index, gate)`` pairs; gates keep their order
-        within a moment."""
-        kind, ops, moment, dagger, block = [], [], [], [], []
-        leaf, depth, tptr, targets = [], [], [0], []
-        for index, gate in placed:
-            code = KIND_CODE[gate.kind]
-            kind.append(code)
-            moment.append(index)
-            if code == OPAQUE:
-                ops.append((gate.controls[0], -1, -1))
-                dagger.append(gate.dagger)
-                block.append(len(depth))
-                leaf.append(gate.leaf)
-                depth.append(gate.declared_depth)
-                targets.extend(gate.targets)
-                tptr.append(len(targets))
-            else:
-                qubits = gate.qubits
-                ops.append(qubits + (-1,) * (3 - len(qubits)))
-                dagger.append(False)
-                block.append(-1)
-        columns = cls(
-            np.array(kind, dtype=np.int8), np.array(ops, dtype=np.int32).reshape(len(kind), 3),
-            np.array(moment, dtype=np.int32), np.array(dagger, dtype=bool),
-            np.array(block, dtype=np.int32), num_moments,
-            np.array(leaf, dtype=object), np.array(depth, dtype=np.int64),
-            np.array(tptr, dtype=np.int64), np.array(targets, dtype=np.int32),
+    def of_flat(cls, kind, moment, sizes, qubits, num_moments: int, dagger, leaf, depth) -> "GateColumns":
+        """Columns of gates given in moment order: gate ``g`` acts on the next
+        ``sizes[g]`` entries of ``qubits``, controls first (an opaque block's
+        control, then its targets).  ``dagger``, ``leaf`` and ``depth`` hold
+        one entry per opaque block, in order."""
+        kind, sizes = np.asarray(kind, dtype=np.int8), np.asarray(sizes, dtype=np.int64)
+        qubits = np.asarray(qubits, dtype=np.int32)
+        # a gate's first ``width`` qubits go to ops: an opaque block keeps only its control there
+        first, width = np.cumsum(sizes) - sizes, np.where(kind == OPAQUE, 1, sizes)
+        ops = np.full((len(kind), 3), -1, dtype=np.int32)
+        ops[:, 0] = qubits[first]
+        in_ops = np.zeros(len(qubits), dtype=bool)
+        in_ops[first] = True
+        for column in (1, 2):
+            gates = np.flatnonzero(width > column)
+            index = first[gates] + column
+            ops[gates, column] = qubits[index]
+            in_ops[index] = True
+        rows = np.flatnonzero(kind == OPAQUE)
+        block, flags = np.full(len(kind), -1, dtype=np.int32), np.zeros(len(kind), dtype=bool)
+        block[rows], flags[rows] = np.arange(len(rows)), dagger
+        return cls(
+            kind, ops, np.asarray(moment, dtype=np.int32), flags, block, num_moments,
+            np.fromiter(leaf, dtype=object, count=len(rows)), np.array(depth, dtype=np.int64),
+            np.concatenate([[0], np.cumsum(sizes[rows] - 1)]), qubits.compress(~in_ops),
         )
-        return columns.take(np.argsort(columns.moment, kind="stable"))
+
+    @classmethod
+    def of_gates(cls, placed: Sequence[tuple[int, Gate]], num_moments: int) -> "GateColumns":
+        """Columns of ``(moment index, gate)`` pairs given in moment order."""
+        moment, gates = [index for index, _ in placed], [gate for _, gate in placed]
+        blocks = [gate for gate in gates if gate.kind is GateKind.OPAQUE]
+        return cls.of_flat(
+            [KIND_CODE[gate.kind] for gate in gates], moment, [len(gate.qubits) for gate in gates],
+            [q for gate in gates for q in gate.qubits], num_moments,
+            [gate.dagger for gate in blocks], [gate.leaf for gate in blocks], [gate.declared_depth for gate in blocks],
+        )
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -310,19 +318,20 @@ class GateColumns:
 
     # -- per-gate data ------------------------------------------------------
 
-    def _opaque_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The opaque rows, their blocks and each block's number of targets."""
+    def _opaque_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The opaque rows and, for each, its block's leaf, declared depth and
+        number of targets."""
         rows = np.flatnonzero(self.kind == OPAQUE)
         blocks = self.block[rows]
-        return rows, blocks, self.tptr[blocks + 1] - self.tptr[blocks]
+        return rows, self.leaf[blocks], self.depth[blocks], self.tptr[blocks + 1] - self.tptr[blocks]
 
     def block_targets(self) -> tuple[np.ndarray, np.ndarray]:
         """The targets of every opaque row, flattened, and each target's row."""
-        rows, blocks, lengths = self._opaque_blocks()
-        owner = np.repeat(np.arange(len(rows)), lengths)
-        first = np.cumsum(lengths) - lengths
-        index = np.arange(int(lengths.sum())) - first[owner] + self.tptr[blocks][owner]
-        return self.targets[index], rows[owner]
+        rows = np.flatnonzero(self.kind == OPAQUE)
+        start, end = self.tptr[self.block[rows]], self.tptr[self.block[rows] + 1]
+        lengths = end - start
+        index = np.arange(int(lengths.sum())) + np.repeat(start - (np.cumsum(lengths) - lengths), lengths)
+        return self.targets[index], np.repeat(rows, lengths)
 
     def operands(self) -> tuple[np.ndarray, np.ndarray]:
         """Every qubit a gate acts on, as parallel (row, qubit) arrays: the
@@ -343,8 +352,7 @@ class GateColumns:
                 yield Gate._unchecked(KINDS[code], tuple(ops[:controls]), tuple(ops[controls : controls + count]))
 
     def _blocks_in_order(self) -> tuple[np.ndarray, ...]:
-        blocks = self._opaque_blocks()[1]
-        return (self.leaf[blocks], self.depth[blocks], *self.block_targets())
+        return (*self._opaque_blocks()[1:3], *self.block_targets())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GateColumns):
@@ -360,8 +368,8 @@ class GateColumns:
 
     def depth_total(self) -> int:
         per_moment = np.ones(self.num_moments, dtype=np.int64)
-        rows, blocks, _ = self._opaque_blocks()
-        np.maximum.at(per_moment, self.moment[rows], self.depth[blocks])
+        rows, _, depth, _ = self._opaque_blocks()
+        np.maximum.at(per_moment, self.moment[rows], depth)
         return sum(per_moment.tolist())
 
     def width(self) -> int:

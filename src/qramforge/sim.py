@@ -416,7 +416,7 @@ class _Moments:
         moment = columns.moment[owner[order]]
         self.bounds = np.searchsorted(moment, np.arange(columns.num_moments + 1)).tolist()
 
-        opaque, block, width = columns._opaque_blocks()
+        opaque, leaf, _, width = columns._opaque_blocks()
         qubit, owner = columns.block_targets()
         owner = np.searchsorted(opaque, owner)
         bit = np.arange(len(qubit)) - np.searchsorted(owner, owner)
@@ -424,7 +424,7 @@ class _Moments:
         run = np.arange(len(head)) - np.searchsorted(owner[head], owner[head])
         fields = np.zeros((len(opaque), run.max(initial=-1) + 1, 3), dtype=np.int64)
         fields[owner[head], run] = np.column_stack([qubit[head], np.diff(head, append=len(qubit)), bit[head]])
-        blocks = _Blocks(a[opaque], fields, width, columns.leaf[block], columns.dagger[opaque])
+        blocks = _Blocks(a[opaque], fields, width, leaf, columns.dagger[opaque])
         self.blocks: list[_Blocks | None] = [None] * columns.num_moments
         where, first, count = np.unique(columns.moment[opaque], return_index=True, return_counts=True)
         for index, lo, hi in zip(where.tolist(), first.tolist(), (first + count).tolist()):
@@ -689,7 +689,7 @@ def _batch_terms(circuit: Circuit, term_bytes: int = 0) -> int:
     in every access circuit; its group vectors take 16 bytes per amplitude,
     more than a packed row of at most 128 qubits."""
     columns = circuit.columns
-    opaque, _, width = columns._opaque_blocks()
+    opaque, _, _, width = columns._opaque_blocks()
     widest = np.zeros(columns.num_moments, dtype=np.int64)
     np.maximum.at(widest, columns.moment[opaque], width)
     growth = 1 << int(widest.sum())  # the product of each moment's largest dimension

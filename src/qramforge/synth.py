@@ -282,27 +282,18 @@ def synth_run(
                 )
             depths.append(spec.declared_depth)
     elif isinstance(declared_depths, int) or declared_depths is None:
-        depths = [check_declared_depth(1 if declared_depths is None else declared_depths)]
-        depths *= len(layout.k)
+        depths = np.full(len(layout.k), check_declared_depth(1 if declared_depths is None else declared_depths))
     else:
         depths = [check_declared_depth(declared_depths.get(leaf, 1)) for leaf in layout.leaves]
-    # one block per leaf z on life_z, acting on res_z ++ mem_z
-    leaves = layout.level(layout.n)
-    count = len(layout.k)
-    lengths = layout.m + np.array(layout.k, dtype=np.int64)
-    tptr = np.concatenate([[0], np.cumsum(lengths)])
-    owner = np.repeat(np.arange(count), lengths)
-    offset = np.arange(tptr[-1]) - tptr[owner]
-    targets = np.where(
-        offset < layout.m, leaves.res[owner] + offset, layout.mem_starts[owner] + offset - layout.m
-    )
-    ops = np.full((count, 3), -1, dtype=np.int32)
-    ops[:, 0] = leaves.life
-    columns = GateColumns(
-        np.full(count, OPAQUE, dtype=np.int8), ops, np.zeros(count, dtype=np.int32),
-        np.zeros(count, dtype=bool), np.arange(count, dtype=np.int32), 1,
-        np.array(layout.leaves, dtype=object), np.array(depths, dtype=np.int64), tptr,
-        targets.astype(np.int32),
+    # one block per leaf z on life_z, acting on res_z ++ mem_z: three runs of
+    # consecutive qubits per leaf (mem registers lie back to back in leaf order)
+    leaves, mem = layout.level(layout.n), layout.mem_starts
+    k = np.append(mem[1:], mem[-1] + layout.k[-1]) - mem
+    runs = np.column_stack([np.ones_like(k), np.full_like(k, layout.m), k]).ravel()
+    start = np.column_stack([leaves.life, leaves.res, mem]).ravel() - (np.cumsum(runs) - runs)
+    columns = GateColumns.of_flat(
+        np.full(len(k), OPAQUE, dtype=np.int8), np.zeros(len(k), dtype=np.int32), 1 + layout.m + k,
+        np.arange(runs.sum()) + np.repeat(start, runs), 1, np.zeros(len(k), dtype=bool), layout.leaves, depths,
     )
     circuit = Circuit(layout, columns)
     circuit.metadata["phase"] = "run"

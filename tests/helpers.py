@@ -20,7 +20,10 @@ builder is the package's earlier per-leaf QR loop; the package now factors
 the leaves of one dimension in stacked chunks.  The reference basis key is
 the package's earlier bit-by-bit scatter of register values; the package
 now shifts each value to its register's first qubit, and packs a case's
-memory block in one array pass.
+memory block in one array pass.  The reference column builder is the
+package's earlier per-gate ``GateColumns.of_gates`` loop, which wrote the
+opaque-block table one gate at a time; the package now builds every gate
+list from one flat qubit list (``GateColumns.of_flat``).
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from qramforge.formats import (
     _metrics,
     _register_table,
 )
-from qramforge.ir import GateColumns
+from qramforge.ir import KIND_CODE, OPAQUE, GateColumns
 from qramforge.sim import PRUNE_TOL, UnitarySpec
 from qramforge.tree import ROOT
 from qramforge.verifier import FIDELITY_TOL, RESIDUAL_TOL, _normalize_mem
@@ -377,6 +380,54 @@ def reference_emit_json(circuit: Circuit, unitaries: Mapping[str, UnitarySpec] |
 
 
 # ---------------------------------------------------------------------------
+# reference column builder: one gate at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_of_gates(placed, num_moments: int) -> GateColumns:
+    """Columns of ``(moment index, gate)`` pairs; gates keep their order
+    within a moment."""
+    kind, ops, moment, dagger, block = [], [], [], [], []
+    leaf, depth, tptr, targets = [], [], [0], []
+    for index, gate in placed:
+        code = KIND_CODE[gate.kind]
+        kind.append(code)
+        moment.append(index)
+        if code == OPAQUE:
+            ops.append((gate.controls[0], -1, -1))
+            dagger.append(gate.dagger)
+            block.append(len(depth))
+            leaf.append(gate.leaf)
+            depth.append(gate.declared_depth)
+            targets.extend(gate.targets)
+            tptr.append(len(targets))
+        else:
+            qubits = gate.qubits
+            ops.append(qubits + (-1,) * (3 - len(qubits)))
+            dagger.append(False)
+            block.append(-1)
+    columns = GateColumns(
+        np.array(kind, dtype=np.int8), np.array(ops, dtype=np.int32).reshape(len(kind), 3),
+        np.array(moment, dtype=np.int32), np.array(dagger, dtype=bool),
+        np.array(block, dtype=np.int32), num_moments,
+        np.array(leaf, dtype=object), np.array(depth, dtype=np.int64),
+        np.array(tptr, dtype=np.int64), np.array(targets, dtype=np.int32),
+    )
+    return columns.take(np.argsort(columns.moment, kind="stable"))
+
+
+def assert_same_columns(actual: GateColumns, expected: GateColumns) -> None:
+    """Every one of the ten fields equal, arrays in dtype and shape too."""
+    for name in GateColumns.__slots__:
+        a, b = getattr(actual, name), getattr(expected, name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tolist() == b.tolist(), name
+        else:
+            assert a == b, name
+
+
+# ---------------------------------------------------------------------------
 # reference payload builder: one QR per leaf
 # ---------------------------------------------------------------------------
 
@@ -669,6 +720,26 @@ def _build_qasm2_grammar() -> pp.ParserElement:
 _QASM2 = _build_qasm2_grammar()
 
 
+#: Arities of the qelib1.inc gates the emitter applies.
+_QELIB_ARITY = {"x": 1, "cx": 2, "ccx": 3}
+
+
+def assert_qasm2_arities(text: str) -> None:
+    """Every application passes as many qubits as its gate or opaque
+    declaration (or qelib1.inc) names formals."""
+    arity = dict(_QELIB_ARITY)
+    for line in text.splitlines():
+        words = line.split(None, 2)
+        if words and words[0] in ("gate", "opaque"):
+            assert words[1] not in arity, f"{words[1]} declared twice"
+            arity[words[1]] = len(words[2].split("{")[0].rstrip(" ;").split(","))
+        elif words and words[0] not in ("OPENQASM", "include", "qreg", "creg", "//"):
+            name, arguments = line.rstrip(";").split(" ", 1)
+            assert len(arguments.split(",")) == arity[name], line
+
+
 def assert_valid_qasm2(text: str) -> None:
-    """Raise pyparsing's ParseException if ``text`` is not OpenQASM 2.0."""
+    """Raise pyparsing's ParseException if ``text`` is not OpenQASM 2.0, and
+    AssertionError if an application's argument count is not its gate's."""
     _QASM2.parse_string(text, parse_all=True)
+    assert_qasm2_arities(text)

@@ -846,6 +846,40 @@ def test_qasm_passes_external_grammar(variant):
     assert_valid_qasm2(emit_qasm(circuit))
 
 
+def test_qasm_declares_an_opaque_block_with_its_own_target_count():
+    """A block with fewer targets than res ++ mem, as ``from_moments`` or a
+    document without matrices accepts, is declared with its own count."""
+    layout = allocate_registers(1, 2)
+    block = Gate.controlled_opaque(layout.life("0"), layout.res("0")[:1], "0")
+    text = emit_qasm(Circuit.from_moments(layout, [[block]]))
+    assert "opaque cu_0 ctl,q0;" in text.splitlines()
+    assert "cu_0 life_0[0],res_0[0];" in text.splitlines()
+    assert_valid_qasm2(text)
+    # the dagger flag names another declaration, which may take another count
+    wide = Gate.controlled_opaque(layout.life("0"), layout.res("0"), "0", dagger=True)
+    text = emit_qasm(Circuit.from_moments(layout, [[block], [wide]]))
+    assert {"opaque cu_0 ctl,q0;", "opaque cu_0_dg ctl,q0,q1;"} <= set(text.splitlines())
+    assert_valid_qasm2(text)
+
+
+def test_qasm_refuses_one_declaration_with_two_target_counts():
+    layout = allocate_registers(1, 2)
+    life, res = layout.life("0"), layout.res("0")
+    circuit = Circuit.from_moments(layout, [
+        [Gate.controlled_opaque(life, res, "0")], [Gate.controlled_opaque(life, res[:1], "0")],
+    ])
+    with pytest.raises(StructuralError, match=r"^opaque blocks on leaf '0' have 2 and 1 targets"):
+        emit_qasm(circuit)
+
+
+def test_qasm_arity_check_catches_a_short_application():
+    """The arity helper the grammar tests share refuses an application with
+    fewer arguments than its declaration, which the grammar alone accepts."""
+    text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\nopaque cu_0 ctl,q0,q1;\ncu_0 q[0],q[1];\n'
+    with pytest.raises(AssertionError, match="cu_0 q"):
+        assert_valid_qasm2(text)
+
+
 def test_qasm_no_fredkin_definition_when_unused():
     inst, _ = _tiny()
     down = synth_down(inst.layout())
@@ -900,5 +934,6 @@ def test_state_schema_errors():
         parse_state(
             json.dumps({**good, "terms": [{"bits": "01", "re": 1.0}, {"bits": "01", "re": 0.5}]})
         )
-    with pytest.raises(SchemaError, match="re/im must be numbers"):
-        parse_state(json.dumps({**good, "terms": [{"bits": "01", "re": "one"}]}))
+    for term in ({"re": "one"}, {"re": "0.5"}, {"im": True}, {"re": 1.0, "im": None}):
+        with pytest.raises(SchemaError, match=r"^terms\[0\]: re/im must be numbers$"):
+            parse_state(json.dumps({**good, "terms": [{"bits": "01", **term}]}))

@@ -1,4 +1,8 @@
-"""Circuit IR tests: gate validation, scheduling, metrics, adjoint, concat."""
+"""Circuit IR tests: gate validation, scheduling, metrics, adjoint, concat,
+and the one builder of gate columns."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,9 @@ from qramforge import (
     allocate_registers,
     concat,
 )
+from qramforge.ir import GateColumns
+
+from helpers import assert_same_columns, reference_of_gates
 
 LAYOUT = allocate_registers(2, 2, 1)  # 24 qubits to play with
 
@@ -237,3 +244,61 @@ def test_asap_schedule_soundness(seed):
         assert touching_emitted == touching_scheduled
     # asap is never worse than fully serial
     assert circuit.depth <= 60
+
+
+def _random_moments(rng: np.random.Generator, num_moments: int) -> list[list[Gate]]:
+    """Moments of gates of all five kinds on disjoint qubits of ``LAYOUT``,
+    opaque blocks with 1 to 4 targets and either dagger flag; some moments
+    are empty."""
+    moments = []
+    for _ in range(num_moments):
+        free = [int(q) for q in rng.permutation(LAYOUT.total_qubits)]
+        gates = []
+        for _ in range(int(rng.integers(0, 5))):
+            kind = int(rng.integers(0, 5))
+            width = (1, 2, 3, 3, 1 + int(rng.integers(1, 5)))[kind]
+            qubits, free = free[:width], free[width:]
+            if kind == 0:
+                gates.append(Gate.x(*qubits))
+            elif kind == 1:
+                gates.append(Gate.cnot(*qubits))
+            elif kind == 2:
+                gates.append(Gate.toffoli(*qubits))
+            elif kind == 3:
+                gates.append(Gate.fredkin(*qubits))
+            else:
+                leaf = LAYOUT.leaves[int(rng.integers(0, len(LAYOUT.leaves)))]
+                gates.append(Gate.controlled_opaque(
+                    qubits[0], qubits[1:], leaf, dagger=bool(rng.integers(0, 2)),
+                    declared_depth=int(rng.integers(1, 9)),
+                ))
+        moments.append(gates)
+    return moments
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_of_flat_matches_the_per_gate_reference(seed):
+    """Every field of the columns, block table included, is the one the
+    per-gate loop wrote, for mixed moments, moments without an opaque
+    block, and no moments at all."""
+    rng = np.random.default_rng(seed)
+    every_kind = [  # a dagger block and the widest block in every case
+        Gate.controlled_opaque(0, [1], "01", dagger=True), Gate.controlled_opaque(2, [3, 4, 5, 6], "10"),
+        Gate.fredkin(7, 8, 9), Gate.toffoli(10, 11, 12), Gate.cnot(13, 14), Gate.x(15),
+    ]
+    moments = [*_random_moments(rng, 6), every_kind, [], *_random_moments(rng, 6)]
+    elementary = [[g for g in gates if g.kind is not GateKind.OPAQUE] for gates in moments]
+    for case in (moments, elementary, [], [[]]):
+        placed = [(index, gate) for index, gates in enumerate(case) for gate in gates]
+        expected = reference_of_gates(placed, len(case))
+        assert_same_columns(GateColumns.of_gates(placed, len(case)), expected)
+        assert_same_columns(Circuit.from_moments(LAYOUT, case).columns, expected)
+
+
+def test_only_ir_writes_the_block_table():
+    """No module but ``ir`` names the block table's offsets or calls the
+    ten-field constructor: every other writer goes through ``of_flat``."""
+    package = Path(__file__).resolve().parents[1] / "src" / "qramforge"
+    writers = [path.name for path in sorted(package.glob("*.py"))
+               if re.search(r"tptr|GateColumns\(", path.read_text())]
+    assert writers == ["ir.py"]

@@ -28,8 +28,10 @@ from qramforge import (
 )
 from helpers import (
     ReferenceSchedule,
+    assert_same_columns,
     handdown_sequential,
     reference_down,
+    reference_of_gates,
     reference_run,
     routing_level,
 )
@@ -194,6 +196,16 @@ def test_run_is_single_moment_with_declared_depth():
     assert uniform.depth == 4
     bare = synth_run(layout)
     assert bare.depth == 1
+
+
+@pytest.mark.parametrize("k", [0, 3, [0, 2, 1, 0, 4, 0, 0, 1]])
+@pytest.mark.parametrize("declared_depths", [None, 5, {"000": 7, "110": 2}])
+def test_run_columns_match_the_per_gate_reference(k, declared_depths):
+    """synth_run's columns, block table included, field for field."""
+    layout = allocate_registers(3, 2, k)
+    (gates,) = reference_run(layout, declared_depths)
+    expected = reference_of_gates([(0, gate) for gate in gates], 1)
+    assert_same_columns(synth_run(layout, declared_depths=declared_depths).columns, expected)
 
 
 def test_run_validation():
