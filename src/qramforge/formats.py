@@ -465,7 +465,7 @@ def _check_block_widths(columns: GateColumns, layout: RegisterMap, unitaries: Ma
     leaves, present = np.array(layout.leaves), np.zeros(len(layout.leaves), dtype=bool)
     present[np.searchsorted(leaves, list(unitaries))] = True  # leaves ascend; each label is a leaf
     rows, leaf, _, targets = columns._opaque_blocks()
-    qubits = np.where(present, layout.m + np.array(layout.k), -1)[np.searchsorted(leaves, leaf.astype(str))]
+    qubits = np.where(present, layout.m + layout.mem_widths, -1)[np.searchsorted(leaves, leaf.astype(str))]
     for g in np.flatnonzero((qubits >= 0) & (qubits != targets))[:1].tolist():
         i, j = columns.moment[rows[g]], rows[g] - np.searchsorted(columns.moment, columns.moment[rows[g]])
         raise SchemaError(f"moments[{i}][{j}].targets: leaf {leaf[g]!r} has a matrix on {qubits[g]} "

@@ -278,7 +278,7 @@ class GateColumns:
         """The given rows, in the given order, sharing the block table; with
         new moment indices and dagger flags flipped when asked."""
         return GateColumns(
-            self.kind[rows], self.ops[rows],
+            self.kind[rows], self.ops.take(rows, axis=0),
             self.moment[rows] if moment is None else moment,
             self.dagger[rows] ^ flip, self.block[rows], self.num_moments,
             self.leaf, self.depth, self.tptr, self.targets,
@@ -295,12 +295,12 @@ class GateColumns:
         return GateColumns(
             np.concatenate([part.kind for part in parts]),
             np.concatenate([part.ops for part in parts]),
-            np.concatenate([part.moment + offset for part, offset in zip(parts, moment_offsets)]).astype(np.int32),
+            np.concatenate([part.moment + offset for part, offset in zip(parts, moment_offsets)]).astype(np.int32, copy=False),
             np.concatenate([part.dagger for part in parts]),
             np.concatenate([
-                np.where(part.block >= 0, part.block + offset, -1)
+                np.where(part.block >= 0, part.block + offset, -1) if offset and len(part.depth) else part.block
                 for part, offset in zip(parts, block_offsets)
-            ]).astype(np.int32),
+            ]).astype(np.int32, copy=False),
             max(offset + part.num_moments for part, offset in zip(parts, moment_offsets)),
             np.concatenate([part.leaf for part in parts]),
             np.concatenate([part.depth for part in parts]),
@@ -312,9 +312,13 @@ class GateColumns:
         """The adjoint's columns: moment ``i`` becomes moment ``M - 1 - i``,
         each keeping its gate order, and opaque blocks flip their dagger flag
         (elementary gates are self-inverse)."""
-        mirrored = self.num_moments - 1 - self.moment
-        order = np.argsort(mirrored, kind="stable")
-        return self.take(order, mirrored[order], self.kind[order] == OPAQUE)
+        # rows are sorted by moment: take each moment's run of rows, last moment first
+        counts = np.bincount(self.moment, minlength=self.num_moments)
+        starts = np.cumsum(counts) - counts
+        counts, starts = counts[::-1], starts[::-1]
+        order = np.arange(len(self)) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        mirrored = np.repeat(np.arange(self.num_moments, dtype=np.int32), counts)
+        return self.take(order, mirrored, self.kind[order] == OPAQUE)
 
     # -- per-gate data ------------------------------------------------------
 

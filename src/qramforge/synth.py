@@ -37,6 +37,15 @@ instead of ``m + O(1)``.  The default block size is ``ceil(sqrt(m))``.  When
 ``ceil(m/s) < 2`` the copies would add nothing and the plain hand-down is
 emitted (with ``m = 1`` each level degenerates to its single Fredkin pair).
 
+Placement
+---------
+Down is placed as soon as possible, in the order above, node by node, one
+*chain* at a time: a run of gates in which each gate shares a qubit with the
+one before it, such as the selector's Toffoli/X/Toffoli/X run, each block of
+a child's swaps on one control, or a copy ladder.  One call places a chain
+for every node of a level, so a Down phase makes a fixed number of
+placement calls per level whatever ``m`` is (the rule is in :class:`_Placer`).
+
 Run and Up
 ----------
 Run applies, for every leaf ``z``, one opaque block controlled by ``life_z``
@@ -101,115 +110,136 @@ class SynthesisOptions:
 
 
 class _Placer:
-    """ASAP placement of gates emitted one tree level at a time.
+    """ASAP placement of gates emitted one tree level at a time, a chain at
+    a time.
 
     Each gate goes in the earliest moment after the last moment of every
-    qubit it uses, and after the preparation (see :meth:`prepare`).  Every
-    node of a level emits the same sequence of gate *slots*, and the nodes of
-    one level touch disjoint qubits, so one slot is placed for all of a
-    level's nodes at once with one update of the per-qubit frontier, and each
-    gate gets the moment that placing the gates one by one would give it.  A
-    group's gates are kept node by node, slot by slot (the order of placing
-    them); a stable sort on the moment then gives every moment its gates in
-    that order.
+    qubit it uses, and after the preparation (see :meth:`prepare`).  Gates
+    are placed in *chains*: runs in which each gate shares a qubit with the
+    gate before it.  Let ``f[i]`` be one past the latest frontier over gate
+    ``i``'s own qubits, read before the chain is placed.  Any of those
+    qubits that an earlier gate of the chain used was last used no later
+    than gate ``i - 1``, so gate ``i`` goes in moment
+    ``max(moment[i - 1] + 1, f[i])``, which for a whole chain is
+    ``maximum.accumulate(f - i) + i``.  Every node of a level places the
+    same chains, and the nodes of one level touch disjoint qubits, so one
+    call places a chain for all of a level's nodes at once, and each gate
+    gets the moment that placing the gates one by one would give it.
+
+    A level's gates are kept node by node, then in the order of placing
+    (see :meth:`close`); a stable sort on the moment then gives every moment
+    its gates in that order.
     """
 
     def __init__(self, layout: RegisterMap):
-        self.frontier = np.full(layout.total_qubits, -1, dtype=np.int32)
-        self.floor = 0
+        # the spare last entry is what the -1 padding of ``ops`` reads; no gate writes it
+        self.frontier = np.full(layout.total_qubits + 1, -1, dtype=np.int32)
+        self.open: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.kind: list[np.ndarray] = []
         self.ops: list[np.ndarray] = []
         self.moment: list[np.ndarray] = []
 
-    def slot(self, kind: int, *qubits: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-        """Place one gate per entry of the operand arrays (controls first),
-        which share one shape ``(nodes, per node)`` and hold disjoint qubits."""
-        qubits = np.broadcast_arrays(*qubits)
-        moment = np.full(qubits[0].shape, self.floor, dtype=np.int32)
-        for q in qubits:
-            np.maximum(moment, self.frontier[q] + 1, out=moment)
-        for q in qubits:
-            self.frontier[q] = moment
-        pad = [np.full_like(qubits[0], -1)] * (3 - len(qubits))
-        return kind, np.stack([*qubits, *pad], axis=-1), moment
+    def chains(self, kind: int | tuple[int, ...], ops: np.ndarray, count: int | None = None) -> None:
+        """Place the chains ``ops``, shaped ``(nodes, chains, length, 3)``:
+        each gate's qubits, controls first, padded with -1.  The chains of
+        one call touch disjoint qubits, and each node's chains repeat a
+        qubit wherever node 0's do.  ``kind`` is the kind code of the gates,
+        or of each place in a chain.  A node keeps its first ``count`` gates
+        (default all), chain by chain; the gates past them must be all -1,
+        and they move no frontier."""
+        nodes, _, length, _ = ops.shape
+        step = np.arange(length, dtype=np.int32)
+        seen = self.frontier.take(ops)
+        f = np.maximum(seen[..., 0], seen[..., 1])
+        np.maximum(f, seen[..., 2], out=f)
+        f -= step - 1
+        moment = np.maximum.accumulate(f, axis=2) + step
+        kind = np.full(moment.shape[1:], kind, dtype=np.int8).ravel()
+        moment, ops = moment.reshape(nodes, -1), ops.reshape(nodes, -1, 3)
+        # numpy does not say which of repeated fancy-index writes wins, so
+        # only the last use of each qubit, in node 0's placing order, is written
+        flat = ops[0].ravel()
+        order = np.argsort(flat, kind="stable")
+        ranked = flat[order]
+        last = order[(ranked >= 0) & np.append(ranked[1:] != ranked[:-1], True)]
+        self.frontier[ops.reshape(nodes, -1)[:, last].astype(np.intp)] = moment[:, last // 3]
+        self.open.append((kind[:count], ops[:, :count], moment[:, :count]))
+
+    def close(self) -> None:
+        """Keep the gates placed since the last close, node by node, then in
+        the order of placing."""
+        kind, ops, moment = zip(*self.open)
+        self.kind.append(np.tile(np.concatenate(kind), len(ops[0])))
+        self.ops.append(np.concatenate(ops, axis=1).reshape(-1, 3))
+        self.moment.append(np.concatenate(moment, axis=1).ravel())
+        self.open = []
 
     def prepare(self, qubit: int) -> None:
         """The preparation ``X`` on ``qubit``, alone in the first moment:
-        every later gate goes after it."""
-        self.emit([self.slot(X, _column([qubit]))])
-        self.floor = 1
-
-    def emit(self, slots: list[tuple[int, np.ndarray, np.ndarray]]) -> None:
-        """Keep a group's slots, each shaped ``(nodes, per node)``, in the
-        order node by node, then slot by slot."""
-        self.kind.append(np.concatenate(
-            [np.full(moment.shape, kind, dtype=np.int8) for kind, _, moment in slots], axis=1
-        ).ravel())
-        self.ops.append(np.concatenate([ops for _, ops, _ in slots], axis=1).reshape(-1, 3))
-        self.moment.append(np.concatenate([moment for _, _, moment in slots], axis=1).ravel())
+        every later gate goes after it, as if it used every qubit."""
+        self.chains(X, _gates(np.full((1, 1, 1), qubit)))
+        self.close()
+        np.maximum(self.frontier, 0, out=self.frontier)
 
     def columns(self) -> GateColumns:
         moment = np.concatenate(self.moment)
-        order = np.argsort(moment, kind="stable")
+        num_moments = int(moment.max()) + 1
+        # numpy sorts keys of up to 16 bits by radix, several times faster
+        key = moment.astype(np.uint16) if num_moments <= 1 << 16 else moment
+        order = np.argsort(key, kind="stable")
         return GateColumns.build(
-            np.concatenate(self.kind)[order], np.concatenate(self.ops)[order], moment[order],
-            int(moment.max()) + 1,
+            np.concatenate(self.kind)[order], np.concatenate(self.ops).take(order, axis=0), moment[order], num_moments,
         )
 
 
-def _column(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.int32)[:, None]
+def _gates(*operands: np.ndarray) -> np.ndarray:
+    """``ops`` rows of gates on the given operands (controls first), each
+    broadcast to one shape ``(nodes, chains, length)``, padded with -1."""
+    ops = np.full((*np.broadcast(*operands).shape, 3), -1, dtype=np.int32)
+    for column, q in enumerate(operands):
+        ops[..., column] = q
+    return ops
 
 
 def _routing(placer: _Placer, layout: RegisterMap, k: int) -> None:
-    """Steps 1-3 for every node of level ``k``: address copies and
-    life-flag Toffolis."""
+    """Steps 1-3 for every node of level ``k``: the address copies, each a
+    chain of one CNOT, then the chain of life-flag Toffolis on the selector."""
     n = layout.n
     level, below = layout.level(k), layout.level(k + 1)
-    value = np.arange(1 << k)
-    adr = _column(level.adr)
-    selector, life = adr + (n - k - 1), _column(level.life)
-    left, right = value * 2, value * 2 + 1
-    slots = []
+    adr, life = level.adr[:, None, None], level.life[:, None, None]
     if k < n - 1:
-        j = np.arange(n - k - 1)
-        slots.append(placer.slot(CNOT, adr + j, _column(below.adr[right]) + j))
-    slots.append(placer.slot(TOFFOLI, selector, life, _column(below.life[right])))
-    slots.append(placer.slot(X, selector))
-    slots.append(placer.slot(TOFFOLI, selector, life, _column(below.life[left])))
-    slots.append(placer.slot(X, selector))
-    placer.emit(slots)
+        j = np.arange(n - k - 1)[:, None]
+        placer.chains(CNOT, _gates(adr + j, below.adr[1::2, None, None] + j))
+    # Toffoli(selector, life, life_x1), X(selector), Toffoli(selector, life, life_x0), X(selector)
+    chain = _gates(np.broadcast_to(adr + (n - k - 1), (len(life), 1, 4)))
+    chain[:, :, ::2, 1] = life
+    chain[:, 0, ::2, 2] = below.life.reshape(-1, 2)[:, ::-1]
+    placer.chains((TOFFOLI, X, TOFFOLI, X), chain)
+    placer.close()
 
 
-def _handdown(placer: _Placer, layout: RegisterMap, k: int, nodes: np.ndarray, fanout: bool) -> None:
-    """Step 4 for the nodes of level ``k`` with values ``nodes``: controlled
-    directly on the children's life flags, or, for the fan-out variant on a
-    layout with copies, on life-flag copies in swap blocks of its block
-    size ``s``."""
-    level, below = layout.level(k), layout.level(k + 1)
-    res = _column(level.res[nodes])
-    children = (nodes * 2, nodes * 2 + 1)
-    lives = [_column(below.life[child]) for child in children]
-    child_res = [_column(below.res[child]) for child in children]
-    s, c = layout.fanout_block, layout.copies_per_node
-    slots = []
-    if not fanout or s is None:
-        for life, res_child in zip(lives, child_res):
-            slots += [placer.slot(FREDKIN, life, res + i, res_child + i) for i in range(layout.m)]
-        placer.emit(slots)
-        return
-    copies = [_column(below.copy[child]) for child in children]
-    for life, cps in zip(lives, copies):
-        slots.append(placer.slot(CNOT, life, cps))
-        slots += [placer.slot(CNOT, cps + t - 1, cps + t) for t in range(1, c)]
-    for cps, res_child in zip(copies, child_res):
-        slots += [
-            placer.slot(FREDKIN, cps + i // s, res + i, res_child + i) for i in range(layout.m)
-        ]
-    for life, cps in zip(lives, copies):
-        slots += [placer.slot(CNOT, cps + t - 1, cps + t) for t in range(c - 1, 0, -1)]
-        slots.append(placer.slot(CNOT, life, cps))
-    placer.emit(slots)
+def _handdown(placer: _Placer, layout: RegisterMap, k: int, fanout: bool) -> None:
+    """Step 4 for every node of level ``k``.  Each child's ``m`` Fredkins
+    form blocks of ``s`` swaps, each block a chain on its own control: one
+    block on the child's life flag, or, for the fan-out variant on a layout
+    with copies, one block per life-flag copy, the copies made by a CNOT
+    ladder before the swaps and undone after them."""
+    m, level, below = layout.m, layout.level(k), layout.level(k + 1)
+    s = layout.fanout_block if fanout and layout.fanout_block else m
+    index = np.arange(-(-m // s) * s).reshape(-1, s)  # the payload bit of each place of each block
+    res, lives = level.res[:, None, None], below.life.reshape(-1, 2, 1)
+    controls = lives
+    if s < m:
+        controls = below.copy.reshape(-1, 2, 1) + np.arange(layout.copies_per_node)
+        ladders = _gates(np.concatenate([lives, controls[:, :, :-1]], axis=2), controls)
+        placer.chains(CNOT, ladders)
+    for child in (0, 1):
+        swaps = _gates(controls[:, child, :, None], res + index, below.res[child::2, None, None] + index)
+        swaps[:, index >= m] = -1  # the padding of a short last block
+        placer.chains(FREDKIN, swaps, m)
+    if s < m:
+        placer.chains(CNOT, ladders[:, :, ::-1])
+    placer.close()
 
 
 def synth_down(layout: RegisterMap, options: SynthesisOptions | None = None) -> Circuit:
@@ -230,7 +260,7 @@ def synth_down(layout: RegisterMap, options: SynthesisOptions | None = None) -> 
     for k in range(layout.n):
         _routing(placer, layout, k)
     for k in range(layout.n):
-        _handdown(placer, layout, k, np.arange(1 << k), s is not None)
+        _handdown(placer, layout, k, s is not None)
     circuit = Circuit(layout, placer.columns())
     circuit.metadata.update(
         phase="down",
@@ -287,8 +317,7 @@ def synth_run(
         depths = [check_declared_depth(declared_depths.get(leaf, 1)) for leaf in layout.leaves]
     # one block per leaf z on life_z, acting on res_z ++ mem_z: three runs of
     # consecutive qubits per leaf (mem registers lie back to back in leaf order)
-    leaves, mem = layout.level(layout.n), layout.mem_starts
-    k = np.append(mem[1:], mem[-1] + layout.k[-1]) - mem
+    leaves, mem, k = layout.level(layout.n), layout.mem_starts, layout.mem_widths
     runs = np.column_stack([np.ones_like(k), np.full_like(k, layout.m), k]).ravel()
     start = np.column_stack([leaves.life, leaves.res, mem]).ravel() - (np.cumsum(runs) - runs)
     columns = GateColumns.of_flat(

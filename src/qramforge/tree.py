@@ -55,10 +55,9 @@ value of physical qubit ``q`` (little-endian in the physical index).
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -104,7 +103,13 @@ def enumerate_nodes(n: int) -> list[list[str]]:
     ``enumerate_nodes(2) == [[""], ["0", "1"], ["00", "01", "10", "11"]]``.
     """
     _validate_sizes(n, 1)
-    return [[label_of(v, k) for v in range(1 << k)] for k in range(n + 1)]
+    return [list(level) for level in _labels(n)]
+
+
+@cache
+def _labels(n: int) -> tuple[tuple[str, ...], ...]:
+    """Node labels by level of the depth-``n`` tree, built once per ``n``."""
+    return ((ROOT,),) + tuple(tuple(format(v, f"0{k}b") for v in range(1 << k)) for k in range(1, n + 1))
 
 
 def ancilla_counts(n: int, m: int, k: int | Sequence[int] | Mapping[str, int]) -> dict[str, int]:
@@ -116,16 +121,15 @@ def ancilla_counts(n: int, m: int, k: int | Sequence[int] | Mapping[str, int]) -
     ``sum((n - k - 1) * 2**k for k in range(n)) == 2**n - n - 1``.
     """
     _validate_sizes(n, m)
-    k_values = _normalize_k(n, k)
-    num_leaves = 1 << n
-    counts = {
-        "life": 2 * num_leaves - 1,
-        "adr": num_leaves - n - 1,
-        "res": m * (2 * num_leaves - 2),
-        "mem": sum(k_values),
-    }
+    counts = _ancillas(n, m, sum(_normalize_k(n, k)))
     counts["total"] = sum(counts.values())
     return counts
+
+
+def _ancillas(n: int, m: int, mem: int) -> dict[str, int]:
+    """:func:`ancilla_counts` without the total, for ``mem`` memory qubits."""
+    num_leaves = 1 << n
+    return {"life": 2 * num_leaves - 1, "adr": num_leaves - n - 1, "res": m * (2 * num_leaves - 2), "mem": mem}
 
 
 def _validate_sizes(n: int, m: int) -> None:
@@ -142,6 +146,11 @@ def _validate_sizes(n: int, m: int) -> None:
 def _normalize_k(n: int, k: int | Sequence[int] | Mapping[str, int]) -> tuple[int, ...]:
     """Normalize the per-leaf memory widths to a tuple indexed by leaf value."""
     num_leaves = 1 << n
+    # fast paths: one width for all leaves, or a tuple already normalized
+    if type(k) is int and k >= 0:
+        return (k,) * num_leaves
+    if type(k) is tuple and len(k) == num_leaves and set(map(type, k)) == {int} and min(k) >= 0:
+        return k
     if isinstance(k, int):
         values = [k] * num_leaves
     elif isinstance(k, Mapping):
@@ -274,8 +283,7 @@ class RegisterMap:
         self.fanout_block = fanout_block
         self.copies_per_node = copies
 
-        counts = ancilla_counts(n, m, self.k)
-        total = n + m + counts["total"] + copies * (2 * (1 << n) - 2)
+        total = n + m + sum(_ancillas(n, m, sum(self.k)).values()) + copies * (2 * (1 << n) - 2)
         limit = min(max_qubits, _INDEX_LIMIT)
         if total > limit:
             raise ResourceLimitError(
@@ -293,7 +301,12 @@ class RegisterMap:
         for depth in range(n):
             self._level_start.append(self._level_start[-1] + self._level_size(depth))
         self._mem_base = self._level_start[-1] + self._level_size(n)
-        self._mem_start = tuple(itertools.accumulate(self.k, initial=self._mem_base))
+        #: :attr:`k` as an int64 array, in ascending leaf order
+        self.mem_widths = np.array(self.k, dtype=np.int64)
+        self._mem_bounds = np.append(self._mem_base, self._mem_base + np.cumsum(self.mem_widths))
+        for array in (self.mem_widths, self._mem_bounds):
+            array.setflags(write=False)
+        self._mem_end = int(self._mem_bounds[-1])
         self._levels: dict[int, Level] = {}
 
     def _level_size(self, depth: int) -> int:
@@ -344,7 +357,7 @@ class RegisterMap:
             # a left child aliases the low bits of its parent's register
             adr = np.where(odd == 1, life + 1, self.level(depth - 1).adr[value >> 1])
             res = life + 1 + odd * self._fresh_adr(depth)
-        first_copy = self._mem_start[-1] + ((1 << depth) - 2) * self.copies_per_node
+        first_copy = self._mem_end + ((1 << depth) - 2) * self.copies_per_node
         copy = first_copy + value * self.copies_per_node
         level = self._levels[depth] = Level(life, adr, res, copy)
         return level
@@ -370,7 +383,7 @@ class RegisterMap:
         if kind == "res" and depth:
             return int(self.level(depth).res[value]), self.m
         if kind == "mem" and depth == n:
-            return self._mem_start[value], self.k[value]
+            return int(self._mem_bounds[value]), self.k[value]
         if kind == "copy" and depth and self.copies_per_node:
             return int(self.level(depth).copy[value]), self.copies_per_node
         raise InvalidParameterError(f"no {kind} register at node {node!r}")
@@ -396,7 +409,7 @@ class RegisterMap:
                 parts.append((_KIND_CODE["adr"], depth, right, level.life[1::2] + 1, fresh))
             if depth:
                 parts.append((_KIND_CODE["res"], depth, value, level.res, self.m))
-        k = np.array(self.k, dtype=np.int64)
+        k = self.mem_widths
         leaves = np.flatnonzero(k)
         parts.append((_KIND_CODE["mem"], self.n, leaves, self.mem_starts[leaves], k[leaves]))
         if self.copies_per_node:
@@ -482,44 +495,43 @@ class RegisterMap:
 
     # -- classification ----------------------------------------------------
 
-    @cached_property
+    @property
     def levels(self) -> tuple[tuple[str, ...], ...]:
         """Node labels by level, each level in ascending order."""
-        return tuple(tuple(level) for level in enumerate_nodes(self.n)[:-1]) + (self.leaves,)
+        return _labels(self.n)
 
-    @cached_property
+    @property
     def leaves(self) -> tuple[str, ...]:
-        return tuple(format(v, f"0{self.n}b") for v in range(1 << self.n))
+        return _labels(self.n)[-1]
 
-    @cached_property
+    @property
     def mem_starts(self) -> np.ndarray:
         """First qubit of every leaf's ``mem`` register, in ascending leaf order."""
-        return np.array(self._mem_start[:-1], dtype=np.int64)
+        return self._mem_bounds[:-1]
 
     @property
     def data_qubits(self) -> tuple[int, ...]:
         """Address, result, and memory qubits, in physical order."""
-        return tuple(range(self.n + self.m)) + tuple(range(self._mem_base, self._mem_start[-1]))
+        return tuple(range(self.n + self.m)) + tuple(range(self._mem_base, self._mem_end))
 
     @cached_property
     def data_mask(self) -> int:
         """The basis-key bits of :attr:`data_qubits`."""
         low = (1 << (self.n + self.m)) - 1
-        return low | (((1 << (self._mem_start[-1] - self._mem_base)) - 1) << self._mem_base)
+        return low | (((1 << (self._mem_end - self._mem_base)) - 1) << self._mem_base)
 
     @property
     def ancilla_qubits(self) -> tuple[int, ...]:
         return tuple(range(self.n + self.m, self._mem_base)) + tuple(
-            range(self._mem_start[-1], self.total_qubits)
+            range(self._mem_end, self.total_qubits)
         )
 
     def counts(self) -> dict[str, int]:
-        """Tally of allocated qubits by register kind (aliases not re-counted)."""
-        rows = self.rows
-        tally = np.bincount(rows.kind, weights=rows.size, minlength=len(REGISTER_KINDS)).astype(np.int64)
-        out = {kind: int(tally[code]) for code, kind in enumerate(REGISTER_KINDS[:-1])}
+        """Tally of allocated qubits by register kind (aliases not re-counted),
+        from the closed form."""
+        out = {"address": self.n, "result": self.m, **_ancillas(self.n, self.m, self._mem_end - self._mem_base)}
         if self.copies_per_node:
-            out["copy"] = int(tally[_KIND_CODE["copy"]])
+            out["copy"] = self.copies_per_node * (2 * (1 << self.n) - 2)
         out["total"] = self.total_qubits
         return out
 

@@ -416,6 +416,13 @@ def reference_of_gates(placed, num_moments: int) -> GateColumns:
     return columns.take(np.argsort(columns.moment, kind="stable"))
 
 
+def reference_reversed(columns: GateColumns) -> GateColumns:
+    """The adjoint's columns by a stable sort on the mirrored moments."""
+    mirrored = columns.num_moments - 1 - columns.moment
+    order = np.argsort(mirrored, kind="stable")
+    return columns.take(order, mirrored[order], columns.kind[order] == OPAQUE)
+
+
 def assert_same_columns(actual: GateColumns, expected: GateColumns) -> None:
     """Every one of the ten fields equal, arrays in dtype and shape too."""
     for name in GateColumns.__slots__:

@@ -15,10 +15,11 @@ from qramforge import (
     StructuralError,
     allocate_registers,
     concat,
+    synth_access,
 )
 from qramforge.ir import GateColumns
 
-from helpers import assert_same_columns, reference_of_gates
+from helpers import assert_same_columns, reference_of_gates, reference_reversed
 
 LAYOUT = allocate_registers(2, 2, 1)  # 24 qubits to play with
 
@@ -293,6 +294,22 @@ def test_of_flat_matches_the_per_gate_reference(seed):
         expected = reference_of_gates(placed, len(case))
         assert_same_columns(GateColumns.of_gates(placed, len(case)), expected)
         assert_same_columns(Circuit.from_moments(LAYOUT, case).columns, expected)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reversed_matches_the_argsort_reference(seed):
+    """The adjoint's columns, built from per-moment counts, are the ones a
+    stable sort on the mirrored moments gives: for moments with opaque
+    blocks of either dagger flag, empty moments at both ends and inside,
+    no gates at all, and an access circuit whose block table was offset
+    by concatenation."""
+    rng = np.random.default_rng(seed)
+    moments = [[], *_random_moments(rng, 8), [], [], *_random_moments(rng, 3), []]
+    access = synth_access(allocate_registers(2, 2, [0, 1, 2, 1]), declared_depths=3).columns
+    cases = [Circuit.from_moments(LAYOUT, case).columns for case in (moments, [], [[]], [[], [], []])]
+    for columns in (*cases, access):
+        assert_same_columns(columns.reversed(), reference_reversed(columns))
+        assert_same_columns(columns.reversed().reversed(), columns)
 
 
 def test_only_ir_writes_the_block_table():

@@ -310,16 +310,21 @@ def _gate_lists(circuit):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_synthesis_matches_the_reference_synthesizer(n):
-    """Level-at-a-time synthesis places every gate where the gate-by-gate
+    """Chain-at-a-time synthesis places every gate where the gate-by-gate
     reference puts it: same kind, operands, leaf, dagger and declared depth,
     same moment, same order within the moment.  Every phase, both variants
     with every block size, with and without preparation, integer and
-    per-leaf declared depths."""
-    for m in (1, 2, 3, 4, 5, 9):
+    per-leaf declared depths.  Up to n = 3, also wide payloads whose block
+    sizes mostly do not divide m: long swap chains and a padded last
+    block."""
+    sizes = [(m, range(1, m + 1)) for m in (1, 2, 3, 4, 5, 9)]
+    if n <= 3:
+        sizes += [(16, (3, 4, 5, 7, 10)), (64, (5, 7, 8, 9, 30))]
+    for m, block_sizes in sizes:
         layout = allocate_registers(n, m, [v % 3 for v in range(1 << n)])
         per_leaf = {leaf: 1 + v % 4 for v, leaf in enumerate(layout.leaves)}
         variants = [SynthesisOptions()]
-        variants += [SynthesisOptions(variant="fanout", fanout_block=s) for s in range(1, m + 1)]
+        variants += [SynthesisOptions(variant="fanout", fanout_block=s) for s in block_sizes]
         for index, variant in enumerate(variants):
             for preparation in (True, False):
                 options = SynthesisOptions(variant.variant, variant.fanout_block, preparation)
@@ -348,6 +353,32 @@ def test_synthesis_matches_the_reference_synthesizer(n):
                 assert _gate_lists(down) == schedule.moments
         for depths in (None, 2, per_leaf):
             assert _gate_lists(synth_run(layout, declared_depths=depths)) == reference_run(layout, depths)
+
+
+def test_placement_calls_per_down_phase_do_not_grow_with_m(monkeypatch):
+    """The placer places whole chains: a Down phase makes a fixed number of
+    placement calls per tree level, whatever the payload width m."""
+    from qramforge.synth import _Placer
+
+    calls = []
+    place = _Placer.chains
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return place(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Placer, "chains", counted)
+    for n in (1, 3, 5):
+        for m in (4, 16, 64):
+            made = {}
+            for variant in ("sequential", "fanout"):
+                calls.clear()
+                synth_down(allocate_registers(n, m, 0), SynthesisOptions(variant))
+                made[variant] = len(calls)
+            # the preparation; per level the address copies (but at the
+            # last), the selector chain and one swap chain per child; the
+            # fan-out variant adds the copy ladders before and after
+            assert made == {"sequential": 4 * n, "fanout": 6 * n}, (n, m)
 
 
 def test_synthesis_at_n14_stays_small():

@@ -1,10 +1,12 @@
 """Layout tests: labels, allocation order, aliasing, and the count formulas."""
 
+import numpy as np
 import pytest
 
 from qramforge import (
     InvalidParameterError,
     QubitId,
+    RegisterMap,
     ResourceLimitError,
     allocate_registers,
     ancilla_counts,
@@ -12,6 +14,7 @@ from qramforge import (
     label_of,
     value_of,
 )
+from qramforge.tree import REGISTER_KINDS
 
 
 def brute_force_counts(n: int, m: int, k) -> dict[str, int]:
@@ -269,3 +272,67 @@ def test_equality_and_repr():
     wide = allocate_registers(2, 4, 0)
     assert wide.with_fanout_copies(2) != wide
     assert "n=2" in repr(a)
+
+
+def rows_tally(layout) -> dict[str, int]:
+    """Allocated qubits by register kind, summed over the register table."""
+    rows = layout.rows
+    tally = np.bincount(rows.kind, weights=rows.size, minlength=len(REGISTER_KINDS)).astype(np.int64)
+    out = {kind: int(tally[code]) for code, kind in enumerate(REGISTER_KINDS[:-1])}
+    if layout.copies_per_node:
+        out["copy"] = int(tally[REGISTER_KINDS.index("copy")])
+    out["total"] = int(rows.size.sum())
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_form_counts_match_the_register_table(n):
+    """``counts()`` from the closed form equals the tally of ``rows``, keys
+    and their order included, for integer and mixed per-leaf widths, with
+    and without fan-out copies."""
+    for m in (1, 2, 3, 5, 9):
+        for k in (0, 2, [v % 4 for v in range(1 << n)], [3 * (v == 1) for v in range(1 << n)]):
+            for block in (None, *range(1, m + 1, 2)):
+                layout = RegisterMap(n, m, k, fanout_block=block)
+                assert list(layout.counts().items()) == list(rows_tally(layout).items())
+                assert layout.counts()["total"] == layout.total_qubits
+
+
+def test_bad_memory_widths_keep_their_messages():
+    """The fast paths of width normalization leave every refusal as it was,
+    word for word."""
+    cases = [
+        (-1, "memory widths must be non-negative integers, got -1"),
+        ("3", "expected 4 per-leaf memory widths, got 1"),
+        ([1, 2, 3], "expected 4 per-leaf memory widths, got 3"),
+        ((0, 0, 0), "expected 4 per-leaf memory widths, got 3"),
+        ((0, -1, 0, 0), "memory widths must be non-negative integers, got -1"),
+        ((0, 1.0, 0, 0), "memory widths must be non-negative integers, got 1.0"),
+        ((0, "1", 0, 0), "memory widths must be non-negative integers, got '1'"),
+        ([0, None, 0, 0], "memory widths must be non-negative integers, got None"),
+        ({"0": 1}, "memory widths are keyed by leaf labels of length 2, got '0'"),
+        ({"0a": 1}, "node labels are bit strings, got '0a'"),
+        ({1: 0}, "node labels are bit strings, got 1"),
+        ({"01": -2}, "memory widths must be non-negative integers, got -2"),
+    ]
+    for k, message in cases:
+        with pytest.raises(InvalidParameterError) as excinfo:
+            allocate_registers(2, 1, k)
+        assert str(excinfo.value) == message, k
+
+
+def test_normalized_widths_and_shared_labels():
+    """Every accepted form of ``k`` normalizes to the same tuple; the widths
+    are also one int64 array per layout, and layouts of one depth share
+    one tuple of leaf labels."""
+    forms = [2, [2, 2, 2, 2], (2, 2, 2, 2), {"00": 2, "01": 2, "10": 2, "11": 2}]
+    assert {allocate_registers(2, 1, k).k for k in forms} == {(2, 2, 2, 2)}
+    assert allocate_registers(2, 1, True).k == (True,) * 4  # bools pass as before
+    layout = allocate_registers(3, 4, [0, 1, 2, 3, 0, 1, 2, 3])
+    extended = layout.with_fanout_copies(2)
+    assert extended.k == layout.k
+    assert layout.mem_widths.dtype == np.int64
+    assert layout.mem_widths.tolist() == list(layout.k)
+    assert extended.leaves is layout.leaves is allocate_registers(3, 1).leaves
+    assert layout.levels[-1] is layout.leaves
+    assert list(layout.levels) == [tuple(level) for level in enumerate_nodes(3)]
