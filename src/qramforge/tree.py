@@ -55,7 +55,7 @@ value of physical qubit ``q`` (little-endian in the physical index).
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -162,12 +162,16 @@ def _normalize_k(n: int, k: int | Sequence[int] | Mapping[str, int]) -> tuple[in
                     f"memory widths are keyed by leaf labels of length {n}, got {label!r}"
                 )
             values[int(label, 2)] = width
-    else:
+    elif isinstance(k, Iterable):
         values = list(k)
         if len(values) != num_leaves:
             raise InvalidParameterError(
                 f"expected {num_leaves} per-leaf memory widths, got {len(values)}"
             )
+    else:
+        raise InvalidParameterError(
+            f"memory widths must be an int, a sequence or a mapping by leaf label, got {k!r}"
+        )
     for width in values:
         if not isinstance(width, int) or width < 0:
             raise InvalidParameterError(f"memory widths must be non-negative integers, got {width!r}")

@@ -10,17 +10,16 @@ unitaries), computes the expected output directly from the matrices — no
 circuit, no simulator — and compares the synthesized circuit's simulated
 output against it, reporting fidelities and ancilla residuals per case.
 
-Reference outputs are kept as dictionaries keyed by ``(y, r, mem)`` tuples
-(``mem`` itself a per-leaf tuple), a deliberately circuit-free encoding;
-:func:`extract_data_state` reads the data registers out of a full sparse
-state into that form and accumulates whatever weight sits on non-zero
-ancillas as a residual.
-
-The checkers do the same work on columns, one batch of cases at a time: the
-cases are integer columns packed straight into the simulator's bit-planes,
-the expected rows are gathered from the matrix columns, and the output rows
-are judged with array operations that give the same floats as the
-per-state dictionaries (see :func:`_fidelity`).
+There is one oracle, :func:`_oracle`, and one data-state reader,
+:class:`_Reader`, and both work on columns, one batch of cases at a time:
+the cases are integer columns packed straight into the simulator's
+bit-planes, and the rows are judged with array operations that give the
+same floats as per-state dictionaries would (see :func:`_fidelity`).  Only
+:class:`_Keys` and the simulator's bit-field codec know how a data key is
+laid out.  The public :func:`oracle_effect`, :func:`oracle_superposition`
+and :func:`extract_data_state` are one-case calls of the same code; they
+return dictionaries keyed by ``(y, r, mem)`` tuples (``mem`` itself a
+per-leaf tuple), a deliberately circuit-free encoding.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidParameterError
+from .errors import ConfigurationError, InvalidParameterError, StructuralError
 from .ir import Circuit
 from .sim import (
     PRUNE_TOL,
@@ -268,7 +267,7 @@ def _leaves(n: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# reference semantics (no circuits, no simulator)
+# reference semantics: one-case calls of the column code below
 # ---------------------------------------------------------------------------
 
 
@@ -287,49 +286,49 @@ def _normalize_mem(instance: InstanceSpec, mem) -> tuple[int, ...]:
     return tuple(values)
 
 
-def oracle_effect(
-    instance: InstanceSpec,
-    address: int,
-    result: int = 0,
-    mem: Sequence[int] | None = None,
-) -> DataState:
-    """Expected data-register output for one basis input, read straight off
-    the leaf's matrix column."""
-    n, m = instance.n, instance.m
-    if not 0 <= address < (1 << n):
-        raise InvalidParameterError(f"address {address} does not fit in {n} bits")
-    if not 0 <= result < (1 << m):
-        raise InvalidParameterError(f"result {result} does not fit in {m} bits")
+def _one_case(instance: InstanceSpec, terms: list, result, mem) -> tuple[_Keys, _Cases]:
+    """The terms ``(amp, address)``, which share ``result`` and ``mem``, as
+    one case, checked."""
+    for value, width, what in [*((address, instance.n, "address") for _, address in terms),
+                               (result, instance.m, "result")]:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidParameterError(f"{what} must be an int, got {value!r}")
+        if not 0 <= value < (1 << width):
+            raise InvalidParameterError(f"{what} {value} does not fit in {width} bits")
     mem = _normalize_mem(instance, mem)
-    matrix = instance.unitaries[label_of(address, n)].matrix
-    column = matrix[:, result | (mem[address] << m)]
-    low = (1 << m) - 1
-    out: DataState = {}
-    for index in np.flatnonzero(np.abs(column) > 0):
-        index = int(index)
-        new_mem = list(mem)
-        new_mem[address] = index >> m
-        out[(address, index & low, tuple(new_mem))] = complex(column[index])
-    return out
+    keys = _Keys(instance)
+    table = np.array([[mem[z] for z in keys.leaves.tolist()]], dtype=np.int64)
+    return keys, keys.cases([address for _, address in terms], [result], table, [""],
+                            np.zeros(len(terms), dtype=np.intp), np.array([complex(amp) for amp, _ in terms]))
 
 
-def oracle_superposition(
-    instance: InstanceSpec,
-    terms: Sequence[tuple[complex, int]],
-    result: int = 0,
-    mem: Sequence[int] | None = None,
-) -> DataState:
-    """Expected output for an address superposition sharing one (result, mem)."""
-    out: DataState = {}
-    for amp, address in terms:
-        for key, value in oracle_effect(instance, address, result, mem).items():
-            out[key] = out.get(key, 0j) + complex(amp) * value
-    return {key: value for key, value in out.items() if abs(value) > 0}
+def oracle_effect(instance: InstanceSpec, address: int, result: int = 0,
+                  mem: Sequence[int] | None = None) -> DataState:
+    """Expected data-register output for one basis input: the non-zero
+    entries of the leaf's matrix column, as they are."""
+    keys, case = _one_case(instance, [(1, address)], result, mem)
+    data = _oracle(instance, keys, case, scale=False)
+    return dict(zip(keys.decode(data.key), data.amp.tolist()))
 
 
-# ---------------------------------------------------------------------------
-# bridging simulated states to reference keys
-# ---------------------------------------------------------------------------
+def oracle_superposition(instance: InstanceSpec, terms: Sequence[tuple[complex, int]], result: int = 0,
+                         mem: Sequence[int] | None = None) -> DataState:
+    """Expected output for an address superposition sharing one (result, mem).
+
+    Each key's amplitude is ``0j`` plus ``amp * U_y[i, col]`` over the terms
+    in order, so a repeated address adds up (and may cancel); keys come in
+    the order they first appear, and exact zeros are dropped."""
+    terms = list(terms)
+    if not terms:
+        return {}
+    keys, case = _one_case(instance, terms, result, mem)
+    data = _oracle(instance, keys, case)
+    _, first, group = np.unique(data.key, axis=1, return_index=True, return_inverse=True)
+    total = np.zeros(len(first), dtype=complex)
+    np.add.at(total, group.ravel(), data.amp)  # each key's rows in order, added to 0j
+    order = np.argsort(first)
+    order = order[np.abs(total[order]) > 0]
+    return dict(zip(keys.decode(data.key[:, first[order]]), total[order].tolist()))
 
 
 def extract_data_state(state: SparseState, layout: RegisterMap) -> tuple[DataState, float]:
@@ -339,24 +338,11 @@ def extract_data_state(state: SparseState, layout: RegisterMap) -> tuple[DataSta
     Returns ``(data, residual)`` where ``data`` maps ``(y, r, mem)`` to the
     amplitude of the component with *all* ancillas at 0.
     """
-    ancilla_mask = ((1 << layout.total_qubits) - 1) ^ layout.data_mask
-    # A register holds consecutive physical qubits, so its value is a shift
-    # and a mask of the key.
-    a_mask, r_mask = (1 << layout.n) - 1, (1 << layout.m) - 1
-    mem_fields = [(start, (1 << width) - 1) for start, width in zip(layout.mem_starts.tolist(), layout.k)]
-    data: DataState = {}
-    residual = 0.0
-    for key, amp in state.amps.items():
-        if key & ancilla_mask:
-            residual += abs(amp) ** 2
-            continue
-        entry = (
-            key & a_mask,
-            (key >> layout.n) & r_mask,
-            tuple([(key >> shift) & mask for shift, mask in mem_fields]),
-        )
-        data[entry] = amp
-    return data, residual
+    if state.num_qubits != layout.total_qubits:
+        raise StructuralError(f"state has {state.num_qubits} qubits, layout expects {layout.total_qubits}")
+    reader = _Reader(layout, _Keys(layout))
+    data = reader.read(_Rows.of_keys(list(state.amps), list(state.amps.values()), [len(state)], state.num_qubits))
+    return dict(zip(reader.keys.decode(data.key), data.amp.tolist())), float(data.residual[0])
 
 
 # ---------------------------------------------------------------------------
@@ -492,49 +478,36 @@ class _Data(NamedTuple):
 
 
 class _Keys:
-    """The data registers of an instance as packed words.
+    """The data registers as packed words, sized by anything with ``n``,
+    ``m`` and ``k``: an :class:`InstanceSpec` or a :class:`RegisterMap`.
 
-    A data key is ``1 + ceil(sum(k) / 64)`` words: ``address | result << n``,
-    then the memory block, every leaf's ``mem`` register in leaf order with
-    no gaps, as the layouts place them.  A memory table holds one column per
-    leaf with ``k > 0``.
+    A data key is ``head + ceil(sum(k) / 64)`` words: ``address | result <<
+    n`` in ``head`` words (one for every instance, whose payload matrices
+    bound ``m``), then the memory block, every leaf's ``mem`` register in
+    leaf order with no gaps, as the layouts place them.  A memory table
+    holds one column per leaf with ``k > 0``.
     """
 
-    def __init__(self, instance: InstanceSpec):
-        self.n, self.m = instance.n, instance.m
-        self.k = np.array(instance.k, dtype=np.int64)
+    def __init__(self, sizes: InstanceSpec | RegisterMap):
+        self.n, self.m = sizes.n, sizes.m
+        self.k = np.array(sizes.k, dtype=np.int64)
         self.offset = np.cumsum(self.k) - self.k  # each leaf's first bit in the block
         self.leaves = np.flatnonzero(self.k)  # the memory table's columns
+        self.head = -(-(self.n + self.m) // 64)
         self.mem_bits = int(self.k.sum())
         self.mem_words = -(-self.mem_bits // 64)
         # a case's label as a fixed template and, for every bit it shows,
         # the character position, the column (address, result, then the
-        # memory table) and the bit within it
-        chars, self.label_pos, label_col, label_bit = [], [], [], []
-
-        def field(column: int, width: int) -> None:
-            self.label_pos.extend(range(len(chars) + width - 1, len(chars) - 1, -1))
-            label_col.extend([column] * width)
-            label_bit.extend(range(width))
-            chars.extend("0" * width)
-
-        chars.extend("y=")
-        field(0, self.n)
-        chars.extend(" r=")
-        field(1, self.m)
-        if self.leaves.size:
-            chars.extend(" mem=")
-            column = 2
-            for z, width in enumerate(instance.k):
-                chars.extend("," if z else "")
-                if width:
-                    field(column, width)
-                    column += 1
-                else:
-                    chars.extend("-")
-        self.template = np.frombuffer("".join(chars).encode(), dtype=np.uint8)
-        self.label_col = np.array(label_col, dtype=np.intp)
-        self.label_bit = np.array(label_bit, dtype=np.uint16)
+        # memory table) and the bit within it; a leaf of width 0 shows "-"
+        mem = " mem=" + ",".join("0" * width if width else "-" for width in sizes.k) if self.leaves.size else ""
+        self.template = np.frombuffer(f"y={'0' * self.n} r={'0' * self.m}{mem}".encode(), dtype=np.uint8)
+        # a field starts after "y=", " r=" or " mem=", and a leaf one comma after the leaf before
+        shown = np.maximum(self.k, 1)
+        width = np.concatenate([[self.n, self.m], self.k[self.leaves]])
+        start = np.concatenate([[2, self.n + 5], self.n + self.m + 10 + self.leaves + (np.cumsum(shown) - shown)[self.leaves]])
+        self.label_col = np.repeat(np.arange(len(width)), width)
+        self.label_bit = (np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)).astype(np.uint32)
+        self.label_pos = np.repeat(start + width - 1, width) - self.label_bit
         #: bytes a case takes while it is generated and packed, beside its rows
         self.case_bytes = 64 + 48 * len(self.leaves) + 2 * len(self.template)
 
@@ -560,6 +533,30 @@ class _Keys:
         out = np.zeros((len(mem), 8 * self.mem_words), dtype=np.uint8)
         out[:, : -(-self.mem_bits // 8)] = np.packbits(values.astype(np.uint8), axis=1, bitorder="little")
         return out.view("<u8").T
+
+    def fields(self, base: int) -> list[tuple[int, int]]:
+        """Each data-key word as a bit field ``(start, width)`` of a basis
+        key whose memory block starts at qubit ``base``."""
+        return [(start + 64 * j, min(64, width - 64 * j))
+                for start, width in ((0, self.n + self.m), (base, self.mem_bits)) for j in range(-(-width // 64))]
+
+    def decode(self, key: np.ndarray) -> list[tuple[int, int, tuple[int, ...]]]:
+        """The ``(y, r, mem)`` tuple of each column of the data-key words
+        ``key``.  Every register is read as its 64-bit pieces, lowest first,
+        in one call for all columns; a register wider than a word joins its
+        pieces as a Python int, and one of width 0 reads an empty piece."""
+        width = np.concatenate([[self.n, self.m], self.k])
+        start = np.concatenate([[0, self.n], 64 * self.head + self.offset]) * (width > 0)
+        pieces = np.maximum(-(-width // 64), 1)
+        first = np.cumsum(pieces) - pieces
+        register = np.repeat(np.arange(len(width)), pieces)
+        shift = 64 * (np.arange(len(register)) - first[register])
+        # one row of pieces per column: the codec broadcasts the columns against the pieces
+        values = _read_bits(key, start[register] + shift, np.minimum(width[register] - shift, 64),
+                            np.arange(key.shape[1])[:, None])
+        if len(register) > len(width):
+            values = np.add.reduceat(values.astype(object) << shift.astype(object), first, axis=1)
+        return [(y, r, tuple(mem)) for y, r, *mem in values.tolist()]
 
     def leaf_value(self, words: np.ndarray, columns: np.ndarray, leaf: np.ndarray) -> np.ndarray:
         """The value of leaf ``leaf[i]``'s register in column ``columns[i]``
@@ -664,38 +661,16 @@ def _batches(terms: np.ndarray, limit: int, take: Callable[[int, int], _Cases]) 
         lo = hi
 
 
-class _Run:
-    """One circuit as the checkers run it: its moments, its payloads and
-    where its registers sit."""
+class _Reader:
+    """Where a layout's registers sit in its basis keys: the bit field of
+    each data-key word, and the ancilla bits of each word."""
 
-    def __init__(self, circuit: Circuit, unitaries: Mapping[str, UnitarySpec], keys: _Keys):
-        layout = circuit.layout
-        self.circuit, self.unitaries, self.keys = circuit, unitaries, keys
-        self.moments = _Moments(circuit.columns, layout.total_qubits)
-        self.num_qubits = layout.total_qubits
-        # the data key's fields: address and result, then each word of the memory block
-        base = int(layout.mem_starts[0])
-        self.fields = [(0, keys.n + keys.m)] + [(base + 64 * j, min(64, keys.mem_bits - 64 * j))
-                                                 for j in range(keys.mem_words)]
-        words = -(-self.num_qubits // 64)
-        ancillas = (((1 << self.num_qubits) - 1) ^ layout.data_mask).to_bytes(8 * words, "little")
-        self.ancillas = [
-            (word, np.uint64(mask))
-            for word, mask in enumerate(np.frombuffer(ancillas, dtype="<u8").tolist())
-            if mask
-        ]
-
-    def pack(self, cases: _Cases) -> _Rows:
-        """The cases' terms as rows.  As in :func:`~qramforge.sim.superpose`,
-        a term of magnitude at most :data:`~qramforge.sim.PRUNE_TOL` is left out."""
-        keys, case, address, amp = self.keys, cases.case, cases.address, cases.amp
-        live = np.hypot(amp.real, amp.imag) > PRUNE_TOL
-        if not live.all():
-            case, address, amp = case[live], address[live], amp[live]
-        rows = _Rows(self.num_qubits, case, amp, cases.num_cases)
-        for (start, width), values in zip(self.fields, [address | cases.result[case] << keys.n, *cases.mem[:, case]]):
-            _write_bits(rows.words, start, width, values, slice(None))
-        return rows
+    def __init__(self, layout: RegisterMap, keys: _Keys):
+        self.keys, self.num_qubits = keys, layout.total_qubits
+        self.fields = keys.fields(int(layout.mem_starts[0]))
+        ancillas = (((1 << self.num_qubits) - 1) ^ layout.data_mask).to_bytes(8 * -(-self.num_qubits // 64), "little")
+        self.ancillas = [(word, np.uint64(mask))
+                         for word, mask in enumerate(np.frombuffer(ancillas, dtype="<u8").tolist()) if mask]
 
     def read(self, rows: _Rows) -> _Data:
         """The data rows of ``rows``.  Each residual adds ``abs(amp) ** 2``
@@ -710,6 +685,28 @@ class _Run:
         clean = np.flatnonzero(~dirty)
         key = np.array([_read_bits(rows.words, start, width, clean) for start, width in self.fields], dtype=np.uint64)
         return _Data(rows.case[clean], key, rows.amps[clean], residual)
+
+
+class _Run(_Reader):
+    """One circuit as the checkers run it: its moments and its payloads,
+    and its layout's reader."""
+
+    def __init__(self, circuit: Circuit, unitaries: Mapping[str, UnitarySpec], keys: _Keys):
+        super().__init__(circuit.layout, keys)
+        self.circuit, self.unitaries = circuit, unitaries
+        self.moments = _Moments(circuit.columns, self.num_qubits)
+
+    def pack(self, cases: _Cases) -> _Rows:
+        """The cases' terms as rows.  As in :func:`~qramforge.sim.superpose`,
+        a term of magnitude at most :data:`~qramforge.sim.PRUNE_TOL` is left out."""
+        keys, case, address, amp = self.keys, cases.case, cases.address, cases.amp
+        live = np.hypot(amp.real, amp.imag) > PRUNE_TOL
+        if not live.all():
+            case, address, amp = case[live], address[live], amp[live]
+        rows = _Rows(self.num_qubits, case, amp, cases.num_cases)
+        for (start, width), values in zip(self.fields, [address | cases.result[case] << keys.n, *cases.mem[:, case]]):
+            _write_bits(rows.words, start, width, values, slice(None))
+        return rows
 
 
 def _simulate(run: _Run, cases: _Cases) -> _Data:
@@ -728,10 +725,11 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _oracle(instance: InstanceSpec, keys: _Keys, cases: _Cases) -> _Data:
+def _oracle(instance: InstanceSpec, keys: _Keys, cases: _Cases, scale: bool = True) -> _Data:
     """The expected data rows, read off the matrix columns: for each term
-    ``(y, amp)``, ``amp * U_y[i, col]`` for every ``i`` with a non-zero
-    entry, as :func:`oracle_superposition` lists them."""
+    ``(y, amp)`` in order, ``amp * U_y[i, col]`` for every ``i`` with a
+    non-zero entry, in ascending ``i`` (with ``scale`` off, the entry as it
+    is)."""
     n, m = instance.n, instance.m
     own = keys.leaf_value(cases.mem, cases.case, cases.address).astype(np.int64)
     column = cases.result[cases.case] | own << m
@@ -747,14 +745,12 @@ def _oracle(instance: InstanceSpec, keys: _Keys, cases: _Cases) -> _Data:
         value.append(block[hit, row])
     order = np.argsort(np.concatenate(term), kind="stable")
     term, index, value = (np.concatenate(part)[order] for part in (term, index, value))
-    value = _times(cases.amp[term], value)
-    kept = value != 0
-    term, index, value = term[kept], index[kept], value[kept]
+    value = _times(cases.amp[term], value) if scale else value.astype(complex)
     address = cases.address[term]
-    key = np.empty((1 + keys.mem_words, len(term)), dtype=np.uint64)
+    key = np.empty((keys.head + keys.mem_words, len(term)), dtype=np.uint64)
     key[0] = (address | (index & ((1 << m) - 1)) << n).astype(np.uint64)
-    key[1:] = cases.mem[:, cases.case[term]]
-    keys.set_leaf(key[1:], address, index >> m)
+    key[keys.head :] = cases.mem[:, cases.case[term]]
+    keys.set_leaf(key[keys.head :], address, index >> m)
     return _Data(cases.case[term], key, value, np.zeros(cases.num_cases))
 
 
@@ -783,7 +779,7 @@ def _fidelity(expected: _Data, actual: _Data, num_cases: int) -> np.ndarray:
 def _mem_invariant(keys: _Keys, actual: _Data, cases: _Cases) -> np.ndarray:
     """Per case: every data row leaves ``mem_z`` as it was for every leaf
     ``z`` but the row's own address."""
-    diff = actual.key[1:] ^ cases.mem[:, actual.case]
+    diff = actual.key[keys.head :] ^ cases.mem[:, actual.case]
     keys.set_leaf(diff, _read_bits(actual.key, 0, keys.n, slice(None)).astype(np.intp))
     return np.bincount(actual.case[diff.any(axis=0)], minlength=cases.num_cases) == 0
 

@@ -15,8 +15,12 @@ encoded it with ``json.dumps(indent=2)``; the package now writes the gate and
 matrix sections from templates.  The reference checkers are the package's
 earlier case-by-case verifier: scalar seeded draws, one sparse state per
 case, and a judge over data-state dictionaries; the package now generates,
-packs and judges the cases of a batch as columns.  The reference payload
-builder is the package's earlier per-leaf QR loop; the package now factors
+packs and judges the cases of a batch as columns.  They read their expected
+and actual data states through the package's earlier per-case oracle and
+data-state reader, which walk matrix entries and basis keys one at a time;
+the package's public ``oracle_effect``, ``oracle_superposition`` and
+``extract_data_state`` are now one-case calls of its column code.  The
+reference payload builder is the package's earlier per-leaf QR loop; the package now factors
 the leaves of one dimension in stacked chunks.  The reference basis key is
 the package's earlier bit-by-bit scatter of register values; the package
 now shifts each value to its register's first qubit, and packs a case's
@@ -44,10 +48,7 @@ from qramforge import (
     SynthesisOptions,
     VerificationReport,
     basis_state,
-    extract_data_state,
     label_of,
-    oracle_effect,
-    oracle_superposition,
     run_batch,
     superpose,
     synth_access,
@@ -491,6 +492,55 @@ def reference_memory_words(keys, table: np.ndarray) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
+# reference semantics: the matrix column and the data registers, key by key
+# ---------------------------------------------------------------------------
+
+
+def reference_oracle_effect(instance, address: int, result: int = 0, mem=None) -> dict:
+    """The leaf's matrix column, one non-zero entry at a time."""
+    n, m = instance.n, instance.m
+    mem = _normalize_mem(instance, mem)
+    column = instance.unitaries[label_of(address, n)].matrix[:, result | (mem[address] << m)]
+    low = (1 << m) - 1
+    out = {}
+    for index in np.flatnonzero(np.abs(column) > 0):
+        index = int(index)
+        new_mem = list(mem)
+        new_mem[address] = index >> m
+        out[(address, index & low, tuple(new_mem))] = complex(column[index])
+    return out
+
+
+def reference_oracle_superposition(instance, terms, result: int = 0, mem=None) -> dict:
+    out = {}
+    for amp, address in terms:
+        for key, value in reference_oracle_effect(instance, address, result, mem).items():
+            out[key] = out.get(key, 0j) + complex(amp) * value
+    return {key: value for key, value in out.items() if abs(value) > 0}
+
+
+def reference_extract_data_state(state: SparseState, layout: RegisterMap) -> tuple[dict, float]:
+    """Each basis key split with its own shifts and masks: the data part of
+    the keys with every ancilla at 0, and the weight on the others."""
+    ancilla_mask = ((1 << layout.total_qubits) - 1) ^ layout.data_mask
+    a_mask, r_mask = (1 << layout.n) - 1, (1 << layout.m) - 1
+    mem_fields = [(start, (1 << width) - 1) for start, width in zip(layout.mem_starts.tolist(), layout.k)]
+    data = {}
+    residual = 0.0
+    for key, amp in state.amps.items():
+        if key & ancilla_mask:
+            residual += abs(amp) ** 2
+            continue
+        entry = (
+            key & a_mask,
+            (key >> layout.n) & r_mask,
+            tuple([(key >> shift) & mask for shift, mask in mem_fields]),
+        )
+        data[entry] = amp
+    return data, residual
+
+
+# ---------------------------------------------------------------------------
 # reference checkers: one sparse state per case, judged as dictionaries
 # ---------------------------------------------------------------------------
 
@@ -559,7 +609,7 @@ def _reference_verify(instance, check, options, runs, unitaries) -> Verification
     expectations are ``(label, (expected data, expected residual), mem)``."""
     results = []
     for circuit, initials, expectations in runs:
-        outputs = (extract_data_state(final, circuit.layout)
+        outputs = (reference_extract_data_state(final, circuit.layout)
                    for final in run_batch(initials, circuit, unitaries))
         for (label, (expected, expected_residual), mem), (actual, residual) in zip(
             expectations, outputs
@@ -588,7 +638,7 @@ def reference_check_proposition(instance, options=None, *, assignments=8, seed=7
     )
     initials = [basis_state(circuit.layout, *case) for case in case_list]
     expectations = [
-        (reference_case_label(instance, *case), (oracle_effect(instance, *case), 0.0), case[2])
+        (reference_case_label(instance, *case), (reference_oracle_effect(instance, *case), 0.0), case[2])
         for case in case_list
     ]
     unitaries = circuit_unitaries if circuit_unitaries is not None else instance.unitaries
@@ -618,7 +668,7 @@ def reference_check_linearity(instance, options=None, *, num_cases=20, seed=7) -
         for _, terms, result, mem in superpositions
     ]
     expectations = [
-        (label, (oracle_superposition(instance, terms, result, mem), 0.0), mem)
+        (label, (reference_oracle_superposition(instance, terms, result, mem), 0.0), mem)
         for label, terms, result, mem in superpositions
     ]
     return _reference_verify(instance, "linearity", _options(circuit),
@@ -632,7 +682,7 @@ def reference_check_variant_agreement(instance, *, block_sizes=None, assignments
         block_sizes = sorted({SynthesisOptions().resolved_block(instance.m), 1, instance.m})
     case_list = reference_generate_cases(instance, assignments, seed)
     references = [
-        extract_data_state(final, layout)
+        reference_extract_data_state(final, layout)
         for final in run_batch([basis_state(layout, *case) for case in case_list],
                                sequential, instance.unitaries)
     ]

@@ -321,6 +321,17 @@ def test_bad_memory_widths_keep_their_messages():
         assert str(excinfo.value) == message, k
 
 
+@pytest.mark.parametrize("k", [2.0, None, object()], ids=["float", "none", "object"])
+def test_memory_widths_of_no_accepted_form_are_refused(k):
+    """A ``k`` that is neither an int, a sequence nor a mapping is refused
+    with the package's error by the layout and by the closed-form counts."""
+    message = f"memory widths must be an int, a sequence or a mapping by leaf label, got {k!r}"
+    for build in (allocate_registers, ancilla_counts):
+        with pytest.raises(InvalidParameterError) as excinfo:
+            build(2, 1, k)
+        assert str(excinfo.value) == message
+
+
 def test_normalized_widths_and_shared_labels():
     """Every accepted form of ``k`` normalizes to the same tuple; the widths
     are also one int64 array per layout, and layouts of one depth share

@@ -16,9 +16,11 @@ from qramforge import (
     Gate,
     InvalidParameterError,
     ResourceLimitError,
+    StructuralError,
     SynthesisOptions,
     UnitarySpec,
     allocate_registers,
+    basis_state,
     build_custom_instance,
     build_instance,
     build_qram_instance,
@@ -31,6 +33,8 @@ from qramforge import (
     oracle_effect,
     oracle_superposition,
     extract_data_state,
+    run_batch,
+    superpose,
     synth_access,
     SparseState,
 )
@@ -115,6 +119,26 @@ def test_oracle_validation():
         oracle_effect(inst, 0, 0, (0,))  # one value per leaf
     with pytest.raises(InvalidParameterError):
         oracle_effect(inst, 0, 0, (0, 2))  # leaf register is one bit
+
+
+def test_oracle_refuses_registers_that_are_not_ints():
+    """An address or result that is a float or a bool is refused like one
+    out of range; out-of-range ints keep their messages."""
+    inst = build_qram_instance(1, 1)
+    for args, message in [
+        ((1.0, 0), "address must be an int, got 1.0"),
+        ((True, 0), "address must be an int, got True"),
+        ((np.int64(1), 0), "address must be an int, got np.int64(1)"),
+        ((0, 1.0), "result must be an int, got 1.0"),
+        ((0, False), "result must be an int, got False"),
+        ((2, 0), "address 2 does not fit in 1 bits"),
+        ((0, -1), "result -1 does not fit in 1 bits"),
+    ]:
+        with pytest.raises(InvalidParameterError) as excinfo:
+            oracle_effect(inst, *args)
+        assert str(excinfo.value) == message
+    with pytest.raises(InvalidParameterError, match="address must be an int, got 0.0"):
+        oracle_superposition(inst, [(1, 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +243,106 @@ def test_extract_data_state_splits_residual():
     data, residual = extract_data_state(state, layout)
     assert data == {(1, 1, (0, 0)): 0.8 + 0j}
     assert residual == pytest.approx(0.36)
+
+
+def test_extract_data_state_refuses_a_state_of_another_layout():
+    """A state on more or fewer qubits than the layout is refused, where its
+    extra qubits would otherwise read as clean data."""
+    layout = allocate_registers(1, 1)
+    for num_qubits in (layout.total_qubits + 3, layout.total_qubits - 1):
+        state = SparseState(num_qubits, {1 << (num_qubits - 2): 1.0})
+        with pytest.raises(StructuralError) as excinfo:
+            extract_data_state(state, layout)
+        assert str(excinfo.value) == f"state has {num_qubits} qubits, layout expects {layout.total_qubits}"
+
+
+def assert_same_data(actual: dict, expected: dict) -> None:
+    """The same keys in the same order, and amplitudes of the same bytes,
+    signed zeros included."""
+    assert list(actual) == list(expected)
+    assert {type(value) for value in actual.values()} <= {complex}
+    values = [np.array(list(out.values()), dtype=complex).tobytes() for out in (actual, expected)]
+    assert values[0] == values[1]
+
+
+def signed_zero_instance():
+    """A custom payload whose entries carry signed zeros: ``-i`` as
+    ``complex(-0.0, -1.0)``, which a product with 1 would turn into ``-1j``."""
+    diagonal = np.array([[complex(-0.0, -1.0), complex(0.0, -0.0)], [complex(-0.0, 0.0), complex(-0.0, -1.0)]])
+    swap = np.array([[0.0, complex(-0.0, 1.0)], [complex(1.0, -0.0), -0.0]])
+    return build_custom_instance(1, 1, 0, {"0": UnitarySpec("0", diagonal), "1": UnitarySpec("1", swap)})
+
+
+ONE_CASE_INSTANCES = {
+    "qram": lambda: build_qram_instance(2, 1),
+    "lookup": lambda: build_table_lookup_instance(3, 2, seed=4),
+    "rotation": lambda: build_rotation_instance(2, 2),
+    "random-per-leaf-k": lambda: build_random_instance(2, 2, [1, 0, 2, 1], seed=9),
+    "random-wide-memory": lambda: build_random_instance(5, 1, 3, seed=2),
+    "signed-zeros": signed_zero_instance,
+}
+
+
+@pytest.mark.parametrize("family", list(ONE_CASE_INSTANCES))
+def test_one_case_calls_equal_the_per_case_references(family):
+    """The public oracle and data-state reader, one-case calls of the column
+    code, give the per-case references' keys in order, amplitude bytes and
+    residual floats: on every basis input, on superpositions that repeat an
+    address (to cancel or to add), put a zero amplitude first or cover
+    every address, and on simulated and hand-made states."""
+    instance = ONE_CASE_INSTANCES[family]()
+    n, m = instance.n, instance.m
+    rng = np.random.default_rng(len(family))
+    mems = [None, tuple(int(rng.integers(0, 1 << width)) for width in instance.k)]
+    for address in range(1 << n):
+        for result in (0, (1 << m) - 1):
+            for mem in mems:
+                assert_same_data(oracle_effect(instance, address, result, mem),
+                                 helpers.reference_oracle_effect(instance, address, result, mem))
+    a, last = 1 / np.sqrt(2), (1 << n) - 1
+    superpositions = [
+        [(a, 0), (a, last)],
+        [(a, 0), (-a, 0)],
+        [(0.6, last), (0.8j, last)],
+        [(0, last), (1, 0), (0.5 - 0.5j, last)],
+        [(complex(*rng.standard_normal(2)), int(y)) for y in rng.integers(0, 1 << n, 5)],
+        [(1 / np.sqrt(1 << n), y) for y in range(1 << n)],
+    ]
+    for terms in superpositions:
+        for mem in mems:
+            assert_same_data(oracle_superposition(instance, terms, 1, mem),
+                             helpers.reference_oracle_superposition(instance, terms, 1, mem))
+    assert oracle_superposition(instance, [(a, 0), (-a, 0)]) == {}
+
+    circuit = synth_access(instance.layout(), instance.unitaries)
+    layout = circuit.layout
+    states = [basis_state(layout, y, 1, mems[1]) for y in range(1 << n)]
+    states.append(superpose([(a, basis_state(layout, 0)), (a, basis_state(layout, last, 0, mems[1]))]))
+    keys = np.unique(rng.integers(0, 1 << min(layout.total_qubits, 62), 30)).tolist()
+    amps = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    made = [SparseState(layout.total_qubits, dict(zip(keys, (amps / np.linalg.norm(amps)).tolist()))),
+            SparseState(layout.total_qubits)]
+    for state in [*run_batch(states, circuit, instance.unitaries), *made]:
+        (data, residual), (expected, expected_residual) = (
+            extract_data_state(state, layout), helpers.reference_extract_data_state(state, layout))
+        assert_same_data(data, expected)
+        assert type(residual) is float and residual.hex() == expected_residual.hex()
+
+
+@pytest.mark.parametrize("n, m, k", [(1, 70, [0, 130]), (2, 50, [65, 0, 3, 64])])
+def test_extract_data_state_reads_registers_wider_than_a_word(n, m, k):
+    """A bare layout whose result and memory registers are wider than 64
+    bits reads as the per-key reference does."""
+    layout = allocate_registers(n, m, k)
+    total, rng = layout.total_qubits, np.random.default_rng(m)
+    keys = [0, (1 << total) - 1, layout.data_mask, layout.data_mask >> 1]
+    keys += [int.from_bytes(rng.bytes(-(-total // 8)), "little") & layout.data_mask for _ in range(6)]
+    state = SparseState(total, {key: complex(0.1 * i, -0.05 * i) for i, key in enumerate(dict.fromkeys(keys))})
+    (data, residual), (expected, expected_residual) = (
+        extract_data_state(state, layout), helpers.reference_extract_data_state(state, layout))
+    assert_same_data(data, expected)
+    assert residual.hex() == expected_residual.hex()
+    assert any(value >= 1 << 64 for _, r, mem in data for value in (r, *mem))
 
 
 # ---------------------------------------------------------------------------
