@@ -31,7 +31,7 @@ from .formats import (
     parse_state,
     serialize_state,
 )
-from .ir import Circuit, Gate, GateKind, Moment, concat
+from .ir import Circuit, Gate, GateKind, concat
 from .sim import (
     SparseState,
     UnitarySpec,
@@ -50,7 +50,6 @@ from .synth import (
 )
 from .tree import (
     MAX_ADDRESS_WIDTH,
-    QubitId,
     RegisterMap,
     allocate_registers,
     ancilla_counts,
@@ -91,9 +90,7 @@ __all__ = [
     "InstanceSpec",
     "InvalidParameterError",
     "MAX_ADDRESS_WIDTH",
-    "Moment",
     "QramForgeError",
-    "QubitId",
     "RegisterMap",
     "ResourceLimitError",
     "SchemaError",

@@ -386,18 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    try:
-        return args.func(args)
-    except QramForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (QramForgeError, OSError) as exc:
+        # also what the --k and --table converters raise inside parse_args
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -453,6 +453,7 @@ def _first_matrix_fault(section: dict, layout: RegisterMap) -> None:
         _expect(isinstance(record, dict), path, "expected an object")
         matrix = _parse_matrix(record.get("matrix"), 1 << (layout.m + layout.k[int(leaf, 2)]), path)
         depth = _expect_int(record.get("declared_depth", 1), f"{path}.declared_depth", 1)
+        _expect(depth <= MAX_DECLARED_DEPTH, f"{path}.declared_depth", "expected an integer <= 2**62")
         try:
             UnitarySpec(leaf, matrix, declared_depth=depth)
         except QramForgeError as exc:

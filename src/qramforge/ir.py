@@ -13,7 +13,7 @@ Gates are validated only where they enter: the :class:`Gate` constructors
 and :meth:`Circuit.from_moments`, which :meth:`Circuit.append` goes
 through, and the document parser, which shares :func:`check_moments` with
 them.  Metrics, the adjoint and concatenation work on the columns;
-:class:`Gate` and :class:`Moment` objects are views built on demand.
+:class:`Gate` objects are views built on demand.
 
 Gate vocabulary: X, CNOT, Toffoli, Fredkin (all self-inverse), plus an
 opaque single-controlled unitary block labelled by the leaf whose payload it
@@ -55,8 +55,9 @@ ARITY = ((0, 1), (1, 1), (2, 1), (1, 2))
 
 
 def check_declared_depth(value) -> int:
-    """``value`` if it is a valid declared depth of an opaque block."""
-    if not isinstance(value, int) or not 1 <= value <= MAX_DECLARED_DEPTH:
+    """``value`` if it is a valid declared depth of an opaque block: an int,
+    not a bool, from 1 to :data:`MAX_DECLARED_DEPTH`."""
+    if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= MAX_DECLARED_DEPTH:
         raise InvalidParameterError(
             f"declared depth must be a positive integer up to 2**62, got {value!r}"
         )
@@ -166,35 +167,6 @@ class Gate:
             dagger=not self.dagger,
             declared_depth=self.declared_depth,
         )
-
-
-class Moment:
-    """The gates of one moment, on pairwise-disjoint qubits: a view that
-    :attr:`Circuit.moments` builds from the columns."""
-
-    __slots__ = ("gates",)
-
-    def __init__(self, gates: Iterable[Gate] = ()):
-        self.gates: list[Gate] = list(gates)
-
-    @property
-    def declared_depth(self) -> int:
-        """Contribution of this moment to circuit depth."""
-        return max((g.declared_depth for g in self.gates), default=1)
-
-    def __iter__(self) -> Iterator[Gate]:
-        return iter(self.gates)
-
-    def __len__(self) -> int:
-        return len(self.gates)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Moment):
-            return NotImplemented
-        return self.gates == other.gates
-
-    def __repr__(self) -> str:
-        return f"Moment({len(self.gates)} gates)"
 
 
 class GateColumns:
@@ -451,7 +423,7 @@ class Circuit:
         self.layout = layout
         self.metadata: dict = {}
         self.columns = columns
-        self._views: tuple[GateColumns, tuple[Moment, ...]] | None = None
+        self._views: tuple[GateColumns, tuple[tuple[Gate, ...], ...]] | None = None
 
     @classmethod
     def from_moments(cls, layout: RegisterMap, moments: Iterable[Iterable[Gate]]) -> "Circuit":
@@ -479,30 +451,22 @@ class Circuit:
     # -- views ------------------------------------------------------------------
 
     @property
-    def moments(self) -> tuple[Moment, ...]:
-        """The moments as :class:`Moment` views (changing them changes
-        nothing in the circuit; see :meth:`from_moments`)."""
+    def moments(self) -> tuple[tuple[Gate, ...], ...]:
+        """The gates of each moment, as :class:`Gate` views (build a changed
+        circuit with :meth:`from_moments`)."""
         columns = self.columns
         if self._views is None or self._views[0] is not columns:
             groups: list[list[Gate]] = [[] for _ in range(columns.num_moments)]
             for index, gate in zip(columns.moment.tolist(), columns.gates()):
                 groups[index].append(gate)
-            self._views = (columns, tuple(map(Moment, groups)))
+            self._views = (columns, tuple(map(tuple, groups)))
         return self._views[1]
-
-    def all_gates(self) -> Iterator[Gate]:
-        return self.columns.gates()
 
     # -- derived circuits ------------------------------------------------------
 
     def adjoint(self) -> "Circuit":
         """The exact inverse: moments reversed, each gate replaced by its adjoint."""
         out = Circuit(self.layout, self.columns.reversed())
-        out.metadata = dict(self.metadata)
-        return out
-
-    def copy(self) -> "Circuit":
-        out = Circuit(self.layout, self.columns)
         out.metadata = dict(self.metadata)
         return out
 

@@ -48,7 +48,7 @@ from .errors import (
     SimulationError,
     StructuralError,
 )
-from .ir import CNOT, FREDKIN, OPAQUE, TOFFOLI, X, Circuit, Gate, GateColumns
+from .ir import CNOT, FREDKIN, MAX_DECLARED_DEPTH, OPAQUE, TOFFOLI, X, Circuit, Gate, GateColumns, check_declared_depth
 from .tree import RegisterMap, _check_label
 
 #: Magnitude below which amplitudes produced by a dense block are discarded.
@@ -111,10 +111,7 @@ class UnitarySpec:
             raise InvalidParameterError(
                 f"matrix for leaf {leaf!r} is not unitary (deviation {deviation:.3e})"
             )
-        if not isinstance(declared_depth, int) or isinstance(declared_depth, bool) or declared_depth < 1:
-            raise InvalidParameterError(
-                f"declared depth must be a positive integer, got {declared_depth!r}"
-            )
+        check_declared_depth(declared_depth)
         matrix.setflags(write=False)
         self.leaf = leaf
         self.matrix = matrix
@@ -158,6 +155,7 @@ class UnitarySpec:
             and set("".join(leaves)) <= {"0", "1"}
             and set(map(type, depths)) <= {int}
             and min(depths, default=1) >= 1
+            and max(depths, default=1) <= MAX_DECLARED_DEPTH
             and all(isinstance(matrix, np.ndarray) and matrix.dtype.kind in "biufc" for matrix in distinct.values())
         ):
             return None

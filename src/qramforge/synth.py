@@ -311,7 +311,7 @@ def synth_run(
                     leaf=leaf,
                 )
             depths.append(spec.declared_depth)
-    elif isinstance(declared_depths, int) or declared_depths is None:
+    elif not isinstance(declared_depths, Mapping):
         depths = np.full(len(layout.k), check_declared_depth(1 if declared_depths is None else declared_depths))
     else:
         depths = [check_declared_depth(declared_depths.get(leaf, 1)) for leaf in layout.leaves]

@@ -56,7 +56,6 @@ value of physical qubit ``q`` (little-endian in the physical index).
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -178,19 +177,6 @@ def _normalize_k(n: int, k: int | Sequence[int] | Mapping[str, int]) -> tuple[in
     return tuple(values)
 
 
-@dataclass(frozen=True, slots=True)
-class QubitId:
-    """Symbolic name of one physical qubit: register kind, owning node, offset."""
-
-    kind: str
-    node: str
-    index: int
-
-    def __str__(self) -> str:  # e.g. "life[10]:0", "address:1"
-        owner = self.node if self.node else "eps"
-        return f"{self.kind}[{owner}]:{self.index}"
-
-
 #: Register kinds in the order of their codes in :attr:`RegisterMap.rows`.
 REGISTER_KINDS = ("address", "result", "life", "adr", "res", "mem", "copy")
 _KIND_CODE = {kind: code for code, kind in enumerate(REGISTER_KINDS)}
@@ -224,37 +210,14 @@ class Rows(NamedTuple):
     size: np.ndarray
 
 
-class _QubitNames(Sequence):
-    """``qubit_at`` of a layout: the :class:`QubitId` of every physical
-    index, looked up by bisection in the register rows."""
-
-    __slots__ = ("_layout",)
-
-    def __init__(self, layout: "RegisterMap"):
-        self._layout = layout
-
-    def __len__(self) -> int:
-        return self._layout.total_qubits
-
-    def __getitem__(self, index: int) -> QubitId:
-        total = self._layout.total_qubits
-        if not -total <= index < total:
-            raise IndexError(f"qubit {index} out of range for {total} qubits")
-        index %= total
-        rows = self._layout.rows
-        row = int(np.searchsorted(rows.start, index, side="right")) - 1
-        node = label_of(int(rows.value[row]), int(rows.depth[row]))
-        return QubitId(REGISTER_KINDS[rows.kind[row]], node, index - int(rows.start[row]))
-
-
 class RegisterMap:
     """Deterministic assignment of every register qubit to a physical index.
 
     The layout is closed-form: every register is a run of consecutive
     physical qubits whose start follows from the sizes (see the numbering in
     the module docstring), so nothing is stored per qubit.  :attr:`rows`
-    lists the allocated registers, :meth:`level` gives a tree level's
-    register starts as arrays, and :attr:`qubit_at` names any index.
+    lists the allocated registers and :meth:`level` gives a tree level's
+    register starts as arrays.
 
     Instances are immutable in practice: the fan-out extension returns a new
     map.
@@ -297,7 +260,6 @@ class RegisterMap:
                 limit=limit,
             )
         self.total_qubits = total
-        self.qubit_at = _QubitNames(self)
         # First qubit of each level: address and result lead, then per level
         # every node's life flag, fresh adr register (right children strictly
         # inside the tree) and res register (all but the root).
@@ -372,30 +334,6 @@ class RegisterMap:
             raise InvalidParameterError(f"node {node!r} is deeper than the tree (n={self.n})")
         return len(node), int(node, 2) if node else 0
 
-    def _register(self, kind: str, node: str) -> tuple[int, int]:
-        """``(start, size)`` of an allocated register."""
-        depth, value = self._node(node)
-        n = self.n
-        if kind == "address" and depth == 0:
-            return 0, n
-        if kind == "result" and depth == 0:
-            return n, self.m
-        if kind == "life":
-            return int(self.level(depth).life[value]), 1
-        if kind == "adr" and value & 1 and depth < n:
-            return int(self.level(depth).life[value]) + 1, n - depth
-        if kind == "res" and depth:
-            return int(self.level(depth).res[value]), self.m
-        if kind == "mem" and depth == n:
-            return int(self._mem_bounds[value]), self.k[value]
-        if kind == "copy" and depth and self.copies_per_node:
-            return int(self.level(depth).copy[value]), self.copies_per_node
-        raise InvalidParameterError(f"no {kind} register at node {node!r}")
-
-    def _span(self, kind: str, node: str) -> tuple[int, ...]:
-        start, size = self._register(kind, node)
-        return tuple(range(start, start + size))
-
     @cached_property
     def rows(self) -> Rows:
         """The register table, built from the closed form."""
@@ -450,7 +388,8 @@ class RegisterMap:
         return tuple(range(self.n, self.n + self.m))
 
     def life(self, node: str) -> int:
-        return self._register("life", node)[0]
+        depth, value = self._node(node)
+        return int(self.level(depth).life[value])
 
     def adr(self, node: str) -> tuple[int, ...]:
         """Logical ``adr_x`` register; resolves aliases to physical indices.
@@ -466,15 +405,16 @@ class RegisterMap:
 
     def res(self, node: str) -> tuple[int, ...]:
         """``res_x`` register; the root's is an alias of ``result``."""
-        if node == ROOT:
-            return self.result_qubits
-        return self._span("res", node)
+        depth, value = self._node(node)
+        start = int(self.level(depth).res[value])
+        return tuple(range(start, start + self.m))
 
     def mem(self, leaf: str) -> tuple[int, ...]:
         _check_label(leaf)
         if len(leaf) != self.n:
             raise InvalidParameterError(f"mem registers exist only at leaves, got node {leaf!r}")
-        return self._span("mem", leaf)
+        value = int(leaf, 2)
+        return tuple(range(int(self._mem_bounds[value]), int(self._mem_bounds[value + 1])))
 
     def copies(self, node: str) -> tuple[int, ...]:
         """Fan-out scratch register of a non-root node (empty without the extension)."""
@@ -483,19 +423,9 @@ class RegisterMap:
             return ()
         if not node:
             raise InvalidParameterError("the root has no fan-out copies")
-        return self._span("copy", node)
-
-    def qubit_index(self, qid: QubitId) -> int:
-        """Physical index of a :class:`QubitId` (inverse of ``qubit_at``)."""
-        try:
-            start, size = self._register(qid.kind, qid.node)
-        except InvalidParameterError:
-            raise InvalidParameterError(
-                f"unknown register {qid.kind!r} at node {qid.node!r}"
-            ) from None
-        if not 0 <= qid.index < size:
-            raise InvalidParameterError(f"offset {qid.index} out of range for {qid.kind}[{qid.node}]")
-        return start + qid.index
+        depth, value = self._node(node)
+        start = int(self.level(depth).copy[value])
+        return tuple(range(start, start + self.copies_per_node))
 
     # -- classification ----------------------------------------------------
 

@@ -52,7 +52,7 @@ from .sim import (
 # benchmark tracer uninstalls cleanly; the checkers pack their cases as rows.
 from .sim import run_circuit  # noqa: F401
 from .synth import SynthesisOptions, synth_access
-from .tree import RegisterMap, _normalize_k, _validate_sizes, allocate_registers, label_of
+from .tree import RegisterMap, _labels, _normalize_k, _validate_sizes, allocate_registers, label_of
 
 #: Default tolerance on ``|<expected|actual>|**2`` for a passing case.
 FIDELITY_TOL = 1e-10
@@ -112,7 +112,7 @@ def build_qram_instance(n: int, m: int) -> InstanceSpec:
     for idx in range(dim):
         r, s = idx & low, idx >> m
         matrix[(r ^ s) | (s << m), idx] = 1.0
-    unitaries = UnitarySpec.stack(_leaves(n), [matrix] * (1 << n))
+    unitaries = UnitarySpec.stack(_labels(n)[-1], [matrix] * (1 << n))
     return InstanceSpec("qram", n, m, (m,) * (1 << n), unitaries)
 
 
@@ -139,7 +139,7 @@ def build_table_lookup_instance(
     matrices = np.zeros((len(values), dim, dim), dtype=bool)
     matrices[np.arange(len(values))[:, None], np.bitwise_xor.outer(values, r), r] = True
     shared = dict(zip(values, matrices))
-    unitaries = UnitarySpec.stack(_leaves(n), [shared[value] for value in table])
+    unitaries = UnitarySpec.stack(_labels(n)[-1], [shared[value] for value in table])
     return InstanceSpec("table_lookup", n, m, (0,) * (1 << n), unitaries, {"table": table})
 
 
@@ -168,7 +168,7 @@ def build_rotation_instance(n: int, fraction_bits: int) -> InstanceSpec:
         matrix[base + 1, base + 1] = c
         matrix[base, base + 1] = -1j * v
         matrix[base + 1, base] = -1j * v
-    unitaries = UnitarySpec.stack(_leaves(n), [matrix] * (1 << n), [fraction_bits] * (1 << n))
+    unitaries = UnitarySpec.stack(_labels(n)[-1], [matrix] * (1 << n), [fraction_bits] * (1 << n))
     return InstanceSpec(
         "rotation",
         n,
@@ -207,7 +207,7 @@ def build_random_instance(
             q *= (diagonal / np.abs(diagonal))[:, None, :]
             matrices.update(zip(chunk, q))
             del sample, r, diagonal  # before the next chunk's, and before the specs are stacked
-    unitaries = UnitarySpec.stack(_leaves(n), [matrices[z] for z in range(1 << n)])
+    unitaries = UnitarySpec.stack(_labels(n)[-1], [matrices[z] for z in range(1 << n)])
     return InstanceSpec("random", n, m, k_values, unitaries, {"seed": seed})
 
 
@@ -220,7 +220,7 @@ def build_custom_instance(
 ) -> InstanceSpec:
     _validate_sizes(n, m)
     k_values = _normalize_k(n, k)
-    missing = [z for z in _leaves(n) if z not in unitaries]
+    missing = [z for z in _labels(n)[-1] if z not in unitaries]
     if missing:
         raise ConfigurationError(f"missing unitaries for leaves {missing}")
     return InstanceSpec(family, n, m, k_values, dict(unitaries))
@@ -262,10 +262,6 @@ def build_instance(
     )
 
 
-def _leaves(n: int) -> list[str]:
-    return [label_of(v, n) for v in range(1 << n)]
-
-
 # ---------------------------------------------------------------------------
 # reference semantics: one-case calls of the column code below
 # ---------------------------------------------------------------------------
@@ -279,7 +275,7 @@ def _normalize_mem(instance: InstanceSpec, mem) -> tuple[int, ...]:
     if len(values) != num_leaves:
         raise InvalidParameterError(f"expected {num_leaves} memory values, got {len(values)}")
     for z_value, value in enumerate(values):
-        if not isinstance(value, int) or not 0 <= value < (1 << instance.k[z_value]):
+        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < (1 << instance.k[z_value]):
             raise InvalidParameterError(
                 f"memory value {value!r} does not fit leaf {label_of(z_value, instance.n)}"
             )
@@ -639,7 +635,7 @@ def _listed_cases(
     mems = [_normalize_mem(instance, mem) for _, _, mem in cases]
     for address, result, _ in cases:
         for value, width, what in ((address, instance.n, "address"), (result, instance.m, "result")):
-            if not isinstance(value, int) or not 0 <= value < (1 << width):
+            if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < (1 << width):
                 raise InvalidParameterError(f"{what} must lie in [0, {1 << width}), got {value!r}")
     table = np.array([[mem[z] for z in keys.leaves.tolist()] for mem in mems], dtype=np.int64)
     return keys.cases(

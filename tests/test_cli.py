@@ -13,6 +13,7 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -86,12 +87,43 @@ def test_project_script_target_is_entry(monkeypatch, capsys):
     _assert_lists_subcommands(capsys.readouterr().out)
 
 
+def test_package_exports_exactly_its_public_names():
+    """``__all__`` lists each public name of the package that is not a
+    submodule, once, plus ``__version__``; a star import binds them all."""
+    public = {
+        name for name, value in vars(qramforge).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(qramforge.__all__) == sorted(public | {"__version__"})
+    namespace: dict = {}
+    exec("from qramforge import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(qramforge.__all__)
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["synth"]) == 2  # missing required arguments
     assert main(["synth", "--n", "1", "--m", "1", "--family", "bogus"]) == 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--n", "2", "--m", "1", "--k", "a"],
+         "error: --k expects an integer or a comma-separated list, got 'a'\n"),
+        (["verify", "--family", "lookup", "--n", "2", "--m", "1", "--table", "1,x"],
+         "error: --table expects comma-separated integers, got '1,x'\n"),
+    ],
+    ids=["k", "table"],
+)
+def test_unparsable_list_options_exit_2(argv, message, capsys):
+    """A ``--k`` or ``--table`` the option converter refuses is a usage
+    error: exit 2 with one line, no traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from qramforge import (
     Circuit,
     CircuitDocument,
     Gate,
+    InvalidParameterError,
     SchemaError,
     SparseState,
     StructuralError,
@@ -698,6 +699,51 @@ def test_matrices_section_checks_every_record_before_reporting_the_first_fault()
         raw["matrices"]["11"]["matrix"][0][0] = None  # a second fault, after the first
         with pytest.raises(SchemaError, match=message):
             parse_document(json.dumps(raw))
+
+
+@pytest.mark.parametrize("depth", [0, 2**62 + 1, 2**63, 2**70, True, 1.5], ids=str)
+def test_declared_depth_has_one_rule_across_the_api(depth):
+    """A declared depth is an int, not a bool, from 1 to 2**62: the gate and
+    payload constructors, stacking and structural synthesis all refuse any
+    other value with the same error, and none lets an OverflowError out."""
+    layout = allocate_registers(1, 1, 0)
+    identity = np.eye(2)
+    calls = [
+        lambda: Gate.controlled_opaque(0, [1], "0", declared_depth=depth),
+        lambda: UnitarySpec("0", identity, declared_depth=depth),
+        lambda: UnitarySpec.stack(["0", "1"], [identity, identity], [depth, 1]),
+        lambda: synth_run(layout, declared_depths=depth),
+        lambda: synth_access(layout, None, declared_depths={"1": depth}),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match=r"^declared depth must be a positive integer up to 2\*\*62, got "):
+            call()
+
+
+def test_declared_depth_bound_holds_in_documents():
+    """A payload of declared depth 2**62 round-trips through a document;
+    one step past it, or ``true``, is refused in a gate record and in a
+    ``matrices`` record alike."""
+    layout = allocate_registers(1, 1, 0)
+    specs = UnitarySpec.stack(["0", "1"], [np.eye(2), np.eye(2)], [2**62, 1])
+    text = emit_json(synth_access(layout, specs), specs)
+    document = parse_document(text)
+    assert document.unitaries == specs
+    assert emit_json(document.circuit, document.unitaries) == text
+    for depth, message in ((2**62 + 1, "expected an integer <= 2**62"), (True, "expected an integer")):
+        for in_matrices in (False, True):
+            raw = json.loads(text)
+            if in_matrices:
+                path, record = "matrices.0", raw["matrices"]["0"]
+            else:
+                path, record = next(
+                    (f"moments[{i}][{j}]", gate) for i, moment in enumerate(raw["moments"])
+                    for j, gate in enumerate(moment) if gate["kind"] == "cu"
+                )
+            record["declared_depth"] = depth
+            with pytest.raises(SchemaError) as info:
+                parse_document(json.dumps(raw))
+            assert str(info.value) == f"{path}.declared_depth: {message}"
 
 
 def test_a_refused_matrix_is_checked_once():

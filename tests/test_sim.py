@@ -14,7 +14,6 @@ from qramforge import (
     Gate,
     GateKind,
     InvalidParameterError,
-    Moment,
     QramForgeError,
     ResourceLimitError,
     ShapeError,
@@ -622,7 +621,7 @@ def _random_moment_stream(rng, num_qubits, num_moments):
                     lambda: Gate.controlled_opaque(qubits[0], qubits[1:], "1", dagger=dagger),
                 ][kind]()
             )
-        moments.append(Moment(gates))
+        moments.append(gates)
     return moments
 
 
@@ -651,8 +650,8 @@ def test_batch_agrees_with_both_references(seed):
         "1": UnitarySpec("1", _random_unitary(rng, 2)),
     }
     circuit = Circuit.from_moments(layout, _random_moment_stream(rng, layout.total_qubits, 14))
-    kinds = {g.kind for g in circuit.all_gates()}
-    assert len(kinds) == 5 and any(g.dagger for g in circuit.all_gates())
+    kinds = {g.kind for g in circuit.columns.gates()}
+    assert len(kinds) == 5 and any(g.dagger for g in circuit.columns.gates())
     states = _random_states(rng, layout.total_qubits, 8)
     outputs = list(run_batch(states, circuit, unitaries))
     assert len(outputs) == len(states)

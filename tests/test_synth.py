@@ -79,7 +79,7 @@ def test_down_n1_m1_worked_example():
     down = synth_down(layout)
     # preparation X, two Toffolis, the X sandwich, two hand-down Fredkins
     assert down.gate_counts() == {"x": 3, "ccx": 2, "cswap": 2}
-    touched = {q for g in down.all_gates() for q in g.qubits}
+    touched = {q for g in down.columns.gates() for q in g.qubits}
     assert len(touched) == 7 == layout.total_qubits
     sel = layout.adr("")[0]
     expected = [
@@ -91,7 +91,7 @@ def test_down_n1_m1_worked_example():
         Gate.fredkin(layout.life("0"), layout.res("")[0], layout.res("0")[0]),
         Gate.fredkin(layout.life("1"), layout.res("")[0], layout.res("1")[0]),
     ]
-    assert list(down.all_gates()) == expected
+    assert list(down.columns.gates()) == expected
     # scheduler regression anchor (measured): six moments
     assert [len(m) for m in down.moments] == [1, 1, 1, 1, 2, 1]
 

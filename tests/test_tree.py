@@ -5,7 +5,6 @@ import pytest
 
 from qramforge import (
     InvalidParameterError,
-    QubitId,
     RegisterMap,
     ResourceLimitError,
     allocate_registers,
@@ -17,13 +16,15 @@ from qramforge import (
 from qramforge.tree import REGISTER_KINDS
 
 
-def brute_force_counts(n: int, m: int, k) -> dict[str, int]:
-    """Independent tally straight from the layout's qubit table."""
-    layout = allocate_registers(n, m, k)
-    tally: dict[str, int] = {}
-    for qid in layout.qubit_at:
-        tally[qid.kind] = tally.get(qid.kind, 0) + 1
-    return tally
+def rows_tally(layout) -> dict[str, int]:
+    """Allocated qubits by register kind, summed over the register table."""
+    rows = layout.rows
+    tally = np.bincount(rows.kind, weights=rows.size, minlength=len(REGISTER_KINDS)).astype(np.int64)
+    out = {kind: int(tally[code]) for code, kind in enumerate(REGISTER_KINDS[:-1])}
+    if layout.copies_per_node:
+        out["copy"] = int(tally[REGISTER_KINDS.index("copy")])
+    out["total"] = int(rows.size.sum())
+    return out
 
 
 def test_enumerate_nodes_small():
@@ -69,24 +70,24 @@ def test_worked_example_n2_m1_k1():
 
 
 def test_adr_count_examples():
-    assert brute_force_counts(3, 1, 0).get("adr") == 4
-    assert brute_force_counts(2, 1, 0).get("adr") == 1
-    assert brute_force_counts(1, 1, 0).get("adr", 0) == 0
+    assert rows_tally(allocate_registers(3, 1, 0))["adr"] == 4
+    assert rows_tally(allocate_registers(2, 1, 0))["adr"] == 1
+    assert rows_tally(allocate_registers(1, 1, 0))["adr"] == 0
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_count_formulas_match_allocation(n):
     m = 2
-    measured = brute_force_counts(n, m, 1)
+    measured = rows_tally(allocate_registers(n, m, 1))
     # the closed forms, plus the equivalent level-by-level sum for adr
     level_sum = sum((n - k - 1) * (1 << k) for k in range(n))
     assert measured["life"] == 2 ** (n + 1) - 1
-    assert measured.get("adr", 0) == 2**n - n - 1 == level_sum
+    assert measured["adr"] == 2**n - n - 1 == level_sum
     assert measured["res"] == m * (2 ** (n + 1) - 2)
     assert measured["mem"] == 2**n
     formulas = ancilla_counts(n, m, 1)
     for kind in ("life", "adr", "res", "mem"):
-        assert formulas[kind] == measured.get(kind, 0)
+        assert formulas[kind] == measured[kind]
     assert formulas["total"] == sum(formulas[kind] for kind in ("life", "adr", "res", "mem"))
 
 
@@ -103,22 +104,44 @@ def test_total_ratio_monotone(m):
     assert abs(layout.total_qubits / ((2 * 4 + 3) * 2**10) - 1.0) < 0.15
 
 
-def test_numbering_is_a_bijection():
-    layout = allocate_registers(3, 2, [0, 1, 2, 0, 1, 2, 0, 1])
-    seen = set()
-    for index, qid in enumerate(layout.qubit_at):
-        assert layout.qubit_index(qid) == index
-        assert qid not in seen
-        seen.add(qid)
-    assert len(seen) == layout.total_qubits
+@pytest.mark.parametrize(
+    "layout",
+    [
+        allocate_registers(3, 2, 1),
+        allocate_registers(3, 2, [0, 1, 2, 0, 1, 2, 0, 1]),
+        allocate_registers(3, 5, [2, 0, 0, 1, 0, 3, 0, 0]).with_fanout_copies(2),
+    ],
+    ids=["plain", "mixed-k", "fanout"],
+)
+def test_register_rows_are_the_accessor_spans(layout):
+    """Every row of the register table is exactly the span its accessor
+    returns, every non-empty register has a row, and the rows tile the
+    physical qubits with no gaps."""
+    expected = {("address", ""): layout.address_qubits, ("result", ""): layout.result_qubits}
+    for depth, level in enumerate(layout.levels):
+        for node in level:
+            expected["life", node] = (layout.life(node),)
+            if node.endswith("1") and depth < layout.n:
+                expected["adr", node] = layout.adr(node)
+            if node:
+                expected["res", node] = layout.res(node)
+                expected["copy", node] = layout.copies(node)
+    for leaf in layout.leaves:
+        expected["mem", leaf] = layout.mem(leaf)
+    expected = {key: span for key, span in expected.items() if span}
+    table = {(kind, node): tuple(range(start, start + size)) for kind, node, start, size in layout.labelled_rows}
+    assert len(table) == len(layout.labelled_rows)
+    assert table == expected
+    rows = layout.rows
+    assert rows.start.tolist() == np.cumsum([0, *rows.size.tolist()])[:-1].tolist()
+    assert int(rows.start[-1] + rows.size[-1]) == layout.total_qubits
+    assert rows.size.min() > 0
 
 
 def test_numbering_order():
     layout = allocate_registers(2, 1, 1)
     # address and result lead, then levels in ascending label order
-    assert layout.qubit_at[0] == QubitId("address", "", 0)
-    assert layout.qubit_at[2] == QubitId("result", "", 0)
-    assert layout.qubit_at[3] == QubitId("life", "", 0)
+    assert layout.labelled_rows[:3] == (("address", "", 0, 2), ("result", "", 2, 1), ("life", "", 3, 1))
     assert layout.address_qubits == (0, 1)
     assert layout.result_qubits == (2,)
     assert layout.life("") == 3
@@ -272,17 +295,6 @@ def test_equality_and_repr():
     wide = allocate_registers(2, 4, 0)
     assert wide.with_fanout_copies(2) != wide
     assert "n=2" in repr(a)
-
-
-def rows_tally(layout) -> dict[str, int]:
-    """Allocated qubits by register kind, summed over the register table."""
-    rows = layout.rows
-    tally = np.bincount(rows.kind, weights=rows.size, minlength=len(REGISTER_KINDS)).astype(np.int64)
-    out = {kind: int(tally[code]) for code, kind in enumerate(REGISTER_KINDS[:-1])}
-    if layout.copies_per_node:
-        out["copy"] = int(tally[REGISTER_KINDS.index("copy")])
-    out["total"] = int(rows.size.sum())
-    return out
 
 
 @pytest.mark.parametrize("n", range(1, 7))

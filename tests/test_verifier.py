@@ -700,13 +700,16 @@ def test_custom_cases_keep_their_messages():
         ((1.0, 0, None), r"address must lie in \[0, 4\), got 1.0"),
         ((0, 2, None), r"result must lie in \[0, 2\), got 2"),
         ((0, "1", None), r"result must lie in \[0, 2\), got '1'"),
+        ((True, 0, None), r"address must lie in \[0, 4\), got True"),
+        ((0, True, None), r"result must lie in \[0, 2\), got True"),
         ((0, 0, (0, 2, 0, 0)), "memory value 2 does not fit leaf 01"),
+        ((0, 0, (0, True, 2, 0)), "memory value True does not fit leaf 01"),
         ((0, 0, (0, 1)), "expected 4 memory values, got 2"),
     ]:
         for cases in ([bad], [good, bad]):
             with pytest.raises(InvalidParameterError, match=message):
                 check_proposition(inst, cases=cases)
-    cases = [good, (2, 1, None), (True, 0, [0, True, 2, 0])]
+    cases = [good, (2, 1, None), (1, 0, [0, 1, 2, 0])]
     assert (check_proposition(inst, cases=cases).to_dict()["cases"]
             == helpers.reference_check_proposition(inst, cases=cases).to_dict()["cases"])
 
