@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigurationError, InvalidParameterError, QramForgeError, SchemaError
-from .formats import emit_json, emit_qasm, parse_document, serialize_state
+from .formats import _expect_int, emit_json, emit_qasm, parse_document, serialize_state
 from .sim import basis_state, run_circuit
 from .synth import SynthesisOptions, synth_access, synth_down, synth_run, synth_up
 from .tree import allocate_registers
@@ -189,15 +189,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _instance_int(params: dict, field: str, default, minimum: int) -> int:
-    value = params.get(field, default)
-    if type(value) is not int:
-        raise SchemaError(f"parameters.instance.{field}: expected an integer")
-    if value < minimum:
-        raise SchemaError(f"parameters.instance.{field}: expected an integer >= {minimum}")
-    return value
-
-
 def _rebuild_unitaries(doc):
     if doc.unitaries is not None:
         return doc.unitaries
@@ -214,9 +205,9 @@ def _rebuild_unitaries(doc):
         raise SchemaError("parameters.instance.table: expected a list of integers")
     layout = doc.circuit.layout
     family = params.get("family")
-    m = _instance_int(params, "fraction_bits", None, 1) if family == "rotation" else layout.m
+    m = _expect_int(params.get("fraction_bits"), "parameters.instance.fraction_bits", 1) if family == "rotation" else layout.m
     k = None if family in ("qram", "table_lookup", "rotation") else list(layout.k)
-    seed = _instance_int(params, "seed", DEFAULT_SEED, 0)
+    seed = _expect_int(params.get("seed", DEFAULT_SEED), "parameters.instance.seed", 0)
     return build_instance(family, layout.n, m, k, seed=seed, table=table).unitaries
 
 

@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, StructuralError
+from .errors import StructuralError, check_int
 from .tree import RegisterMap
 
 
@@ -57,11 +57,7 @@ ARITY = ((0, 1), (1, 1), (2, 1), (1, 2))
 def check_declared_depth(value) -> int:
     """``value`` if it is a valid declared depth of an opaque block: an int,
     not a bool, from 1 to :data:`MAX_DECLARED_DEPTH`."""
-    if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= MAX_DECLARED_DEPTH:
-        raise InvalidParameterError(
-            f"declared depth must be a positive integer up to 2**62, got {value!r}"
-        )
-    return value
+    return check_int(value, "declared depths", 1, MAX_DECLARED_DEPTH + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,8 +95,7 @@ class Gate:
                 )
         qubits = self.controls + self.targets
         for q in qubits:
-            if not isinstance(q, int) or q < 0:
-                raise InvalidParameterError(f"qubit indices are non-negative integers, got {q!r}")
+            check_int(q, "qubit indices", 0)
         if len(set(qubits)) != len(qubits):
             raise StructuralError(f"gate qubits must be distinct, got {qubits}")
 

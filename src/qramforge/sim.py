@@ -47,6 +47,7 @@ from .errors import (
     ShapeError,
     SimulationError,
     StructuralError,
+    check_int,
 )
 from .ir import CNOT, FREDKIN, MAX_DECLARED_DEPTH, OPAQUE, TOFFOLI, X, Circuit, Gate, GateColumns, check_declared_depth
 from .tree import RegisterMap, _check_label
@@ -211,18 +212,12 @@ class SparseState:
     __slots__ = ("num_qubits", "amps")
 
     def __init__(self, num_qubits: int, amps: Mapping[int, complex] | None = None):
-        if not isinstance(num_qubits, int) or num_qubits < 1:
-            raise InvalidParameterError(f"need at least one qubit, got {num_qubits!r}")
-        self.num_qubits = num_qubits
+        self.num_qubits = check_int(num_qubits, "qubit counts", 1)
         self.amps: dict[int, complex] = {}
         if amps:
             limit = 1 << num_qubits
             for key, amp in amps.items():
-                if not isinstance(key, int) or not 0 <= key < limit:
-                    raise InvalidParameterError(
-                        f"basis key {key!r} out of range for {num_qubits} qubits"
-                    )
-                self.amps[key] = complex(amp)
+                self.amps[check_int(key, "basis keys", 0, limit)] = complex(amp)
 
     def copy(self) -> "SparseState":
         out = SparseState(self.num_qubits)
@@ -256,8 +251,9 @@ class SparseState:
         """``|<self|other>|**2`` (meaningful for normalized states)."""
         return abs(self.inner(other)) ** 2
 
-    def prune(self, tol: float = PRUNE_TOL) -> "SparseState":
-        self.amps = {k: a for k, a in self.amps.items() if abs(a) > tol}
+    def prune(self) -> "SparseState":
+        """Drop the amplitudes of magnitude at most :data:`PRUNE_TOL`."""
+        self.amps = {k: a for k, a in self.amps.items() if abs(a) > PRUNE_TOL}
         return self
 
     def __len__(self) -> int:
@@ -275,9 +271,7 @@ def _register_value(value: int | str, width: int, what: str) -> int:
                 f"{what} must be a bit string of length {width}, got {value!r}"
             )
         return int(value, 2) if width else 0
-    if not isinstance(value, int) or not 0 <= value < (1 << width):
-        raise InvalidParameterError(f"{what} must lie in [0, {1 << width}), got {value!r}")
-    return value
+    return check_int(value, f"{what} values", 0, 1 << width)
 
 
 def basis_state(

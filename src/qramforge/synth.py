@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidParameterError, ShapeError
+from .errors import ConfigurationError, InvalidParameterError, ShapeError, check_int
 from .ir import CNOT, FREDKIN, OPAQUE, TOFFOLI, X, Circuit, GateColumns, check_declared_depth, concat
 from .sim import UnitarySpec
 from .tree import ROOT, RegisterMap
@@ -87,12 +87,8 @@ class SynthesisOptions:
             raise InvalidParameterError(
                 f"variant must be 'sequential' or 'fanout', got {self.variant!r}"
             )
-        if self.fanout_block is not None and (
-            not isinstance(self.fanout_block, int) or self.fanout_block < 1
-        ):
-            raise InvalidParameterError(
-                f"fan-out block size must be a positive integer, got {self.fanout_block!r}"
-            )
+        if self.fanout_block is not None:
+            check_int(self.fanout_block, "fan-out block sizes", 1)
 
     def resolved_block(self, m: int) -> int:
         """The effective block size ``s`` for result width ``m``."""
@@ -102,11 +98,7 @@ class SynthesisOptions:
                 s += 1
         else:
             s = self.fanout_block
-        if not 1 <= s <= m:
-            raise InvalidParameterError(
-                f"fan-out block size must satisfy 1 <= s <= m, got s={s} with m={m}"
-            )
-        return s
+        return check_int(s, "fan-out block sizes", 1, m + 1)
 
 
 class _Placer:

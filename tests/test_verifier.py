@@ -123,21 +123,21 @@ def test_oracle_validation():
 
 def test_oracle_refuses_registers_that_are_not_ints():
     """An address or result that is a float or a bool is refused like one
-    out of range; out-of-range ints keep their messages."""
+    out of range, in the package's one wording for integer inputs."""
     inst = build_qram_instance(1, 1)
     for args, message in [
-        ((1.0, 0), "address must be an int, got 1.0"),
-        ((True, 0), "address must be an int, got True"),
-        ((np.int64(1), 0), "address must be an int, got np.int64(1)"),
-        ((0, 1.0), "result must be an int, got 1.0"),
-        ((0, False), "result must be an int, got False"),
-        ((2, 0), "address 2 does not fit in 1 bits"),
-        ((0, -1), "result -1 does not fit in 1 bits"),
+        ((1.0, 0), "address values are integers in [0, 2), got 1.0"),
+        ((True, 0), "address values are integers in [0, 2), got True"),
+        ((np.int64(1), 0), "address values are integers in [0, 2), got np.int64(1)"),
+        ((0, 1.0), "result values are integers in [0, 2), got 1.0"),
+        ((0, False), "result values are integers in [0, 2), got False"),
+        ((2, 0), "address values are integers in [0, 2), got 2"),
+        ((0, -1), "result values are integers in [0, 2), got -1"),
     ]:
         with pytest.raises(InvalidParameterError) as excinfo:
             oracle_effect(inst, *args)
         assert str(excinfo.value) == message
-    with pytest.raises(InvalidParameterError, match="address must be an int, got 0.0"):
+    with pytest.raises(InvalidParameterError, match=r"address values are integers in \[0, 2\), got 0.0"):
         oracle_superposition(inst, [(1, 0.0)])
 
 
@@ -696,14 +696,14 @@ def test_custom_cases_keep_their_messages():
     inst = build_random_instance(2, 1, [0, 1, 2, 0], seed=5)
     good = (1, 0, (0, 1, 3, 0))
     for bad, message in [
-        ((4, 0, None), r"address must lie in \[0, 4\), got 4"),
-        ((1.0, 0, None), r"address must lie in \[0, 4\), got 1.0"),
-        ((0, 2, None), r"result must lie in \[0, 2\), got 2"),
-        ((0, "1", None), r"result must lie in \[0, 2\), got '1'"),
-        ((True, 0, None), r"address must lie in \[0, 4\), got True"),
-        ((0, True, None), r"result must lie in \[0, 2\), got True"),
-        ((0, 0, (0, 2, 0, 0)), "memory value 2 does not fit leaf 01"),
-        ((0, 0, (0, True, 2, 0)), "memory value True does not fit leaf 01"),
+        ((4, 0, None), r"address values are integers in \[0, 4\), got 4"),
+        ((1.0, 0, None), r"address values are integers in \[0, 4\), got 1.0"),
+        ((0, 2, None), r"result values are integers in \[0, 2\), got 2"),
+        ((0, "1", None), r"result values are integers in \[0, 2\), got '1'"),
+        ((True, 0, None), r"address values are integers in \[0, 4\), got True"),
+        ((0, True, None), r"result values are integers in \[0, 2\), got True"),
+        ((0, 0, (0, 2, 0, 0)), r"mem\[01\] values are integers in \[0, 2\), got 2"),
+        ((0, 0, (0, True, 2, 0)), r"mem\[01\] values are integers in \[0, 2\), got True"),
         ((0, 0, (0, 1)), "expected 4 memory values, got 2"),
     ]:
         for cases in ([bad], [good, bad]):
