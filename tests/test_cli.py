@@ -324,6 +324,7 @@ def test_simulate_missing_instance_exits_2(lookup_doc, tmp_path, capsys):
         (["qram"], "parameters.instance: expected an object"),
         ({"family": "rotation"}, "parameters.instance.fraction_bits: expected an integer"),
         ({"family": "random", "seed": -1}, "parameters.instance.seed: expected an integer >= 0"),
+        ({"family": "random", "seed": True}, "parameters.instance.seed: expected an integer"),
         ({"family": "table_lookup", "table": "abc"}, "parameters.instance.table: expected a list of integers"),
     ],
 )

@@ -2,8 +2,6 @@
 not a ``bool``, within the input's bounds; anything else is refused with
 ``InvalidParameterError`` and nothing else, and the command line exits 2."""
 
-import json
-
 import pytest
 
 from qramforge import (
@@ -95,7 +93,6 @@ def test_every_integer_input_follows_the_one_rule(name):
 def test_negative_counts_keep_their_meaning():
     assert check_proposition(QRAM, assignments=-1).passed
     assert check_variant_agreement(QRAM, assignments=-1).passed
-    assert [case.label for case in check_linearity(QRAM, num_cases=-1).cases] == ["uniform over addresses"]
 
 
 def test_refusals_name_the_rule_and_the_value():
@@ -158,14 +155,3 @@ def test_analyze_over_the_qubit_budget_exits_2(capsys):
     assert _one_error_line(capsys) == (
         "error: layout for n=16, m=16 needs 2293742 qubits, exceeding the budget of 2000000"
     )
-
-
-def test_documents_keep_their_own_schema_messages(tmp_path, capsys):
-    """Document input is checked by the parser's own path-qualified checks."""
-    doc = tmp_path / "lookup.json"
-    assert main(["synth", "--family", "lookup", "--n", "1", "--m", "1", "--out", str(doc)]) == 0
-    raw = json.loads(doc.read_text())
-    raw["parameters"]["instance"]["seed"] = True
-    doc.write_text(json.dumps(raw, indent=2))
-    assert main(["simulate", "--circuit", str(doc)]) == 2
-    assert _one_error_line(capsys) == "error: parameters.instance.seed: expected an integer"
