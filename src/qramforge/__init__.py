@@ -11,6 +11,8 @@ simulator, :mod:`~qramforge.verifier` instance families and checkers, and
 :mod:`~qramforge.formats`/:mod:`~qramforge.cli` the serialization surface.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigurationError,
     InvalidParameterError,
@@ -27,7 +29,6 @@ from .formats import (
     emit_json,
     emit_qasm,
     parse_document,
-    parse_json,
     parse_state,
     serialize_state,
 )
@@ -53,9 +54,7 @@ from .tree import (
     RegisterMap,
     allocate_registers,
     ancilla_counts,
-    enumerate_nodes,
     label_of,
-    value_of,
 )
 from .verifier import (
     INSTANCE_FAMILIES,
@@ -78,61 +77,6 @@ from .verifier import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CaseResult",
-    "Circuit",
-    "CircuitDocument",
-    "ConfigurationError",
-    "FORMAT_VERSION",
-    "Gate",
-    "GateKind",
-    "INSTANCE_FAMILIES",
-    "InstanceSpec",
-    "InvalidParameterError",
-    "MAX_ADDRESS_WIDTH",
-    "QramForgeError",
-    "RegisterMap",
-    "ResourceLimitError",
-    "SchemaError",
-    "ShapeError",
-    "SimulationError",
-    "SparseState",
-    "StructuralError",
-    "SynthesisOptions",
-    "UnitarySpec",
-    "VerificationReport",
-    "allocate_registers",
-    "ancilla_counts",
-    "apply_gate",
-    "basis_state",
-    "build_custom_instance",
-    "build_instance",
-    "build_qram_instance",
-    "build_random_instance",
-    "build_rotation_instance",
-    "build_table_lookup_instance",
-    "check_linearity",
-    "check_proposition",
-    "check_variant_agreement",
-    "concat",
-    "emit_json",
-    "emit_qasm",
-    "enumerate_nodes",
-    "extract_data_state",
-    "label_of",
-    "oracle_effect",
-    "oracle_superposition",
-    "parse_document",
-    "parse_json",
-    "parse_state",
-    "run_batch",
-    "run_circuit",
-    "serialize_state",
-    "superpose",
-    "synth_access",
-    "synth_down",
-    "synth_run",
-    "synth_up",
-    "value_of",
-    "__version__",
-]
+# every name imported above that is neither private nor a submodule
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)] + ["__version__"]

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import QramForgeError, SchemaError, StructuralError
 from .ir import ARITY, KINDS, MAX_DECLARED_DEPTH, OPAQUE, Circuit, Gate, GateColumns, as_int64, check_moments
 from .sim import SparseState, UnitarySpec
-from .tree import RegisterMap
+from .tree import MAX_QUBITS, RegisterMap
 
 FORMAT_VERSION = "qramforge-circuit/1"
 STATE_FORMAT_VERSION = "qramforge-state/1"
@@ -610,11 +610,6 @@ def _parse_document(text: str) -> CircuitDocument:
     return CircuitDocument(circuit=circuit, unitaries=unitaries, parameters=dict(params))
 
 
-def parse_json(text: str) -> Circuit:
-    """Parse a document and return just the circuit."""
-    return parse_document(text).circuit
-
-
 # ---------------------------------------------------------------------------
 # QASM 2.0
 # ---------------------------------------------------------------------------
@@ -700,6 +695,7 @@ def parse_state(text: str) -> SparseState:
     _expect(isinstance(raw, dict), "$", "expected a JSON object")
     _expect(raw.get("format") == STATE_FORMAT_VERSION, "format", f"expected {STATE_FORMAT_VERSION!r}")
     num_qubits = _expect_int(raw.get("num_qubits"), "num_qubits", 1)
+    _expect(num_qubits <= MAX_QUBITS, "num_qubits", f"expected at most {MAX_QUBITS} qubits")
     _expect(isinstance(raw.get("terms"), list), "terms", "expected a list")
     amps: dict[int, complex] = {}
     for i, term in enumerate(raw["terms"]):

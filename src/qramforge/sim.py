@@ -50,7 +50,7 @@ from .errors import (
     check_int,
 )
 from .ir import CNOT, FREDKIN, MAX_DECLARED_DEPTH, OPAQUE, TOFFOLI, X, Circuit, Gate, GateColumns, check_declared_depth
-from .tree import RegisterMap, _check_label
+from .tree import MAX_QUBITS, RegisterMap, _check_label
 
 #: Magnitude below which amplitudes produced by a dense block are discarded.
 PRUNE_TOL = 1e-14
@@ -212,44 +212,12 @@ class SparseState:
     __slots__ = ("num_qubits", "amps")
 
     def __init__(self, num_qubits: int, amps: Mapping[int, complex] | None = None):
-        self.num_qubits = check_int(num_qubits, "qubit counts", 1)
+        self.num_qubits = check_int(num_qubits, "qubit counts", 1, MAX_QUBITS + 1)
         self.amps: dict[int, complex] = {}
         if amps:
             limit = 1 << num_qubits
             for key, amp in amps.items():
                 self.amps[check_int(key, "basis keys", 0, limit)] = complex(amp)
-
-    def copy(self) -> "SparseState":
-        out = SparseState(self.num_qubits)
-        out.amps = dict(self.amps)
-        return out
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self.amps)
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.amps.values())))
-
-    def inner(self, other: "SparseState") -> complex:
-        """The inner product ``<self|other>``."""
-        if self.num_qubits != other.num_qubits:
-            raise InvalidParameterError("states live on different numbers of qubits")
-        small, big, conj_small = (
-            (self.amps, other.amps, True)
-            if len(self.amps) <= len(other.amps)
-            else (other.amps, self.amps, False)
-        )
-        total = 0j
-        for key, amp in small.items():
-            mate = big.get(key)
-            if mate is not None:
-                total += amp.conjugate() * mate if conj_small else mate.conjugate() * amp
-        return total
-
-    def fidelity(self, other: "SparseState") -> float:
-        """``|<self|other>|**2`` (meaningful for normalized states)."""
-        return abs(self.inner(other)) ** 2
 
     def prune(self) -> "SparseState":
         """Drop the amplitudes of magnitude at most :data:`PRUNE_TOL`."""

@@ -287,10 +287,11 @@ def synth_run(
     """
     if unitaries is not None and declared_depths is not None:
         raise InvalidParameterError("pass either unitaries or declared_depths, not both")
-    if unitaries is not None:
-        unknown = set(unitaries) - set(layout.leaves)
+    for what, given in (("unitaries", unitaries), ("declared depths", declared_depths)):
+        unknown = set(given) - set(layout.leaves) if isinstance(given, Mapping) else ()
         if unknown:
-            raise ConfigurationError(f"unitaries given for unknown leaves: {sorted(unknown)}")
+            raise ConfigurationError(f"{what} given for unknown leaves: {sorted(unknown, key=repr)}")
+    if unitaries is not None:
         depths = []
         for leaf, width in zip(layout.leaves, layout.k):
             spec = unitaries.get(leaf)

@@ -81,24 +81,9 @@ def label_of(value: int, width: int) -> str:
     return format(value, f"0{width}b") if width else ROOT
 
 
-def value_of(label: str) -> int:
-    """Inverse of :func:`label_of` (the root maps to 0)."""
-    _check_label(label)
-    return int(label, 2) if label else 0
-
-
 def _check_label(label: str) -> None:
     if not isinstance(label, str) or any(c not in "01" for c in label):
         raise InvalidParameterError(f"node labels are bit strings, got {label!r}")
-
-
-def enumerate_nodes(n: int) -> list[list[str]]:
-    """All node labels of a depth-``n`` tree, grouped by level.
-
-    ``enumerate_nodes(2) == [[""], ["0", "1"], ["00", "01", "10", "11"]]``.
-    """
-    _validate_sizes(n, 1)
-    return [list(level) for level in _labels(n)]
 
 
 @cache
@@ -420,22 +405,11 @@ class RegisterMap:
         """First qubit of every leaf's ``mem`` register, in ascending leaf order."""
         return self._mem_bounds[:-1]
 
-    @property
-    def data_qubits(self) -> tuple[int, ...]:
-        """Address, result, and memory qubits, in physical order."""
-        return tuple(range(self.n + self.m)) + tuple(range(self._mem_base, self._mem_end))
-
     @cached_property
     def data_mask(self) -> int:
-        """The basis-key bits of :attr:`data_qubits`."""
+        """The basis-key bits of the data qubits: address, result and memory."""
         low = (1 << (self.n + self.m)) - 1
         return low | (((1 << (self._mem_end - self._mem_base)) - 1) << self._mem_base)
-
-    @property
-    def ancilla_qubits(self) -> tuple[int, ...]:
-        return tuple(range(self.n + self.m, self._mem_base)) + tuple(
-            range(self._mem_end, self.total_qubits)
-        )
 
     def counts(self) -> dict[str, int]:
         """Tally of allocated qubits by register kind (aliases not re-counted),

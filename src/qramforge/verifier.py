@@ -24,7 +24,6 @@ per-leaf tuple), a deliberately circuit-free encoding.
 
 from __future__ import annotations
 
-import json
 import time
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -32,7 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidParameterError, StructuralError, check_int
+from . import sim
+from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError, StructuralError, check_int
 from .ir import Circuit
 from .sim import (
     PRUNE_TOL,
@@ -97,7 +97,12 @@ class InstanceSpec:
 def _check_payload(what: str, m: int, k: Sequence[int]) -> None:
     """Refuse an instance whose payload matrices, one complex
     ``2**(m + k_z)``-square matrix per leaf, would not fit the simulator's
-    budget, before any of them is built."""
+    budget, before any of them is built.  Past ``2**64`` bytes, which the
+    largest matrix alone shows, the sum (a huge int for a huge m or k) is not built."""
+    top = 2 * (m + max(k)) + 4  # the largest matrix takes 2**top bytes
+    if top > 64:
+        raise ResourceLimitError(f"the payload matrices of {what} would take at least 2**{top} bytes, over the "
+                                 f"simulator's budget of {sim.BATCH_BUDGET_BYTES}", limit=sim.BATCH_BUDGET_BYTES)
     _check_budget(sum(16 << 2 * (m + width) for width in k), f"the payload matrices of {what}")
 
 
@@ -396,9 +401,6 @@ class VerificationReport:
             "cases": [case.to_dict() for case in self.cases],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (
@@ -633,6 +635,19 @@ def _listed_cases(
         [address for address, _, _ in cases], [result for _, result, _ in cases],
         table.reshape(len(cases), len(keys.leaves)),
     )
+
+
+#: Most report rows (one per case and run) a check may make: a row takes about
+#: 250 bytes, 512 at the peak (CPython 3.11), which fills the simulator's default budget.
+MAX_REPORT_ROWS = sim.BATCH_BUDGET_BYTES // 512
+
+
+def _case_terms(count: int, runs: int, terms: int = 1) -> np.ndarray:
+    """``terms`` for each of ``count`` cases, refused first if their rows pass :data:`MAX_REPORT_ROWS`."""
+    if count * runs > MAX_REPORT_ROWS:
+        raise ResourceLimitError(f"{count} case(s) in {runs} run(s) would make {count * runs} report rows, "
+                                 f"over the limit of {MAX_REPORT_ROWS}", requested=count * runs, limit=MAX_REPORT_ROWS)
+    return np.full(count, terms, dtype=np.int64)
 
 
 def _batches(terms: np.ndarray, limit: int, take: Callable[[int, int], _Cases]) -> Iterator[_Cases]:
@@ -884,7 +899,7 @@ def check_proposition(
     else:
         listed = _listed_cases(instance, keys, cases)
         count, take = listed.num_cases, listed.slice
-    batches = _batches(np.ones(count, dtype=np.int64), _batch_limit(keys, [circuit]), take)
+    batches = _batches(_case_terms(count, 1), _batch_limit(keys, [circuit]), take)
     return _verify(instance, "proposition", _variant_options(circuit),
                    [("", _Run(circuit, sim_unitaries, keys))], batches,
                    lambda cases: _oracle(instance, keys, cases),
@@ -910,7 +925,7 @@ def check_linearity(
     runs = _draw_runs(instance)
     num_addresses = 1 << instance.n
     keys = _Keys(instance)
-    terms = np.append(np.full(max(num_cases, 0), 2), num_addresses)
+    terms = np.append(_case_terms(max(num_cases, 0), 1, 2), num_addresses)
 
     def take(lo: int, hi: int) -> _Cases:
         """Superpositions ``lo`` to ``hi - 1``, drawn in order."""
@@ -966,7 +981,7 @@ def check_variant_agreement(
     reference = _Run(sequential, instance.unitaries, keys)
     runs = [(f"s={s} ", _Run(fanout, instance.unitaries, keys)) for s, fanout in zip(block_sizes, fanouts)]
     count, take = _basis_cases(instance, keys, assignments, seed)
-    batches = _batches(np.ones(count, dtype=np.int64), _batch_limit(keys, [sequential, *fanouts]), take)
+    batches = _batches(_case_terms(count, len(runs)), _batch_limit(keys, [sequential, *fanouts]), take)
     return _verify(instance, "variant_agreement", {"block_sizes": list(block_sizes)}, runs, batches,
                    lambda cases: _simulate(reference, cases),
                    fidelity_tolerance, residual_tolerance, start)

@@ -76,7 +76,9 @@ def test_entry_point_prefers_script_on_path(tmp_path, monkeypatch):
 def test_project_script_target_is_entry(monkeypatch, capsys):
     tomllib = pytest.importorskip("tomllib")
     with PYPROJECT.open("rb") as fh:
-        scripts = tomllib.load(fh)["project"]["scripts"]
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == qramforge.__version__  # one version, stated twice
+    scripts = project["scripts"]
     assert scripts == {"qramforge": "qramforge.cli:entry"}
     module_name, _, attr = scripts["qramforge"].partition(":")
     target = getattr(importlib.import_module(module_name), attr)
@@ -115,12 +117,34 @@ def test_usage_errors_exit_2(capsys):
          "error: --k expects an integer or a comma-separated list, got 'a'\n"),
         (["verify", "--family", "lookup", "--n", "2", "--m", "1", "--table", "1,x"],
          "error: --table expects comma-separated integers, got '1,x'\n"),
+        (["synth", "--family", "qram", "--n", "1", "--m", "1000000000000"],
+         "error: the payload matrices of qram(n=1, m=1000000000000) would take at least "
+         "2**4000000000004 bytes, over the simulator's budget of 268435456\n"),
+        (["synth", "--family", "rotation", "--n", "1", "--m", "1000000000000"],
+         "error: the payload matrices of rotation(n=1, fraction_bits=1000000000000) would take at "
+         "least 2**2000000000006 bytes, over the simulator's budget of 268435456\n"),
+        (["synth", "--family", "random", "--n", "1", "--m", "1", "--k", "1000000000000"],
+         "error: the payload matrices of random(n=1, m=1, k=1000000000000 at most) would take at "
+         "least 2**2000000000006 bytes, over the simulator's budget of 268435456\n"),
+        (["verify", "--family", "qram", "--n", "1", "--m", "1", "--assignments", "1000000000000"],
+         "error: 2000000000000 case(s) in 1 run(s) would make 2000000000000 report rows, "
+         "over the limit of 524288\n"),
+        (["verify", "--family", "qram", "--n", "1", "--m", "1", "--assignments", "1000000000000",
+          "--check", "linearity"],
+         "error: 1000000000000 case(s) in 1 run(s) would make 1000000000000 report rows, "
+         "over the limit of 524288\n"),
+        (["verify", "--family", "qram", "--n", "1", "--m", "1", "--assignments", "1000000000000",
+          "--check", "variant_agreement"],
+         "error: 2000000000000 case(s) in 1 run(s) would make 2000000000000 report rows, "
+         "over the limit of 524288\n"),
     ],
-    ids=["k", "table"],
+    ids=["k", "table", "qram-m", "rotation-m", "random-k", "proposition-count", "linearity-count",
+         "agreement-count"],
 )
 def test_unparsable_list_options_exit_2(argv, message, capsys):
-    """A ``--k`` or ``--table`` the option converter refuses is a usage
-    error: exit 2 with one line, no traceback."""
+    """A ``--k`` or ``--table`` the option converter refuses, or a size
+    past a budget, is a usage error: exit 2 with one line, no traceback,
+    before any allocation the size would ask for."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == message and captured.out == ""

@@ -30,7 +30,6 @@ from qramforge import (
     emit_json,
     emit_qasm,
     parse_document,
-    parse_json,
     parse_state,
     serialize_state,
     superpose,
@@ -171,11 +170,6 @@ def test_round_trip_preserves_complex_matrices():
     for leaf, spec in inst.unitaries.items():
         assert np.array_equal(doc.unitaries[leaf].matrix, spec.matrix)
         assert doc.unitaries[leaf].declared_depth == spec.declared_depth
-
-
-def test_parse_json_returns_just_the_circuit():
-    inst, circuit = _tiny()
-    assert parse_json(emit_json(circuit, inst.unitaries)) == circuit
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ not a ``bool``, within the input's bounds; anything else is refused with
 import pytest
 
 from qramforge import (
+    ConfigurationError,
     Gate,
     InvalidParameterError,
+    ResourceLimitError,
+    SchemaError,
     RegisterMap,
     SparseState,
     SynthesisOptions,
@@ -26,10 +29,12 @@ from qramforge import (
     oracle_effect,
     oracle_superposition,
     parse_document,
+    parse_state,
     synth_access,
     synth_run,
 )
 from qramforge.cli import main
+from qramforge.tree import MAX_QUBITS
 
 QRAM = build_qram_instance(1, 1)
 LAYOUT = allocate_registers(1, 1, [0, 2])
@@ -49,7 +54,7 @@ ENTRY_POINTS = {
     "synthesis fan-out block": (
         lambda v: synth_access(allocate_registers(2, 4), None, SynthesisOptions(variant="fanout", fanout_block=v)), 5),
     "agreement block size": (lambda v: check_variant_agreement(build_qram_instance(1, 4), block_sizes=[v]), 5),
-    "qubit count": (lambda v: SparseState(v), None),
+    "qubit count": (lambda v: SparseState(v), MAX_QUBITS + 1),
     "basis key": (lambda v: SparseState(2, {v: 1}), 4),
     "basis address": (lambda v: basis_state(LAYOUT, v), 2),
     "basis result": (lambda v: basis_state(LAYOUT, 0, v), 2),
@@ -93,6 +98,32 @@ def test_every_integer_input_follows_the_one_rule(name):
 def test_negative_counts_keep_their_meaning():
     assert check_proposition(QRAM, assignments=-1).passed
     assert check_variant_agreement(QRAM, assignments=-1).passed
+
+
+#: Inputs past a budget or outside the tree, each with the typed error it
+#: raises before the allocation its size would ask for.
+OVERSIZED = {
+    "qram result width": (lambda: build_qram_instance(1, 10**12), ResourceLimitError),
+    "rotation fraction width": (lambda: build_rotation_instance(1, 10**12), ResourceLimitError),
+    "random memory width": (lambda: build_random_instance(1, 1, 10**12), ResourceLimitError),
+    "state qubit count": (lambda: SparseState(10**12, {0: 1}), InvalidParameterError),
+    "state document qubit count": (
+        lambda: parse_state('{"format": "qramforge-state/1", "num_qubits": 1000000000000, "terms": []}'), SchemaError),
+    "proposition assignments": (lambda: check_proposition(QRAM, assignments=10**12), ResourceLimitError),
+    "linearity case count": (lambda: check_linearity(QRAM, num_cases=10**12), ResourceLimitError),
+    "agreement assignments": (lambda: check_variant_agreement(QRAM, assignments=10**12), ResourceLimitError),
+    "declared depth of no node": (
+        lambda: synth_run(allocate_registers(2, 1), declared_depths={"junk": 5}), ConfigurationError),
+    "declared depth of an inner node": (
+        lambda: synth_access(allocate_registers(2, 1), None, declared_depths={"0": True}), ConfigurationError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_oversized_inputs_raise_their_typed_error(name):
+    call, error = OVERSIZED[name]
+    with pytest.raises(error):
+        call()
 
 
 def test_refusals_name_the_rule_and_the_value():

@@ -347,21 +347,17 @@ def test_bit_field_codec_matches_python_ints(view):
         assert _column_ints(table) == after
 
 
+def _norm(state: SparseState) -> float:
+    return float(np.linalg.norm(list(state.amps.values())))
+
+
 def test_sparse_state_basics():
     state = SparseState(3, {0: 0.6, 5: 0.8j})
-    assert state.norm() == pytest.approx(1.0)
-    assert state.support == frozenset({0, 5})
-    other = SparseState(3, {5: 1.0})
-    assert state.inner(other) == pytest.approx(-0.8j)
-    assert other.fidelity(state) == pytest.approx(0.64)
+    assert state.amps == {0: 0.6 + 0j, 5: 0.8j}
+    assert _norm(state) == pytest.approx(1.0)
     assert len(state) == 2
-    copied = state.copy()
-    copied.amps[0] = 0.1
-    assert state.amps[0] == 0.6
     with pytest.raises(InvalidParameterError):
         SparseState(2, {4: 1.0})  # key out of range
-    with pytest.raises(InvalidParameterError):
-        state.inner(SparseState(2, {0: 1.0}))
 
 
 def test_superpose():
@@ -370,7 +366,7 @@ def test_superpose():
     amp = 1 / np.sqrt(2)
     both = superpose([(amp, a), (amp, b)])
     assert len(both) == 2
-    assert both.norm() == pytest.approx(1.0)
+    assert _norm(both) == pytest.approx(1.0)
     # destructive interference of identical states cancels exactly
     gone = superpose([(amp, a), (-amp, a)])
     assert len(gone) == 0
@@ -419,7 +415,7 @@ def test_gates_agree_with_dense_reference(seed):
         state = apply_gate(state, gate, unitaries)
         vec = dense_apply_gate(vec, gate, num_qubits, unitaries)
         assert np.max(np.abs(dense_from_sparse(state) - vec)) < 1e-12
-    assert state.norm() == pytest.approx(1.0, abs=1e-10)
+    assert _norm(state) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_full_access_circuit_agrees_with_dense_reference():
@@ -478,7 +474,7 @@ def test_run_circuit_checks_size():
     assert out.amps == {1: 1.0 + 0j}
     # a non-unit input keeps its norm
     scaled = SparseState(LAYOUT.total_qubits, {0: 0.5})
-    assert run_circuit(scaled, circuit).norm() == pytest.approx(0.5)
+    assert _norm(run_circuit(scaled, circuit)) == pytest.approx(0.5)
 
 
 def test_run_circuit_detects_norm_drift():
@@ -660,7 +656,7 @@ def test_batch_agrees_with_both_references(seed):
         assert list(out.amps.items()) == list(reference.amps.items())
         dense = dense_run_circuit(dense_from_sparse(state), circuit, unitaries)
         assert np.max(np.abs(dense_from_sparse(out) - dense)) < 1e-12
-        assert out.norm() == pytest.approx(state.norm(), abs=1e-10)
+        assert _norm(out) == pytest.approx(_norm(state), abs=1e-10)
 
 
 def test_batch_rows_hitting_several_blocks_in_one_moment():

@@ -9,9 +9,7 @@ from qramforge import (
     ResourceLimitError,
     allocate_registers,
     ancilla_counts,
-    enumerate_nodes,
     label_of,
-    value_of,
 )
 from qramforge.tree import REGISTER_KINDS
 
@@ -27,31 +25,15 @@ def rows_tally(layout) -> dict[str, int]:
     return out
 
 
-def test_enumerate_nodes_small():
-    assert enumerate_nodes(1) == [[""], ["0", "1"]]
-    assert enumerate_nodes(2) == [[""], ["0", "1"], ["00", "01", "10", "11"]]
-
-
-def test_enumerate_nodes_counts():
-    levels = enumerate_nodes(5)
-    assert [len(level) for level in levels] == [1, 2, 4, 8, 16, 32]
-    # children extend labels on the right
-    assert levels[3][5] == "101"
-    assert levels[4][10] == "1010"
-    assert levels[4][11] == "1011"
-
-
 def test_label_round_trip():
     for width in range(0, 6):
         for value in range(1 << width):
-            assert value_of(label_of(value, width)) == value
+            assert int(label_of(value, width) or "0", 2) == value
     assert label_of(0, 0) == ""
     with pytest.raises(InvalidParameterError):
         label_of(4, 2)
     with pytest.raises(InvalidParameterError):
         label_of(1, 0)
-    with pytest.raises(InvalidParameterError):
-        value_of("0a1")
 
 
 def test_worked_example_n2_m1_k1():
@@ -196,16 +178,20 @@ def test_res_alias_and_mem_lookup():
 
 
 def test_data_ancilla_partition():
-    layout = allocate_registers(2, 2, 1)
-    data = set(layout.data_qubits)
-    ancilla = set(layout.ancilla_qubits)
-    assert data | ancilla == set(range(layout.total_qubits))
-    assert data & ancilla == set()
-    assert set(layout.address_qubits) <= data
-    assert set(layout.result_qubits) <= data
-    assert set(layout.mem("00")) <= data
-    assert layout.life("") in ancilla
-    assert set(layout.res("0")) <= ancilla
+    """``data_mask`` holds exactly the address, result and memory rows of the
+    register table; the life, adr, res and copy rows are the ancillas."""
+    for layout in (allocate_registers(2, 2, 1), RegisterMap(2, 3, [0, 2, 1, 0], fanout_block=1)):
+        data = {q for q in range(layout.total_qubits) if layout.data_mask >> q & 1}
+        assert layout.data_mask >> layout.total_qubits == 0
+        rows = {kind: set() for kind in REGISTER_KINDS}
+        for kind, _, start, size in layout.labelled_rows:
+            rows[kind].update(range(start, start + size))
+        assert data == rows["address"] | rows["result"] | rows["mem"]
+        ancilla = set(range(layout.total_qubits)) - data
+        assert ancilla == rows["life"] | rows["adr"] | rows["res"] | rows["copy"]
+        assert set(layout.address_qubits) | set(layout.result_qubits) | set(layout.mem("10")) <= data
+        assert layout.life("") in ancilla
+        assert set(layout.res("0")) <= ancilla
 
 
 def test_k_normalization_forms():
@@ -230,17 +216,6 @@ def test_parameter_validation():
         allocate_registers(2, 1, -1)
     with pytest.raises(InvalidParameterError):
         allocate_registers(2, 1, {"0": 1})  # not a leaf label
-    with pytest.raises(InvalidParameterError):
-        enumerate_nodes(0)
-
-
-@pytest.mark.parametrize("n", [0, -1, 17, 2.0, None])
-def test_enumerate_nodes_refuses_an_address_width_as_register_map_does(n):
-    with pytest.raises(InvalidParameterError) as nodes:
-        enumerate_nodes(n)
-    with pytest.raises(InvalidParameterError) as layout:
-        allocate_registers(n, 1, 0)
-    assert str(nodes.value) == str(layout.value)
 
 
 def test_width_boundary():
@@ -357,4 +332,5 @@ def test_normalized_widths_and_shared_labels():
     assert layout.mem_widths.tolist() == list(layout.k)
     assert extended.leaves is layout.leaves is allocate_registers(3, 1).leaves
     assert layout.levels[-1] is layout.leaves
-    assert list(layout.levels) == [tuple(level) for level in enumerate_nodes(3)]
+    assert [len(level) for level in allocate_registers(5, 1).levels] == [1, 2, 4, 8, 16, 32]
+    assert layout.levels == (("",), ("0", "1"), ("00", "01", "10", "11"), tuple(format(v, "03b") for v in range(8)))
