@@ -31,10 +31,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import sim
 from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError, StructuralError, check_int
 from .ir import Circuit
 from .sim import (
+    BATCH_BUDGET_BYTES,
     PRUNE_TOL,
     SparseState,
     UnitarySpec,
@@ -102,7 +102,7 @@ def _check_payload(what: str, m: int, k: Sequence[int]) -> None:
     top = 2 * (m + max(k)) + 4  # the largest matrix takes 2**top bytes
     if top > 64:
         raise ResourceLimitError(f"the payload matrices of {what} would take at least 2**{top} bytes, over the "
-                                 f"simulator's budget of {sim.BATCH_BUDGET_BYTES}", limit=sim.BATCH_BUDGET_BYTES)
+                                 f"simulator's budget of {BATCH_BUDGET_BYTES}", limit=BATCH_BUDGET_BYTES)
     _check_budget(sum(16 << 2 * (m + width) for width in k), f"the payload matrices of {what}")
 
 
@@ -639,7 +639,7 @@ def _listed_cases(
 
 #: Most report rows (one per case and run) a check may make: a row takes about
 #: 250 bytes, 512 at the peak (CPython 3.11), which fills the simulator's default budget.
-MAX_REPORT_ROWS = sim.BATCH_BUDGET_BYTES // 512
+MAX_REPORT_ROWS = BATCH_BUDGET_BYTES // 512
 
 
 def _case_terms(count: int, runs: int, terms: int = 1) -> np.ndarray:
