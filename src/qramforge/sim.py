@@ -16,7 +16,9 @@ is four bitwise operations over the planes of all its gates.  Opaque blocks
 are the one genuinely quantum step, one array pass per moment: rows with a
 control bit set are grouped by (block, state, non-target bits), and each
 block multiplies its groups' amplitudes by its dense matrix in one stacked
-``matmul``, which gives every group ``matrix @ vector`` bit for bit.
+``matmul``, which gives every group ``matrix @ vector`` bit for bit.  A
+permutation payload, as every classical-data one is, gathers the amplitudes
+instead, which gives the same bits.
 
 Every register is a run of consecutive qubits (see :class:`~qramforge.tree.RegisterMap`),
 so reading or writing one in packed words is reading or writing a bit field.
@@ -35,6 +37,7 @@ before they are allocated.
 
 from __future__ import annotations
 
+import cmath
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import NamedTuple
 
@@ -47,6 +50,7 @@ from .errors import (
     ShapeError,
     SimulationError,
     StructuralError,
+    _shown,
     check_int,
 )
 from .ir import CNOT, FREDKIN, MAX_DECLARED_DEPTH, OPAQUE, TOFFOLI, X, Circuit, Gate, GateColumns, check_declared_depth
@@ -84,9 +88,16 @@ class UnitarySpec:
     The matrix acts on ``res_z ++ mem_z`` in little-endian order: basis index
     bit ``j`` is ``res_z[j]`` for ``j < m`` and ``mem_z[j - m]`` above.  The
     matrix is checked for unitarity on construction and stored read-only.
+
+    A permutation matrix (every entry exactly 0 or 1, one 1 in each row and
+    each column), as every classical-data payload is, has ``U^dagger U = 1``
+    exactly: it is recognised once, takes the deviation 0.0 without the
+    product, and keeps ``source``, the column of each row's 1 for the matrix
+    and for its conjugate transpose (a read-only ``(2, dim)`` array), which
+    the simulator gathers by.  ``source`` is None for every other matrix.
     """
 
-    __slots__ = ("leaf", "matrix", "declared_depth")
+    __slots__ = ("leaf", "matrix", "declared_depth", "source")
 
     def __init__(self, leaf: str, matrix, declared_depth: int = 1):
         _check_label(leaf)
@@ -107,16 +118,19 @@ class UnitarySpec:
             )
         if not np.isfinite(matrix).all():
             raise InvalidParameterError(f"matrix for leaf {leaf!r} has entries that are not finite")
-        deviation = float(_deviation(matrix[None])[0])
+        (permutation,), (source,) = _permutations(matrix[None])
+        deviation = 0.0 if permutation else float(_deviation(matrix[None])[0])
         if not deviation <= UNITARITY_TOL:  # a NaN from an overflowing product too
             raise InvalidParameterError(
                 f"matrix for leaf {leaf!r} is not unitary (deviation {deviation:.3e})"
             )
         check_declared_depth(declared_depth)
         matrix.setflags(write=False)
+        source.setflags(write=False)
         self.leaf = leaf
         self.matrix = matrix
         self.declared_depth = declared_depth
+        self.source = source if permutation else None
 
     @classmethod
     def stack(
@@ -127,8 +141,9 @@ class UnitarySpec:
 
         Every check of the constructor runs once over all leaves: labels,
         budget, shape, size, finiteness and depth, and unitarity as one
-        batched product per chunk of matrices of one size, which gives each
-        matrix the constructor's deviation bit for bit.  When a check fails,
+        permutation test and one batched product, over the matrices that
+        are not permutations, per chunk of matrices of one size, which gives
+        each matrix the constructor's deviation bit for bit.  When a check fails,
         the constructor names the first fault; matrices given as nested
         sequences rather than numeric arrays are built by the constructor.
         """
@@ -146,9 +161,9 @@ class UnitarySpec:
     @classmethod
     def _stacked(cls, leaves: list, matrices: list, depths: list) -> dict[str, "UnitarySpec"] | None:
         """The specs of :meth:`stack`.  Each distinct matrix object is checked
-        once, and its leaves share one read-only view of a stack of a chunk
-        of same-size matrices.  None when a check fails or the inputs are not
-        numeric arrays."""
+        and recognised once, and its leaves share one read-only view of a
+        stack of a chunk of same-size matrices, and its ``source``.  None
+        when a check fails or the inputs are not numeric arrays."""
         ids = list(map(id, matrices))
         distinct = dict(zip(ids, matrices))
         if not (
@@ -167,6 +182,7 @@ class UnitarySpec:
             dim = shape[0] if shape else 0
             if shape != (dim, dim) or dim < 2 or dim & (dim - 1) or 16 * dim * dim > BATCH_BUDGET_BYTES:
                 return None
+        sources: dict[int, np.ndarray | None] = {}
         for (dim, _), members in groups.items():
             step = max(1, _CHUNK_BYTES // (16 * dim * dim))
             for start in range(0, len(members), step):
@@ -175,13 +191,18 @@ class UnitarySpec:
                 if not np.isfinite(part).all():
                     return None
                 with np.errstate(over="ignore", invalid="ignore"):  # the constructor warns
-                    if not _deviation(part).max() <= UNITARITY_TOL:
+                    permutation, source = _permutations(part)
+                    dense = part[~permutation] if permutation.any() else part  # no copy of a dense chunk
+                    if dense.size and not _deviation(dense).max() <= UNITARITY_TOL:
                         return None
                 part.setflags(write=False)
+                source.setflags(write=False)
                 distinct.update(zip(chunk, part))
+                kept = permutation.tolist()
+                sources.update((key, rows if keep else None) for key, rows, keep in zip(chunk, source, kept))
         specs = [object.__new__(cls) for _ in leaves]  # checked above, as the constructor checks
         for spec, leaf, key, depth in zip(specs, leaves, ids, depths):
-            spec.leaf, spec.matrix, spec.declared_depth = leaf, distinct[key], depth
+            spec.leaf, spec.matrix, spec.declared_depth, spec.source = leaf, distinct[key], depth, sources[key]
         return dict(zip(leaves, specs))
 
     @property
@@ -207,7 +228,8 @@ class UnitarySpec:
 
 
 class SparseState:
-    """A sparse statevector: ``{basis key -> amplitude}``."""
+    """A sparse statevector: ``{basis key -> amplitude}``.  Every amplitude
+    given is finite: a NaN or infinite one is refused, as in a state document."""
 
     __slots__ = ("num_qubits", "amps")
 
@@ -217,7 +239,9 @@ class SparseState:
         if amps:
             limit = 1 << num_qubits
             for key, amp in amps.items():
-                self.amps[check_int(key, "basis keys", 0, limit)] = complex(amp)
+                value = self.amps[check_int(key, "basis keys", 0, limit)] = complex(amp)
+                if not cmath.isfinite(value):
+                    raise InvalidParameterError(f"amplitudes must be finite, got {value!r} for basis key {_shown(key)}")
 
     def prune(self) -> "SparseState":
         """Drop the amplitudes of magnitude at most :data:`PRUNE_TOL`."""
@@ -287,7 +311,7 @@ def superpose(terms: Iterable[tuple[complex, SparseState]]) -> SparseState:
     if len(sizes) != 1:
         raise InvalidParameterError("all terms must live on the same number of qubits")
     weight = sum(abs(amp) ** 2 for amp, _ in terms)
-    if abs(weight - 1.0) > NORM_TOL:
+    if not abs(weight - 1.0) <= NORM_TOL:  # a NaN weight too
         raise InvalidParameterError(
             f"term amplitudes must form a unit vector, got squared norm {weight:.12f}"
         )
@@ -303,6 +327,31 @@ def _deviation(stack: np.ndarray) -> np.ndarray:
     ``(..., d, d)`` stack."""
     identity = np.eye(stack.shape[-1])
     return np.abs(stack.conj().swapaxes(-1, -2) @ stack - identity).max(axis=(-2, -1))
+
+
+def _permutations(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which matrices of a complex ``(..., d, d)`` stack are permutations,
+    every entry exactly 0 or 1 with one 1 in each row and each column, and
+    for each the ``(2, d)`` gather indices of :attr:`UnitarySpec.source`:
+    the column of each row's 1, then the row of each column's 1 (the column
+    of each row's 1 in the conjugate transpose).  Those of other matrices
+    mean nothing.
+
+    The entries are read as their real and imaginary parts side by side:
+    a permutation's parts are all 0 or 1, each row's parts add up to 1, and
+    the rows' parts of 1 sit at distinct even places (real parts)."""
+    d = stack.shape[-1]
+    parts = np.ascontiguousarray(stack).view(np.float64)
+    ones = parts == 1
+    permutation = (ones | (parts == 0)).all(axis=(-2, -1))
+    source = np.zeros((*stack.shape[:-2], 2, d), dtype=np.intp)
+    if permutation.any():  # a stack of dense unitaries stops at the first test
+        place = ones.argmax(axis=-1)  # each row's first part of 1, at twice its column if real
+        permutation &= (parts.sum(axis=-1) == 1).all(axis=-1)
+        permutation &= (np.sort(place, axis=-1) == np.arange(0, 2 * d, 2)).all(axis=-1)
+        source[..., 0, :] = place >> 1
+        source[..., 1, :] = np.argsort(place, axis=-1)
+    return permutation, source
 
 
 def _check_budget(nbytes: int, what: str) -> None:
@@ -568,9 +617,14 @@ class _Rows:
         groups' amplitudes fill vectors over the target index, one scatter
         per run of blocks, and each hit block multiplies its groups' vectors
         with one stacked ``np.matmul``, bit for bit each ``matrix @ vector``.
-        Results come by group, then target index, without amplitudes of
-        magnitude at most :data:`PRUNE_TOL`.  Each block's group vectors,
-        then the new rows are checked against the budget before they are built."""
+        A block whose matrix is a permutation (its spec has a ``source``)
+        gathers its groups' vectors by that index instead, the inverse one
+        where daggered: each entry is the product's bit for bit, the sum of
+        one amplitude times 1 and of the others times 0, up to the sign of
+        a zero part.  Results come by group, then target index, without
+        amplitudes of magnitude at most :data:`PRUNE_TOL`.  Each block's
+        group vectors, then the new rows are checked against the budget
+        before they are built."""
         order = np.argsort(owner, kind="stable")
         untouched, hit = np.split(order, [np.count_nonzero(owner < 0)])
         if not hit.size:
@@ -605,9 +659,14 @@ class _Rows:
             vectors[group[r0:r1] - g0, index[r0:r1]] = self.amps[hit[r0:r1]]
             product = np.empty_like(vectors)
             on = np.flatnonzero(counts[b0:b1]) + b0
-            for b, lo, hi in zip(on.tolist(), (gptr[on] - g0).tolist(), (gptr[on + 1] - g0).tolist()):
-                matrix = specs[b].matrix.conj().T if blocks.dagger[b] else specs[b].matrix
-                np.matmul(matrix[None], vectors[lo:hi, :, None], out=product[lo:hi, :, None])
+            for b, lo, hi, dagger in zip(on.tolist(), (gptr[on] - g0).tolist(), (gptr[on + 1] - g0).tolist(),
+                                         blocks.dagger[on].tolist()):
+                spec = specs[b]
+                if spec.source is not None:  # the indices are in range; "wrap" skips the buffering of "raise"
+                    np.take(vectors[lo:hi], spec.source[int(dagger)], axis=1, out=product[lo:hi], mode="wrap")
+                else:
+                    matrix = spec.matrix.conj().T if dagger else spec.matrix
+                    np.matmul(matrix[None], vectors[lo:hi, :, None], out=product[lo:hi, :, None])
             kept, target_index = np.nonzero(np.abs(product) > PRUNE_TOL)
             parts.append((g0 + kept, target_index, product[kept, target_index]))
             del vectors, product  # before the next run's

@@ -334,8 +334,8 @@ class RegisterMap:
     @cached_property
     def labelled_rows(self) -> tuple[tuple[str, str, int, int], ...]:
         """:attr:`rows` as ``(kind, node label, start, size)`` tuples."""
-        rows = self.rows
-        labels = [label_of(value, depth) for depth, value in zip(rows.depth.tolist(), rows.value.tolist())]
+        rows, names = self.rows, _labels(self.n)
+        labels = [names[depth][value] for depth, value in zip(rows.depth.tolist(), rows.value.tolist())]
         kinds = [REGISTER_KINDS[kind] for kind in rows.kind.tolist()]
         return tuple(zip(kinds, labels, rows.start.tolist(), rows.size.tolist()))
 

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError, StructuralError, check_int
+from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError, StructuralError, _shown, check_int
 from .ir import Circuit
 from .sim import (
     BATCH_BUDGET_BYTES,
@@ -98,10 +98,13 @@ def _check_payload(what: str, m: int, k: Sequence[int]) -> None:
     """Refuse an instance whose payload matrices, one complex
     ``2**(m + k_z)``-square matrix per leaf, would not fit the simulator's
     budget, before any of them is built.  Past ``2**64`` bytes, which the
-    largest matrix alone shows, the sum (a huge int for a huge m or k) is not built."""
+    largest matrix alone shows, the sum (a huge int for a huge m or k) is not built.
+    ``what`` shows ``m`` and the widths, and the message the exponent,
+    through :func:`~qramforge.errors._shown`, so an int too long to print in
+    decimal is refused like any other."""
     top = 2 * (m + max(k)) + 4  # the largest matrix takes 2**top bytes
     if top > 64:
-        raise ResourceLimitError(f"the payload matrices of {what} would take at least 2**{top} bytes, over the "
+        raise ResourceLimitError(f"the payload matrices of {what} would take at least 2**{_shown(top)} bytes, over the "
                                  f"simulator's budget of {BATCH_BUDGET_BYTES}", limit=BATCH_BUDGET_BYTES)
     _check_budget(sum(16 << 2 * (m + width) for width in k), f"the payload matrices of {what}")
 
@@ -110,7 +113,7 @@ def build_qram_instance(n: int, m: int) -> InstanceSpec:
     """Classical-memory access: each leaf holds ``m`` memory qubits and the
     payload XORs them into the result, ``|r, s> -> |r XOR s, s>``."""
     _validate_sizes(n, m)
-    _check_payload(f"qram(n={n}, m={m})", m, (m,) * (1 << n))
+    _check_payload(f"qram(n={n}, m={_shown(m)})", m, (m,) * (1 << n))
     dim = 1 << (2 * m)
     low = (1 << m) - 1
     matrix = np.zeros((dim, dim))
@@ -128,7 +131,7 @@ def build_table_lookup_instance(
     ``table[z]`` into the result, ``|r> -> |r XOR f(z)>``."""
     _validate_sizes(n, m)
     check_int(seed, "seeds", 0)
-    _check_payload(f"table_lookup(n={n}, m={m})", m, (0,) * (1 << n))
+    _check_payload(f"table_lookup(n={n}, m={_shown(m)})", m, (0,) * (1 << n))
     if table is None:
         rng = np.random.default_rng(seed)
         table = [int(v) for v in rng.integers(0, 1 << m, size=1 << n)]
@@ -158,7 +161,7 @@ def build_rotation_instance(n: int, fraction_bits: int) -> InstanceSpec:
     """
     _validate_sizes(n, 1)
     check_int(fraction_bits, "fraction widths", 1)
-    _check_payload(f"rotation(n={n}, fraction_bits={fraction_bits})", 1, (fraction_bits,) * (1 << n))
+    _check_payload(f"rotation(n={n}, fraction_bits={_shown(fraction_bits)})", 1, (fraction_bits,) * (1 << n))
     dim = 1 << (1 + fraction_bits)
     matrix = np.zeros((dim, dim), dtype=complex)
     for s in range(1 << fraction_bits):
@@ -195,7 +198,7 @@ def build_random_instance(
     _validate_sizes(n, m)
     check_int(seed, "seeds", 0)
     k_values = _normalize_k(n, k)
-    _check_payload(f"random(n={n}, m={m}, k={max(k_values)} at most)", m, k_values)
+    _check_payload(f"random(n={n}, m={_shown(m)}, k={_shown(max(k_values))} at most)", m, k_values)
     matrices = {}
     for width in sorted(set(k_values)):
         dim, leaves = 1 << (m + width), [z for z, k_z in enumerate(k_values) if k_z == width]
@@ -364,6 +367,11 @@ class CaseResult:
         }
 
 
+#: One case row of :meth:`VerificationReport.format_table`: label (padded to
+#: the widest), fidelity, residual, memory invariant and verdict.
+_CASE_ROW = "%-*s  %18.12f  %12.3e  %5s  %s"
+
+
 @dataclass
 class VerificationReport:
     instance: str
@@ -411,21 +419,23 @@ class VerificationReport:
         )
 
     def format_table(self) -> str:
-        width = max(len(case.label) for case in self.cases)
-        width = max(width, len("case"))
-        lines = [
+        """The cases as aligned rows, rendered from one template joined over
+        all of them and filled from their columns, then the summary."""
+        cases = self.cases
+        labels = [case.label for case in cases]
+        width = max(max(map(len, labels)), len("case"))
+        values = [width] * (6 * len(cases))
+        values[1::6] = labels
+        values[2::6] = [case.fidelity for case in cases]
+        values[3::6] = [case.ancilla_residual for case in cases]
+        values[4::6] = ["yes" if case.mem_invariant else "NO" for case in cases]
+        values[5::6] = ["pass" if case.passed else "FAIL" for case in cases]
+        return "\n".join([
             f"{'case':<{width}}  {'fidelity':>18}  {'residual':>12}  {'mem':>5}  ok",
             "-" * (width + 48),
-        ]
-        for case in self.cases:
-            lines.append(
-                f"{case.label:<{width}}  {case.fidelity:>18.12f}  "
-                f"{case.ancilla_residual:>12.3e}  "
-                f"{'yes' if case.mem_invariant else 'NO':>5}  "
-                f"{'pass' if case.passed else 'FAIL'}"
-            )
-        lines.append(self.summary())
-        return "\n".join(lines)
+            "\n".join([_CASE_ROW] * len(cases)) % tuple(values),
+            self.summary(),
+        ])
 
 
 # ---------------------------------------------------------------------------

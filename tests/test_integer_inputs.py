@@ -142,6 +142,21 @@ def test_refusals_name_the_rule_and_the_value():
         assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_qram_instance(1, 10**5000),
+    lambda: build_table_lookup_instance(1, 10**5000),
+    lambda: build_rotation_instance(1, 10**5000),
+    lambda: build_random_instance(1, 1, 10**5000),
+    lambda: build_random_instance(1, 10**5000),
+])
+def test_builders_refuse_a_width_too_long_to_print(build):
+    """A payload width past the decimal printing limit is refused by the
+    budget, and the message shows it by its size, not by a ValueError."""
+    with pytest.raises(ResourceLimitError) as excinfo:
+        build()
+    assert "an int of 16610 bits" in str(excinfo.value)
+
+
 @pytest.mark.parametrize("block", [True, 2.0])
 def test_a_fanout_layout_of_a_bad_block_is_refused_before_any_document(block):
     """A layout the parser would refuse is not built: a valid block size

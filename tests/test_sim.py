@@ -25,8 +25,14 @@ from qramforge import (
     allocate_registers,
     apply_gate,
     basis_state,
+    build_custom_instance,
+    build_qram_instance,
     build_random_instance,
     build_table_lookup_instance,
+    check_linearity,
+    check_proposition,
+    check_variant_agreement,
+    concat,
     run_batch,
     run_circuit,
     superpose,
@@ -92,11 +98,16 @@ def test_unitary_spec_equality():
     assert a != UnitarySpec("0", np.eye(2), declared_depth=3)
 
 
-def _stack_inputs(count: int = 8):
-    """Labels, matrices of two sizes and depths for the bulk constructor."""
+def _stack_inputs(count: int = 8, permutations: bool = False):
+    """Labels, matrices of two sizes and depths for the bulk constructor:
+    Haar-random unitaries, or permutations of float, int and bool dtypes."""
     rng = np.random.default_rng(5)
     leaves = [format(v, "03b") for v in range(count)]
-    matrices = [_random_unitary(rng, 2 << (v % 2)) for v in range(count)]
+    if permutations:
+        dtypes = (bool, float, np.int64, complex)  # the faults change the float matrix 5
+        matrices = [np.eye(2 << (v % 2), dtype=dtypes[v % 4])[rng.permutation(2 << (v % 2))] for v in range(count)]
+    else:
+        matrices = [_random_unitary(rng, 2 << (v % 2)) for v in range(count)]
     return leaves, matrices, [1 + v % 3 for v in range(count)]
 
 
@@ -125,6 +136,10 @@ FAULTS = {
     "size": lambda mp, z, u, d: u.__setitem__(5, np.eye(3)),
     "non-finite": lambda mp, z, u, d: u[5].__setitem__((0, 1), np.nan),
     "non-unitary": lambda mp, z, u, d: u.__setitem__(5, u[5] * (1 + 1e-9)),
+    "repeated row": lambda mp, z, u, d: u.__setitem__(5, np.eye(4)[[0, 0, 2, 3]]),
+    "repeated column": lambda mp, z, u, d: u.__setitem__(5, np.eye(4)[:, [0, 0, 2, 3]]),
+    "zero row": lambda mp, z, u, d: u.__setitem__(5, np.diag([0.0, 1, 1, 1])),
+    "two ones in a row": lambda mp, z, u, d: u.__setitem__(5, np.eye(4) + np.diag([1.0, 0, 0], k=1)),
     "depth": lambda mp, z, u, d: d.__setitem__(5, 0),
     "boolean depth": lambda mp, z, u, d: d.__setitem__(5, True),
     "budget": _budget,
@@ -135,7 +150,33 @@ FAULTS = {
 def test_unitary_spec_stack_raises_the_constructors_first_fault(fault, monkeypatch):
     """A fault at a later leaf raises the type and message the constructor
     raises for that leaf, and a second fault after it stays unreported."""
-    leaves, matrices, depths = _stack_inputs()
+    _stack_fault(fault, monkeypatch, _stack_inputs())
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_unitary_spec_stack_of_permutations_raises_the_constructors_first_fault(fault, monkeypatch):
+    """Among permutations, which the stack and the constructor recognise
+    without the product, each fault is refused as among dense unitaries."""
+    _stack_fault(fault, monkeypatch, _stack_inputs(permutations=True))
+
+
+def test_unitary_spec_stack_of_permutations_matches_the_constructor():
+    """Permutations of every dtype give the constructor's specs and
+    ``source``: the column of each row's 1, of the matrix and of its
+    conjugate transpose."""
+    leaves, matrices, depths = _stack_inputs(permutations=True)
+    specs = UnitarySpec.stack(leaves, matrices, depths)
+    for leaf, matrix, depth in zip(leaves, matrices, depths):
+        alone, spec = UnitarySpec(leaf, matrix, depth), specs[leaf]
+        assert spec == alone and spec.source.tobytes() == alone.source.tobytes()
+        rows = np.arange(len(matrix))
+        assert (spec.matrix[rows, spec.source[0]] == 1).all() and (spec.matrix.T[rows, spec.source[1]] == 1).all()
+        with pytest.raises(ValueError):
+            spec.source[0, 0] = 1  # stored read-only
+
+
+def _stack_fault(fault, monkeypatch, inputs):
+    leaves, matrices, depths = inputs
     FAULTS[fault](monkeypatch, leaves, matrices, depths)
     depths[7] = -1
     with pytest.raises(QramForgeError) as expected:
@@ -358,6 +399,17 @@ def test_sparse_state_basics():
     assert len(state) == 2
     with pytest.raises(InvalidParameterError):
         SparseState(2, {4: 1.0})  # key out of range
+
+
+@pytest.mark.parametrize("amp", [float("nan"), complex("inf"), complex(1, float("-inf")), complex(0, float("nan"))])
+def test_sparse_state_refuses_amplitudes_that_are_not_finite(amp):
+    """As a state document does: a NaN or infinite amplitude would reach
+    the payloads, where no two ways of multiplying agree on it, and a NaN
+    norm drift passes the norm check."""
+    with pytest.raises(InvalidParameterError, match="amplitudes must be finite"):
+        SparseState(3, {0: 0.6, 1: amp})
+    with pytest.raises(InvalidParameterError, match="unit vector"):
+        superpose([(amp, SparseState(3, {0: 1.0})), (0.0, SparseState(3, {1: 1.0}))])
 
 
 def test_superpose():
@@ -790,6 +842,141 @@ def test_stacked_matmul_is_each_groups_matvec_bit_for_bit(dagger):
         vectors[:, rng.random(dim) < 0.5] = 0
         stacked = np.matmul(matrix[None], vectors[:, :, None])[..., 0]
         assert stacked.tobytes() == np.array([matrix @ vector for vector in vectors]).tobytes(), dim
+
+
+def _no_permutations(monkeypatch):
+    """Turn recognition off: every matrix takes the dense product."""
+    def none(stack):
+        return np.zeros(stack.shape[:-2], dtype=bool), np.zeros((*stack.shape[:-2], 2, stack.shape[-1]), dtype=np.intp)
+
+    monkeypatch.setattr(sim, "_permutations", none)
+
+
+def _permutation_states(layout, rng, count=24):
+    """Basis states and complex address superpositions on ``layout``, some
+    with terms near :data:`~qramforge.sim.PRUNE_TOL`."""
+    near = (1 + 1e-6, 1 - 1e-6, 1.0)  # just above, just below and at the tolerance
+    states = []
+    for i in range(count):
+        result, mem = int(rng.integers(0, 1 << layout.m)), [int(rng.integers(0, 1 << k)) for k in layout.k]
+        addresses = rng.choice(1 << layout.n, size=1 + i % 4, replace=False).tolist()
+        amps = {}
+        for j, address in enumerate(addresses):
+            key = next(iter(basis_state(layout, address, result, mem).amps))
+            phase = complex(rng.standard_normal(), rng.standard_normal())
+            scale = 0.5 if j == 0 else sim.PRUNE_TOL * near[j - 1]
+            amps[key] = scale * phase / abs(phase) if len(addresses) > 1 else 1.0 + 0j
+        states.append(SparseState(layout.total_qubits, amps))
+    return states
+
+
+def _final_rows(states, circuit, unitaries):
+    keys = [key for state in states for key in state.amps]
+    amps = [amp for state in states for amp in state.amps.values()]
+    rows = sim._Rows.of_keys(keys, amps, [len(state) for state in states], circuit.layout.total_qubits)
+    sim._run_moments(rows, sim._Moments(circuit.columns, circuit.layout.total_qubits), unitaries)
+    return rows.words.tobytes(), rows.amps.view(np.float64).tobytes(), rows.case.tobytes()
+
+
+PERMUTATION_INSTANCES = {
+    "table_lookup": lambda: build_table_lookup_instance(3, 3, seed=4),
+    "qram": lambda: build_qram_instance(2, 2),
+    # cyclic shifts are not their own inverses, as the XOR payloads are
+    "cyclic": lambda: build_custom_instance(2, 2, 1, UnitarySpec.stack(
+        ["00", "01", "10", "11"], [np.roll(np.eye(8), z + 1, axis=0) for z in range(4)])),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PERMUTATION_INSTANCES))
+def test_permutation_gather_matches_the_dense_product(family, monkeypatch):
+    """Permutation payloads gather their groups' amplitudes: the rows (words,
+    amplitude bits and cases) equal those of the dense product with
+    recognition turned off, on plain and daggered blocks, for basis states
+    and complex superpositions with terms near the pruning tolerance; so do
+    the checkers' reports."""
+    build = PERMUTATION_INSTANCES[family]
+    gathered = build()
+    assert all(spec.source is not None for spec in gathered.unitaries.values())
+    with monkeypatch.context() as patch:
+        _no_permutations(patch)
+        dense = build()
+    assert all(spec.source is None for spec in dense.unitaries.values())
+    assert dense.unitaries == gathered.unitaries
+    layout = gathered.layout()
+    circuit = synth_access(layout, gathered.unitaries)
+    states = _permutation_states(layout, np.random.default_rng(5))
+    for run in (circuit, circuit.adjoint(), concat(circuit, circuit.adjoint())):
+        assert any(run.columns.dagger) == (run is not circuit)
+        assert _final_rows(states, run, gathered.unitaries) == _final_rows(states, run, dense.unitaries)
+    for check in (check_proposition, check_linearity):
+        one, other = check(gathered), check(dense)
+        assert one.passed
+        assert [case.to_dict() for case in one.cases] == [case.to_dict() for case in other.cases]
+    for case in check_proposition(gathered, assignments=2).cases:
+        assert case.fidelity == 1.0
+
+
+def test_a_permutation_gather_is_the_matvec_bit_for_bit():
+    """Gathering a vector by a permutation's ``source`` gives ``matrix @
+    vector`` bit for bit, and ``matrix^H @ vector`` by the second index,
+    on vectors of complex amplitudes with exact zeros between them."""
+    rng = np.random.default_rng(12)
+    for dim in (2, 4, 8, 16, 32, 64, 128):
+        matrix = np.eye(dim)[rng.permutation(dim)]
+        spec = UnitarySpec("0", matrix)
+        vectors = rng.standard_normal((5, dim)) + 1j * rng.standard_normal((5, dim))
+        vectors[:, rng.random(dim) < 0.5] = 0
+        for source, applied in zip(spec.source, (spec.matrix, spec.matrix.conj().T)):
+            expected = np.matmul(applied[None], vectors[:, :, None])[..., 0]
+            assert np.take(vectors, source, axis=1).tobytes() == expected.tobytes(), dim
+
+
+NEAR_PERMUTATIONS = {
+    "monomial with -1": np.array([[0, -1], [1, 0]], dtype=complex),
+    "monomial with i": np.array([[0, 1j], [1, 0]], dtype=complex),
+    "diagonal phases": np.diag([1, -1, 1j, 1]).astype(complex),
+    "permutation with a 1e-17 entry": np.array([[0, 1, 1e-17, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    "permutation with a 1e-17j entry": np.array([[0, 1], [1, 1e-17j]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_PERMUTATIONS))
+def test_near_permutations_take_the_dense_product(name, monkeypatch):
+    """A unitary that is not exactly 0 or 1 everywhere keeps no ``source``,
+    in the constructor and in the stack, and its blocks multiply densely."""
+    matrix = NEAR_PERMUTATIONS[name]
+    dim = len(matrix)
+    assert UnitarySpec("0", matrix).source is None
+    assert UnitarySpec.stack(["0", "1"], [matrix, np.eye(dim)])["0"].source is None
+    products = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: products.append(1) or matmul(*args, **kwargs))
+    layout = allocate_registers(1, dim.bit_length() - 1)
+    unitaries = {"0": UnitarySpec("0", matrix), "1": UnitarySpec("1", np.eye(dim))}
+    gates = [Gate.controlled_opaque(0, layout.result_qubits, "0"), Gate.controlled_opaque(0, layout.result_qubits, "1")]
+    circuit = Circuit.from_moments(layout, [[gate] for gate in gates])
+    state = SparseState(layout.total_qubits, {1 | 1 << layout.n: 0.6, 1: 0.8j})
+    out = run_circuit(state, circuit, unitaries)
+    assert len(products) == 1  # the identity, a permutation, gathers
+    expected = dense_run_circuit(dense_from_sparse(state), circuit, unitaries)
+    assert np.allclose(dense_from_sparse(out), expected, atol=1e-15)
+
+
+def test_permutations_are_recognised_once_per_distinct_matrix(monkeypatch):
+    """Recognition runs in the payload check, once per distinct matrix, and
+    never while the blocks are applied."""
+    seen = []
+    permutations = sim._permutations
+    monkeypatch.setattr(sim, "_permutations", lambda stack: seen.append(len(stack)) or permutations(stack))
+    instance = build_table_lookup_instance(3, 2, table=[0, 1, 1, 2, 2, 2, 3, 0])
+    assert sum(seen) == 4
+    UnitarySpec.stack(["0", "1", "10"], [np.eye(4)] * 2 + [np.diag([1, -1, 1, 1])])
+    assert sum(seen) == 6
+    UnitarySpec("0", np.eye(2))
+    assert sum(seen) == 7
+    assert check_proposition(instance, assignments=4).passed and check_linearity(instance).passed
+    assert check_variant_agreement(instance).passed
+    assert sum(seen) == 7
 
 
 def test_opaque_targets_are_register_bit_fields():

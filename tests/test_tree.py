@@ -120,6 +120,21 @@ def test_register_rows_are_the_accessor_spans(layout):
     assert rows.size.min() > 0
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_labelled_rows_index_the_cached_labels_as_label_of_names_them(n):
+    """The labels come from the cached per-level tuples; each row's tuple is
+    the one ``label_of`` names, with and without fan-out copies."""
+    for layout in (allocate_registers(n, 4, [z % 3 for z in range(1 << n)]),
+                   allocate_registers(n, 4, 1).with_fanout_copies(2)):
+        rows = layout.rows
+        expected = tuple(
+            (REGISTER_KINDS[kind], label_of(value, depth), start, size)
+            for kind, depth, value, start, size in zip(*(column.tolist() for column in rows))
+        )
+        assert layout.labelled_rows == expected
+    assert any(kind == "copy" for kind, *_ in layout.labelled_rows)
+
+
 def test_numbering_order():
     layout = allocate_registers(2, 1, 1)
     # address and result lead, then levels in ascending label order

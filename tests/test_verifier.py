@@ -38,7 +38,7 @@ from qramforge import (
     synth_access,
     SparseState,
 )
-from qramforge.verifier import DEFAULT_SEED
+from qramforge.verifier import DEFAULT_SEED, CaseResult, VerificationReport
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -411,6 +411,33 @@ def test_report_serialization():
     assert report.summary() in table
     assert report.summary().startswith("PASS proposition on qram")
     assert table.count("pass") >= 16
+
+
+def _reference_table(report) -> str:
+    """The report table as one f-string per case."""
+    width = max(max(len(case.label) for case in report.cases), len("case"))
+    lines = [f"{'case':<{width}}  {'fidelity':>18}  {'residual':>12}  {'mem':>5}  ok", "-" * (width + 48)]
+    for case in report.cases:
+        lines.append(f"{case.label:<{width}}  {case.fidelity:>18.12f}  {case.ancilla_residual:>12.3e}  "
+                     f"{'yes' if case.mem_invariant else 'NO':>5}  {'pass' if case.passed else 'FAIL'}")
+    return "\n".join([*lines, report.summary()])
+
+
+def test_format_table_renders_each_case_as_the_f_string_reference():
+    """The one template joined over the cases gives the per-case f-strings'
+    bytes, on real reports and on floats a check can report: NaN,
+    infinities, signed zeros, subnormals, and labels of every width."""
+    reports = [check_variant_agreement(build_random_instance(2, 1, 1, seed=3)),
+               check_linearity(build_qram_instance(2, 1), num_cases=3)]
+    values = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1 - 1e-13, 1e300, 0.999999999999995]
+    cases = [
+        CaseResult("y=" + "01" * i, values[i % len(values)], values[(3 * i) % len(values)], i % 3 > 0, i % 2 > 0)
+        for i in range(20)
+    ]
+    reports.append(VerificationReport("x", "proposition", {}, 1e-10, 1e-12, cases, 0.25))
+    reports.append(VerificationReport("x", "proposition", {}, 1e-10, 1e-12, cases[:1], 0.25))  # a label under "case"
+    for report in reports:
+        assert report.format_table() == _reference_table(report)
 
 
 def test_check_linearity_passes():
