@@ -4,7 +4,7 @@ A circuit is a list of *moments*; each moment is a set of gates acting on
 pairwise-disjoint qubits (controls count as acting).  A circuit is its
 :class:`GateColumns`, one row of numpy columns per gate, sorted by moment.
 :meth:`GateColumns.of_flat` writes every gate list but the synthesis
-placer's (:meth:`GateColumns.build`), and only this module indexes the
+Down phase's (:meth:`GateColumns.build`), and only this module indexes the
 opaque-block table.  :meth:`Circuit.from_moments` takes explicit moments,
 and :meth:`Circuit.append` places one gate in the earliest moment after
 the last moment that uses one of its qubits.

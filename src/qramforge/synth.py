@@ -24,8 +24,8 @@ as controls, and the only qubit it can share with a deeper level's routing
 gates is such a flag, used there as a control as well; gates that overlap
 only on controls commute.  The split matters for depth: interleaved emission
 would serialize ``m`` swaps per level on the level's life flags, whereas the
-split lets the greedy scheduler pipeline the hand-down diagonally across
-levels for an overall ``O(n + m)`` critical path.
+split pipelines the hand-down diagonally across levels for an overall
+``O(n + m)`` critical path.
 
 Fan-out variant
 ---------------
@@ -37,14 +37,30 @@ instead of ``m + O(1)``.  The default block size is ``ceil(sqrt(m))``.  When
 ``ceil(m/s) < 2`` the copies would add nothing and the plain hand-down is
 emitted (with ``m = 1`` each level degenerates to its single Fredkin pair).
 
-Placement
----------
-Down is placed as soon as possible, in the order above, node by node, one
-*chain* at a time: a run of gates in which each gate shares a qubit with the
-one before it, such as the selector's Toffoli/X/Toffoli/X run, each block of
-a child's swaps on one control, or a copy ladder.  One call places a chain
-for every node of a level, so a Down phase makes a fixed number of
-placement calls per level whatever ``m`` is (the rule is in :class:`_Placer`).
+Schedule
+--------
+Each Down gate sits in the earliest moment after the earlier gates, in the
+order above, that share a qubit with it.  That placement obeys per-node
+laws, and Down is built from them.  Let ``p = 1`` when the preparation
+fills moment 0 (else 0), and let node ``x`` at level ``k`` have ``z`` zeros
+in its label:
+
+- its address copies sit in moment ``p + k``, after level ``k - 1`` wrote
+  the bits they read;
+- its selector chain sits in moments ``r(x) .. r(x) + 3``, with
+  ``r(x) = p + k + 2z``: it waits for ``life_x``, which the parent's first
+  Toffoli lights for a right child and its second for a left one;
+- the swaps from ``x`` to a child come in blocks of ``s`` (``s = m``
+  without copies), swap ``i`` of block ``b`` at ``max(ready_b, P_b + 1) + i``.
+  ``ready_b`` is one past the last use of the block's control: the child's
+  life flag, last used by the second Toffoli of the child's own selector
+  chain (at a leaf, by ``x``'s Toffoli that lit it), or copy ``b`` of the
+  ladder that follows the flag one gate a moment.  ``P_b`` is the start of
+  the block before on the same bits of ``res_x``: the block that handed
+  them to ``x`` for the left child (``p - 1`` at the root), the left
+  child's for the right one;
+- the undo ladder is one chain, each gate after the later last use of its
+  two qubits.
 
 Run and Up
 ----------
@@ -101,137 +117,72 @@ class SynthesisOptions:
         return check_int(s, "fan-out block sizes", 1, m + 1)
 
 
-class _Placer:
-    """ASAP placement of gates emitted one tree level at a time, a chain at
-    a time.
-
-    Each gate goes in the earliest moment after the last moment of every
-    qubit it uses, and after the preparation (see :meth:`prepare`).  Gates
-    are placed in *chains*: runs in which each gate shares a qubit with the
-    gate before it.  Let ``f[i]`` be one past the latest frontier over gate
-    ``i``'s own qubits, read before the chain is placed.  Any of those
-    qubits that an earlier gate of the chain used was last used no later
-    than gate ``i - 1``, so gate ``i`` goes in moment
-    ``max(moment[i - 1] + 1, f[i])``, which for a whole chain is
-    ``maximum.accumulate(f - i) + i``.  Every node of a level places the
-    same chains, and the nodes of one level touch disjoint qubits, so one
-    call places a chain for all of a level's nodes at once, and each gate
-    gets the moment that placing the gates one by one would give it.
-
-    A level's gates are kept node by node, then in the order of placing
-    (see :meth:`close`); a stable sort on the moment then gives every moment
-    its gates in that order.
-    """
-
-    def __init__(self, layout: RegisterMap):
-        # the spare last entry is what the -1 padding of ``ops`` reads; no gate writes it
-        self.frontier = np.full(layout.total_qubits + 1, -1, dtype=np.int32)
-        self.open: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.kind: list[np.ndarray] = []
-        self.ops: list[np.ndarray] = []
-        self.moment: list[np.ndarray] = []
-
-    def chains(self, kind: int | tuple[int, ...], ops: np.ndarray, count: int | None = None) -> None:
-        """Place the chains ``ops``, shaped ``(nodes, chains, length, 3)``:
-        each gate's qubits, controls first, padded with -1.  The chains of
-        one call touch disjoint qubits, and each node's chains repeat a
-        qubit wherever node 0's do.  ``kind`` is the kind code of the gates,
-        or of each place in a chain.  A node keeps its first ``count`` gates
-        (default all), chain by chain; the gates past them must be all -1,
-        and they move no frontier."""
-        nodes, _, length, _ = ops.shape
-        step = np.arange(length, dtype=np.int32)
-        seen = self.frontier.take(ops)
-        f = np.maximum(seen[..., 0], seen[..., 1])
-        np.maximum(f, seen[..., 2], out=f)
-        f -= step - 1
-        moment = np.maximum.accumulate(f, axis=2) + step
-        kind = np.full(moment.shape[1:], kind, dtype=np.int8).ravel()
-        moment, ops = moment.reshape(nodes, -1), ops.reshape(nodes, -1, 3)
-        # numpy does not say which of repeated fancy-index writes wins, so
-        # only the last use of each qubit, in node 0's placing order, is written
-        flat = ops[0].ravel()
-        order = np.argsort(flat, kind="stable")
-        ranked = flat[order]
-        last = order[(ranked >= 0) & np.append(ranked[1:] != ranked[:-1], True)]
-        self.frontier[ops.reshape(nodes, -1)[:, last].astype(np.intp)] = moment[:, last // 3]
-        self.open.append((kind[:count], ops[:, :count], moment[:, :count]))
-
-    def close(self) -> None:
-        """Keep the gates placed since the last close, node by node, then in
-        the order of placing."""
-        kind, ops, moment = zip(*self.open)
-        self.kind.append(np.tile(np.concatenate(kind), len(ops[0])))
-        self.ops.append(np.concatenate(ops, axis=1).reshape(-1, 3))
-        self.moment.append(np.concatenate(moment, axis=1).ravel())
-        self.open = []
-
-    def prepare(self, qubit: int) -> None:
-        """The preparation ``X`` on ``qubit``, alone in the first moment:
-        every later gate goes after it, as if it used every qubit."""
-        self.chains(X, _gates(np.full((1, 1, 1), qubit)))
-        self.close()
-        np.maximum(self.frontier, 0, out=self.frontier)
-
-    def columns(self) -> GateColumns:
-        moment = np.concatenate(self.moment)
-        num_moments = int(moment.max()) + 1
-        # numpy sorts keys of up to 16 bits by radix, several times faster
-        key = moment.astype(np.uint16) if num_moments <= 1 << 16 else moment
-        order = np.argsort(key, kind="stable")
-        return GateColumns.build(
-            np.concatenate(self.kind)[order], np.concatenate(self.ops).take(order, axis=0), moment[order], num_moments,
-        )
-
-
 def _gates(*operands: np.ndarray) -> np.ndarray:
     """``ops`` rows of gates on the given operands (controls first), each
-    broadcast to one shape ``(nodes, chains, length)``, padded with -1."""
+    broadcast to one shape, padded with -1."""
     ops = np.full((*np.broadcast(*operands).shape, 3), -1, dtype=np.int32)
     for column, q in enumerate(operands):
         ops[..., column] = q
     return ops
 
 
-def _routing(placer: _Placer, layout: RegisterMap, k: int) -> None:
-    """Steps 1-3 for every node of level ``k``: the address copies, each a
-    chain of one CNOT, then the chain of life-flag Toffolis on the selector."""
-    n = layout.n
-    level, below = layout.level(k), layout.level(k + 1)
-    adr, life = level.adr[:, None, None], level.life[:, None, None]
-    if k < n - 1:
-        j = np.arange(n - k - 1)[:, None]
-        placer.chains(CNOT, _gates(adr + j, below.adr[1::2, None, None] + j))
+def _steps(count: int) -> np.ndarray:
+    """``0 .. count - 1`` as int32, the dtype of the moments."""
+    return np.arange(count, dtype=np.int32)
+
+
+def _routing(layout: RegisterMap, k: int, p: int, r: np.ndarray):
+    """Steps 1-3 for every node of level ``k``, whose selector chains start
+    at moments ``r``: node by node, the address copies, then the selector
+    chain.  Returns the level's kinds, ops and moments."""
+    n, level, below = layout.n, layout.level(k), layout.level(k + 1)
+    adr, j = level.adr[:, None], np.arange(n - k - 1)  # no copies at the last level
     # Toffoli(selector, life, life_x1), X(selector), Toffoli(selector, life, life_x0), X(selector)
-    chain = _gates(np.broadcast_to(adr + (n - k - 1), (len(life), 1, 4)))
-    chain[:, :, ::2, 1] = life
-    chain[:, 0, ::2, 2] = below.life.reshape(-1, 2)[:, ::-1]
-    placer.chains((TOFFOLI, X, TOFFOLI, X), chain)
-    placer.close()
+    chain = _gates(np.broadcast_to(adr + (n - k - 1), (len(r), 4)))
+    chain[:, ::2, 1] = level.life[:, None]
+    chain[:, ::2, 2] = below.life.reshape(-1, 2)[:, ::-1]
+    moment = np.full((len(r), n - k + 3), p + k, dtype=np.int32)
+    moment[:, -4:] = r[:, None] + _steps(4)
+    kind = np.array([CNOT] * (n - k - 1) + [TOFFOLI, X, TOFFOLI, X], dtype=np.int8)
+    return kind, np.concatenate([_gates(adr + j, below.adr[1::2, None] + j), chain], axis=1), moment
 
 
-def _handdown(placer: _Placer, layout: RegisterMap, k: int, fanout: bool) -> None:
-    """Step 4 for every node of level ``k``.  Each child's ``m`` Fredkins
-    form blocks of ``s`` swaps, each block a chain on its own control: one
-    block on the child's life flag, or, for the fan-out variant on a layout
-    with copies, one block per life-flag copy, the copies made by a CNOT
-    ladder before the swaps and undone after them."""
+def _handdown(layout: RegisterMap, k: int, s: int, r: np.ndarray, start: np.ndarray):
+    """Step 4 for every node of level ``k``, whose selector chains start at
+    moments ``r`` and whose payload arrived in blocks starting at ``start``.
+    Each child's ``m`` Fredkins form blocks of ``s`` swaps, each block on
+    its own control: the child's life flag when ``s = m``, else one
+    life-flag copy per block, made by a CNOT ladder before the swaps and
+    undone after them.  Returns the level's kinds, ops and moments, node by
+    node, and the block starts of its children."""
     m, level, below = layout.m, layout.level(k), layout.level(k + 1)
-    s = layout.fanout_block if fanout and layout.fanout_block else m
-    index = np.arange(-(-m // s) * s).reshape(-1, s)  # the payload bit of each place of each block
-    res, lives = level.res[:, None, None], below.life.reshape(-1, 2, 1)
-    controls = lives
+    blocks, bit = -(-m // s), _steps(m)
+    block, place = np.divmod(bit, s)
+    # the moment after each child's life flag is last used: by the second
+    # Toffoli of its own selector chain, or at a leaf by the parent's that lit it
+    free = r[:, None, None] + np.array([[6], [4]] if k + 1 < layout.n else [[3], [1]], dtype=np.int32)
+    lives = below.life.reshape(-1, 2, 1)
+    controls, ready = lives, free
     if s < m:
-        controls = below.copy.reshape(-1, 2, 1) + np.arange(layout.copies_per_node)
-        ladders = _gates(np.concatenate([lives, controls[:, :, :-1]], axis=2), controls)
-        placer.chains(CNOT, ladders)
-    for child in (0, 1):
-        swaps = _gates(controls[:, child, :, None], res + index, below.res[child::2, None, None] + index)
-        swaps[:, index >= m] = -1  # the padding of a short last block
-        placer.chains(FREDKIN, swaps, m)
+        controls = below.copy.reshape(-1, 2, 1) + _steps(blocks)
+        ladders = _gates(np.concatenate([lives, controls[..., :-1]], axis=2), controls)
+        # ladder gate t sits at free + t; copy b is free once gate b + 1 has read it
+        ready = free + np.minimum(_steps(blocks) + 1, blocks - 1) + 1
+    first = np.maximum(ready[:, 0], start + 1)
+    starts = np.stack([first, np.maximum(ready[:, 1], first + 1)], axis=1)
+    swaps = _gates(controls[..., block], level.res[:, None, None] + bit, below.res.reshape(-1, 2, 1) + bit)
+    kind, ops, moment = [FREDKIN] * 2 * m, [swaps], [starts[..., block] + place]
     if s < m:
-        placer.chains(CNOT, ladders[:, :, ::-1])
-    placer.close()
+        # the undo ladder is one chain; its gate on copies b - 1 and b (the
+        # flag for b = 0) waits for the later last use of the two
+        used = np.concatenate([free, starts + np.minimum(s, m - s * _steps(blocks)) - 1], axis=2)
+        wait = np.maximum(used[..., 1:], used[..., :-1])[..., ::-1] + 1 - _steps(blocks)
+        kind = [CNOT] * 2 * blocks + kind + [CNOT] * 2 * blocks
+        ops = [ladders, *ops, ladders[:, :, ::-1]]
+        moment = [free + _steps(blocks), *moment, np.maximum.accumulate(wait, axis=2) + _steps(blocks)]
+    ops = np.concatenate([part.reshape(len(r), -1, 3) for part in ops], axis=1)
+    moment = np.concatenate([part.reshape(len(r), -1) for part in moment], axis=1)
+    return (np.array(kind, dtype=np.int8), ops, moment), starts.reshape(-1, blocks)
 
 
 def synth_down(layout: RegisterMap, options: SynthesisOptions | None = None) -> Circuit:
@@ -241,19 +192,30 @@ def synth_down(layout: RegisterMap, options: SynthesisOptions | None = None) -> 
     ``layout.with_fanout_copies(s)``; inspect ``circuit.layout``.
     """
     options = options or SynthesisOptions()
-    if options.variant == "fanout":
-        s = options.resolved_block(layout.m)
+    s = options.resolved_block(layout.m) if options.variant == "fanout" else None
+    if s:
         layout = layout.with_fanout_copies(s)
-    else:
-        s = None
-    placer = _Placer(layout)
-    if options.include_preparation:
-        placer.prepare(layout.life(ROOT))
+    p = int(options.include_preparation)
+    prepare = np.array([X], dtype=np.int8), _gates(np.full((1, 1), layout.life(ROOT))), np.zeros((1, 1), dtype=np.int32)
+    levels = [prepare] * p
+    r = [np.full(1, p, dtype=np.int32)]
     for k in range(layout.n):
-        _routing(placer, layout, k)
+        levels.append(_routing(layout, k, p, r[k]))
+        # the first Toffoli lights a right child's flag, the second a left child's
+        r.append((r[k][:, None] + np.array([3, 1], dtype=np.int32)).ravel())
+    block = (layout.fanout_block if s else None) or layout.m  # the sequential variant ignores copies
+    start = np.full((1, -(-layout.m // block)), p - 1, dtype=np.int32)
     for k in range(layout.n):
-        _handdown(placer, layout, k, s is not None)
-    circuit = Circuit(layout, placer.columns())
+        gates, start = _handdown(layout, k, block, r[k], start)
+        levels.append(gates)
+    kind = np.concatenate([np.tile(kind, len(ops)) for kind, ops, _ in levels])
+    ops = np.concatenate([ops.reshape(-1, 3) for _, ops, _ in levels])
+    moment = np.concatenate([moment.ravel() for *_, moment in levels])
+    num_moments = int(moment.max()) + 1
+    # numpy sorts keys of up to 16 bits by radix, several times faster
+    key = moment.astype(np.uint16) if num_moments <= 1 << 16 else moment
+    order = np.argsort(key, kind="stable")
+    circuit = Circuit(layout, GateColumns.build(kind[order], ops.take(order, axis=0), moment[order], num_moments))
     circuit.metadata.update(
         phase="down",
         variant=options.variant,

@@ -110,6 +110,23 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_the_parser_is_built_once(monkeypatch, capsys):
+    """Every command after the first reuses the first command's parser."""
+    import qramforge.cli as cli
+
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert main(["analyze", "--n", "1", "--m", "1", "--csv"]) == 0
+        assert main(["frobnicate"]) == 2
+        assert main(["analyze", "--n", "1", "--m", "1", "--csv"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -368,6 +385,10 @@ def test_simulate_bad_register_values_exit_2(lookup_doc, capsys):
     assert main(["simulate", "--circuit", str(lookup_doc), "--address", "7"]) == 2
     assert main(["simulate", "--circuit", str(lookup_doc), "--mem", "0,0,0"]) == 2
     capsys.readouterr()
+    # a value that is neither a bit string of the register's width nor a number
+    assert main(["simulate", "--circuit", str(lookup_doc), "--address", "abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --address: cannot interpret 'abc'\n" and captured.out == ""
 
 
 def test_simulate_missing_file_exits_2(tmp_path, capsys):

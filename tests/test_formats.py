@@ -109,6 +109,8 @@ QASM_SHA256 = {
     ("random", "--m", "1", "--k", "0,1,2,0,1,0,2,1"): "92f4ef9eaa81d3ef014619bfb7d1a19decab0b2bf4f40d5050c3279468c5827d",
     ("table_lookup", "--m", "4", "--variant", "fanout"): "d18b7d9ff519494f880eee2069931aced7ad0cbbe1df2d51e8133f5d1ba1299f",
     ("rotation", "--m", "2", "--phase", "up"): "148f169cf9d7abe86d8af253d2204c666b837aa515709166f995afad7d3433c4",
+    ("random", "--m", "1", "--k", "0,1,2,0,1,0,2,1", "--phase", "run"):
+        "f5cb10cead088a9b0c579d96f86bd937b11bb2147aa5fe0fd79f4baf2d607c11",
     ("random", "--m", "2", "--k", "0,1,2,0,1,0,2,1", "--phase", "up", "--variant", "fanout"):
         "39886e7264cca008676db03595bdfc0caf92992f50e265639cbdebac19c7f8a7",
 }
@@ -116,8 +118,8 @@ QASM_SHA256 = {
 
 @pytest.mark.parametrize("family", sorted(QASM_SHA256))
 def test_synth_qasm_is_pinned(family, capsys):
-    """Every family at n=3, a fan-out hand-down, the Up phase alone, and
-    random memory widths, whose opaque blocks take several targets."""
+    """Every family at n=3, a fan-out hand-down, the Up and Run phases
+    alone, and random memory widths, whose opaque blocks take several targets."""
     assert main(["synth", "--n", "3", "--format", "qasm", "--family", *family]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == QASM_SHA256[family]

@@ -322,6 +322,7 @@ HOSTILE = {
     "NaN entry": (_in_matrices("1.0,", "NaN,"), True),
     "Infinity entry": (_in_matrices("1.0,", "Infinity,"), True),
     "1e400 entry": (_in_matrices("1.0,", "1e400,"), True),
+    "malformed record": (_in_matrices("1.0,", "1.0,,"), False),
     "nested object in a record": (_in_matrices('"declared_depth": 1', '"declared_depth": {"d": 1}'), False),
     "brace in a string in a record": (_in_matrices('"declared_depth"', '"note": "}",\n      "declared_depth"'), False),
     "empty record": (GOLDEN.replace(_RECORD_0, "{}"), True),

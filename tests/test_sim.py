@@ -522,6 +522,8 @@ def test_run_circuit_checks_size():
     circuit.append(Gate.x(0))
     with pytest.raises(StructuralError):
         run_circuit(SparseState(3, {0: 1.0}), circuit)
+    with pytest.raises(StructuralError, match="gate on qubit 3 does not fit a 3-qubit state"):
+        apply_gate(SparseState(3, {0: 1.0}), Gate.cnot(0, 3))
     out = run_circuit(basis_state(LAYOUT, 0, 0), circuit)
     assert out.amps == {1: 1.0 + 0j}
     # a non-unit input keeps its norm
@@ -544,6 +546,23 @@ def test_run_circuit_detects_norm_drift():
         circuit.append(Gate.controlled_opaque(control, (target,), "0"))
     with pytest.raises(SimulationError):
         run_circuit(basis_state(layout, 0, 0), circuit, {"0": stretched})
+
+
+@pytest.mark.parametrize("amplitude", [1e155, 1e200])
+def test_run_circuit_refuses_a_norm_past_the_float_range(amplitude):
+    """Squaring such an amplitude overflows, so the norms read inf and their
+    drift NaN: the run is refused with the typed error and no warning."""
+    inst = build_random_instance(1, 1, seed=1)
+    circuit = synth_access(inst.layout(), inst.unitaries)
+    state = SparseState(circuit.layout.total_qubits, {0: amplitude})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError, match="drifted by nan"):
+            run_circuit(state, circuit, inst.unitaries)
+    # just inside the range, the same run is accepted with its norm kept
+    scale = 1e150
+    out = run_circuit(SparseState(circuit.layout.total_qubits, {0: scale}), circuit, inst.unitaries)
+    assert _norm(out) == pytest.approx(scale)
 
 
 def test_batch_budget_guard(monkeypatch, capsys):

@@ -26,6 +26,7 @@ from qramforge import (
     synth_run,
     synth_up,
 )
+from qramforge.ir import KIND_CODE
 from helpers import (
     ReferenceSchedule,
     assert_same_columns,
@@ -355,30 +356,60 @@ def test_synthesis_matches_the_reference_synthesizer(n):
             assert _gate_lists(synth_run(layout, declared_depths=depths)) == reference_run(layout, depths)
 
 
-def test_placement_calls_per_down_phase_do_not_grow_with_m(monkeypatch):
-    """The placer places whole chains: a Down phase makes a fixed number of
-    placement calls per tree level, whatever the payload width m."""
-    from qramforge.synth import _Placer
+def _moments_by_gate(circuit):
+    """The moments of each (kind, operands) gate of ``circuit``, in order."""
+    found = {}
+    columns = circuit.columns
+    for kind, ops, moment in zip(columns.kind.tolist(), columns.ops.tolist(), columns.moment.tolist()):
+        found.setdefault((kind, *ops), []).append(moment)
+    return found
 
-    calls = []
-    place = _Placer.chains
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return place(self, *args, **kwargs)
+@pytest.mark.parametrize("variant", ["sequential", "fanout"])
+def test_down_routing_follows_the_schedule_laws(variant):
+    """With p = 1 when the preparation fills moment 0, a node x at level k
+    whose label has z zeros copies its address bits in moment p + k and runs
+    its selector chain Toffoli, X, Toffoli, X in moments r .. r + 3, where
+    r = p + k + 2z: a left child's flag is lit two moments after a right
+    child's, and each level's copies read the bits the level above wrote."""
+    x, cnot, toffoli, fredkin = (
+        KIND_CODE[kind] for kind in (GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.FREDKIN)
+    )
+    for n in range(1, 11):
+        layout = allocate_registers(n, 3)
+        for preparation in (True, False):
+            found = _moments_by_gate(synth_down(layout, SynthesisOptions(variant, None, preparation)))
+            p = int(preparation)
+            if preparation:
+                assert found.pop((x, layout.life(""), -1, -1)) == [0]
+            for k, nodes in enumerate(layout.levels[:n]):
+                for node in nodes:
+                    adr, life = layout.adr(node), layout.life(node)
+                    selector = adr[n - k - 1]
+                    for j, target in enumerate(layout.adr(node + "1")[: n - k - 1]):
+                        assert found.pop((cnot, adr[j], target, -1)) == [p + k]
+                    r = p + k + 2 * node.count("0")
+                    assert found.pop((toffoli, selector, life, layout.life(node + "1"))) == [r]
+                    assert found.pop((toffoli, selector, life, layout.life(node + "0"))) == [r + 2]
+                    assert found.pop((x, selector, -1, -1)) == [r + 1, r + 3]
+            # every other gate is a hand-down gate
+            assert not {kind for kind, *_ in found} - {cnot, fredkin}
 
-    monkeypatch.setattr(_Placer, "chains", counted)
-    for n in (1, 3, 5):
-        for m in (4, 16, 64):
-            made = {}
-            for variant in ("sequential", "fanout"):
-                calls.clear()
-                synth_down(allocate_registers(n, m, 0), SynthesisOptions(variant))
-                made[variant] = len(calls)
-            # the preparation; per level the address copies (but at the
-            # last), the selector chain and one swap chain per child; the
-            # fan-out variant adds the copy ladders before and after
-            assert made == {"sequential": 4 * n, "fanout": 6 * n}, (n, m)
+
+@pytest.mark.parametrize(
+    "options",
+    [SynthesisOptions(), SynthesisOptions("fanout"), SynthesisOptions("fanout", 1)],
+    ids=["sequential", "fanout", "fanout-s1"],
+)
+def test_down_matches_the_reference_synthesizer_at_n9(options):
+    """Past the reference grid's n = 7, synthesis still places every gate
+    where the gate-by-gate reference puts it: sequential, and fan-out with
+    the default blocks of 2 (m = 3) and with blocks of 1."""
+    layout = allocate_registers(9, 3)
+    ref_layout, schedule = reference_down(layout, options)
+    down = synth_down(layout, options)
+    assert down.layout == ref_layout
+    assert _gate_lists(down) == schedule.moments
 
 
 def test_synthesis_at_n14_stays_small():

@@ -107,6 +107,7 @@ def test_oracle_superposition():
     }
     # exact cancellation filters the entry out
     assert oracle_superposition(inst, [(amp, 0), (-amp, 0)]) == {}
+    assert oracle_superposition(inst, []) == {}
 
 
 def test_oracle_validation():
@@ -307,6 +308,7 @@ def test_one_case_calls_equal_the_per_case_references(family):
         [(0, last), (1, 0), (0.5 - 0.5j, last)],
         [(complex(*rng.standard_normal(2)), int(y)) for y in rng.integers(0, 1 << n, 5)],
         [(1 / np.sqrt(1 << n), y) for y in range(1 << n)],
+        [],
     ]
     for terms in superpositions:
         for mem in mems:
@@ -860,3 +862,20 @@ def test_case_generation_and_packing_stay_within_the_budget(monkeypatch):
     assert count == 2048 and batches > 1
     assert count * 8 * len(keys.leaves) > 2 * budget  # the whole memory table
     assert peak < budget + (256 << 10)
+
+
+def test_packing_leaves_out_the_terms_superpose_drops():
+    """A term of magnitude at most PRUNE_TOL is left out of the packed rows,
+    as superpose leaves it out of the state it builds."""
+    import qramforge.verifier as verifier
+
+    instance = build_random_instance(2, 1, 1, seed=3)
+    layout = instance.layout()
+    keys = verifier._Keys(instance)
+    run = verifier._Run(synth_access(layout, instance.unitaries), instance.unitaries, keys)
+    amps = np.array([0.6, sim.PRUNE_TOL, 0.8j, 1e-15 + 1e-15j])
+    cases = keys.cases([0, 1, 2, 3], [1, 1, 1, 1], np.zeros((4, 4), dtype=np.int64), ["mixed"],
+                       np.zeros(4, dtype=np.int64), amps)
+    (packed,) = run.pack(cases).states()
+    expected = superpose([(a, basis_state(layout, y, 1)) for y, a in enumerate(amps.tolist())])
+    assert packed.amps == expected.amps and len(packed) == 2
