@@ -414,7 +414,7 @@ def _matrix_values(matrices: list, dim: int) -> np.ndarray | None:
 
 
 def _stack_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec] | None:
-    """The ``matrices`` section as specs checked by :meth:`UnitarySpec._stacked`
+    """The ``matrices`` section as specs checked by :meth:`UnitarySpec.stack`
     for depths, finiteness and unitarity.  Labels, shapes and entry types are
     checked here as :func:`_first_matrix_fault` checks them, reading each
     distinct record object once, in chunks of one size.  None when a record
@@ -440,7 +440,10 @@ def _stack_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec
                 return None
             arrays.update(zip(chunk, values))
     depths = [record.get("declared_depth", 1) for record in records]
-    return UnitarySpec._stacked(leaves, [arrays[key] for key in keys], depths)
+    try:
+        return UnitarySpec.stack(leaves, [arrays[key] for key in keys], depths)
+    except QramForgeError:
+        return None
 
 
 def _first_matrix_fault(section: dict, layout: RegisterMap) -> None:

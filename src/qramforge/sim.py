@@ -46,6 +46,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     InvalidParameterError,
+    QramForgeError,
     ResourceLimitError,
     ShapeError,
     SimulationError,
@@ -53,7 +54,7 @@ from .errors import (
     _shown,
     check_int,
 )
-from .ir import CNOT, FREDKIN, MAX_DECLARED_DEPTH, OPAQUE, TOFFOLI, X, Circuit, Gate, GateColumns, check_declared_depth
+from .ir import CNOT, FREDKIN, OPAQUE, TOFFOLI, X, Circuit, Gate, GateColumns, check_declared_depth
 from .tree import MAX_QUBITS, RegisterMap, _check_label
 
 #: Magnitude below which amplitudes produced by a dense block are discarded.
@@ -100,109 +101,27 @@ class UnitarySpec:
     __slots__ = ("leaf", "matrix", "declared_depth", "source")
 
     def __init__(self, leaf: str, matrix, declared_depth: int = 1):
-        _check_label(leaf)
-        shape = getattr(matrix, "shape", None)
-        rows = shape[0] if shape else len(matrix) if isinstance(matrix, Sequence) else 0
-        _check_budget(16 * rows * rows, f"the {rows}-row matrix for leaf {leaf!r}")
-        matrix = np.array(matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ShapeError(
-                f"unitary for leaf {leaf!r} must be a square matrix, got shape {matrix.shape}",
-                leaf=leaf,
-            )
-        dim = matrix.shape[0]
-        if dim < 2 or dim & (dim - 1):
-            raise ShapeError(
-                f"unitary for leaf {leaf!r} has dimension {dim}, not a power of two >= 2",
-                leaf=leaf,
-            )
-        if not np.isfinite(matrix).all():
-            raise InvalidParameterError(f"matrix for leaf {leaf!r} has entries that are not finite")
-        (permutation,), (source,) = _permutations(matrix[None])
-        deviation = 0.0 if permutation else float(_deviation(matrix[None])[0])
-        if not deviation <= UNITARITY_TOL:  # a NaN from an overflowing product too
-            raise InvalidParameterError(
-                f"matrix for leaf {leaf!r} is not unitary (deviation {deviation:.3e})"
-            )
-        check_declared_depth(declared_depth)
-        matrix.setflags(write=False)
-        source.setflags(write=False)
-        self.leaf = leaf
-        self.matrix = matrix
-        self.declared_depth = declared_depth
-        self.source = source if permutation else None
+        ((self.matrix, self.source),) = _checked([leaf], [matrix], [declared_depth]).values()
+        self.leaf, self.declared_depth = leaf, declared_depth
 
     @classmethod
     def stack(
         cls, leaves: Sequence[str], matrices: Sequence, declared_depths: Sequence[int] | None = None
     ) -> dict[str, "UnitarySpec"]:
         """``{leaf: UnitarySpec(leaf, matrix, depth)}`` over the three
-        sequences (every depth 1 when ``declared_depths`` is None).
-
-        Every check of the constructor runs once over all leaves: labels,
-        budget, shape, size, finiteness and depth, and unitarity as one
-        permutation test and one batched product, over the matrices that
-        are not permutations, per chunk of matrices of one size, which gives
-        each matrix the constructor's deviation bit for bit.  When a check fails,
-        the constructor names the first fault; matrices given as nested
-        sequences rather than numeric arrays are built by the constructor.
-        """
+        sequences (every depth 1 when ``declared_depths`` is None), checked
+        by :func:`_checked` as the constructor checks its one leaf.  The
+        leaves of one matrix object share its array and its ``source``."""
         leaves, matrices = list(leaves), list(matrices)
         depths = [1] * len(leaves) if declared_depths is None else list(declared_depths)
         if not len(leaves) == len(matrices) == len(depths):
             raise InvalidParameterError(
                 f"got {len(leaves)} leaves, {len(matrices)} matrices and {len(depths)} depths"
             )
-        specs = cls._stacked(leaves, matrices, depths)
-        if specs is None:
-            specs = {leaf: cls(leaf, matrix, depth) for leaf, matrix, depth in zip(leaves, matrices, depths)}
-        return specs
-
-    @classmethod
-    def _stacked(cls, leaves: list, matrices: list, depths: list) -> dict[str, "UnitarySpec"] | None:
-        """The specs of :meth:`stack`.  Each distinct matrix object is checked
-        and recognised once, and its leaves share one read-only view of a
-        stack of a chunk of same-size matrices, and its ``source``.  None
-        when a check fails or the inputs are not numeric arrays."""
-        ids = list(map(id, matrices))
-        distinct = dict(zip(ids, matrices))
-        if not (
-            set(map(type, leaves)) <= {str}
-            and set("".join(leaves)) <= {"0", "1"}
-            and set(map(type, depths)) <= {int}
-            and min(depths, default=1) >= 1
-            and max(depths, default=1) <= MAX_DECLARED_DEPTH
-            and all(isinstance(matrix, np.ndarray) and matrix.dtype.kind in "biufc" for matrix in distinct.values())
-        ):
-            return None
-        groups: dict[tuple, list[int]] = {}
-        for key, matrix in distinct.items():
-            groups.setdefault(matrix.shape, []).append(key)
-        for shape in groups:
-            dim = shape[0] if shape else 0
-            if shape != (dim, dim) or dim < 2 or dim & (dim - 1) or 16 * dim * dim > BATCH_BUDGET_BYTES:
-                return None
-        sources: dict[int, np.ndarray | None] = {}
-        for (dim, _), members in groups.items():
-            step = max(1, _CHUNK_BYTES // (16 * dim * dim))
-            for start in range(0, len(members), step):
-                chunk = members[start : start + step]
-                part = np.array([distinct[key] for key in chunk], dtype=complex)
-                if not np.isfinite(part).all():
-                    return None
-                with np.errstate(over="ignore", invalid="ignore"):  # the constructor warns
-                    permutation, source = _permutations(part)
-                    dense = part[~permutation] if permutation.any() else part  # no copy of a dense chunk
-                    if dense.size and not _deviation(dense).max() <= UNITARITY_TOL:
-                        return None
-                part.setflags(write=False)
-                source.setflags(write=False)
-                distinct.update(zip(chunk, part))
-                kept = permutation.tolist()
-                sources.update((key, rows if keep else None) for key, rows, keep in zip(chunk, source, kept))
+        checked = _checked(leaves, matrices, depths)
         specs = [object.__new__(cls) for _ in leaves]  # checked above, as the constructor checks
-        for spec, leaf, key, depth in zip(specs, leaves, ids, depths):
-            spec.leaf, spec.matrix, spec.declared_depth, spec.source = leaf, distinct[key], depth, sources[key]
+        for spec, leaf, matrix, depth in zip(specs, leaves, matrices, depths):
+            spec.leaf, spec.declared_depth, (spec.matrix, spec.source) = leaf, depth, checked[id(matrix)]
         return dict(zip(leaves, specs))
 
     @property
@@ -227,6 +146,19 @@ class UnitarySpec:
         return f"UnitarySpec(leaf={self.leaf!r}, dim={self.dim}, declared_depth={self.declared_depth})"
 
 
+def _amplitude(value, where: str = "", finite: bool = True) -> complex:
+    """``value`` as ``complex()`` reads it: the one rule for caller-given
+    amplitudes.  What it cannot read is refused, and so is a NaN or infinite
+    value unless ``finite`` is False (:func:`superpose` refuses those by their norm)."""
+    try:
+        amp = complex(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(f"amplitudes must be finite, got {_shown(value)}{where}") from None
+    if finite and not cmath.isfinite(amp):
+        raise InvalidParameterError(f"amplitudes must be finite, got {amp!r}{where}")
+    return amp
+
+
 class SparseState:
     """A sparse statevector: ``{basis key -> amplitude}``.  Every amplitude
     given is finite: a NaN or infinite one is refused, as in a state document."""
@@ -239,9 +171,8 @@ class SparseState:
         if amps:
             limit = 1 << num_qubits
             for key, amp in amps.items():
-                value = self.amps[check_int(key, "basis keys", 0, limit)] = complex(amp)
-                if not cmath.isfinite(value):
-                    raise InvalidParameterError(f"amplitudes must be finite, got {value!r} for basis key {_shown(key)}")
+                key = check_int(key, "basis keys", 0, limit)
+                self.amps[key] = _amplitude(amp, f" for basis key {_shown(key)}")
 
     def prune(self) -> "SparseState":
         """Drop the amplitudes of magnitude at most :data:`PRUNE_TOL`."""
@@ -304,7 +235,7 @@ def superpose(terms: Iterable[tuple[complex, SparseState]]) -> SparseState:
     The amplitude vector must have unit norm (within :data:`NORM_TOL`); the
     result is normalized iff the input states are orthonormal.
     """
-    terms = [(complex(amp), state) for amp, state in terms]
+    terms = [(_amplitude(amp, finite=False), state) for amp, state in terms]
     if not terms:
         raise InvalidParameterError("need at least one term")
     sizes = {state.num_qubits for _, state in terms}
@@ -320,6 +251,74 @@ def superpose(terms: Iterable[tuple[complex, SparseState]]) -> SparseState:
         for key, value in state.amps.items():
             out.amps[key] = out.amps.get(key, 0j) + amp * value
     return out.prune()
+
+
+def _checked(leaves: list, matrices: list, depths: list) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
+    """Each distinct matrix object, by ``id``, as a read-only complex array
+    with its :attr:`UnitarySpec.source`, once every leaf's label, matrix and
+    declared depth is checked; the first leaf's first fault is raised, in
+    the order label, budget, shape, size, finiteness, unitarity, depth.
+    Each distinct matrix is checked once, by :func:`_square_matrix` and
+    then in a chunk of same-size ones, whose batched product gives each
+    matrix the deviation it has alone bit for bit."""
+    ids = list(map(id, matrices))
+    first = dict(zip(reversed(ids), reversed(leaves)))  # a matrix's fault names its first leaf
+    faults: dict[int, QramForgeError] = {}
+    groups: dict[int, list[tuple[int, str, np.ndarray]]] = {}
+    for key, matrix in dict(zip(ids, matrices)).items():
+        leaf = first[key]
+        try:
+            matrix = _square_matrix(leaf, matrix)
+            groups.setdefault(len(matrix), []).append((key, leaf, matrix))
+        except QramForgeError as fault:
+            faults[key] = fault
+    checked: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product reads inf or NaN, refused
+        for dim, members in groups.items():
+            step = max(1, _CHUNK_BYTES // (16 * dim * dim))
+            for chunk in (members[start : start + step] for start in range(0, len(members), step)):
+                part = np.array([matrix for _, _, matrix in chunk], dtype=complex)
+                finite = np.isfinite(part).all(axis=(1, 2))
+                permutation, source = _permutations(part)
+                dense, deviation = finite & ~permutation, np.zeros(len(chunk))
+                if dense.any():
+                    deviation[dense] = _deviation(part if dense.all() else part[dense])  # no copy of a dense chunk
+                part.setflags(write=False)
+                source.setflags(write=False)
+                for (key, leaf, _), matrix, rows, good, kept, value in zip(
+                        chunk, part, source, finite, permutation, deviation):
+                    if not good:
+                        faults[key] = InvalidParameterError(f"matrix for leaf {leaf!r} has entries that are not finite")
+                    elif not value <= UNITARITY_TOL:
+                        message = f"matrix for leaf {leaf!r} is not unitary (deviation {value:.3e})"
+                        faults[key] = InvalidParameterError(message)
+                    else:
+                        checked[key] = matrix, rows if kept else None
+    for leaf, key, depth in zip(leaves, ids, depths):
+        _check_label(leaf)
+        if key in faults:
+            raise faults[key]
+        check_declared_depth(depth)
+    return checked
+
+
+def _square_matrix(leaf: str, matrix) -> np.ndarray:
+    """``matrix`` as an array of numbers, its rows within the budget, square
+    and of a power-of-two size >= 2.  An array of numbers is not copied."""
+    shape = getattr(matrix, "shape", None)
+    rows = shape[0] if shape else len(matrix) if isinstance(matrix, Sequence) else 0
+    _check_budget(16 * rows * rows, f"the {rows}-row matrix for leaf {leaf!r}")
+    if not (isinstance(matrix, np.ndarray) and matrix.dtype.kind in "biufc"):
+        try:
+            matrix = np.array(matrix, dtype=complex)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidParameterError(f"matrix for leaf {leaf!r} is not an array of numbers") from None
+    dim = matrix.shape[0] if matrix.ndim else 0
+    if matrix.shape != (dim, dim):
+        raise ShapeError(f"unitary for leaf {leaf!r} must be a square matrix, got shape {matrix.shape}", leaf=leaf)
+    if dim < 2 or dim & (dim - 1):
+        raise ShapeError(f"unitary for leaf {leaf!r} has dimension {dim}, not a power of two >= 2", leaf=leaf)
+    return matrix
 
 
 def _deviation(stack: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ from .sim import (
     SparseState,
     UnitarySpec,
     _CHUNK_BYTES,
+    _amplitude,
     _batch_terms,
     _check_budget,
     _Moments,
@@ -298,7 +299,7 @@ def _one_case(instance: InstanceSpec, terms: list, result, mem) -> tuple[_Keys, 
     keys = _Keys(instance)
     table = np.array([[mem[z] for z in keys.leaves.tolist()]], dtype=np.int64)
     return keys, keys.cases([address for _, address in terms], [result], table, [""],
-                            np.zeros(len(terms), dtype=np.intp), np.array([complex(amp) for amp, _ in terms]))
+                            np.zeros(len(terms), dtype=np.intp), np.array([_amplitude(amp) for amp, _ in terms]))
 
 
 def oracle_effect(instance: InstanceSpec, address: int, result: int = 0,

@@ -743,9 +743,9 @@ def test_declared_depth_bound_holds_in_documents():
 
 
 def test_a_refused_matrix_is_checked_once():
-    """A record whose product overflows fails the bulk check quietly and is
-    then built once, by the record-by-record walk: each of the product's
-    warnings comes out once, before the walk's message."""
+    """A record whose product overflows fails the bulk check and is then
+    named by the record-by-record walk; the product's overflow is judged by
+    its deviation, and no numpy warning escapes either check."""
     raw = json.loads(_golden_text("access_n1_m1.json"))
     raw["matrices"]["0"]["matrix"][0][0] = [1e300, 0.0]
     with warnings.catch_warnings(record=True) as caught:
@@ -753,9 +753,7 @@ def test_a_refused_matrix_is_checked_once():
         with pytest.raises(SchemaError) as info:
             parse_document(json.dumps(raw, indent=2))
     assert str(info.value) == "matrices.0: matrix for leaf '0' is not unitary (deviation inf)"
-    messages = [str(warning.message) for warning in caught]
-    assert "overflow encountered in matmul" in messages
-    assert len(messages) == len(set(messages))
+    assert not [warning for warning in caught if issubclass(warning.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -33,6 +33,7 @@ from qramforge import (
     check_proposition,
     check_variant_agreement,
     concat,
+    oracle_superposition,
     run_batch,
     run_circuit,
     superpose,
@@ -143,6 +144,11 @@ FAULTS = {
     "depth": lambda mp, z, u, d: d.__setitem__(5, 0),
     "boolean depth": lambda mp, z, u, d: d.__setitem__(5, True),
     "budget": _budget,
+    "ragged": lambda mp, z, u, d: u.__setitem__(5, [[1, 0], [0]]),
+    "non-numeric": lambda mp, z, u, d: u.__setitem__(5, [[1, 0], [0, "a"]]),
+    "object strings": lambda mp, z, u, d: u.__setitem__(5, np.array([["1", "0"], ["0", "a"]], dtype=object)),
+    "non-array": lambda mp, z, u, d: u.__setitem__(5, {"a": 1}),
+    "integer past the float range": lambda mp, z, u, d: u.__setitem__(5, [[10**400, 0], [0, 1]]),
 }
 
 
@@ -186,14 +192,30 @@ def _stack_fault(fault, monkeypatch, inputs):
     assert str(raised.value) == str(expected.value)
 
 
+def test_a_non_square_array_is_refused_before_it_is_copied():
+    """A 64 MiB float array of shape (2, 2**22) is refused by its shape,
+    through either entry point, without its complex copy of 128 MiB."""
+    import tracemalloc
+
+    matrix = np.zeros((2, 1 << 22))
+    for build in (lambda: UnitarySpec("0", matrix), lambda: UnitarySpec.stack(["0", "1"], [np.eye(2), matrix])):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError, match=r"must be a square matrix, got shape \(2, 4194304\)"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 def test_unitary_spec_stack_and_the_constructor_agree_at_the_tolerance():
-    """With no margin, the batched check and the constructor judge a matrix
-    alike on either side of the tolerance: a deviation of 0.7e-10 is
-    accepted by the batched check itself, one of 1.4e-10 refused by both."""
+    """With no margin, the stack and the constructor judge a matrix alike on
+    either side of the tolerance: a deviation of 0.7e-10 is accepted by
+    both, one of 1.4e-10 refused by both."""
     leaves, matrices, depths = _stack_inputs()
     for scale, accepted in ((1 + 0.35e-10, True), (1 + 0.7e-10, False)):
         matrices[5] = np.diag([scale, 1.0])
-        assert (UnitarySpec._stacked(leaves, matrices, depths) is not None) is accepted
         if accepted:
             assert UnitarySpec.stack(leaves, matrices, depths)[leaves[5]].matrix[0, 0] == scale
             UnitarySpec(leaves[5], matrices[5], depths[5])
@@ -205,12 +227,13 @@ def test_unitary_spec_stack_and_the_constructor_agree_at_the_tolerance():
 
 
 def test_unitary_spec_refuses_a_matrix_whose_product_overflows_to_nan():
-    """Finite entries of 1e200 (1 + 1j) make ``U^dagger U`` NaN: the
-    constructor refuses the NaN deviation as the batched check does."""
+    """Finite entries of 1e200 (1 + 1j) make ``U^dagger U`` NaN: the stack
+    and the constructor refuse the NaN deviation, and no numpy warning
+    escapes."""
     leaves, matrices, depths = _stack_inputs()
     matrices[5] = np.diag([1e200 * (1 + 1j)] * 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert UnitarySpec._stacked(leaves, matrices, depths) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         for build in (lambda: UnitarySpec.stack(leaves, matrices, depths),
                       lambda: UnitarySpec(leaves[5], matrices[5], depths[5])):
             with pytest.raises(InvalidParameterError, match=r"not unitary \(deviation nan\)"):
@@ -219,8 +242,8 @@ def test_unitary_spec_refuses_a_matrix_whose_product_overflows_to_nan():
 
 def test_deviation_of_a_chunk_is_each_matrix_deviation_bit_for_bit():
     """The batched product gives each matrix of a chunk the deviation it has
-    alone, which is the constructor's, in chunks as large as `_stacked`
-    makes (at least two matrices)."""
+    alone, which is the constructor's, in chunks as large as
+    `UnitarySpec.stack` makes (at least two matrices)."""
     rng = np.random.default_rng(11)
     for dim in (2, 4, 8, 16, 32, 64):
         count = max(2, (1 << 16) // (16 * dim * dim))
@@ -410,6 +433,24 @@ def test_sparse_state_refuses_amplitudes_that_are_not_finite(amp):
         SparseState(3, {0: 0.6, 1: amp})
     with pytest.raises(InvalidParameterError, match="unit vector"):
         superpose([(amp, SparseState(3, {0: 1.0})), (0.0, SparseState(3, {1: 1.0}))])
+    instance = build_random_instance(2, 1, 0, seed=3)
+    for terms in ([(amp, 0)], [(1, 0), (amp, 1)]):  # not dropped as an exact zero, nor passed on
+        with pytest.raises(InvalidParameterError, match="amplitudes must be finite"):
+            oracle_superposition(instance, terms)
+
+
+@pytest.mark.parametrize("amp", [None, "a", {"a": 1}, [1], 10**400],
+                         ids=["None", "string", "dict", "list", "int past the float range"])
+def test_amplitudes_complex_cannot_read_are_refused(amp):
+    """Every caller-given amplitude is read by one rule, which refuses what
+    ``complex()`` cannot read as it refuses a NaN or infinite amplitude."""
+    message = "amplitudes must be finite, got "
+    with pytest.raises(InvalidParameterError, match=message):
+        SparseState(3, {0: amp})
+    with pytest.raises(InvalidParameterError, match=message):
+        superpose([(amp, SparseState(3, {0: 1.0}))])
+    with pytest.raises(InvalidParameterError, match=message):
+        oracle_superposition(build_random_instance(2, 1, 0, seed=3), [(amp, 0)])
 
 
 def test_superpose():
