@@ -54,7 +54,7 @@ from .errors import (
     _shown,
     check_int,
 )
-from .ir import CNOT, FREDKIN, OPAQUE, TOFFOLI, X, Circuit, Gate, GateColumns, check_declared_depth
+from .ir import CNOT, FREDKIN, MAX_DECLARED_DEPTH, OPAQUE, TOFFOLI, X, Circuit, Gate, GateColumns, check_declared_depth
 from .tree import MAX_QUBITS, RegisterMap, _check_label
 
 #: Magnitude below which amplitudes produced by a dense block are discarded.
@@ -101,7 +101,7 @@ class UnitarySpec:
     __slots__ = ("leaf", "matrix", "declared_depth", "source")
 
     def __init__(self, leaf: str, matrix, declared_depth: int = 1):
-        ((self.matrix, self.source),) = _checked([leaf], [matrix], [declared_depth]).values()
+        ((self.matrix, self.source),) = _checked([leaf], [matrix], [declared_depth])
         self.leaf, self.declared_depth = leaf, declared_depth
 
     @classmethod
@@ -115,13 +115,11 @@ class UnitarySpec:
         leaves, matrices = list(leaves), list(matrices)
         depths = [1] * len(leaves) if declared_depths is None else list(declared_depths)
         if not len(leaves) == len(matrices) == len(depths):
-            raise InvalidParameterError(
-                f"got {len(leaves)} leaves, {len(matrices)} matrices and {len(depths)} depths"
-            )
+            raise InvalidParameterError(f"got {len(leaves)} leaves, {len(matrices)} matrices and {len(depths)} depths")
         checked = _checked(leaves, matrices, depths)
         specs = [object.__new__(cls) for _ in leaves]  # checked above, as the constructor checks
-        for spec, leaf, matrix, depth in zip(specs, leaves, matrices, depths):
-            spec.leaf, spec.declared_depth, (spec.matrix, spec.source) = leaf, depth, checked[id(matrix)]
+        for spec, leaf, depth, (matrix, source) in zip(specs, leaves, depths, checked):
+            spec.leaf, spec.declared_depth, spec.matrix, spec.source = leaf, depth, matrix, source
         return dict(zip(leaves, specs))
 
     @property
@@ -253,20 +251,19 @@ def superpose(terms: Iterable[tuple[complex, SparseState]]) -> SparseState:
     return out.prune()
 
 
-def _checked(leaves: list, matrices: list, depths: list) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
-    """Each distinct matrix object, by ``id``, as a read-only complex array
-    with its :attr:`UnitarySpec.source`, once every leaf's label, matrix and
-    declared depth is checked; the first leaf's first fault is raised, in
-    the order label, budget, shape, size, finiteness, unitarity, depth.
-    Each distinct matrix is checked once, by :func:`_square_matrix` and
-    then in a chunk of same-size ones, whose batched product gives each
-    matrix the deviation it has alone bit for bit."""
+def _checked(leaves: list, matrices: list, depths: list) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Each leaf's matrix as a read-only complex array with its
+    :attr:`UnitarySpec.source`, once every leaf's label, matrix and declared
+    depth is checked; the first leaf's first fault is raised, in the order
+    label, budget, shape, size, finiteness, unitarity, depth.  Each distinct
+    matrix object is checked once, by :func:`_square_matrix` and then in a
+    chunk of same-size ones, whose batched product gives each matrix the
+    deviation it has alone bit for bit; its leaves share the result."""
     ids = list(map(id, matrices))
-    first = dict(zip(reversed(ids), reversed(leaves)))  # a matrix's fault names its first leaf
+    distinct = dict(zip(reversed(ids), zip(reversed(leaves), reversed(matrices))))  # by its first leaf
     faults: dict[int, QramForgeError] = {}
     groups: dict[int, list[tuple[int, str, np.ndarray]]] = {}
-    for key, matrix in dict(zip(ids, matrices)).items():
-        leaf = first[key]
+    for key, (leaf, matrix) in distinct.items():
         try:
             matrix = _square_matrix(leaf, matrix)
             groups.setdefault(len(matrix), []).append((key, leaf, matrix))
@@ -287,19 +284,21 @@ def _checked(leaves: list, matrices: list, depths: list) -> dict[int, tuple[np.n
                 source.setflags(write=False)
                 for (key, leaf, _), matrix, rows, good, kept, value in zip(
                         chunk, part, source, finite, permutation, deviation):
-                    if not good:
-                        faults[key] = InvalidParameterError(f"matrix for leaf {leaf!r} has entries that are not finite")
-                    elif not value <= UNITARITY_TOL:
-                        message = f"matrix for leaf {leaf!r} is not unitary (deviation {value:.3e})"
-                        faults[key] = InvalidParameterError(message)
-                    else:
+                    if good and value <= UNITARITY_TOL:
                         checked[key] = matrix, rows if kept else None
-    for leaf, key, depth in zip(leaves, ids, depths):
-        _check_label(leaf)
-        if key in faults:
-            raise faults[key]
-        check_declared_depth(depth)
-    return checked
+                    else:
+                        fault = f"is not unitary (deviation {value:.3e})" if good else "has entries that are not finite"
+                        faults[key] = InvalidParameterError(f"matrix for leaf {leaf!r} {fault}")
+    if faults or not (  # every label and depth at once; the walk below names the first fault
+        set(map(type, leaves)) <= {str} and not "".join(leaves).strip("01") and set(map(type, depths)) <= {int}
+        and 1 <= min(depths, default=1) <= max(depths, default=1) <= MAX_DECLARED_DEPTH
+    ):
+        for leaf, key, depth in zip(leaves, ids, depths):
+            _check_label(leaf)
+            if key in faults:
+                raise faults[key]
+            check_declared_depth(depth)
+    return [checked[key] for key in ids]
 
 
 def _square_matrix(leaf: str, matrix) -> np.ndarray:

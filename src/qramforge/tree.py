@@ -82,7 +82,7 @@ def label_of(value: int, width: int) -> str:
 
 
 def _check_label(label: str) -> None:
-    if not isinstance(label, str) or label.strip("01"):  # what is left holds a character other than 0 and 1
+    if not isinstance(label, str) or any(c not in "01" for c in label):
         raise InvalidParameterError(f"node labels are bit strings, got {label!r}")
 
 
