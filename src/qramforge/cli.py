@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigurationError, InvalidParameterError, QramForgeError, SchemaError
-from .formats import _expect_int, emit_json, emit_qasm, parse_document, serialize_state
+from .formats import _expect_int, _json_parts, emit_qasm, parse_document, serialize_state
 from .sim import basis_state, run_circuit
 from .synth import SynthesisOptions, synth_access, synth_down, synth_run, synth_up
 from .tree import allocate_registers
@@ -76,11 +76,19 @@ def _parse_register_value(text: str, width: int, what: str) -> int | str:
         raise InvalidParameterError(f"{what}: cannot interpret {text!r}") from None
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(parts: list[str], out: str | None) -> None:
+    """Write the text ``parts`` in order, never joined: to the file ``out``
+    as UTF-8, else to stdout, ended by a newline as ``print`` ends a text
+    that has none."""
     if out:
-        Path(out).write_text(text)
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        with open(out, "wb") as file:
+            for part in parts:
+                file.write(part.encode())
+        return
+    for part in parts:
+        sys.stdout.write(part)
+    if not (parts and parts[-1].endswith("\n")):
+        sys.stdout.write("\n")
 
 
 def _add_instance_arguments(sub: argparse.ArgumentParser) -> None:
@@ -153,10 +161,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         circuit = synth_run(layout, instance.unitaries)
     circuit.metadata["instance"] = {"family": instance.family, **instance.params}
     if args.format == "qasm":
-        text = emit_qasm(circuit)
+        parts = [emit_qasm(circuit)]
     else:
-        text = emit_json(circuit, instance.unitaries if args.include_matrices else None)
-    _write_output(text, args.out)
+        parts = _json_parts(circuit, instance.unitaries if args.include_matrices else None)
+    _write_output(parts, args.out)
     return 0
 
 
@@ -186,7 +194,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         widths = [max(map(len, column)) for column in zip(*table)]
         lines = ["  ".join(f"{cell:>{width}}" for cell, width in zip(row, widths)) for row in table]
-    _write_output("\n".join(lines) + "\n", args.out)
+    _write_output(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -213,7 +221,7 @@ def _rebuild_unitaries(doc):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    doc = parse_document(Path(args.circuit).read_text())
+    doc = parse_document(Path(args.circuit).read_bytes())
     circuit = doc.circuit
     layout = circuit.layout
     needs_matrices = "cu" in circuit.gate_counts()
@@ -233,7 +241,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         }
     state = basis_state(layout, address, result, mem)
     final = run_circuit(state, circuit, unitaries)
-    _write_output(serialize_state(final), args.out)
+    _write_output([serialize_state(final)], args.out)
     return 0
 
 
@@ -270,7 +278,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "a --circuit document is checked as it was built"
         )
     else:
-        doc = parse_document(Path(args.circuit).read_text())
+        doc = parse_document(Path(args.circuit).read_bytes())
         options, document = None, {"circuit": doc.circuit, "circuit_unitaries": doc.unitaries}
     common = {
         "seed": args.seed,
@@ -294,7 +302,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(report.format_table())
     if args.report:
         payload = [r.to_dict() for r in reports]
-        Path(args.report).write_text(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
+        _write_output([json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)], args.report)
     return 0 if all(r.passed for r in reports) else 1
 
 

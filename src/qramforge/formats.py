@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import QramForgeError, SchemaError, StructuralError
+from .errors import InvalidParameterError, QramForgeError, SchemaError, StructuralError
 from .ir import ARITY, KINDS, MAX_DECLARED_DEPTH, OPAQUE, Circuit, Gate, GateColumns, as_int64, check_moments
 from .sim import SparseState, UnitarySpec
 from .tree import MAX_QUBITS, RegisterMap
@@ -180,10 +180,10 @@ def _moments_text(columns: GateColumns) -> str:
 
 
 def _matrices_parts(unitaries: Mapping[str, UnitarySpec]) -> list[str]:
-    """The ``matrices`` section as fragments of text, to be joined into the
-    document only, so its megabytes are copied once.  Each distinct record
-    is written once; records are keyed on the matrix bytes, not its values,
-    so ``-0.0`` and ``0.0`` stay apart."""
+    """The ``matrices`` section as fragments of text, never joined into one
+    section text, so its megabytes are copied at most once.  Each distinct
+    record is written once; records are keyed on the matrix bytes, not its
+    values, so ``-0.0`` and ``0.0`` stay apart."""
     bodies: dict[tuple, str] = {}
     parts = []
     for leaf in sorted(unitaries):
@@ -201,18 +201,25 @@ def _matrices_parts(unitaries: Mapping[str, UnitarySpec]) -> list[str]:
     return parts
 
 
+def _json_parts(circuit: Circuit, unitaries: Mapping[str, UnitarySpec] | None = None) -> list[str]:
+    """The text of :func:`emit_json` as fragments, all built before the list
+    is returned, so that a writer can put them in a file in order without
+    ever holding the whole document in one string."""
+    parts = [_header_text(circuit), ',\n  "moments": ', _moments_text(circuit.columns)]
+    if unitaries is not None:
+        parts.append(',\n  "matrices": ')
+        parts += _matrices_parts(unitaries)
+    parts.append("\n}")
+    return parts
+
+
 def emit_json(circuit: Circuit, unitaries: Mapping[str, UnitarySpec] | None = None) -> str:
     """Serialize a circuit (and optionally its payload matrices) to JSON.
 
     The text is canonical: it is what ``json.dumps(document, indent=2)``
     writes, so parsing a document and emitting it again gives its bytes.
     """
-    parts = [_header_text(circuit), ',\n  "moments": ', _moments_text(circuit.columns)]
-    if unitaries is not None:
-        parts.append(',\n  "matrices": ')
-        parts += _matrices_parts(unitaries)
-    parts.append("\n}")
-    return "".join(parts)
+    return "".join(_json_parts(circuit, unitaries))
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +492,9 @@ class CircuitDocument:
     parameters: dict
 
 
-def parse_document(text: str) -> CircuitDocument:
-    """Parse and validate a ``qramforge-circuit/1`` document.
+def parse_document(text: str | bytes) -> CircuitDocument:
+    """Parse and validate a ``qramforge-circuit/1`` document, given as a
+    ``str`` or as UTF-8 ``bytes`` (see :func:`_load`).
 
     The cyclic garbage collector is paused while the text is decoded and its
     tree walked: a JSON tree holds no cycles, and reference counting frees
@@ -505,48 +513,77 @@ def parse_document(text: str) -> CircuitDocument:
 #: sections, and between two ``matrices`` records.
 _MATRICES = ',\n  "matrices": {\n    '
 _RECORD_SEPARATOR = ",\n    "
+#: What :func:`_decode` looks for, in the type of its input: the two marks
+#: above, the end and start of a leaf key, the end of a record, the digits
+#: of a leaf label, JSON whitespace, and the end of the document.
+_DELIMITERS = {str: (_MATRICES, _RECORD_SEPARATOR, '": ', '"', "}", "01", " \t\n\r", "\n  }\n}")}
+_DELIMITERS[bytes] = tuple(mark.encode() for mark in _DELIMITERS[str])
 _DECODER = json.JSONDecoder()
 
 
-def _decode(text: str):
-    """``json.loads(text)``, decoding each distinct ``matrices`` record text
-    once when the section comes last as :func:`emit_json` writes it: records
-    ``"[01]*": {...}`` that end at the first ``}``.  A body is compared in
-    place with the first earlier body of its hash, so no body text is kept.
-    Other text goes through ``json.loads`` whole: same tree or error."""
-    cut = text.find(_MATRICES)
-    pos, section, seen = cut + len(_MATRICES), {}, {}  # seen: hash -> (start, record)
+def _str(text: str | bytes) -> str:
+    """``text`` itself, or UTF-8 ``bytes`` decoded to text; a byte that is
+    not UTF-8 raises ``UnicodeDecodeError``."""
+    return text if isinstance(text, str) else str(text, "utf-8")
+
+
+def _decode(text: str | bytes):
+    """``json.loads`` of ``text``, decoded as UTF-8 when it is bytes, with
+    each distinct ``matrices`` record decoded once when the section comes
+    last as :func:`emit_json` writes it: records ``"[01]*": {...}`` that end
+    at the first ``}``.  A body is compared in place with the first earlier
+    body of its hash, so no body is kept.  Records are found, hashed and
+    compared in the input's own type; of bytes, only the head before the
+    section and each distinct body are decoded to text.  Other input is
+    decoded whole and goes through ``json.loads``: same tree or error."""
+    delimiters = _DELIMITERS[str if isinstance(text, str) else bytes]
+    matrices, separator, key_end, quote, brace, bits, space, tail = delimiters
+    cut = text.find(matrices)
+    pos, section, seen = cut + len(matrices), {}, {}  # seen: hash -> (start, record)
     try:
-        raw = json.loads(text[:cut] + "\n}") if cut > 0 else None
+        raw = json.loads(_str(text[:cut]) + "\n}") if cut > 0 else None
         while type(raw) is dict and raw:  # an empty head: "{" then a comma, no JSON
-            colon = text.find('": ', pos)
-            start, end = colon + 3, text.find("}", colon) + 1
-            if not (colon > pos and end and text.startswith('"', pos)) or (leaf := text[pos + 1 : colon]).strip("01"):
+            colon = text.find(key_end, pos)
+            start, end = colon + 3, text.find(brace, colon) + 1
+            if not (colon > pos and end and text.startswith(quote, pos)) or (leaf := text[pos + 1 : colon]).strip(bits):
                 break
             body = text[start:end]
             first, record = seen.get(hash(body), (0, None))
             if record is None or not text.startswith(body, first):  # the same text ends at the same "}"
-                record, stop = _DECODER.raw_decode(text, start)
-                if stop != end:
+                record, stop = _DECODER.raw_decode(decoded := _str(body))
+                if stop != len(decoded):
                     break
                 seen.setdefault(hash(body), (start, record))
-            section[leaf] = record  # a repeated leaf keeps its first place and last value, as in json.loads
-            if not text.startswith(_RECORD_SEPARATOR, end):
-                if text[end:].rstrip(" \t\n\r") == "\n  }\n}":
+            section[_str(leaf)] = record  # a repeated leaf keeps its first place and last value, as in json.loads
+            if not text.startswith(separator, end):
+                if text[end:].rstrip(space) == tail:
                     raw["matrices"] = section  # a repeated key keeps its first place, as in json.loads
                     return raw
                 break
-            pos = end + len(_RECORD_SEPARATOR)
-    except json.JSONDecodeError:
+            pos = end + len(separator)
+    except (json.JSONDecodeError, UnicodeDecodeError):
         pass
-    return json.loads(text)
+    return json.loads(_str(text))
 
 
-def _parse_document(text: str) -> CircuitDocument:
+def _load(text: str | bytes):
+    """The JSON tree of a document, read by :func:`_decode`: the one rule of
+    both parsers.  A ``str`` is read as it is and ``bytes`` as UTF-8 only
+    (``json.loads`` would also guess UTF-16 or UTF-32 from bytes, and skip a
+    UTF-8 byte-order mark, which stays refused here as in a ``str``); any
+    other argument is refused with :class:`InvalidParameterError`."""
+    if not isinstance(text, (str, bytes)):
+        raise InvalidParameterError(f"documents are str or UTF-8 bytes, got {type(text).__name__}")
     try:
-        raw = _decode(text)
+        return _decode(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not valid UTF-8: {exc}") from exc
+
+
+def _parse_document(text: str | bytes) -> CircuitDocument:
+    raw = _load(text)
     _expect(isinstance(raw, dict), "$", "expected a JSON object")
     _expect(raw.get("format") == FORMAT_VERSION, "format", f"expected {FORMAT_VERSION!r}")
     for key in ("parameters", "registers", "metrics", "moments"):
@@ -690,11 +727,10 @@ def serialize_state(state: SparseState) -> str:
     return json.dumps(document, indent=2)
 
 
-def parse_state(text: str) -> SparseState:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
+def parse_state(text: str | bytes) -> SparseState:
+    """Parse and validate a ``qramforge-state/1`` document, given as
+    :func:`parse_document` takes one."""
+    raw = _load(text)
     _expect(isinstance(raw, dict), "$", "expected a JSON object")
     _expect(raw.get("format") == STATE_FORMAT_VERSION, "format", f"expected {STATE_FORMAT_VERSION!r}")
     num_qubits = _expect_int(raw.get("num_qubits"), "num_qubits", 1)

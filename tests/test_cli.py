@@ -13,6 +13,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -20,12 +21,18 @@ import pytest
 
 import qramforge
 from qramforge import (
+    SynthesisOptions,
     ancilla_counts,
+    build_instance,
     build_table_lookup_instance,
+    check_proposition,
+    emit_json,
+    emit_qasm,
     parse_document,
     synth_access,
 )
-from qramforge.cli import main
+from qramforge.cli import _write_output, main
+from qramforge.formats import _json_parts
 from helpers import assert_valid_qasm2
 
 
@@ -224,6 +231,57 @@ def test_synth_phase_and_variant_flags(capsys):
     assert doc.unitaries is None  # the down phase carries no payloads
 
 
+def _cli_circuit(family, n, m, k=None):
+    """The instance and access circuit ``synth`` builds, with the metadata it adds."""
+    inst = build_instance(family, n, m, k)
+    circuit = synth_access(inst.layout(), inst.unitaries, SynthesisOptions())
+    circuit.metadata["instance"] = {"family": inst.family, **inst.params}
+    return inst, circuit
+
+
+@pytest.mark.parametrize("form", ["json", "json with matrices", "qasm"])
+def test_synth_writes_exactly_the_emitted_text(form, tmp_path, capsys):
+    """``--out`` holds the emitter's text as UTF-8, byte for byte, and stdout
+    the same text, ended by a newline only where it has none (JSON), as
+    ``print`` ends a text."""
+    inst, circuit = _cli_circuit("random", 2, 1, 1)
+    argv = ["synth", "--family", "random", "--n", "2", "--m", "1", "--k", "1"]
+    argv += {"json": [], "json with matrices": ["--include-matrices"], "qasm": ["--format", "qasm"]}[form]
+    expected = {
+        "json": lambda: emit_json(circuit),
+        "json with matrices": lambda: emit_json(circuit, inst.unitaries),
+        "qasm": lambda: emit_qasm(circuit),
+    }[form]()
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out").read_bytes() == expected.encode()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (expected if expected.endswith("\n") else expected + "\n")
+
+
+def test_the_writer_holds_one_part_at_a_time(tmp_path):
+    """A document goes to its file part by part: neither the joined text nor
+    its whole encoding is ever held."""
+    inst = build_instance("random", 4, 3, 1)
+    parts = _json_parts(synth_access(inst.layout(), inst.unitaries), inst.unitaries)
+    path = tmp_path / "doc.json"
+    tracemalloc.start()
+    try:
+        _write_output(parts, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * max(map(len, parts)) < sum(map(len, parts)) // 4
+    assert path.read_bytes() == "".join(parts).encode()
+
+
+def test_synth_out_overwrites_a_longer_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * 100_000)
+    assert main(["synth", "--family", "qram", "--n", "1", "--m", "1", "--out", str(out)]) == 0
+    assert out.read_bytes() == emit_json(_cli_circuit("qram", 1, 1)[1]).encode()
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -403,6 +461,30 @@ def test_simulate_schema_error_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+#: ``--circuit`` files that are not UTF-8 text, or begin with a UTF-8 byte-order
+#: mark, and the message each is refused with.
+NOT_UTF8 = {
+    "UTF-16 byte-order mark": (b"\xff\xfe{", "error: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                               "in position 0: invalid start byte\n"),
+    "UTF-16 document": ('{"format": "qramforge-circuit/1"}'.encode("utf-16"), "error: not valid UTF-8: "
+                        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
+    "UTF-8 byte-order mark": (b"\xef\xbb\xbf{}", "error: not valid JSON: Unexpected UTF-8 BOM "
+                              "(decode using utf-8-sig): line 1 column 1 (char 0)\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8))
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_a_circuit_file_that_is_not_utf8_exits_2(command, case, tmp_path, capsys):
+    data, message = NOT_UTF8[case]
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    argv = {"simulate": ["simulate"],
+            "verify": ["verify", "--family", "table_lookup", "--n", "1", "--m", "1", "--table", "1,0"]}[command]
+    assert main(argv + ["--circuit", str(path)]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -422,6 +504,26 @@ def test_verify_pass_writes_report(tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert payload["passed"] is True
     assert payload["check"] == "proposition"
+
+
+@pytest.mark.parametrize("check", ["proposition", "all"])
+def test_verify_report_is_the_dumped_report(check, tmp_path, capsys):
+    """The ``--report`` file is ``json.dumps(indent=2)`` of one report's
+    ``to_dict`` (a list of them for ``--check all``), with no final newline;
+    only the seconds each check took differ from a library run."""
+    report = tmp_path / "report.json"
+    argv = ["verify", "--family", "qram", "--n", "1", "--m", "1", "--assignments", "2", "--check", check]
+    assert main(argv + ["--report", str(report)]) == 0
+    capsys.readouterr()
+    data = report.read_bytes()
+    payload = json.loads(data)
+    assert data == json.dumps(payload, indent=2).encode()
+    if check == "proposition":
+        expected = check_proposition(build_instance("qram", 1, 1), assignments=2).to_dict()
+        assert payload.keys() == expected.keys()
+        assert {**payload, "wall_seconds": None} == {**expected, "wall_seconds": None}
+    else:
+        assert [part["check"] for part in payload] == ["proposition", "linearity", "variant_agreement"]
 
 
 def test_verify_exhaustive_flag(tmp_path, capsys):

@@ -38,7 +38,7 @@ from qramforge import (
     synth_run,
     synth_up,
 )
-from qramforge import tree
+from qramforge import formats, tree
 from qramforge.cli import main
 from qramforge.ir import GateColumns
 from helpers import assert_valid_qasm2, reference_emit_json
@@ -761,7 +761,8 @@ def test_parse_document_restores_the_collector_state(enabled, monkeypatch):
     """The collector is paused while a document is parsed, and the caller's
     state comes back whether the document parses or is refused.  The text is
     decoded by ``json.loads`` and, for the records of ``matrices``, by
-    ``JSONDecoder.raw_decode``: every call of either runs paused."""
+    ``JSONDecoder.raw_decode``: every call of either runs paused, for a
+    ``str`` and for UTF-8 ``bytes``, and for bytes that are not UTF-8."""
     inst, circuit = _tiny()
     good = emit_json(circuit, inst.unitaries)
     loads, raw_decode = json.loads, json.JSONDecoder.raw_decode
@@ -773,16 +774,17 @@ def test_parse_document_restores_the_collector_state(enabled, monkeypatch):
     )
     was = gc.isenabled()
     try:
-        for text in (good, good[:-1], good.replace('"size": 1', '"size": 2', 1)):
+        texts = (good, good[:-1], good.replace('"size": 1', '"size": 2', 1))
+        for text in texts + tuple(text.encode() for text in texts) + (good.encode() + b"\xff",):
             gc.enable() if enabled else gc.disable()
             try:
                 parse_document(text)
             except SchemaError:
-                assert text != good
+                assert text not in (good, good.encode())
             assert gc.isenabled() is enabled
     finally:
         gc.enable() if was else gc.disable()
-    assert len(during) > 3 and not any(during)
+    assert len(during) > 6 and not any(during)
 
 
 def test_register_rows_are_labelled_once_per_layout(monkeypatch):
@@ -959,6 +961,53 @@ def test_state_document_shape():
     assert raw["format"] == "qramforge-state/1"
     assert raw["num_qubits"] == 3
     assert raw["terms"] == [{"bits": "101", "re": 0.0, "im": 1.0}]
+
+
+@pytest.mark.parametrize("parse", [parse_document, parse_state])
+@pytest.mark.parametrize("value", [None, 123, 1.5, ["{}"], bytearray(b"{}"), memoryview(b"{}")])
+def test_parsers_refuse_an_argument_that_is_neither_str_nor_bytes(parse, value):
+    with pytest.raises(InvalidParameterError, match=f"^documents are str or UTF-8 bytes, got {type(value).__name__}$"):
+        parse(value)
+
+
+def test_parsers_read_utf8_bytes_as_the_text_they_encode():
+    inst, circuit = _tiny()
+    text = emit_json(circuit, inst.unitaries)
+    assert parse_document(text.encode()) == parse_document(text)
+    state = serialize_state(SparseState(3, {5: 1j, 2: -0.5}))
+    assert parse_state(state.encode()).amps == parse_state(state).amps
+    with pytest.raises(SchemaError, match=r"^format: expected 'qramforge-circuit/1'$"):
+        parse_document(b"{}")
+
+
+def test_a_document_in_bytes_is_never_decoded_whole():
+    """Of UTF-8 bytes, the decoder decodes the head and each distinct record,
+    not the whole document: decoding them peaks about as high as decoding
+    the text, not a text's length higher."""
+    inst = build_random_instance(4, 3, 1)
+    text = emit_json(synth_access(inst.layout(), inst.unitaries), inst.unitaries)
+    peaks = []
+    for document in (text, text.encode()):
+        tracemalloc.start()
+        try:
+            formats._decode(document)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + len(text) // 4
+
+
+def test_parsers_refuse_bytes_that_are_not_utf8():
+    """Bytes are read as UTF-8 only: ``json.loads`` would take UTF-16 and a
+    UTF-8 byte-order mark from bytes, the parsers refuse both."""
+    state = serialize_state(SparseState(1, {0: 1}))
+    for parse, text in ((parse_document, emit_json(_tiny()[1])), (parse_state, state)):
+        with pytest.raises(SchemaError, match=r"^not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0"):
+            parse(text.encode("utf-16"))
+        with pytest.raises(SchemaError, match=r"^not valid JSON: Unexpected UTF-8 BOM"):
+            parse(b"\xef\xbb\xbf" + text.encode())
+        with pytest.raises(SchemaError, match=r"^not valid UTF-8: .* in position 2: invalid start byte$"):
+            parse(text.encode()[:2] + b"\x80" + text.encode()[2:])
 
 
 def test_state_schema_errors():

@@ -254,28 +254,49 @@ def _parse_outcome(text):
     return "accepted", emit_json(doc.circuit, doc.unitaries)
 
 
-def _check_decode(text, monkeypatch) -> bool:
-    """``formats._decode`` gives the tree ``json.loads`` gives, with its key
-    order, and ``parse_document`` the outcome and message it gives when the
-    whole text goes through ``json.loads``; whether ``_decode`` took the
-    ``matrices`` records one by one rather than the whole text."""
-    loads, whole = json.loads, []
+def _text_of(text) -> str | None:
+    """A str as it is, bytes decoded as UTF-8; None for bytes that are not UTF-8."""
+    if isinstance(text, str):
+        return text
     try:
-        expected = loads(text)
+        return text.decode()
+    except UnicodeDecodeError:
+        return None
+
+
+def _check_decode(text, monkeypatch) -> bool:
+    """``formats._decode`` gives the tree ``json.loads`` gives for the text
+    (bytes decoded as UTF-8), with its key order, or raises its error; and
+    ``parse_document`` the outcome and message it gives when the whole text
+    goes through ``json.loads`` that way.  Returns whether ``_decode`` took
+    the ``matrices`` records one by one rather than the whole text."""
+    loads, whole, source = json.loads, [], _text_of(text)
+    error = UnicodeDecodeError if source is None else None
+    try:
+        expected = loads(source) if source is not None else None
     except json.JSONDecodeError:
-        expected = None
+        error = json.JSONDecodeError
     with monkeypatch.context() as patch:
-        patch.setattr(json, "loads", lambda part: whole.append(part == text) or loads(part))
-        if expected is None:
-            with pytest.raises(json.JSONDecodeError):
+        patch.setattr(json, "loads", lambda part: whole.append(part == source) or loads(part))
+        if error is not None:
+            with pytest.raises(error):
                 formats._decode(text)
         else:
             assert json.dumps(formats._decode(text)) == json.dumps(expected)  # NaN != NaN, so compare the dumps
     outcome = _parse_outcome(text)
     with monkeypatch.context() as patch:
-        patch.setattr(formats, "_decode", loads)
+        patch.setattr(formats, "_decode", lambda part: loads(part if isinstance(part, str) else part.decode()))
         assert _parse_outcome(text) == outcome
-    return not any(whole)
+    return error is None and not any(whole)
+
+
+def _check_both(text: str, monkeypatch) -> bool:
+    """:func:`_check_decode` of ``text`` and of its UTF-8 bytes, which must
+    agree in the path taken and in ``parse_document``'s outcome and message."""
+    decoded = _check_decode(text, monkeypatch)
+    assert _check_decode(text.encode(), monkeypatch) is decoded
+    assert _parse_outcome(text.encode()) == _parse_outcome(text)
+    return decoded
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -284,7 +305,7 @@ def test_mutants_in_the_emitters_layout_decode_as_json_loads_does(seed, monkeypa
     most of them reach the record-by-record decoder."""
     mutations = CIRCUIT_MUTATIONS + (_boolean_entry,)
     decoded = sum(
-        _check_decode(text, monkeypatch)
+        _check_both(text, monkeypatch)
         for _, text in _mutants(_golden(), mutations, seed, 180, indent=2)
     )
     assert decoded >= 150
@@ -344,7 +365,57 @@ HOSTILE = {
 @pytest.mark.parametrize("case", sorted(HOSTILE))
 def test_hostile_texts_decode_as_json_loads_does(case, monkeypatch):
     text, decoded = HOSTILE[case]
-    assert _check_decode(text, monkeypatch) is decoded
+    assert _check_both(text, monkeypatch) is decoded
+
+
+GOLDEN_BYTES = GOLDEN.encode()
+MATRICES_BYTES = GOLDEN_BYTES.index(formats._MATRICES.encode())
+#: A non-ASCII instance note, so that a byte offset past it is not a character offset.
+NON_ASCII = GOLDEN.replace('"include_preparation": true', '"include_preparation": true,\n    "instance": {"note": "\u00e9\u4e2d\U0001d11e"}', 1)
+
+
+def _bytes_in_matrices(old: bytes, new: bytes) -> bytes:
+    return GOLDEN_BYTES[:MATRICES_BYTES] + GOLDEN_BYTES[MATRICES_BYTES:].replace(old, new, 1)
+
+
+def _refused_byte(data: bytes, marker: bytes, reason: str) -> tuple:
+    """A case refused at the first ``marker`` byte, which UTF-8 cannot start
+    or continue there."""
+    return (data, False, f"refused not valid UTF-8: 'utf-8' codec can't decode byte 0x{marker.hex()} in "
+                         f"position {data.index(marker)}: {reason}")
+
+
+#: Inputs only bytes can be: whether the decoder's fast path takes them, and
+#: the outcome of ``parse_document``.
+BYTES_ONLY = {
+    "invalid UTF-8 in the head": _refused_byte(GOLDEN_BYTES.replace(b'"sequential"', b'"seque\xffntial"', 1),
+                                               b"\xff", "invalid start byte"),
+    "invalid UTF-8 in a matrices body": _refused_byte(_bytes_in_matrices(b'"declared_depth"', b'"declared\xff_depth"'),
+                                                      b"\xff", "invalid start byte"),
+    "invalid UTF-8 in a leaf key": _refused_byte(_bytes_in_matrices(b'"1": {', b'"\xff": {'), b"\xff",
+                                                 "invalid start byte"),
+    "an encoded surrogate in a matrices body": _refused_byte(_bytes_in_matrices(b'"declared_depth"', b'"\xed\xa0\x80"'),
+                                                             b"\xed", "invalid continuation byte"),
+    "a UTF-16 document": _refused_byte(GOLDEN.encode("utf-16"), b"\xff", "invalid start byte"),
+    "a UTF-8 byte-order mark": (b"\xef\xbb\xbf" + GOLDEN_BYTES, False,
+                                "refused not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                                "line 1 column 1 (char 0)"),
+    "a UTF-16 document without a byte-order mark": (GOLDEN.encode("utf-16-le"), False,
+                                                    "refused not valid JSON: Expecting property name enclosed in "
+                                                    "double quotes: line 1 column 2 (char 1)"),
+    "a non-ASCII instance note": (NON_ASCII.encode(), True, "accepted"),
+    "a non-ASCII instance note, text after the final brace": (
+        (NON_ASCII + "x").encode(), False,
+        f"refused not valid JSON: Extra data: line {NON_ASCII.count(chr(10)) + 1} column 2 (char {len(NON_ASCII)})"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BYTES_ONLY))
+def test_bytes_only_inputs_decode_as_json_loads_does(case, monkeypatch):
+    data, decoded, verdict = BYTES_ONLY[case]
+    assert _check_decode(data, monkeypatch) is decoded
+    outcome, message = _parse_outcome(data)
+    assert (f"{outcome} {message}" if outcome == "refused" else outcome) == verdict
 
 
 @pytest.mark.parametrize("seed", [0, 1])
