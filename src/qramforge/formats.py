@@ -39,6 +39,7 @@ _PARAMETER_KEYS = ("phase", "variant", "include_preparation", "instance")
 _KIND_NAMES = tuple(kind.value for kind in KINDS)
 _KIND_CODES = {name: code for code, name in enumerate(_KIND_NAMES)}
 _OPAQUE_FIELDS = frozenset({"kind", "controls", "targets", "leaf", "dagger", "declared_depth"})
+_MATRIX_FIELDS = frozenset({"matrix", "declared_depth"})
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +231,13 @@ def emit_json(circuit: Circuit, unitaries: Mapping[str, UnitarySpec] | None = No
 def _expect(condition: bool, path: str, message: str) -> None:
     if not condition:
         raise SchemaError(f"{path}: {message}")
+
+
+def _same(value, measured) -> bool:
+    """Equal as JSON values, types included: ``true`` is not ``1``, nor ``6.0`` ``6``."""
+    if type(value) is not type(measured) or value != measured:
+        return False
+    return not isinstance(value, dict) or all(_same(value[key], measured[key]) for key in measured)
 
 
 def _expect_int(value, path: str, minimum: int | None = None) -> int:
@@ -431,6 +439,7 @@ def _stack_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec
         set(map(len, leaves)) <= {layout.n}
         and set("".join(leaves)) <= {"0", "1"}
         and set(map(type, records)) <= {dict}
+        and set().union(*records) <= _MATRIX_FIELDS
     ):
         return None
     dims = [1 << (layout.m + layout.k[int(leaf, 2)]) for leaf in leaves]
@@ -464,6 +473,7 @@ def _first_matrix_fault(section: dict, layout: RegisterMap) -> None:
         matrix = _parse_matrix(record.get("matrix"), 1 << (layout.m + layout.k[int(leaf, 2)]), path)
         depth = _expect_int(record.get("declared_depth", 1), f"{path}.declared_depth", 1)
         _expect(depth <= MAX_DECLARED_DEPTH, f"{path}.declared_depth", "expected an integer <= 2**62")
+        _expect(set(record) <= _MATRIX_FIELDS, path, f"unknown field(s) {sorted(set(record) - _MATRIX_FIELDS)}")
         try:
             UnitarySpec(leaf, matrix, declared_depth=depth)
         except QramForgeError as exc:
@@ -610,13 +620,11 @@ def _parse_document(text: str | bytes) -> CircuitDocument:
     _expect(isinstance(raw["registers"], list), "registers", "expected a list")
     expected_rows = _register_table(layout)
     actual_rows = raw["registers"]
-    _expect(
-        len(actual_rows) == len(expected_rows),
-        "registers",
-        f"expected {len(expected_rows)} rows for these parameters, got {len(actual_rows)}",
-    )
-    if actual_rows != expected_rows:
-        i = next(i for i, pair in enumerate(zip(actual_rows, expected_rows)) if pair[0] != pair[1])
+    _expect(len(actual_rows) == len(expected_rows), "registers",
+            f"expected {len(expected_rows)} rows for these parameters, got {len(actual_rows)}")
+    # rows equal to the table hold strings and numbers, and each number must be an integer
+    if actual_rows != expected_rows or not {type(v) for row in actual_rows for v in row.values()} <= {str, int}:
+        i = next(i for i, pair in enumerate(zip(actual_rows, expected_rows)) if not _same(*pair))
         raise SchemaError(f"registers[{i}]: expected {expected_rows[i]}, got {actual_rows[i]}")
 
     circuit = Circuit(layout, _parse_moments(raw["moments"], layout))
@@ -627,13 +635,12 @@ def _parse_document(text: str | bytes) -> CircuitDocument:
 
     metrics = raw["metrics"]
     _expect(isinstance(metrics, dict), "metrics", "expected an object")
-    for key, measured in _metrics(circuit).items():
+    measured_metrics = _metrics(circuit)
+    for key, measured in measured_metrics.items():
         stated = metrics.get(key)
-        _expect(
-            stated == measured,
-            f"metrics.{key}",
-            f"document says {stated!r}, circuit measures {measured!r}",
-        )
+        _expect(_same(stated, measured), f"metrics.{key}", f"document says {stated!r}, circuit measures {measured!r}")
+    unknown = set(metrics) - set(measured_metrics)
+    _expect(not unknown, "metrics", f"unknown field(s) {sorted(unknown)}")
 
     unitaries = None
     if "matrices" in raw:

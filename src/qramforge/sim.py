@@ -38,8 +38,8 @@ before they are allocated.
 from __future__ import annotations
 
 import cmath
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from typing import NamedTuple
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import NamedTuple, TypeVar
 
 import numpy as np
 
@@ -522,13 +522,12 @@ class _Rows:
         self.case = case
 
     @classmethod
-    def of_keys(cls, keys: list[int], amps: list[complex], counts: list[int], num_qubits: int) -> "_Rows":
-        """Rows for basis keys given as ints, ``counts[i]`` of them for case ``i``."""
-        rows = cls(num_qubits, np.repeat(np.arange(len(counts)), counts), np.array(amps, dtype=complex),
-                   len(counts))
-        width = rows.num_words
-        raw = b"".join(key.to_bytes(8 * width, "little") for key in keys)
-        rows.words[...] = np.frombuffer(raw, dtype="<u8").reshape(len(keys), width).T
+    def of_states(cls, states: Sequence[SparseState], num_qubits: int) -> "_Rows":
+        """Rows for the terms of ``states``, in order, case ``i`` for state ``i``."""
+        rows = cls(num_qubits, np.repeat(np.arange(len(states)), list(map(len, states))),
+                   np.array([amp for state in states for amp in state.amps.values()], dtype=complex), len(states))
+        raw = b"".join(key.to_bytes(8 * rows.num_words, "little") for state in states for key in state.amps)
+        rows.words[...] = np.frombuffer(raw, dtype="<u8").reshape(len(rows.case), rows.num_words).T
         return rows
 
     def norms(self) -> np.ndarray:
@@ -714,34 +713,20 @@ def _batch_terms(circuit: Circuit, term_bytes: int = 0) -> int:
     return BATCH_BUDGET_BYTES // (growth * max(row_bytes, 16) + term_bytes)
 
 
-def _batches(states: Iterable[SparseState], circuit: Circuit) -> Iterator[_Rows]:
-    """Pack ``states`` as they are read into consecutive batches of at most
-    :func:`_batch_terms` terms; a batch holds at least one state."""
-    num_qubits = circuit.layout.total_qubits
-    limit = None
-    keys: list[int] = []
-    amps: list[complex] = []
-    counts: list[int] = []
-    for state in states:
-        if state.num_qubits != num_qubits:
-            raise StructuralError(
-                f"state has {state.num_qubits} qubits, circuit expects {num_qubits}"
-            )
-        if counts:
-            if limit is None:
-                limit = _batch_terms(circuit)
-            if len(keys) + len(state.amps) > limit:
-                rows = _Rows.of_keys(keys, amps, counts, num_qubits)
-                keys, amps, counts = [], [], []
-                yield rows
-                del rows  # free the finished batch before packing the next
-        keys.extend(state.amps)
-        amps.extend(state.amps.values())
-        counts.append(len(state.amps))
-    if counts:
-        rows = _Rows.of_keys(keys, amps, counts, num_qubits)
-        del keys, amps
-        yield rows
+_Batch = TypeVar("_Batch")
+
+
+def _batches(terms: Sequence[int] | np.ndarray, limit: int, take: Callable[[int, int], _Batch]) -> Iterator[_Batch]:
+    """The inputs, ``terms[i]`` terms for input ``i``, in consecutive batches
+    of at most ``limit`` terms (and at least one input), each made by
+    ``take(lo, hi)``."""
+    ends = np.cumsum(terms)
+    lo = 0
+    while lo < len(ends):
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + limit, side="right")))
+        yield take(lo, hi)
+        lo = hi
 
 
 def run_batch(
@@ -753,18 +738,23 @@ def run_batch(
     states in input order.
 
     Each final state equals what :func:`run_circuit` returns for that state
-    alone, term order included.  The states are packed as they are read, in
-    consecutive batches sized so that the rows they can grow into fit
-    :data:`BATCH_BUDGET_BYTES`; each batch runs when its first final state
-    is requested.
+    alone, term order included.  The states are listed first, and one on
+    another qubit count than the circuit's is refused before any work.  They
+    run in consecutive batches sized so that the rows they can grow into fit
+    :data:`BATCH_BUDGET_BYTES`; each is packed and run when its first final
+    state is requested.
     """
-    moments = None
-    for rows in _batches(states, circuit):
-        if moments is None:
-            moments = _Moments(circuit.columns, circuit.layout.total_qubits)
+    states = list(states)
+    num_qubits = circuit.layout.total_qubits
+    for state in states:
+        if state.num_qubits != num_qubits:
+            raise StructuralError(f"state has {state.num_qubits} qubits, circuit expects {num_qubits}")
+    moments = _Moments(circuit.columns, num_qubits)
+    for rows in _batches(list(map(len, states)), _batch_terms(circuit),
+                         lambda lo, hi: _Rows.of_states(states[lo:hi], num_qubits)):
         _run_moments(rows, moments, unitaries)
         yield from rows.states()
-        del rows
+        del rows  # free the finished batch before packing the next
 
 
 def _run_moments(rows: _Rows, moments: _Moments, unitaries: Mapping[str, UnitarySpec] | None) -> None:
@@ -802,7 +792,7 @@ def apply_gate(
         raise StructuralError(
             f"gate on qubit {max(gate.qubits)} does not fit a {state.num_qubits}-qubit state"
         )
-    rows = _Rows.of_keys(list(state.amps), list(state.amps.values()), [len(state)], state.num_qubits)
+    rows = _Rows.of_states([state], state.num_qubits)
     moments = _Moments(GateColumns.of_gates([(0, gate)], 1), state.num_qubits)
     rows.apply(moments, unitaries)
     (out,) = rows.states()

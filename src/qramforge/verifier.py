@@ -25,7 +25,7 @@ per-leaf tuple), a deliberately circuit-free encoding.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -41,6 +41,7 @@ from .sim import (
     _CHUNK_BYTES,
     _amplitude,
     _batch_terms,
+    _batches,
     _check_budget,
     _Moments,
     _read_bits,
@@ -341,7 +342,7 @@ def extract_data_state(state: SparseState, layout: RegisterMap) -> tuple[DataSta
     if state.num_qubits != layout.total_qubits:
         raise StructuralError(f"state has {state.num_qubits} qubits, layout expects {layout.total_qubits}")
     reader = _Reader(layout, _Keys(layout))
-    data = reader.read(_Rows.of_keys(list(state.amps), list(state.amps.values()), [len(state)], state.num_qubits))
+    data = reader.read(_Rows.of_states([state], state.num_qubits))
     return dict(zip(reader.keys.decode(data.key), data.amp.tolist())), float(data.residual[0])
 
 
@@ -661,19 +662,6 @@ def _case_terms(count: int, runs: int, terms: int = 1) -> np.ndarray:
     return np.full(count, terms, dtype=np.int64)
 
 
-def _batches(terms: np.ndarray, limit: int, take: Callable[[int, int], _Cases]) -> Iterator[_Cases]:
-    """The cases, ``terms[i]`` terms for case ``i``, in consecutive batches
-    of at most ``limit`` terms (and at least one case), each made by
-    ``take(lo, hi)``."""
-    ends = np.cumsum(terms)
-    lo = 0
-    while lo < len(ends):
-        done = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + limit, side="right")))
-        yield take(lo, hi)
-        lo = hi
-
-
 class _Reader:
     """Where a layout's registers sit in its basis keys: the bit field of
     each data-key word, and the ancilla bits of each word."""
@@ -806,29 +794,34 @@ def _verify(
     instance: InstanceSpec,
     check: str,
     options: dict,
+    keys: _Keys,
     runs: Sequence[tuple[str, _Run]],
-    batches: Iterable[_Cases],
-    reference: Callable[[_Cases], _Data],
+    terms: np.ndarray,
+    take: Callable[[int, int], _Cases],
+    reference: _Run | None,
     fidelity_tolerance: float,
     residual_tolerance: float,
     start: float,
 ) -> VerificationReport:
     """The case-running and judging core shared by every checker.
 
-    Each batch of cases goes through every run ``(prefix, run)`` and is
-    judged against ``reference(cases)``; the residual is the larger of the
-    run's and the reference's (0 for the oracle).  The cases come run by
-    run, each run's in order and labelled with its prefix.  ``start`` is
-    the checker's entry time.
+    ``take(lo, hi)`` makes the cases, ``terms[i]`` terms for case ``i``, in
+    batches that every circuit here can hold.  Each batch goes through every
+    run ``(prefix, run)``, judged against the data rows of ``reference`` (of
+    the oracle when None); the residual is the larger of the two, 0 for the
+    oracle.  The cases come run by run, each run's in order and labelled
+    with its prefix.  ``start`` is the checker's entry time.
     """
+    circuits = [run.circuit for _, run in runs] + ([] if reference is None else [reference.circuit])
+    limit = min(_batch_terms(circuit, keys.case_bytes) for circuit in circuits)
     results: list[list[CaseResult]] = [[] for _ in runs]
-    for cases in batches:
-        expected = reference(cases)
+    for cases in _batches(terms, limit, take):
+        expected = _oracle(instance, keys, cases) if reference is None else _simulate(reference, cases)
         for (prefix, run), out in zip(runs, results):
             actual = _simulate(run, cases)
             fidelity = _fidelity(expected, actual, cases.num_cases)
             residual = np.maximum(expected.residual, actual.residual)
-            invariant = _mem_invariant(run.keys, actual, cases)
+            invariant = _mem_invariant(keys, actual, cases)
             passed = (fidelity >= 1.0 - fidelity_tolerance) & (residual <= residual_tolerance) & invariant
             out.extend(map(
                 CaseResult, [prefix + label for label in cases.labels], fidelity.tolist(),
@@ -861,10 +854,6 @@ def _check_run_options(seed, count, fidelity_tolerance, residual_tolerance) -> N
 
 def _variant_options(circuit: Circuit) -> dict:
     return {key: circuit.metadata.get(key) for key in ("variant", "fanout_block")}
-
-
-def _batch_limit(keys: _Keys, circuits: Iterable[Circuit]) -> int:
-    return min(_batch_terms(circuit, keys.case_bytes) for circuit in circuits)
 
 
 def check_proposition(
@@ -910,10 +899,8 @@ def check_proposition(
     else:
         listed = _listed_cases(instance, keys, cases)
         count, take = listed.num_cases, listed.slice
-    batches = _batches(_case_terms(count, 1), _batch_limit(keys, [circuit]), take)
-    return _verify(instance, "proposition", _variant_options(circuit),
-                   [("", _Run(circuit, sim_unitaries, keys))], batches,
-                   lambda cases: _oracle(instance, keys, cases),
+    return _verify(instance, "proposition", _variant_options(circuit), keys,
+                   [("", _Run(circuit, sim_unitaries, keys))], _case_terms(count, 1), take, None,
                    fidelity_tolerance, residual_tolerance, start)
 
 
@@ -958,10 +945,8 @@ def check_linearity(
         return keys.cases(np.concatenate(addresses), values[:, 0], values[:, 1:], labels,
                           np.repeat(np.arange(hi - lo), terms[lo:hi]), np.concatenate(amps))
 
-    batches = _batches(terms, _batch_limit(keys, [circuit]), take)
-    return _verify(instance, "linearity", _variant_options(circuit),
-                   [("", _Run(circuit, instance.unitaries, keys))], batches,
-                   lambda cases: _oracle(instance, keys, cases),
+    return _verify(instance, "linearity", _variant_options(circuit), keys,
+                   [("", _Run(circuit, instance.unitaries, keys))], terms, take, None,
                    fidelity_tolerance, residual_tolerance, start)
 
 
@@ -992,7 +977,6 @@ def check_variant_agreement(
     reference = _Run(sequential, instance.unitaries, keys)
     runs = [(f"s={s} ", _Run(fanout, instance.unitaries, keys)) for s, fanout in zip(block_sizes, fanouts)]
     count, take = _basis_cases(instance, keys, assignments, seed)
-    batches = _batches(_case_terms(count, len(runs)), _batch_limit(keys, [sequential, *fanouts]), take)
-    return _verify(instance, "variant_agreement", {"block_sizes": list(block_sizes)}, runs, batches,
-                   lambda cases: _simulate(reference, cases),
+    return _verify(instance, "variant_agreement", {"block_sizes": list(block_sizes)}, keys, runs,
+                   _case_terms(count, len(runs)), take, reference,
                    fidelity_tolerance, residual_tolerance, start)

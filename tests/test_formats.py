@@ -611,6 +611,55 @@ def test_rejects_metrics_mismatch():
         parse_document(text)
 
 
+@pytest.mark.parametrize("index, field, value", [(2, "size", True), (6, "start", 6.0)])
+def test_register_rows_must_carry_integers(index, field, value):
+    """A row equal to the table but for a number's JSON type is refused by
+    name, as a row with another value is: re-emitting it would change the
+    document's bytes."""
+    from qramforge.formats import _register_table
+
+    expected = _register_table(allocate_registers(1, 1))
+    assert expected[index][field] == value
+    raw = json.loads(_golden_text("access_n1_m1.json"))
+    raw["registers"][index][field] = value
+    with pytest.raises(SchemaError) as info:
+        parse_document(json.dumps(raw))
+    assert str(info.value) == f"registers[{index}]: expected {expected[index]}, got {raw['registers'][index]}"
+
+
+@pytest.mark.parametrize("key, value", [("depth", 13.0), ("width", 2.0), ("num_gates", 16.0),
+                                        ("gate_counts", {"ccx": 4, "cswap": 4, "cu": 2, "x": 6.0}),
+                                        ("total_qubits", 7.0)])
+def test_metrics_must_carry_integers(key, value):
+    """A metric equal to the measured one but for a number's JSON type is
+    refused with the mismatch message."""
+    raw = json.loads(_golden_text("access_n1_m1.json"))
+    measured = raw["metrics"][key]
+    assert measured == value
+    raw["metrics"][key] = value
+    with pytest.raises(SchemaError) as info:
+        parse_document(json.dumps(raw))
+    assert str(info.value) == f"metrics.{key}: document says {value!r}, circuit measures {measured!r}"
+
+
+def test_unknown_fields_of_matrix_records_and_metrics_are_refused():
+    """An extra field in a ``matrices`` record or in ``metrics`` is refused,
+    as in a gate record, instead of vanishing when the document is written
+    again; the bulk matrix check refuses what the walk names."""
+    layout = allocate_registers(1, 1)
+    raw = json.loads(_golden_text("access_n1_m1.json"))
+    raw["matrices"]["1"]["extra"] = 5
+    assert formats._stack_matrices(raw["matrices"], layout) is None
+    with pytest.raises(SchemaError) as info:
+        parse_document(json.dumps(raw))
+    assert str(info.value) == "matrices.1: unknown field(s) ['extra']"
+    raw = json.loads(_golden_text("access_n1_m1.json"))
+    raw["metrics"].update(extra=5, colour="red")
+    with pytest.raises(SchemaError) as info:
+        parse_document(json.dumps(raw))
+    assert str(info.value) == "metrics: unknown field(s) ['colour', 'extra']"
+
+
 def test_rejects_bad_matrices():
     text = _mutated(lambda raw: raw["matrices"].update({"01": raw["matrices"]["0"]}))
     with pytest.raises(SchemaError, match="matrices.01: not a leaf"):

@@ -691,8 +691,8 @@ def test_batches_split_to_fit_the_budget(monkeypatch):
     sizes = []
     original = sim._batches
 
-    def counting_batches(states, circuit):
-        for rows in original(states, circuit):
+    def counting_batches(*args):
+        for rows in original(*args):
             sizes.append(rows.num_cases)
             yield rows
 
@@ -703,6 +703,45 @@ def test_batches_split_to_fit_the_budget(monkeypatch):
     split = [list(s.amps.items()) for s in run_batch(states, circuit, instance.unitaries)]
     assert split == default
     assert sizes == [5] * 6 + [2]
+
+
+def _split_budget_states():
+    instance = build_random_instance(2, 2, 1, seed=8)
+    circuit = synth_access(instance.layout(), instance.unitaries)
+    layout = circuit.layout
+    states = [basis_state(layout, y, r, [m] * len(layout.leaves))
+              for y in range(1 << layout.n) for r in range(1 << layout.m) for m in (0, 1)]
+    # two of them superposed, so that batches hold cases of one and two terms
+    states[5:9] = [superpose([(0.6, states[5]), (0.8j, states[6])]),
+                   superpose([(0.5 ** 0.5, state) for state in states[7:9]])]
+    return instance, circuit, states
+
+
+def test_run_batch_refuses_a_mismatched_state_before_it_yields_any_state(monkeypatch):
+    """A state on another qubit count is refused when the first final state
+    is requested, even when the states before it fill whole batches, and
+    before any moment runs."""
+    instance, circuit, states = _split_budget_states()
+    monkeypatch.setattr(sim, "_batch_terms", lambda circuit: 1)
+    ran = []
+    monkeypatch.setattr(sim, "_run_moments", lambda *args: ran.append(args))
+    stray = SparseState(circuit.layout.total_qubits + 1, {0: 1.0})
+    outputs = run_batch([*states, stray, states[0]], circuit, instance.unitaries)
+    with pytest.raises(StructuralError, match=rf"state has {circuit.layout.total_qubits + 1} qubits, circuit expects"):
+        next(outputs)
+    assert ran == []
+
+
+def test_run_batch_reads_a_generator_as_the_list_of_its_states(monkeypatch):
+    """States given by a generator run as the list of them would, term for
+    term, under the default budget and one that splits them into batches."""
+    instance, circuit, states = _split_budget_states()
+    for budget in (sim.BATCH_BUDGET_BYTES, 3 * 8 * 16):
+        monkeypatch.setattr(sim, "BATCH_BUDGET_BYTES", budget)
+        listed = [list(s.amps.items()) for s in run_batch(states, circuit, instance.unitaries)]
+        read = [list(s.amps.items()) for s in run_batch((s for s in states), circuit, instance.unitaries)]
+        assert read == listed
+        assert listed == [list(run_circuit(s, circuit, instance.unitaries).amps.items()) for s in states]
 
 
 def _random_moment_stream(rng, num_qubits, num_moments):
@@ -931,9 +970,7 @@ def _permutation_states(layout, rng, count=24):
 
 
 def _final_rows(states, circuit, unitaries):
-    keys = [key for state in states for key in state.amps]
-    amps = [amp for state in states for amp in state.amps.values()]
-    rows = sim._Rows.of_keys(keys, amps, [len(state) for state in states], circuit.layout.total_qubits)
+    rows = sim._Rows.of_states(states, circuit.layout.total_qubits)
     sim._run_moments(rows, sim._Moments(circuit.columns, circuit.layout.total_qubits), unitaries)
     return rows.words.tobytes(), rows.amps.view(np.float64).tobytes(), rows.case.tobytes()
 

@@ -852,7 +852,7 @@ def test_case_generation_and_packing_stay_within_the_budget(monkeypatch):
     try:
         batches = 0
         for cases in verifier._batches(np.ones(count, dtype=np.int64),
-                                       verifier._batch_limit(keys, [circuit]), take):
+                                       sim._batch_terms(circuit, keys.case_bytes), take):
             rows = run.pack(cases)
             batches += 1
             del cases, rows
