@@ -19,7 +19,8 @@ Sections:
   preparation, as JSON (with matrices) and QASM;
 - ``analyze``: ``analyze --csv`` for n 1-12 x m {1, 4, 16, 64};
 - ``verify``: the tables and the ``--report`` JSON of ``--check all`` on
-  n=2 instances of the four families, without the seconds each check took.
+  n=2 instances of the four families, and of a ``random`` instance with
+  per-leaf widths ``3,0,2,2``, without the seconds each check took.
 
 A change that alters an output on purpose regenerates the pins with
 
@@ -50,7 +51,7 @@ SECTION_DIGESTS = {
     "access": "c5ed159907484cfedeececf931e68875e7abaddb6be486031f611928e167b805",
     "phases": "da9a0db10a92335fe0c2eb803ec40086aeaaa10af227070a27a9a14f0f2b3498",
     "analyze": "9738a1cfc5d9d3217efcb6576f94bcea41aa6dd1dc2c899c0507ac59f858472e",
-    "verify": "86eb07d6d850f9fb72542930584b6c1b602cc93b8d83011d3f0dd8f5fb514f5c",
+    "verify": "399ca3df8116bb482ca39895d4bebd991729044bac2a2fa3ab11364d3b65d5f9",
 }
 # digests: end
 
@@ -84,7 +85,9 @@ GRIDS = {
                      lambda m: [[], ["--variant", "fanout"]]),
     "analyze": [["analyze", "--n", str(n), "--m", str(m), "--csv"] for n in range(1, 13) for m in (1, 4, 16, 64)],
     "verify": [["verify", *_family(family, 2, m), "--check", "all"]
-               for family, m in (("qram", 1), ("table_lookup", 2), ("rotation", 2), ("random", 1))],
+               for family, m in (("qram", 1), ("table_lookup", 2), ("rotation", 2), ("random", 1))]
+    # per-leaf widths with more than 64 (result, mem) assignments, so both basis checks draw
+    + [["verify", "--family", "random", "--n", "2", "--m", "1", "--k", "3,0,2,2", "--check", "all"]],
 }
 
 
