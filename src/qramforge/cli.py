@@ -207,8 +207,6 @@ def _rebuild_unitaries(doc):
             "document embeds no matrices and names no instance; "
             "re-synthesize with --include-matrices or pass instance parameters"
         )
-    if not isinstance(params, dict):
-        raise SchemaError("parameters.instance: expected an object")
     table = params.get("table")
     if not (table is None or isinstance(table, list) and set(map(type, table)) <= {int}):
         raise SchemaError("parameters.instance.table: expected a list of integers")

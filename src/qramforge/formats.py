@@ -34,7 +34,9 @@ from .tree import MAX_QUBITS, RegisterMap
 FORMAT_VERSION = "qramforge-circuit/1"
 STATE_FORMAT_VERSION = "qramforge-state/1"
 
-_PARAMETER_KEYS = ("phase", "variant", "include_preparation", "instance")
+#: The metadata keys of ``parameters`` as they are written, with their JSON types.
+_PARAMETER_KEYS = {"phase": (str, "a string"), "variant": (str, "a string"),
+                   "include_preparation": (bool, "a boolean"), "instance": (dict, "an object")}
 
 _KIND_NAMES = tuple(kind.value for kind in KINDS)
 _KIND_CODES = {name: code for code, name in enumerate(_KIND_NAMES)}
@@ -233,6 +235,11 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise SchemaError(f"{path}: {message}")
 
 
+def _expect_fields(record: dict, allowed, path: str) -> None:
+    unknown = set(record) - set(allowed)
+    _expect(not unknown, path, f"unknown field(s) {sorted(unknown)}")
+
+
 def _same(value, measured) -> bool:
     """Equal as JSON values, types included: ``true`` is not ``1``, nor ``6.0`` ``6``."""
     if type(value) is not type(measured) or value != measured:
@@ -272,8 +279,7 @@ def _check_gate(record, path: str, leaves: frozenset[str]) -> None:
         depth = _expect_int(record.get("declared_depth", 1), f"{path}.declared_depth", 1)
         _expect(depth <= MAX_DECLARED_DEPTH, f"{path}.declared_depth", "expected an integer <= 2**62")
         opaque = {"leaf": record["leaf"], "dagger": record.get("dagger", False), "declared_depth": depth}
-    unknown = set(record) - allowed
-    _expect(not unknown, path, f"unknown field(s) {sorted(unknown)}")
+    _expect_fields(record, allowed, path)
     try:
         Gate(KINDS[code], tuple(record["controls"]), tuple(record["targets"]), **opaque)
     except QramForgeError as exc:
@@ -473,7 +479,7 @@ def _first_matrix_fault(section: dict, layout: RegisterMap) -> None:
         matrix = _parse_matrix(record.get("matrix"), 1 << (layout.m + layout.k[int(leaf, 2)]), path)
         depth = _expect_int(record.get("declared_depth", 1), f"{path}.declared_depth", 1)
         _expect(depth <= MAX_DECLARED_DEPTH, f"{path}.declared_depth", "expected an integer <= 2**62")
-        _expect(set(record) <= _MATRIX_FIELDS, path, f"unknown field(s) {sorted(set(record) - _MATRIX_FIELDS)}")
+        _expect_fields(record, _MATRIX_FIELDS, path)
         try:
             UnitarySpec(leaf, matrix, declared_depth=depth)
         except QramForgeError as exc:
@@ -616,6 +622,9 @@ def _parse_document(text: str | bytes) -> CircuitDocument:
         layout = RegisterMap(n, m, k, fanout_block=fanout_block)
     except Exception as exc:
         raise SchemaError(f"parameters: {exc}") from exc
+    for key, (kind, name) in _PARAMETER_KEYS.items():
+        _expect(key not in params or isinstance(params[key], kind), f"parameters.{key}", f"expected {name}")
+    _expect_fields(params, {"n", "m", "k", "fanout_block", *_PARAMETER_KEYS}, "parameters")
 
     _expect(isinstance(raw["registers"], list), "registers", "expected a list")
     expected_rows = _register_table(layout)
@@ -639,8 +648,7 @@ def _parse_document(text: str | bytes) -> CircuitDocument:
     for key, measured in measured_metrics.items():
         stated = metrics.get(key)
         _expect(_same(stated, measured), f"metrics.{key}", f"document says {stated!r}, circuit measures {measured!r}")
-    unknown = set(metrics) - set(measured_metrics)
-    _expect(not unknown, "metrics", f"unknown field(s) {sorted(unknown)}")
+    _expect_fields(metrics, measured_metrics, "metrics")
 
     unitaries = None
     if "matrices" in raw:
@@ -743,6 +751,7 @@ def parse_state(text: str | bytes) -> SparseState:
     num_qubits = _expect_int(raw.get("num_qubits"), "num_qubits", 1)
     _expect(num_qubits <= MAX_QUBITS, "num_qubits", f"expected at most {MAX_QUBITS} qubits")
     _expect(isinstance(raw.get("terms"), list), "terms", "expected a list")
+    _expect_fields(raw, {"format", "num_qubits", "terms"}, "$")
     amps: dict[int, complex] = {}
     for i, term in enumerate(raw["terms"]):
         path = f"terms[{i}]"
@@ -762,4 +771,5 @@ def parse_state(text: str | bytes) -> SparseState:
         except OverflowError:
             raise SchemaError(f"{path}: re/im must be numbers") from None
         _expect(cmath.isfinite(amps[key]), path, "re/im must be finite")
+        _expect_fields(term, {"bits", "re", "im"}, path)
     return SparseState(num_qubits, amps)

@@ -146,9 +146,11 @@ class UnitarySpec:
 
 def _amplitude(value, where: str = "", finite: bool = True) -> complex:
     """``value`` as ``complex()`` reads it: the one rule for caller-given
-    amplitudes.  What it cannot read is refused, and so is a NaN or infinite
-    value unless ``finite`` is False (:func:`superpose` refuses those by their norm)."""
+    amplitudes.  A string, numeric or not, and what ``complex()`` cannot read are
+    refused, and so is a NaN or infinite value unless ``finite`` is False (:func:`superpose` refuses those by their norm)."""
     try:
+        if isinstance(value, (str, bytes)):
+            raise TypeError
         amp = complex(value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidParameterError(f"amplitudes must be finite, got {_shown(value)}{where}") from None
@@ -303,13 +305,17 @@ def _checked(leaves: list, matrices: list, depths: list) -> list[tuple[np.ndarra
 
 def _square_matrix(leaf: str, matrix) -> np.ndarray:
     """``matrix`` as an array of numbers, its rows within the budget, square
-    and of a power-of-two size >= 2.  An array of numbers is not copied."""
+    and of a power-of-two size >= 2.  An array of numbers is not copied; a
+    string entry is refused, though numpy would read a numeric one."""
     shape = getattr(matrix, "shape", None)
     rows = shape[0] if shape else len(matrix) if isinstance(matrix, Sequence) else 0
     _check_budget(16 * rows * rows, f"the {rows}-row matrix for leaf {leaf!r}")
     if not (isinstance(matrix, np.ndarray) and matrix.dtype.kind in "biufc"):
         try:
-            matrix = np.array(matrix, dtype=complex)
+            entries = np.asarray(matrix)
+            if entries.dtype.kind in "SU" or entries.dtype == object and any(isinstance(v, (str, bytes)) for v in entries.flat):
+                raise TypeError
+            matrix = np.asarray(entries, dtype=complex)
         except (TypeError, ValueError, OverflowError):
             raise InvalidParameterError(f"matrix for leaf {leaf!r} is not an array of numbers") from None
     dim = matrix.shape[0] if matrix.ndim else 0

@@ -578,35 +578,13 @@ class _Keys:
         _write_bits(words, self.offset[leaf[rows]], self.k[leaf[rows]], 0 if value is None else value[rows], rows)
 
 
-def _draw_runs(instance: InstanceSpec) -> list[tuple[int, int]]:
-    """One seeded (result, mem) draw as runs ``(width, count)`` of equal
-    bounds: the result first, then each leaf's memory.  A leaf of width 0
-    draws from a bound of 1, which takes no random bits, so it is left out."""
-    runs: list[tuple[int, int]] = []
-    for width in (instance.m, *instance.k):
-        if width and runs and runs[-1][0] == width:
-            runs[-1] = (width, runs[-1][1] + 1)
-        elif width:
-            runs.append((width, 1))
-    return runs
-
-
-def _draw(rng: np.random.Generator, runs: list[tuple[int, int]], count: int) -> np.ndarray:
-    """``count`` seeded (result, mem) draws as rows of ``[result, memory
-    table]``, equal to drawing every value on its own in order:
-    ``rng.integers(0, b, size=N)`` gives the values of N single draws with
-    bound ``b``.  So each run of equal bounds is one draw, and with a
-    single run every case's values are."""
-    if len(runs) == 1:
-        ((width, size),) = runs
-        return rng.integers(0, 1 << width, size=(count, size))
-    out = np.empty((count, sum(size for _, size in runs)), dtype=np.int64)
-    for row in out:
-        start = 0
-        for width, size in runs:
-            row[start : start + size] = rng.integers(0, 1 << width, size=size)
-            start += size
-    return out
+def _bounds(instance: InstanceSpec) -> np.ndarray:
+    """The bounds of one seeded (result, mem) draw, one per column of
+    ``[result, memory table]``: ``2^m``, then ``2^k_z`` for each leaf with
+    ``k_z > 0`` (a bound of 1 would take no random bits).
+    ``rng.integers(0, bounds, size=(N, len(bounds)))`` draws the values one
+    at a time in row order, as ``N`` rows of scalar draws would."""
+    return np.array([1 << width for width in (instance.m, *instance.k) if width], dtype=np.int64)
 
 
 def _basis_cases(
@@ -617,21 +595,19 @@ def _basis_cases(
     seeded draws.  Returned as their number and ``take(lo, hi)``, which
     makes cases ``lo`` to ``hi - 1`` and must be called in order."""
     rng = np.random.default_rng(seed)
-    runs = _draw_runs(instance)
-    m = instance.m
-    combos = 1 << (m + sum(instance.k))
+    bounds = _bounds(instance)
+    combos = 1 << (instance.m + sum(instance.k))
     listed = combos if combos <= max(assignments, 64) else 0
     per_address = max(listed, assignments, 0)
-    mem_shift, mem_mask = m + keys.offset[keys.leaves], (1 << keys.k[keys.leaves]) - 1
+    # a listed slot packs the result in its low bits, then the memory block
+    shift = np.concatenate([[0], instance.m + keys.offset[keys.leaves]])
 
     def take(lo: int, hi: int) -> _Cases:
         address, slot = np.divmod(np.arange(lo, hi), per_address)
-        values = np.empty((hi - lo, 1 + len(keys.leaves)), dtype=np.int64)
+        values = np.empty((hi - lo, len(bounds)), dtype=np.int64)
         enumerated = slot < listed
-        packed = slot[enumerated]
-        values[enumerated, 0] = packed & ((1 << m) - 1)
-        values[enumerated, 1:] = (packed[:, None] >> mem_shift) & mem_mask
-        values[~enumerated] = _draw(rng, runs, hi - lo - len(packed))
+        values[enumerated] = (slot[enumerated, None] >> shift) & (bounds - 1)
+        values[~enumerated] = rng.integers(0, bounds, size=(np.count_nonzero(~enumerated), len(bounds)))
         return keys.cases(address, values[:, 0], values[:, 1:])
 
     return (1 << instance.n) * per_address, take
@@ -920,7 +896,7 @@ def check_linearity(
     _check_run_options(seed, num_cases, fidelity_tolerance, residual_tolerance)
     circuit = synth_access(instance.layout(), instance.unitaries, options)
     rng = np.random.default_rng(seed)
-    runs = _draw_runs(instance)
+    bounds = _bounds(instance)
     num_addresses = 1 << instance.n
     keys = _Keys(instance)
     terms = np.append(_case_terms(max(num_cases, 0), 1, 2), num_addresses)
@@ -940,8 +916,8 @@ def check_linearity(
                 addresses.append(np.arange(num_addresses))
                 amps.append(np.full(num_addresses, complex(1 / np.sqrt(num_addresses))))
                 labels.append("uniform over addresses")
-            values.append(_draw(rng, runs, 1))
-        values = np.concatenate(values)
+            values.append(rng.integers(0, bounds))
+        values = np.array(values)
         return keys.cases(np.concatenate(addresses), values[:, 0], values[:, 1:], labels,
                           np.repeat(np.arange(hi - lo), terms[lo:hi]), np.concatenate(amps))
 

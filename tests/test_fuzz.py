@@ -425,23 +425,54 @@ def test_mutated_state_documents_raise_only_schema_errors(seed):
     assert "refused" in outcomes
 
 
-def test_command_line_exits_2_on_mutated_documents(tmp_path, capsys):
-    path = tmp_path / "doc.json"
-    commands = (
+def _exits_2(text: str, path: Path, capsys) -> None:
+    """``simulate`` and ``verify`` of the circuit document ``text``, written
+    to ``path``, each exit 2 with an error."""
+    path.write_text(text)
+    for argv in (
         ["simulate", "--circuit", str(path)],
         ["verify", "--family", "table_lookup", "--n", "1", "--m", "1", "--table", "1,0",
          "--circuit", str(path)],
-    )
+    ):
+        assert main(argv) == 2, (argv, text)
+        assert "error:" in capsys.readouterr().err
+
+
+def test_command_line_exits_2_on_mutated_documents(tmp_path, capsys):
     checked = 0
     for _, text in _mutants(_golden(), CIRCUIT_MUTATIONS, 7, 28):
         if _outcome(parse_document, text) == "accepted":
             continue
-        path.write_text(text)
-        for argv in commands:
-            assert main(argv) == 2, (argv, text)
-            assert "error:" in capsys.readouterr().err
+        _exits_2(text, tmp_path / "doc.json", capsys)
         checked += 1
     assert checked >= 20
+
+
+def _with_added_field(raw) -> list[str]:
+    """``raw`` with ``"extra": 5`` added to each of its objects in turn."""
+    texts = []
+    for index in range(1 + sum(isinstance(c[k], dict) for c, k in _nodes(raw, []))):
+        mutant = copy.deepcopy(raw)
+        objects = [mutant] + [c[k] for c, k in _nodes(mutant, []) if isinstance(c[k], dict)]
+        objects[index]["extra"] = 5
+        texts.append(json.dumps(mutant))
+    return texts
+
+
+def test_an_added_field_is_refused_in_every_object(tmp_path, capsys):
+    """No object of a circuit or state document takes a field it does not
+    define, which the next emit would drop: each of the 30 objects of the
+    golden document and the 3 of a state document refuses one, and the
+    command line exits 2 on each circuit."""
+    circuits, states = _with_added_field(_golden()), _with_added_field(_state_document())
+    assert (len(circuits), len(states)) == (30, 3)
+    for text in circuits:
+        with pytest.raises(SchemaError):
+            parse_document(text)
+        _exits_2(text, tmp_path / "doc.json", capsys)
+    for text in states:
+        with pytest.raises(SchemaError):
+            parse_state(text)
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +516,10 @@ def test_fault_mutations_reach_the_checks_they_aim_at():
 
 
 #: sha256 of the ``(mutation, outcome, message or re-emitted document)``
-#: list of the corpus, taken before the parser's fallback walks were rewritten.
-CORPUS_DIGEST = "313db37bb0151455ab3fee76182fc3754217ddfe9b2be624fbc6f268b213253d"
+#: list of the corpus, taken before the parser's fallback walks were rewritten
+#: and taken again when ``parameters`` began to check its metadata types: one
+#: ``_duplicate_key`` mutant of seed 2, ``"variant": []``, is now refused.
+CORPUS_DIGEST = "2436b4ed952124cb694d3511a92a3b9d854f8d44646eae24fffd2265a8909430"
 
 
 def test_corpus_verdicts_and_messages_are_pinned():

@@ -147,6 +147,10 @@ FAULTS = {
     "ragged": lambda mp, z, u, d: u.__setitem__(5, [[1, 0], [0]]),
     "non-numeric": lambda mp, z, u, d: u.__setitem__(5, [[1, 0], [0, "a"]]),
     "object strings": lambda mp, z, u, d: u.__setitem__(5, np.array([["1", "0"], ["0", "a"]], dtype=object)),
+    "numeric strings": lambda mp, z, u, d: u.__setitem__(5, [["0", "1j"], ["-1j", "0"]]),
+    "numeric string array": lambda mp, z, u, d: u.__setitem__(5, np.array([["1", "0"], ["0", "1"]])),
+    "numeric bytes": lambda mp, z, u, d: u.__setitem__(5, [[b"1", b"0"], [b"0", b"1"]]),
+    "numeric object string": lambda mp, z, u, d: u.__setitem__(5, np.array([[1, "0"], [0, 1]], dtype=object)),
     "non-array": lambda mp, z, u, d: u.__setitem__(5, {"a": 1}),
     "integer past the float range": lambda mp, z, u, d: u.__setitem__(5, [[10**400, 0], [0, 1]]),
 }
@@ -439,11 +443,13 @@ def test_sparse_state_refuses_amplitudes_that_are_not_finite(amp):
             oracle_superposition(instance, terms)
 
 
-@pytest.mark.parametrize("amp", [None, "a", {"a": 1}, [1], 10**400],
-                         ids=["None", "string", "dict", "list", "int past the float range"])
+@pytest.mark.parametrize("amp", [None, "a", " 1 ", "1j", b"1", {"a": 1}, [1], 10**400],
+                         ids=["None", "string", "numeric string", "imaginary string", "bytes", "dict", "list",
+                              "int past the float range"])
 def test_amplitudes_complex_cannot_read_are_refused(amp):
     """Every caller-given amplitude is read by one rule, which refuses what
-    ``complex()`` cannot read as it refuses a NaN or infinite amplitude."""
+    ``complex()`` cannot read, and any string, as it refuses a NaN or
+    infinite amplitude."""
     message = "amplitudes must be finite, got "
     with pytest.raises(InvalidParameterError, match=message):
         SparseState(3, {0: amp})
