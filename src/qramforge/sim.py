@@ -146,8 +146,8 @@ class UnitarySpec:
 
 def _amplitude(value, where: str = "", finite: bool = True) -> complex:
     """``value`` as ``complex()`` reads it: the one rule for caller-given
-    amplitudes.  A string, numeric or not, and what ``complex()`` cannot read are
-    refused, and so is a NaN or infinite value unless ``finite`` is False (:func:`superpose` refuses those by their norm)."""
+    amplitudes.  A string and what ``complex()`` cannot read are refused, and so is a NaN
+    or infinite value unless ``finite`` is False (:func:`superpose` refuses those by their norm)."""
     try:
         if isinstance(value, (str, bytes)):
             raise TypeError
