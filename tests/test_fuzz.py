@@ -7,6 +7,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -519,12 +520,34 @@ def test_fault_mutations_reach_the_checks_they_aim_at():
 #: list of the corpus, taken before the parser's fallback walks were rewritten
 #: and taken again when ``parameters`` began to check its metadata types: one
 #: ``_duplicate_key`` mutant of seed 2, ``"variant": []``, is now refused.
+#: ``tests/data/corpus.json`` keeps each mutant's digest, so that a mismatch
+#: names the mutants that moved; ``PYTHONPATH=src python tests/test_fuzz.py
+#: --rewrite`` pins both again.
 CORPUS_DIGEST = "2436b4ed952124cb694d3511a92a3b9d854f8d44646eae24fffd2265a8909430"
+CORPUS_MANIFEST = DATA / "corpus.json"
+
+
+def _corpus_verdicts() -> list[tuple[str, str, str]]:
+    return [(name, *_parse_outcome(text)) for name, text in _corpus()]
+
+
+def _corpus_manifest(verdicts) -> dict[str, str]:
+    """Each mutant, as ``"<index> <mutation>"``, with the first 16 hex
+    digits of the sha256 of its verdict."""
+    return {f"{index} {verdict[0]}": hashlib.sha256(json.dumps(verdict).encode()).hexdigest()[:16]
+            for index, verdict in enumerate(verdicts)}
 
 
 def test_corpus_verdicts_and_messages_are_pinned():
-    verdicts = [(name, *_parse_outcome(text)) for name, text in _corpus()]
-    assert hashlib.sha256(json.dumps(verdicts).encode()).hexdigest() == CORPUS_DIGEST
+    verdicts = _corpus_verdicts()
+    if hashlib.sha256(json.dumps(verdicts).encode()).hexdigest() == CORPUS_DIGEST:
+        return
+    pinned = json.loads(CORPUS_MANIFEST.read_text())
+    moved = [f"{key}: {outcome}" + (f" {message}" if outcome == "refused" else "")
+             for (key, digest), (_, outcome, message) in zip(_corpus_manifest(verdicts).items(), verdicts)
+             if pinned.get(key) != digest]
+    assert moved, f"{CORPUS_MANIFEST.name} does not match CORPUS_DIGEST"
+    pytest.fail("corpus mutants whose verdict or message moved:\n" + "\n".join(moved))
 
 
 def _walk_message(walk, *args) -> str | None:
@@ -598,3 +621,18 @@ def test_a_bulk_refusal_no_walk_names_still_refuses_the_document(section, walk, 
     monkeypatch.setattr(formats, walk, lambda *args: None)
     outcome, message = _parse_outcome(json.dumps(raw))
     assert (outcome, message) == ("refused", f"{section}: refused by the bulk check, but no record check names a fault")
+
+
+def rewrite() -> None:
+    """Pin the corpus verdicts as they are now: the manifest and the digest."""
+    verdicts = _corpus_verdicts()
+    CORPUS_MANIFEST.write_text(json.dumps(_corpus_manifest(verdicts), indent=0) + "\n")
+    digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+    source = Path(__file__).read_text()
+    Path(__file__).write_text(re.sub(r'^CORPUS_DIGEST = "[0-9a-f]*"', f'CORPUS_DIGEST = "{digest}"', source, flags=re.M))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--rewrite"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_fuzz.py --rewrite")
+    rewrite()
