@@ -388,8 +388,12 @@ def _parse_moments(moments, layout: RegisterMap) -> GateColumns:
 
 
 def _parse_matrix(rows, dim: int, path: str) -> np.ndarray:
-    """A ``matrices.<leaf>.matrix`` record as a complex array, after checking
-    that it holds ``dim`` rows of ``dim`` finite ``[re, im]`` number pairs."""
+    """A ``matrices.<leaf>.matrix`` record as a complex array, read in one
+    pass when it holds ``dim`` rows of ``dim`` finite ``[re, im]`` number
+    pairs; its rows and pairs are walked only to name a fault."""
+    values = _matrix_values(rows, dim)  # None: a fault, or integers beyond the float range
+    if values is not None and np.isfinite(values).all():
+        return values
     path = f"{path}.matrix"
     _expect(isinstance(rows, list), path, f"expected a list of {dim} rows")
     _expect(len(rows) == dim, path, f"expected {dim} rows (2**(m + k) for this leaf), got {len(rows)}")
@@ -402,24 +406,13 @@ def _parse_matrix(rows, dim: int, path: str) -> np.ndarray:
                 f"{path}[{r}][{c}]",
                 "expected a [re, im] pair of numbers",
             )
-    values = _matrix_values([rows], dim)  # None: integers beyond the float range
-    _expect(values is not None and bool(np.isfinite(values).all()), path, "expected finite numbers")
-    return values[0]
+    raise SchemaError(f"{path}: expected finite numbers")
 
 
-#: Matrix entries read into one array at a time while parsing; it bounds the
-#: lists and arrays a chunk of ``matrices`` records takes on top of the tree.
-_PARSE_CHUNK_VALUES = 1 << 16
-
-
-def _matrix_values(matrices: list, dim: int) -> np.ndarray | None:
-    """``matrices``, each ``dim`` rows of ``dim`` ``[re, im]`` number pairs,
-    as one ``(len(matrices), dim, dim)`` complex array; None when one is not.
-    Every length is checked before anything is read."""
-    if not (set(map(type, matrices)) <= {list} and set(map(len, matrices)) <= {dim}):
-        return None
-    rows = list(chain.from_iterable(matrices))
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {dim}):
+def _matrix_values(rows, dim: int) -> np.ndarray | None:
+    """``rows`` as a ``(dim, dim)`` complex array, every length checked before
+    anything is read; None when they are not ``dim`` rows of number pairs."""
+    if not (type(rows) is list and len(rows) == dim and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {dim}):
         return None
     pairs = list(chain.from_iterable(rows))
     if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
@@ -431,59 +424,51 @@ def _matrix_values(matrices: list, dim: int) -> np.ndarray | None:
         array = np.fromiter(values, dtype=float, count=len(values))
     except OverflowError:  # integers beyond the float range
         return None
-    return array.view(complex).reshape(len(matrices), dim, dim)
+    return array.view(complex).reshape(dim, dim)
 
 
-def _stack_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec] | None:
-    """The ``matrices`` section as specs checked by :meth:`UnitarySpec.stack`
-    for depths, finiteness and unitarity.  Labels, shapes and entry types are
-    checked here as :func:`_first_matrix_fault` checks them, reading each
-    distinct record object once, in chunks of one size.  None when a record
-    fails, for :func:`_first_matrix_fault` to name it."""
-    leaves, records = list(section), list(section.values())
-    if not (
-        set(map(len, leaves)) <= {layout.n}
-        and set("".join(leaves)) <= {"0", "1"}
-        and set(map(type, records)) <= {dict}
-        and set().union(*records) <= _MATRIX_FIELDS
-    ):
-        return None
-    dims = [1 << (layout.m + layout.k[int(leaf, 2)]) for leaf in leaves]
-    keys = list(zip(dims, map(id, records)))
-    distinct = dict(zip(keys, records))
-    arrays: dict[tuple[int, int], np.ndarray] = {}
-    for dim in set(dims):
-        members = [key for key in distinct if key[0] == dim]
-        step = max(1, _PARSE_CHUNK_VALUES // (2 * dim * dim))
-        for start in range(0, len(members), step):
-            chunk = members[start : start + step]
-            values = _matrix_values([distinct[key].get("matrix") for key in chunk], dim)
-            if values is None:
-                return None
-            arrays.update(zip(chunk, values))
-    depths = [record.get("declared_depth", 1) for record in records]
-    try:
-        return UnitarySpec.stack(leaves, [arrays[key] for key in keys], depths)
-    except QramForgeError:
-        return None
-
-
-def _first_matrix_fault(section: dict, layout: RegisterMap) -> None:
-    """Raise the first fault of the ``matrices`` section, one record at a
-    time; the matrix itself is checked by the :class:`UnitarySpec`
-    constructor."""
+def _parse_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec]:
+    """The ``matrices`` section as specs.  Each record is checked once, in
+    document order: its label, that it is an object, its matrix, its declared
+    depth and its fields.  A record object that leaves of one dimension
+    share, as :func:`_decode` shares equal bodies, is read once.  Unitarity
+    is then checked by one :meth:`UnitarySpec.stack` of every matrix; a
+    record's fault first stacks the records before it, so that an earlier
+    record's unitarity fault is raised first."""
+    leaves, matrices, depths, arrays = [], [], [], {}
     for leaf, record in section.items():
         path = f"matrices.{leaf}"
-        _expect(len(leaf) == layout.n and set(leaf) <= {"0", "1"}, path, "not a leaf of this layout")
-        _expect(isinstance(record, dict), path, "expected an object")
-        matrix = _parse_matrix(record.get("matrix"), 1 << (layout.m + layout.k[int(leaf, 2)]), path)
-        depth = _expect_int(record.get("declared_depth", 1), f"{path}.declared_depth", 1)
-        _expect(depth <= MAX_DECLARED_DEPTH, f"{path}.declared_depth", "expected an integer <= 2**62")
-        _expect_fields(record, _MATRIX_FIELDS, path)
         try:
-            UnitarySpec(leaf, matrix, declared_depth=depth)
-        except QramForgeError as exc:
-            raise SchemaError(f"{path}: {exc}") from exc
+            _expect(len(leaf) == layout.n and set(leaf) <= {"0", "1"}, path, "not a leaf of this layout")
+            _expect(isinstance(record, dict), path, "expected an object")
+            key = (1 << (layout.m + layout.k[int(leaf, 2)]), id(record))
+            if key not in arrays:
+                arrays[key] = _parse_matrix(record.get("matrix"), key[0], path)
+            depth = _expect_int(record.get("declared_depth", 1), f"{path}.declared_depth", 1)
+            _expect(depth <= MAX_DECLARED_DEPTH, f"{path}.declared_depth", "expected an integer <= 2**62")
+            _expect_fields(record, _MATRIX_FIELDS, path)
+        except SchemaError:
+            _stacked_specs(leaves, matrices, depths)
+            raise
+        leaves.append(leaf)
+        matrices.append(arrays[key])
+        depths.append(depth)
+    return _stacked_specs(leaves, matrices, depths)
+
+
+def _stacked_specs(leaves: list, matrices: list, depths: list) -> dict[str, UnitarySpec]:
+    """:meth:`UnitarySpec.stack` of checked records; when it refuses, the
+    leaves are walked through the :class:`UnitarySpec` constructor to name
+    the first fault."""
+    try:
+        return UnitarySpec.stack(leaves, matrices, depths)
+    except QramForgeError as refusal:
+        for leaf, matrix, depth in zip(leaves, matrices, depths):
+            try:
+                UnitarySpec(leaf, matrix, declared_depth=depth)
+            except QramForgeError as exc:
+                raise SchemaError(f"matrices.{leaf}: {exc}") from exc
+        raise SchemaError(f"matrices: {refusal}") from refusal
 
 
 def _check_block_widths(columns: GateColumns, layout: RegisterMap, unitaries: Mapping[str, UnitarySpec]) -> None:
@@ -653,10 +638,7 @@ def _parse_document(text: str | bytes) -> CircuitDocument:
     unitaries = None
     if "matrices" in raw:
         _expect(isinstance(raw["matrices"], dict), "matrices", "expected an object")
-        unitaries = _stack_matrices(raw["matrices"], layout)
-        if unitaries is None:
-            _first_matrix_fault(raw["matrices"], layout)
-            raise SchemaError("matrices: refused by the bulk check, but no record check names a fault")
+        unitaries = _parse_matrices(raw["matrices"], layout)
 
     unknown = set(raw) - {"format", "parameters", "registers", "metrics", "moments", "matrices"}
     _expect(not unknown, "$", f"unknown section(s) {sorted(unknown)}")

@@ -645,11 +645,9 @@ def test_metrics_must_carry_integers(key, value):
 def test_unknown_fields_of_matrix_records_and_metrics_are_refused():
     """An extra field in a ``matrices`` record or in ``metrics`` is refused,
     as in a gate record, instead of vanishing when the document is written
-    again; the bulk matrix check refuses what the walk names."""
-    layout = allocate_registers(1, 1)
+    again."""
     raw = json.loads(_golden_text("access_n1_m1.json"))
     raw["matrices"]["1"]["extra"] = 5
-    assert formats._stack_matrices(raw["matrices"], layout) is None
     with pytest.raises(SchemaError) as info:
         parse_document(json.dumps(raw))
     assert str(info.value) == "matrices.1: unknown field(s) ['extra']"
@@ -670,6 +668,43 @@ def test_rejects_bad_matrices():
 
     with pytest.raises(SchemaError, match="matrices.0:"):
         parse_document(_mutated(scale))
+
+
+#: Two faulty ``matrices`` records of the golden document, and the first fault.
+FIRST_FAULTS = {
+    "not unitary, then an extra field": (
+        lambda m: (m["0"]["matrix"][1].__setitem__(1, [2.0, 0.0]), m["1"].update(extra=5)),
+        "matrices.0: matrix for leaf '0' is not unitary (deviation 4.000e+00)"),
+    "an extra field, then not unitary": (
+        lambda m: (m["0"].update(extra=5), m["1"]["matrix"][0].__setitem__(0, [2.0, 0.0])),
+        "matrices.0: unknown field(s) ['extra']"),
+    "not unitary, then a short matrix": (
+        lambda m: (m["0"]["matrix"][1].__setitem__(1, [0.0, 0.5]), m["1"].update(matrix=[[1]])),
+        "matrices.0: matrix for leaf '0' is not unitary (deviation 5.000e-01)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_FAULTS))
+def test_the_first_faulty_matrix_record_is_named(case):
+    """Records are checked in document order, each one whole, unitarity
+    included, before the next: a later record's fault of another kind does
+    not come first."""
+    transform, message = FIRST_FAULTS[case]
+    with pytest.raises(SchemaError) as info:
+        parse_document(_mutated(lambda raw: transform(raw["matrices"])))
+    assert str(info.value) == message
+
+
+def test_matrix_bodies_that_leaves_share_are_read_once(monkeypatch):
+    """On a table-lookup document, whose leaves of equal table entries have
+    equal records, each distinct record is read into an array once."""
+    instance = build_table_lookup_instance(3, 2, table=[0, 1, 2, 1, 0, 3, 3, 1])
+    text = emit_json(synth_access(instance.layout(), instance.unitaries), instance.unitaries)
+    read = []
+    values = formats._matrix_values
+    monkeypatch.setattr(formats, "_matrix_values", lambda rows, dim: read.append(dim) or values(rows, dim))
+    assert parse_document(text).unitaries == instance.unitaries
+    assert read == [4] * 4
 
 
 @pytest.mark.parametrize(

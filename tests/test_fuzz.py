@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from qramforge import (
+    InvalidParameterError,
     RegisterMap,
     SchemaError,
     basis_state,
@@ -560,33 +561,23 @@ def _walk_message(walk, *args) -> str | None:
 
 def test_bulk_checks_refuse_exactly_what_the_first_fault_walks_name():
     """Over the corpus, ``_gather`` refuses a ``moments`` section exactly
-    when ``_first_gate_fault`` raises, and ``_stack_matrices`` a ``matrices``
-    section exactly when ``_first_matrix_fault`` raises; the walk's message
-    is what ``parse_document`` gives for the golden document with that
-    section in place."""
+    when ``_first_gate_fault`` raises; the walk's message is what
+    ``parse_document`` gives for the golden document with that section in
+    place."""
     golden = _golden()
-    layout = RegisterMap(1, 1, [0, 0])
-    leaves = frozenset(layout.leaves)
-    refused = {"moments": 0, "matrices": 0}
+    leaves = frozenset(RegisterMap(1, 1, [0, 0]).leaves)
+    refused = 0
     for _, text in _corpus():
         raw = json.loads(text)
-        if not isinstance(raw, dict):
+        moments = raw.get("moments") if isinstance(raw, dict) else None
+        if not isinstance(moments, list) or any(isinstance(g, list) and len(g) > 7 for g in moments):
             continue
-        moments, section = raw.get("moments"), raw.get("matrices")
-        cases = []
-        if isinstance(moments, list) and all(not isinstance(g, list) or len(g) <= 7 for g in moments):
-            bulk = formats._gather(moments, leaves) is None
-            cases.append(("moments", moments, bulk, _walk_message(formats._first_gate_fault, moments, leaves)))
-        if isinstance(section, dict):
-            bulk = formats._stack_matrices(section, layout) is None
-            cases.append(("matrices", section, bulk, _walk_message(formats._first_matrix_fault, section, layout)))
-        for key, value, bulk, message in cases:
-            assert bulk is (message is not None), (key, message)
-            if message is not None:
-                refused[key] += 1
-                spliced = dict(golden, **{key: value})
-                assert _parse_outcome(json.dumps(spliced)) == ("refused", message)
-    assert min(refused.values()) >= 100, refused
+        message = _walk_message(formats._first_gate_fault, moments, leaves)
+        assert (formats._gather(moments, leaves) is None) is (message is not None), message
+        if message is not None:
+            refused += 1
+            assert _parse_outcome(json.dumps(dict(golden, moments=moments))) == ("refused", message)
+    assert refused >= 100, refused
 
 
 #: Finite entries whose product ``U^dagger U`` overflows: for ``x * (1 + 1j)``
@@ -596,43 +587,31 @@ OVERFLOWING = {"diagonal": [[[1e200, 1e200], [0.0, 0.0]], [[0.0, 0.0], [1e200, 1
 
 
 @pytest.mark.parametrize("case", sorted(OVERFLOWING))
-def test_a_matrix_whose_product_overflows_is_refused_by_both_checks(case):
-    """A deviation that is NaN or infinite is refused by the bulk check and
-    named by the walk, and the document is refused with the walk's message."""
+def test_a_matrix_whose_product_overflows_is_refused(case):
+    """A deviation that is NaN or infinite is refused, and named."""
     raw = _golden()
     raw["matrices"]["0"]["matrix"] = OVERFLOWING[case]
-    layout = RegisterMap(1, 1, [0, 0])
     with np.errstate(over="ignore", invalid="ignore"):
-        assert formats._stack_matrices(raw["matrices"], layout) is None
-        message = _walk_message(formats._first_matrix_fault, raw["matrices"], layout)
-        assert _parse_outcome(json.dumps(raw)) == ("refused", message)
+        outcome, message = _parse_outcome(json.dumps(raw))
+    assert outcome == "refused"
     assert re.fullmatch(r"matrices\.0: matrix for leaf '0' is not unitary \(deviation (nan|inf)\)", message)
 
 
-@pytest.mark.parametrize("section, walk", [("moments", "_first_gate_fault"), ("matrices", "_first_matrix_fault")])
-def test_a_bulk_refusal_no_walk_names_still_refuses_the_document(section, walk, monkeypatch):
-    """Should a bulk check refuse a section whose records the walk passes,
-    the document is refused, not accepted without the section."""
+@pytest.mark.parametrize("section", ["moments", "matrices"])
+def test_a_bulk_refusal_no_walk_names_still_refuses_the_document(section, monkeypatch):
+    """Should ``_gather`` refuse a ``moments`` section whose records
+    ``_first_gate_fault`` passes, or ``UnitarySpec.stack`` refuse matrices
+    that the constructor passes one leaf at a time, the document is refused,
+    not accepted without the section."""
+    def refuse(*args):
+        raise InvalidParameterError("refused by the stack")
+
     raw = _golden()
     if section == "moments":
         raw["moments"][0][0]["targets"] = [0, 0]
+        monkeypatch.setattr(formats, "_first_gate_fault", lambda *args: None)
+        expected = "moments: refused by the bulk check, but no record check names a fault"
     else:
-        raw["matrices"]["0"]["matrix"][0][0] = [2.0, 0.0]
-    monkeypatch.setattr(formats, walk, lambda *args: None)
-    outcome, message = _parse_outcome(json.dumps(raw))
-    assert (outcome, message) == ("refused", f"{section}: refused by the bulk check, but no record check names a fault")
-
-
-def rewrite() -> None:
-    """Pin the corpus verdicts as they are now: the manifest and the digest."""
-    verdicts = _corpus_verdicts()
-    CORPUS_MANIFEST.write_text(json.dumps(_corpus_manifest(verdicts), indent=0) + "\n")
-    digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
-    source = Path(__file__).read_text()
-    Path(__file__).write_text(re.sub(r'^CORPUS_DIGEST = "[0-9a-f]*"', f'CORPUS_DIGEST = "{digest}"', source, flags=re.M))
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--rewrite"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_fuzz.py --rewrite")
-    rewrite()
+        monkeypatch.setattr(formats.UnitarySpec, "stack", refuse)
+        expected = "matrices: refused by the stack"
+    assert _parse_outcome(json.dumps(raw)) == ("refused", expected)
