@@ -609,6 +609,10 @@ def _parse_document(text: str | bytes) -> CircuitDocument:
         raise SchemaError(f"parameters: {exc}") from exc
     for key, (kind, name) in _PARAMETER_KEYS.items():
         _expect(key not in params or isinstance(params[key], kind), f"parameters.{key}", f"expected {name}")
+    _expect(params.get("phase", "access") in ("access", "down", "run", "up"), "parameters.phase",
+            "expected 'access', 'down', 'run' or 'up'")
+    _expect(params.get("variant", "fanout") in ("sequential", "fanout"), "parameters.variant",
+            "expected 'sequential' or 'fanout'")
     _expect_fields(params, {"n", "m", "k", "fanout_block", *_PARAMETER_KEYS}, "parameters")
 
     _expect(isinstance(raw["registers"], list), "registers", "expected a list")

@@ -370,6 +370,30 @@ def test_rejects_bad_parameter_types():
         parse_document(text)
 
 
+@pytest.mark.parametrize("key, value", [("variant", "banana"), ("variant", "Fanout"), ("variant", ""),
+                                        ("phase", "sideways"), ("phase", "Access"), ("phase", "both")])
+def test_variant_and_phase_are_closed_sets(key, value, tmp_path, capsys):
+    """A ``variant`` other than the two hand-down styles, or a ``phase``
+    other than the four the synthesizer writes, is refused, and ``verify
+    --circuit`` exits 2 instead of reporting the stated variant."""
+    path = tmp_path / "doc.json"
+    path.write_text(_mutated(lambda raw: raw["parameters"].update({key: value})))
+    expected = {"variant": "'sequential' or 'fanout'", "phase": "'access', 'down', 'run' or 'up'"}[key]
+    with pytest.raises(SchemaError) as info:
+        parse_document(path.read_text())
+    assert str(info.value) == f"parameters.{key}: expected {expected}"
+    argv = ["verify", "--family", "table_lookup", "--n", "1", "--m", "1", "--table", "1,0", "--circuit", str(path)]
+    assert main(argv) == 2
+    assert f"parameters.{key}: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("variant", "sequential"), ("variant", "fanout"), ("phase", "access"),
+                                        ("phase", "down"), ("phase", "run"), ("phase", "up")])
+def test_every_variant_and_phase_is_read(key, value):
+    doc = parse_document(_mutated(lambda raw: raw["parameters"].update({key: value})))
+    assert doc.circuit.metadata[key] == doc.parameters[key] == value
+
+
 def test_rejects_inconsistent_layout_parameters():
     text = _mutated(lambda raw: raw["parameters"].update(k=[0, 0, 0]))
     with pytest.raises(SchemaError, match="parameters:"):

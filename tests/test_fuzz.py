@@ -521,10 +521,12 @@ def test_fault_mutations_reach_the_checks_they_aim_at():
 #: list of the corpus, taken before the parser's fallback walks were rewritten
 #: and taken again when ``parameters`` began to check its metadata types: one
 #: ``_duplicate_key`` mutant of seed 2, ``"variant": []``, is now refused.
+#: Taken again when ``variant`` and ``phase`` became closed sets: mutant 225,
+#: a ``_duplicate_key`` that repeats ``"variant"`` as ``"x"``, is now refused.
 #: ``tests/data/corpus.json`` keeps each mutant's digest, so that a mismatch
 #: names the mutants that moved; ``PYTHONPATH=src python tests/test_fuzz.py
 #: --rewrite`` pins both again.
-CORPUS_DIGEST = "2436b4ed952124cb694d3511a92a3b9d854f8d44646eae24fffd2265a8909430"
+CORPUS_DIGEST = "fc66962a4631afab6635d30171d79eb08b77a985e4514e7483cfa262ea85e43a"
 CORPUS_MANIFEST = DATA / "corpus.json"
 
 
@@ -615,3 +617,18 @@ def test_a_bulk_refusal_no_walk_names_still_refuses_the_document(section, monkey
         monkeypatch.setattr(formats.UnitarySpec, "stack", refuse)
         expected = "matrices: refused by the stack"
     assert _parse_outcome(json.dumps(raw)) == ("refused", expected)
+
+
+def rewrite() -> None:
+    """Pin the corpus verdicts as they are now: the manifest and the digest."""
+    verdicts = _corpus_verdicts()
+    CORPUS_MANIFEST.write_text(json.dumps(_corpus_manifest(verdicts), indent=0) + "\n")
+    digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+    source = Path(__file__).read_text()
+    Path(__file__).write_text(re.sub(r'^CORPUS_DIGEST = "[0-9a-f]*"', f'CORPUS_DIGEST = "{digest}"', source, flags=re.M))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--rewrite"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_fuzz.py --rewrite")
+    rewrite()
