@@ -435,7 +435,7 @@ def _parse_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec
     is then checked by one :meth:`UnitarySpec.stack` of every matrix; a
     record's fault first stacks the records before it, so that an earlier
     record's unitarity fault is raised first."""
-    leaves, matrices, depths, arrays = [], [], [], {}
+    records, arrays = [], {}
     for leaf, record in section.items():
         path = f"matrices.{leaf}"
         try:
@@ -448,22 +448,20 @@ def _parse_matrices(section: dict, layout: RegisterMap) -> dict[str, UnitarySpec
             _expect(depth <= MAX_DECLARED_DEPTH, f"{path}.declared_depth", "expected an integer <= 2**62")
             _expect_fields(record, _MATRIX_FIELDS, path)
         except SchemaError:
-            _stacked_specs(leaves, matrices, depths)
+            _stacked_specs(records)
             raise
-        leaves.append(leaf)
-        matrices.append(arrays[key])
-        depths.append(depth)
-    return _stacked_specs(leaves, matrices, depths)
+        records.append((leaf, arrays[key], depth))
+    return _stacked_specs(records)
 
 
-def _stacked_specs(leaves: list, matrices: list, depths: list) -> dict[str, UnitarySpec]:
-    """:meth:`UnitarySpec.stack` of checked records; when it refuses, the
-    leaves are walked through the :class:`UnitarySpec` constructor to name
-    the first fault."""
+def _stacked_specs(records: list[tuple[str, np.ndarray, int]]) -> dict[str, UnitarySpec]:
+    """:meth:`UnitarySpec.stack` of checked ``(leaf, matrix, depth)``
+    records; when it refuses, the leaves are walked through the
+    :class:`UnitarySpec` constructor to name the first fault."""
     try:
-        return UnitarySpec.stack(leaves, matrices, depths)
+        return UnitarySpec.stack(*zip(*records)) if records else {}
     except QramForgeError as refusal:
-        for leaf, matrix, depth in zip(leaves, matrices, depths):
+        for leaf, matrix, depth in records:
             try:
                 UnitarySpec(leaf, matrix, declared_depth=depth)
             except QramForgeError as exc:

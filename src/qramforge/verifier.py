@@ -640,27 +640,31 @@ def _case_terms(count: int, runs: int, terms: int = 1) -> np.ndarray:
 
 class _Reader:
     """Where a layout's registers sit in its basis keys: the bit field of
-    each data-key word, and the ancilla bits of each word."""
+    each data-key word, and the words that hold ancillas with their masks."""
 
     def __init__(self, layout: RegisterMap, keys: _Keys):
         self.keys, self.num_qubits = keys, layout.total_qubits
         self.fields = keys.fields(int(layout.mem_starts[0]))
+        self.start, self.width = np.array(self.fields).T[:, :, None]  # one row per field, for broadcasting
         ancillas = (((1 << self.num_qubits) - 1) ^ layout.data_mask).to_bytes(8 * -(-self.num_qubits // 64), "little")
-        self.ancillas = [(word, np.uint64(mask))
-                         for word, mask in enumerate(np.frombuffer(ancillas, dtype="<u8").tolist()) if mask]
+        masks = np.frombuffer(ancillas, dtype="<u8")
+        self.words = np.flatnonzero(masks)
+        self.masks = masks[self.words, None]
 
     def read(self, rows: _Rows) -> _Data:
-        """The data rows of ``rows``.  Each residual adds ``abs(amp) ** 2``
-        over the case's rows in order, and gives the same float."""
+        """The data rows of ``rows``, the ancilla words tested several to a
+        pass of :data:`~qramforge.sim._CHUNK_BYTES`.  Each residual adds
+        ``abs(amp) ** 2`` over the case's rows in order, and gives the same float."""
         dirty = np.zeros(len(rows.case), dtype=bool)
-        for word, mask in self.ancillas:
-            dirty |= (rows.words[word] & mask) != 0
+        step = max(1, _CHUNK_BYTES // (8 * max(1, len(rows.case))))
+        for lo in range(0, len(self.words), step):
+            dirty |= (rows.words[self.words[lo : lo + step]] & self.masks[lo : lo + step]).any(axis=0)
         amps = rows.amps[dirty]
         weights = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
         # bincount of no rows gives integer zeros, weights or not
         residual = np.bincount(rows.case[dirty], weights=weights, minlength=rows.num_cases).astype(float)
         clean = np.flatnonzero(~dirty)
-        key = np.array([_read_bits(rows.words, start, width, clean) for start, width in self.fields], dtype=np.uint64)
+        key = _read_bits(rows.words, self.start, self.width, clean)
         return _Data(rows.case[clean], key, rows.amps[clean], residual)
 
 

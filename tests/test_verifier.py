@@ -10,6 +10,7 @@ import scipy.linalg
 
 import helpers
 import qramforge.sim as sim
+import qramforge.verifier as verifier
 from qramforge import (
     Circuit,
     ConfigurationError,
@@ -345,6 +346,41 @@ def test_extract_data_state_reads_registers_wider_than_a_word(n, m, k):
     assert_same_data(data, expected)
     assert residual.hex() == expected_residual.hex()
     assert any(value >= 1 << 64 for _, r, mem in data for value in (r, *mem))
+
+
+def test_the_reader_tests_the_ancilla_words_over_several_passes():
+    """A batch on a layout of 32 words, 28 of them holding ancillas, large
+    enough that the words are tested over several passes.  Every ancilla word
+    holds the one set ancilla bit of some term; each case's residual is the
+    weight of its dirty terms, added in order in Python, and its clean terms
+    read as the per-key reference reads them."""
+    layout = allocate_registers(8, 2, 1)
+    total, rng = layout.total_qubits, np.random.default_rng(8)
+    reader = verifier._Reader(layout, verifier._Keys(layout))
+    ancillas = ((1 << total) - 1) ^ layout.data_mask
+    bits = [[b for b in range(64 * w, min(64 * w + 64, total)) if ancillas >> b & 1] for w in range(-(-total // 64))]
+    dirty = [int(rng.choice(word)) for word in bits if word] * 3
+    assert len(reader.words) == len(dirty) // 3 == 28
+    states = []
+    for case in range(40):
+        keys = [int.from_bytes(rng.bytes(-(-total // 8)), "little") & layout.data_mask for _ in range(15)]
+        for slot in rng.choice(15, 3, replace=False).tolist():
+            keys[slot] |= 1 << dirty.pop() if dirty else 0
+        amps = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+        states.append(SparseState(total, dict(zip(keys, amps.tolist()))))
+    rows = sim._Rows.of_states(states, total)
+    assert sim._CHUNK_BYTES // (8 * len(rows.case)) < len(reader.words) / 2  # three passes or more
+    data = reader.read(rows)
+    for case, state in enumerate(states):
+        weight = 0.0
+        for key, amp in state.amps.items():
+            if key & ancillas:
+                weight += abs(amp) ** 2
+        assert data.residual[case] == weight
+        mine = data.case == case
+        expected, _ = helpers.reference_extract_data_state(state, layout)
+        assert_same_data(dict(zip(reader.keys.decode(data.key[:, mine]), data.amp[mine].tolist())), expected)
+    assert not dirty
 
 
 # ---------------------------------------------------------------------------
