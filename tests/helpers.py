@@ -800,3 +800,85 @@ def assert_valid_qasm2(text: str) -> None:
     AssertionError if an application's argument count is not its gate's."""
     _QASM2.parse_string(text, parse_all=True)
     assert_qasm2_arities(text)
+
+
+# ---------------------------------------------------------------------------
+# emitted QASM read back
+# ---------------------------------------------------------------------------
+
+#: The kind of each gate the emitter applies by name; ``cu_<leaf>`` and
+#: ``cu_<leaf>_dg`` are the opaque blocks.
+_QASM_KINDS = {"x": GateKind.X, "cx": GateKind.CNOT, "ccx": GateKind.TOFFOLI, "fredkin": GateKind.FREDKIN}
+
+
+def _qasm_statement(line: str) -> tuple[str, list[str]]:
+    """``name a,b,c;`` as its name and its operands."""
+    name, operands = line.strip().rstrip(";").split(" ", 1)
+    return name, operands.split(",")
+
+
+def read_qasm(text: str) -> tuple[list[tuple[str, int, int]], dict[str, tuple[list[str], list]], list[list[tuple]]]:
+    """Emitted QASM read back: each ``qreg`` as ``(name, offset, size)``, its
+    wires numbered on from the previous register's; each ``gate``
+    definition as its formals and its body statements; and each ``// moment
+    i`` block as ``(kind, qubits, leaf, dagger)`` rows, every ``name[i]``
+    operand read as its register's offset plus ``i``."""
+    registers, definitions, moments, offset = {}, {}, [], 0
+    for line in text.splitlines():
+        if line.startswith("qreg "):
+            name, size = line[5:].rstrip("];").split("[")
+            registers[name] = offset, int(size)
+            offset += int(size)
+        elif line.startswith("gate "):
+            head, body = line[5:].rstrip(" }").split(" { ")
+            name, formals = head.split(" ")
+            definitions[name] = formals.split(","), [_qasm_statement(part) for part in body.split("; ") if part]
+        elif line.startswith("// moment "):
+            assert int(line[10:]) == len(moments), line
+            moments.append([])
+        elif moments:
+            name, operands = _qasm_statement(line)
+            qubits = tuple(registers[register][0] + int(index.rstrip("]"))
+                           for register, index in (operand.split("[") for operand in operands))
+            if name in _QASM_KINDS:
+                moments[-1].append((_QASM_KINDS[name].value, qubits, None, False))
+            else:
+                assert name.startswith("cu_"), line
+                dagger = name.endswith("_dg")
+                moments[-1].append((GateKind.OPAQUE.value, qubits, name[3 : -3 if dagger else None], dagger))
+    return [(name, *place) for name, place in registers.items()], definitions, moments
+
+
+def _definition_matrix(formals: list[str], body: list) -> np.ndarray:
+    """A ``gate`` definition over the gates of :data:`_QASM_KINDS` (controls
+    first), expanded by :func:`dense_apply_gate` on every basis state of its
+    formals."""
+    columns = []
+    for index in range(1 << len(formals)):
+        vec = np.zeros(1 << len(formals), dtype=complex)
+        vec[index] = 1.0
+        for name, operands in body:
+            qubits = tuple(map(formals.index, operands))
+            split = 1 if name == "fredkin" else len(qubits) - 1
+            vec = dense_apply_gate(vec, Gate(_QASM_KINDS[name], qubits[:split], qubits[split:]), len(formals))
+        columns.append(vec)
+    return np.array(columns).T
+
+
+def assert_qasm_reads_back(text: str, circuit: Circuit) -> None:
+    """The QASM ``text`` declares the layout's registers at their offsets,
+    defines ``fredkin`` as a controlled swap, and applies the circuit's gates
+    moment by moment, in order, on the same qubits."""
+    registers, definitions, moments = read_qasm(text)
+    expected = [(kind if kind in ("address", "result") else f"{kind}_{node or 'eps'}", start, size)
+                for kind, node, start, size in circuit.layout.labelled_rows]
+    assert registers == expected
+    assert sum(size for _, _, size in registers) == circuit.layout.total_qubits
+    if circuit.gate_counts().get("cswap"):
+        swap = _definition_matrix(["a", "b", "c"], [("fredkin", ["a", "b", "c"])])
+        assert np.array_equal(_definition_matrix(*definitions["fredkin"]), swap), "fredkin is not a controlled swap"
+    rows = [[(gate.kind.value, gate.controls + gate.targets, gate.leaf, gate.dagger) for gate in moment]
+            for moment in circuit.moments]
+    assert len(moments) == len(rows)
+    for i, (actual, wanted) in enumerate(zip(moments, rows)):
+        assert actual == wanted, f"moment {i}"

@@ -40,7 +40,8 @@ from qramforge import (
 )
 from qramforge import formats, tree
 from qramforge.cli import main
-from qramforge.ir import GateColumns
+from qramforge.ir import OPAQUE, GateColumns
+import helpers
 from helpers import assert_valid_qasm2, reference_emit_json
 
 DATA = Path(__file__).parent / "data"
@@ -988,6 +989,17 @@ def test_qasm_dagger_blocks_get_their_own_declaration():
     assert "opaque cu_0_dg ctl,q0;" in text
     assert "cu_0_dg life_0[0],res_0[0];" in text
     assert_valid_qasm2(text)
+
+
+def test_qasm_of_dagger_blocks_reads_back_as_its_circuit():
+    """The adjoint Run phase and access circuit of a per-leaf-width
+    instance, whose blocks are all daggers, read back as their circuits;
+    the third case of :func:`_daggers` has a label that no QASM
+    declaration takes."""
+    circuits = [circuit for circuit, _ in _daggers()][:2]
+    for circuit in circuits:
+        assert circuit.columns.dagger[circuit.columns.kind == OPAQUE].all()
+        helpers.assert_qasm_reads_back(emit_qasm(circuit), circuit)
 
 
 @pytest.mark.parametrize("variant", ["sequential", "fanout"])

@@ -42,6 +42,8 @@ from pathlib import Path
 
 import pytest
 
+import helpers
+from qramforge import parse_document
 from qramforge.cli import main
 
 MANIFEST = Path(__file__).parent / "data" / "outputs.json"
@@ -133,6 +135,20 @@ def test_outputs_match_the_pinned_digests(section):
     for name, digest in digests.items():
         assert pinned.get(name) == digest, f"first output that differs: {name}"
     pytest.fail(f"the {section} grid differs from the pinned one: {sorted(set(pinned) - set(digests))[:1]} is missing")
+
+
+def test_the_qasm_of_the_grid_reads_back_as_its_circuit():
+    """Every QASM command of the ``access`` and ``phases`` grids, read back
+    by :func:`helpers.read_qasm`, declares the registers and applies the
+    gates of the circuit that its JSON twin (the same command without
+    ``--format qasm``) carries."""
+    commands = [argv for section in ("access", "phases") for argv in GRIDS[section] if "qasm" in argv]
+    assert len(commands) == 552
+    for argv in commands:
+        code, text = _run(argv)
+        twin, document = _run(argv[:-2])
+        assert code == twin == 0
+        helpers.assert_qasm_reads_back(text, parse_document(document).circuit)
 
 
 def rewrite() -> None:
