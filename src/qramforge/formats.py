@@ -609,7 +609,7 @@ def _parse_document(text: str | bytes) -> CircuitDocument:
         _expect(key not in params or isinstance(params[key], kind), f"parameters.{key}", f"expected {name}")
     _expect(params.get("phase", "access") in ("access", "down", "run", "up"), "parameters.phase",
             "expected 'access', 'down', 'run' or 'up'")
-    _expect(params.get("variant", "fanout") in ("sequential", "fanout"), "parameters.variant",
+    _expect(params.get("variant", "sequential") in ("sequential", "fanout"), "parameters.variant",
             "expected 'sequential' or 'fanout'")
     _expect_fields(params, {"n", "m", "k", "fanout_block", *_PARAMETER_KEYS}, "parameters")
 
